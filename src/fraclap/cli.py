@@ -338,7 +338,7 @@ def _exp_max_principle_batch(ctx, params):
         sol = solve_spectral(problem, dec=dec, form=form)
         if not maximum_principle_check(sol, problem)["passed"]:
             failures += 1
-        if not strong_maximum_check([problem])[0]["passed"]:
+        if not strong_maximum_check([problem], dec=dec, form=form)[0]["passed"]:
             strong_failures += 1
     metrics = {"n_seeds": n_seeds, "failures": failures, "strong_failures": strong_failures}
     return metrics, bool(failures == 0 and strong_failures == 0), {}

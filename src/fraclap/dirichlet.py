@@ -123,9 +123,25 @@ def solve_spectral(
     dec: SpectralDecomposition | None = None,
     form: FracEnergyForm | None = None,
 ) -> Solution:
-    """Direct solve of the Euler-Lagrange system for the energy minimizer."""
-    dec = dec or decompose(problem.space)
-    form = form or stiffness_matrix(dec, problem.theta)
+    """Direct solve of the Euler-Lagrange system for the energy minimizer.
+
+    `dec` and `form` may be passed to reuse work across problems; they must
+    belong to the problem's space and exponent, else InvalidParams.
+    """
+    space = problem.space
+    if dec is not None and not _same_space(dec.space, space):
+        raise InvalidParams("decomposition was built for another space")
+    if form is not None:
+        if form.theta != problem.theta:
+            raise InvalidParams(
+                f"stiffness form has theta={form.theta}, problem has {problem.theta}"
+            )
+        if form.stiffness.shape != (space.n, space.n):
+            raise InvalidParams(
+                f"stiffness form has shape {form.stiffness.shape}, space has n={space.n}"
+            )
+    else:
+        form = stiffness_matrix(dec or decompose(space), problem.theta)
     k = form.stiffness
     idx = np.where(problem.omega)[0]
     cdx = np.where(~problem.omega)[0]
@@ -139,6 +155,12 @@ def solve_spectral(
     u[idx] = u_omega
     residual = float(np.max(np.abs((k @ u)[idx])))
     return Solution(u=u, route="spectral", residual=residual, energy=float(u @ (k @ u)))
+
+
+def _same_space(a: Space, b: Space) -> bool:
+    return a is b or all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in ("dist", "mu", "cond")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +330,21 @@ def maximum_principle_check(sol: Solution, problem: DirichletProblem) -> dict:
     }
 
 
-def strong_maximum_check(problems, dec_cache: dict | None = None) -> list[dict]:
+def strong_maximum_check(
+    problems,
+    dec: SpectralDecomposition | None = None,
+    form: FracEnergyForm | None = None,
+) -> list[dict]:
     """Contrapositive strong maximum principle over a family of problems: a
-    nonconstant solution attains its global max strictly outside the domain."""
+    nonconstant solution attains its global max strictly outside the domain.
+
+    `dec` and `form` are forwarded to `solve_spectral`, so a family on one
+    space and exponent is solved with one decomposition and one stiffness
+    matrix; without them each problem builds its own.
+    """
     reports = []
     for problem in problems:
-        sol = solve_spectral(problem)
+        sol = solve_spectral(problem, dec=dec, form=form)
         scale = max(1.0, float(np.abs(sol.u).max()))
         is_constant = np.ptp(sol.u) <= 1e-10 * scale
         interior_max = float(sol.u[problem.omega].max())

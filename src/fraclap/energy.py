@@ -59,13 +59,15 @@ class FracEnergyForm:
 def besov_energy(space: Space, theta: float, f) -> float:
     """Gagliardo-type double sum
     sum_{z != w} |f(z)-f(w)|^2 / (d(z,w)^{2 theta} mu(B(z, d(z,w)))) mu(z) mu(w).
+
+    The closed-ball masses come from the space's cached `ball_masses` table,
+    so a call costs O(n^2) time and memory once the table exists.
     """
     _check_theta(theta)
     f = np.asarray(f, dtype=float)
     n = space.n
     off = ~np.eye(n, dtype=bool)
-    # ball[z, w] = mass of the closed ball around z of radius d(z, w)
-    ball = (space.dist[:, None, :] <= space.dist[:, :, None]).astype(float) @ space.mu
+    ball = space.ball_masses
     diff2 = (f[:, None] - f[None, :]) ** 2
     weights = np.zeros((n, n))
     weights[off] = 1.0 / (space.dist[off] ** (2 * theta) * ball[off])

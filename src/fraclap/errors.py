@@ -35,6 +35,10 @@ class NonpositiveTime(FraclapError):
     pass
 
 
+class SeriesTimeTooLarge(FraclapError):
+    """beta*t is beyond the range the uniformization series route supports."""
+
+
 class ThetaOutOfRange(FraclapError):
     pass
 

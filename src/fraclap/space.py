@@ -11,11 +11,12 @@ compatible pairs are accepted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components, floyd_warshall, shortest_path
 
 from .errors import (
     DisconnectedGraph,
@@ -62,6 +63,25 @@ class Space:
     def min_positive_distance(self) -> float:
         off = self.dist[~np.eye(self.n, dtype=bool)]
         return float(off.min())
+
+    @cached_property
+    def ball_masses(self) -> np.ndarray:
+        """Read-only table with [z, w] = mu(B(z, d(z, w))) for the closed ball.
+
+        Built once per space in O(n^2 log n) time and O(n^2) memory: each row
+        of `dist` is sorted, `mu` is summed cumulatively in that order, and
+        every distance is looked up with side="right", so points tied at
+        distance d(z, w) count as inside the ball.
+        """
+        order = np.argsort(self.dist, axis=1)
+        sorted_dist = np.take_along_axis(self.dist, order, axis=1)
+        cum_mass = np.cumsum(self.mu[order], axis=1)
+        table = np.empty((self.n, self.n))
+        for z in range(self.n):
+            inside = np.searchsorted(sorted_dist[z], self.dist[z], side="right")
+            table[z] = cum_mass[z, inside - 1]
+        table.setflags(write=False)
+        return table
 
 
 @dataclass(frozen=True)
@@ -117,7 +137,14 @@ def _check_metric(dist):
     off = dist[~np.eye(n, dtype=bool)]
     if off.size and off.min() <= 0:
         raise MetricViolation("distinct points at nonpositive distance")
-    # triangle inequality, vectorized over the middle point
+    # Triangle inequality.  Floyd-Warshall's shortest paths are never longer
+    # than any two-hop detour d(i,j) + d(j,k) (rounding is monotone), so a
+    # pass here rules out every violating triple.  A failure may come from
+    # small slacks accumulated over several hops, which are accepted: the
+    # per-pivot scan below decides and names the witness triple.
+    fw = floyd_warshall(dist)
+    if np.all(dist - fw <= _METRIC_TOL * (1.0 + fw)):
+        return
     for j in range(n):
         slack = dist[:, None, j] + dist[j, None, :]  # d(i,j) + d(j,k), shape (n, n)
         bad = dist - slack > _METRIC_TOL * (1.0 + slack)

@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     EigensolverNoConvergence,
     NonpositiveTime,
+    SeriesTimeTooLarge,
     ThetaOutOfRange,
 )
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_halfline
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_EIGENTOL = 1e-10
+_SERIES_MAX_BETA_T = 600.0
 
 
 class KernelKind(Enum):
@@ -173,11 +175,25 @@ def heat_kernel_series(space: Space, t: float, tol: float = 1e-16) -> np.ndarray
     """Heat kernel via the uniformization series, a cancellation-free route.
 
     Writing Delta = beta (Q - I) with Q an entrywise-nonnegative operator
-    matrix gives exp(t Delta) = exp(-beta t) sum_j (beta t)^j / j! Q^j, a sum
-    of nonnegative terms: entries come out strictly positive in floating point
-    on connected graphs, which the spectral sum cannot guarantee for entries
-    far below roundoff.  Returns kernel entries k(x, z), i.e. the operator
-    matrix with columns divided by mu.
+    matrix gives exp(t Delta) = exp(-beta t) sum_j (beta t)^j / j! Q^j.  The
+    series is evaluated by scaling and squaring: for x = beta t and the least
+    k >= 0 with h = x / 2^k <= 1/2 and (n - 1) / 2^k <= 16,
+
+        exp(t Delta) = (exp(-h) sum_j h^j / j! Q^j)^(2^k),
+
+    which takes about k + 16 dense products instead of more than n.
+
+    Every term and every product is entrywise nonnegative and nothing is
+    subtracted, so entries come out strictly positive in floating point on
+    connected graphs, which the spectral sum cannot guarantee for entries far
+    below roundoff.  For that the short-step sum keeps at least
+    ceil((n - 1) / 2^k) terms: its 2^k-th power then contains Q^j for every
+    j <= n - 1, beyond the hop diameter, so every entry has received its
+    first nonzero contribution.
+
+    Returns kernel entries k(x, z), i.e. the operator matrix with columns
+    divided by mu.  Built from `cond` and `mu` alone, never from the
+    eigenpairs, so it stays an independent check of `heat_kernel`.
     """
     if t <= 0:
         raise NonpositiveTime(f"t must be positive, got {t}")
@@ -187,18 +203,30 @@ def heat_kernel_series(space: Space, t: float, tol: float = 1e-16) -> np.ndarray
     np.fill_diagonal(q, 1.0 - degrees / beta)
 
     x = beta * t
-    if x > 600:  # keep the largest series term below overflow
-        raise NonpositiveTime(f"beta*t = {x:.1f} too large for the series route")
+    # agreement with the spectral kernel is verified up to here; the squarings
+    # amplify roundoff beyond it
+    if x > _SERIES_MAX_BETA_T:
+        raise SeriesTimeTooLarge(
+            f"beta*t = {x:.1f} exceeds {_SERIES_MAX_BETA_T:.0f} for the series route"
+        )
+    # the short step also reaches n - 1 hops within 16 terms, so the
+    # minimum-terms rule below never costs more than the tolerance does
+    k = 0
+    while x / 2**k > 0.5 or (space.n - 1) / 2**k > 16:
+        k += 1
+    h = x / 2**k
+    min_terms = -(-(space.n - 1) // 2**k)
     term = np.eye(space.n)
     acc = term.copy()
     j = 0
-    # run past both the series peak and the graph diameter so every entry of
-    # Q^j has received its first nonzero contribution
-    while j < 10_000 and (j <= max(x, space.n) or term.max() >= tol * acc.max()):
+    while j < min_terms or term.max() > tol * acc.max():
         j += 1
-        term = (x / j) * (term @ q)
+        term = (h / j) * (term @ q)
         acc += term
-    return acc * np.exp(-x) / space.mu[None, :]
+    acc *= np.exp(-h)
+    for _ in range(k):
+        acc = acc @ acc
+    return acc / space.mu[None, :]
 
 
 def frac_apply(dec: SpectralDecomposition, theta: float, f) -> np.ndarray:
@@ -273,10 +301,7 @@ def qt_scaling_report(
     _check_theta(theta)
     space = dec.space
     off = ~np.eye(space.n, dtype=bool)
-    ball = np.array(
-        [[space.mu[space.dist[x] <= space.dist[x, z]].sum() for z in range(space.n)]
-         for x in range(space.n)]
-    )
+    ball = space.ball_masses
     out = {"exp_theta": 0.0, "exp_2theta": 0.0}
     for t in ts:
         q = frac_heat_kernel(dec, theta, t).entries

@@ -171,3 +171,27 @@ def test_kernel_export_option(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     assert (out / "00_heat_kernel_t1.0.csv").exists()
+
+
+def test_max_principle_batch_decomposes_once(tmp_path, monkeypatch):
+    import fraclap.cli as cli
+    import fraclap.dirichlet as dirichlet
+
+    real = cli.decompose
+    calls = []
+
+    def counting(space, *args, **kwargs):
+        calls.append(space)
+        return real(space, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "decompose", counting)
+    monkeypatch.setattr(dirichlet, "decompose", counting)
+    cfg = normalize_config(
+        base_config(
+            theta=[0.25, 0.75],
+            experiments=[{"kind": "max_principle_batch", "params": {"n_seeds": 5}}],
+        )
+    )
+    report = cli.run(cfg, str(tmp_path / "out"))
+    assert report["summary"]["n_failed"] == 0
+    assert len(calls) == 1

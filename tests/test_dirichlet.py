@@ -281,6 +281,43 @@ def test_strong_maximum_reports(p3, grid44):
         assert rep["margin"] > 0
 
 
+def test_strong_maximum_reuses_decomposition(grid44, grid44_dec, monkeypatch):
+    import fraclap.dirichlet as dirichlet
+
+    calls = []
+    monkeypatch.setattr(dirichlet, "decompose", lambda sp: calls.append(sp))
+    form = stiffness_matrix(grid44_dec, 0.5)
+    f = np.zeros(16)
+    f[0] = 1.0
+    probs = [interior_grid_problem(grid44, f), interior_grid_problem(grid44, -f)]
+    reps = strong_maximum_check(probs, dec=grid44_dec, form=form)
+    assert calls == []
+    assert reps == strong_maximum_check(probs, dec=grid44_dec)
+
+
+def test_solve_spectral_rejects_foreign_decomposition(p3, path8_dec):
+    with pytest.raises(InvalidParams, match="another space"):
+        solve_spectral(p3_problem(p3), dec=path8_dec)
+
+
+def test_solve_spectral_accepts_equal_space(p3):
+    twin = fixture("path", n=3)
+    sol = solve_spectral(p3_problem(p3), dec=decompose(twin))
+    assert sol.u[1] == pytest.approx(solve_spectral(p3_problem(p3)).u[1], abs=1e-14)
+
+
+def test_solve_spectral_rejects_form_for_other_theta(p3, p3_dec):
+    form = stiffness_matrix(p3_dec, 0.25)
+    with pytest.raises(InvalidParams, match="theta"):
+        solve_spectral(p3_problem(p3, theta=0.5), dec=p3_dec, form=form)
+
+
+def test_solve_spectral_rejects_form_for_other_space(p3, path8_dec):
+    form = stiffness_matrix(path8_dec, 0.5)
+    with pytest.raises(InvalidParams, match="shape"):
+        solve_spectral(p3_problem(p3), form=form)
+
+
 def test_strong_maximum_constant_vacuous(p3):
     prob = DirichletProblem(
         space=p3, theta=0.5, omega=np.array([False, True, False]), f=np.full(3, 5.0)

@@ -70,6 +70,15 @@ def test_besov_matches_enumeration_oracle(seed, theta):
     )
 
 
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+def test_besov_matches_enumeration_oracle_with_ties(grid44, theta):
+    # the lattice metric has many equidistant points per center
+    f = random_vector(grid44, 21)
+    assert besov_energy(grid44, theta, f) == pytest.approx(
+        besov_oracle(grid44, theta, f), rel=1e-11
+    )
+
+
 # -- fractional energy
 
 

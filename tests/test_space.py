@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import floyd_warshall
 
 from fraclap import (
     ball_measure,
@@ -33,6 +34,25 @@ def test_triangle_violation_reports_witness():
     cond = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     with pytest.raises(MetricViolation, match="triangle"):
         build_space(dist, [1, 1, 1], cond)
+
+
+def test_slack_accumulated_over_several_hops_accepted():
+    # every triple is within the triangle tolerance, but the three-hop path
+    # 0-1-2-3 undercuts d(0,3) by more than the tolerance allows
+    e1, e3 = 2e-12, 5e-12
+    dist = np.array(
+        [
+            [0.0, 1.0, 2.0 + e1, 3.0 + e3],
+            [1.0, 0.0, 1.0, 2.0 + e1],
+            [2.0 + e1, 1.0, 0.0, 1.0],
+            [3.0 + e3, 2.0 + e1, 1.0, 0.0],
+        ]
+    )
+    cond = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
+    fw = floyd_warshall(dist)
+    assert np.any(dist - fw > 1e-12 * (1.0 + fw))
+    sp = build_space(dist, np.ones(4), cond)
+    assert sp.dist[0, 3] == 3.0 + e3
 
 
 def test_nonpositive_measure_rejected():
@@ -91,6 +111,28 @@ def test_ball_measure_monotone_in_radius(seed, x):
     radii = np.linspace(0, sp.diameter, 12)
     masses = [ball_measure(sp, x, r) for r in radii]
     assert all(a <= b for a, b in zip(masses, masses[1:]))
+
+
+def test_ball_masses_match_direct_enumeration(path8, grid44, dumbbell55):
+    # tie-heavy fixtures: many points share each distance, and all of them
+    # belong to the closed ball
+    for sp in (path8, grid44, dumbbell55):
+        direct = np.array(
+            [[sp.mu[sp.dist[z] <= sp.dist[z, w]].sum() for w in range(sp.n)]
+             for z in range(sp.n)]
+        )
+        assert np.array_equal(sp.ball_masses, direct)
+        assert sp.ball_masses is sp.ball_masses
+        assert not sp.ball_masses.flags.writeable
+
+
+def test_ball_masses_nonuniform_measure():
+    dist = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    cond = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    sp = build_space(dist, [0.5, 2.0, 0.25], cond)
+    assert np.array_equal(
+        sp.ball_masses, [[0.5, 2.5, 2.75], [2.75, 2.0, 2.75], [2.75, 2.25, 0.25]]
+    )
 
 
 def test_negative_radius_rejected(k2):

@@ -15,7 +15,12 @@ from fraclap import (
     qt_scaling_report,
     subordination_check,
 )
-from fraclap.errors import DimensionMismatch, NonpositiveTime, ThetaOutOfRange
+from fraclap.errors import (
+    DimensionMismatch,
+    NonpositiveTime,
+    SeriesTimeTooLarge,
+    ThetaOutOfRange,
+)
 from fraclap.quadrature import QuadratureSpec
 from fraclap.spectral import inverse_gaussian_density, spectral_power_apply
 
@@ -142,6 +147,24 @@ def test_heat_kernel_positivity_via_series(path8, grid44, dumbbell55):
             series = heat_kernel_series(sp, t)
             assert series.min() > 0.0
             assert np.max(np.abs(spectral - series)) <= 1e-12
+
+
+def test_heat_kernel_series_far_entries_positive():
+    # at t=0.01 the end-to-end entries of a 64-point path are about 1e-214:
+    # they appear only once the short-step sum reaches enough hops
+    sp = fixture("path", n=64)
+    series = heat_kernel_series(sp, 0.01)
+    assert series.min() > 0.0
+    assert series[0, -1] < 1e-200
+    spectral = heat_kernel(decompose(sp), 0.01).entries
+    assert np.max(np.abs(spectral - series)) <= 1e-12
+
+
+def test_heat_kernel_series_time_cap(path8):
+    # beta = 2 on the path, so t = 301 puts beta*t past the cap of 600
+    with pytest.raises(SeriesTimeTooLarge):
+        heat_kernel_series(path8, 301.0)
+    assert heat_kernel_series(path8, 300.0).min() > 0.0
 
 
 def test_heat_kernel_rejects_nonpositive_time(k2_dec):
