@@ -44,30 +44,29 @@ from .extension import (
     mode_profile_quadrature,
     poisson_extend,
     profile_normalization_quadrature,
-    trace,
     trace_averaging_diagnostic,
     vertical_modulus,
 )
 from .quadrature import QuadratureSpec
 from .space import (
-    BallStats,
     Space,
     ball_measure,
-    ball_stats,
     build_space,
+    check_space_spec,
     doubling_stats,
     fixture,
     space_from_json,
+    space_from_spec,
     space_to_json,
 )
 from .spectral import (
-    KernelKind,
     KernelMatrix,
     SpectralDecomposition,
     decompose,
     dirichlet_form,
     frac_apply,
     frac_heat_kernel,
+    graph_stiffness,
     heat_kernel,
     heat_kernel_series,
     laplacian_apply,

@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .dirichlet import (
     strong_maximum_check,
 )
 from .energy import comparability_report, stiffness_matrix
-from .errors import ConfigParseError, FraclapError
+from .errors import ConfigParseError, FraclapError, InvalidParams
 from .extension import (
     build_grid,
     codim_ball_check,
@@ -48,8 +49,9 @@ from .extension import (
     poisson_extend,
     vertical_modulus,
 )
-from .space import Space, build_space, fixture
+from .space import check_space_spec, interior_mask, space_from_spec
 from .spectral import (
+    check_theta,
     decompose,
     frac_apply,
     heat_kernel,
@@ -58,18 +60,6 @@ from .spectral import (
 )
 
 SCHEMA_VERSION = 1
-
-EXPERIMENT_KINDS = (
-    "heat_properties",
-    "energy_comparability",
-    "dtn_convergence",
-    "energy_identity",
-    "dirichlet_routes",
-    "max_principle_batch",
-    "harnack_scan",
-    "modulus_check",
-    "codim_check",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +84,20 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
     space_spec = raw.get("space")
     if space_spec is None:
         raise ConfigParseError(f"{origin}: missing required field 'space'")
-    _validate_space_spec(space_spec, origin)
+    try:
+        check_space_spec(space_spec)
+    except InvalidParams as exc:
+        raise ConfigParseError(f"{origin}: space: {exc}") from None
 
     theta = raw.get("theta", 0.5)
     thetas = [theta] if isinstance(theta, (int, float)) else list(theta)
     for th in thetas:
-        if not isinstance(th, (int, float)) or not 0 < th < 1:
-            raise ConfigParseError(f"{origin}: theta values must lie in (0, 1), got {th}")
+        if not isinstance(th, (int, float)):
+            raise ConfigParseError(f"{origin}: theta values must be numbers, got {th!r}")
+        try:
+            check_theta(th)
+        except InvalidParams as exc:
+            raise ConfigParseError(f"{origin}: {exc}") from None
 
     experiments = raw.get("experiments", [])
     if not isinstance(experiments, list):
@@ -110,14 +107,21 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
         if not isinstance(exp, dict) or "kind" not in exp:
             raise ConfigParseError(f"{origin}: experiments[{i}] needs a 'kind' field")
         kind = exp["kind"]
-        if kind not in EXPERIMENT_KINDS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ConfigParseError(
                 f"{origin}: experiments[{i}]: unknown kind {kind!r}; "
-                f"valid kinds: {list(EXPERIMENT_KINDS)}"
+                f"valid kinds: {list(_KINDS)}"
             )
         params = exp.get("params", {})
         if not isinstance(params, dict):
             raise ConfigParseError(f"{origin}: experiments[{i}].params must be an object")
+        allowed = _KINDS[kind].defaults
+        unknown = sorted(set(params) - set(allowed))
+        if unknown:
+            raise ConfigParseError(
+                f"{origin}: experiments[{i}] ({kind}): unknown params {unknown}; "
+                f"allowed: {sorted(allowed)}"
+            )
         normalized_experiments.append({"kind": kind, "params": params})
 
     seed = raw.get("seed", 0)
@@ -134,71 +138,22 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
     }
 
 
-def _validate_space_spec(spec, origin):
-    if not isinstance(spec, dict):
-        raise ConfigParseError(f"{origin}: 'space' must be an object")
-    if "fixture" in spec:
-        fx = spec["fixture"]
-        kind = fx.get("kind")
-        valid = ("path", "grid2d", "dumbbell", "random_geometric")
-        if kind not in valid:
-            raise ConfigParseError(
-                f"{origin}: space.fixture.kind must be one of {list(valid)}, got {kind!r}"
-            )
-        params = fx.get("params", {})
-        if kind == "random_geometric" and "seed" not in params:
-            raise ConfigParseError(
-                f"{origin}: space.fixture.params is missing required field 'seed' "
-                "for the random_geometric fixture"
-            )
-    elif not {"dist", "mu", "cond"} <= set(spec):
-        raise ConfigParseError(
-            f"{origin}: inline space needs fields 'dist', 'mu', 'cond' "
-            "(or use a 'fixture' descriptor)"
-        )
-
-
-def make_space(spec: dict) -> Space:
-    if "fixture" in spec:
-        fx = spec["fixture"]
-        return fixture(fx["kind"], **fx.get("params", {}))
-    return build_space(spec["dist"], spec["mu"], spec["cond"])
-
-
-def interior_mask(space: Space, spec: dict) -> np.ndarray:
-    """Deterministic 'interior' domain: for fixtures, peel off the geometric
-    boundary (path endpoints, lattice rim, bridge-adjacent clique vertices);
-    otherwise take the max-degree core."""
-    kind = spec.get("fixture", {}).get("kind")
-    n = space.n
-    mask = np.zeros(n, dtype=bool)
-    if kind == "path":
-        mask[1 : n - 1] = True
-    elif kind == "grid2d":
-        degrees = (space.cond > 0).sum(axis=1)
-        mask[degrees == 4] = True
-    elif kind == "dumbbell":
-        params = spec["fixture"].get("params", {})
-        clique = params.get("clique", 2)
-        mask[: clique - 1] = True
-    else:
-        degrees = (space.cond > 0).sum(axis=1)
-        mask[degrees == degrees.max()] = True
-    if not mask.any() or mask.all():
-        half = max(1, n // 2)
-        mask = np.zeros(n, dtype=bool)
-        mask[:half] = True
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # experiments: each returns (metrics, passed, tables) where passed is None
-# for purely diagnostic experiments and tables maps csv basenames to rows
+# for purely diagnostic experiments and tables maps csv basenames to rows.
+# `params` holds the user's params over the kind's defaults (_KINDS).
+
+
+def _domain(ctx, params):
+    """The params' omega_mask, else the space's interior mask."""
+    if params["omega_mask"] is None:
+        return interior_mask(ctx["space"], ctx["space_spec"])
+    return np.asarray(params["omega_mask"], dtype=bool)
 
 
 def _exp_heat_properties(ctx, params):
     space, dec = ctx["space"], ctx["dec"]
-    ts = params.get("ts", [0.01, 0.1, 1.0, 10.0])
+    ts = params["ts"]
     markov = symmetry = semigroup = 0.0
     min_entry = float("inf")
     min_series = float("inf")
@@ -216,7 +171,7 @@ def _exp_heat_properties(ctx, params):
         min_entry = min(min_entry, float(k.entries.min()))
         min_series = min(min_series, series_min)
         rows.append((t, m_err, g_err, float(k.entries.min())))
-        if params.get("export_kernels"):
+        if params["export_kernels"]:
             tables[f"heat_kernel_t{t}.csv"] = [("x", "z", "p_t")] + [
                 (x, z, float(k.entries[x, z]))
                 for x in range(space.n)
@@ -230,7 +185,7 @@ def _exp_heat_properties(ctx, params):
         "min_entry_spectral": min_entry,
         "min_entry_series": min_series,
         "subordination_err": float(
-            max(subordination_check(dec, t) for t in params.get("subordination_ts", [0.1, 1.0]))
+            max(subordination_check(dec, t) for t in params["subordination_ts"])
         ),
     }
     passed = passed and metrics["subordination_err"] <= 1e-6
@@ -240,7 +195,7 @@ def _exp_heat_properties(ctx, params):
 
 def _exp_energy_comparability(ctx, params):
     space, dec, theta = ctx["space"], ctx["dec"], ctx["theta"]
-    size = params.get("family_size", 100)
+    size = params["family_size"]
     rng = np.random.default_rng([ctx["seed"], ctx["index"]])
     family = [rng.standard_normal(space.n) for _ in range(size)]
     rep = comparability_report(space, dec, theta, family)
@@ -254,8 +209,8 @@ def _exp_energy_comparability(ctx, params):
 
 def _exp_dtn_convergence(ctx, params):
     space, dec, theta = ctx["space"], ctx["dec"], ctx["theta"]
-    ms = params.get("ms", [8, 10, 12, 14, 16])
-    ymax = params.get("ymax") or default_ymax(dec)
+    ms = params["ms"]
+    ymax = params["ymax"] or default_ymax(dec)
     rng = np.random.default_rng([ctx["seed"], ctx["index"]])
     f = rng.standard_normal(space.n)
     target = frac_apply(dec, theta, f)
@@ -277,8 +232,8 @@ def _exp_dtn_convergence(ctx, params):
 
 def _exp_energy_identity(ctx, params):
     theta = ctx["theta"]
-    lams = params.get("lams", [0.5, 1.0, 2.0])
-    tol = params.get("tol", 1e-4)
+    lams = params["lams"]
+    tol = params["tol"]
     worst = 0.0
     rows = [("lam", "quadrature", "expected", "err")]
     const = extension_energy_constant(theta)
@@ -294,12 +249,8 @@ def _exp_energy_identity(ctx, params):
 
 def _exp_dirichlet_routes(ctx, params):
     space, dec, theta = ctx["space"], ctx["dec"], ctx["theta"]
-    m = params.get("m", 32)
-    omega = (
-        np.asarray(params["omega_mask"], dtype=bool)
-        if "omega_mask" in params
-        else interior_mask(space, ctx["space_spec"])
-    )
+    m = params["m"]
+    omega = _domain(ctx, params)
     rng = np.random.default_rng([ctx["seed"], ctx["index"]])
     f = rng.standard_normal(space.n)
     problem = DirichletProblem(space=space, theta=theta, omega=omega, f=f)
@@ -310,24 +261,27 @@ def _exp_dirichlet_routes(ctx, params):
     osc = problem.data_oscillation
     rows = [("index", "u_spectral", "u_extension")]
     rows += [(i, a, b) for i, (a, b) in enumerate(zip(spectral.u, ext.u))]
+    # constant data (one complement point, say) has no oscillation to judge
+    # the gap against, so the data's magnitude stands in for it
+    if osc > 0:
+        gap_over_osc, passed = gap / osc, gap <= 1e-2 * osc
+    else:
+        data = problem.f[~problem.omega]
+        gap_over_osc, passed = None, gap <= 1e-2 * max(1.0, float(np.abs(data).max()))
     metrics = {
         "gap": gap,
-        "gap_over_osc": gap / osc,
+        "gap_over_osc": gap_over_osc,
         "energy_spectral": spectral.energy,
         "energy_extension": ext.energy,
         "m": m,
     }
-    return metrics, bool(gap <= 1e-2 * osc), {"dirichlet_routes.csv": rows}
+    return metrics, bool(passed), {"dirichlet_routes.csv": rows}
 
 
 def _exp_max_principle_batch(ctx, params):
     space, dec, theta = ctx["space"], ctx["dec"], ctx["theta"]
-    n_seeds = params.get("n_seeds", 100)
-    omega = (
-        np.asarray(params["omega_mask"], dtype=bool)
-        if "omega_mask" in params
-        else interior_mask(space, ctx["space_spec"])
-    )
+    n_seeds = params["n_seeds"]
+    omega = _domain(ctx, params)
     form = stiffness_matrix(dec, theta)
     failures = 0
     strong_failures = 0
@@ -338,7 +292,7 @@ def _exp_max_principle_batch(ctx, params):
         sol = solve_spectral(problem, dec=dec, form=form)
         if not maximum_principle_check(sol, problem)["passed"]:
             failures += 1
-        if not strong_maximum_check([problem], dec=dec, form=form)[0]["passed"]:
+        if not strong_maximum_check(sol, problem)["passed"]:
             strong_failures += 1
     metrics = {"n_seeds": n_seeds, "failures": failures, "strong_failures": strong_failures}
     return metrics, bool(failures == 0 and strong_failures == 0), {}
@@ -346,12 +300,8 @@ def _exp_max_principle_batch(ctx, params):
 
 def _exp_harnack_scan(ctx, params):
     space, dec, theta = ctx["space"], ctx["dec"], ctx["theta"]
-    omega = (
-        np.asarray(params["omega_mask"], dtype=bool)
-        if "omega_mask" in params
-        else interior_mask(space, ctx["space_spec"])
-    )
-    radius = params.get("radius", 1.0)
+    omega = _domain(ctx, params)
+    radius = params["radius"]
     rng = np.random.default_rng([ctx["seed"], ctx["index"]])
     f = np.abs(rng.standard_normal(space.n))
     problem = DirichletProblem(space=space, theta=theta, omega=omega, f=f)
@@ -372,9 +322,9 @@ def _exp_harnack_scan(ctx, params):
 
 def _exp_modulus_check(ctx, params):
     space, theta = ctx["space"], ctx["theta"]
-    hs = params.get("hs", [0.5, 1.0, 2.0])
-    ms = params.get("ms", [2048, 4096, 8192, 16384])
-    tol = params.get("tol", 1e-6)
+    hs = params["hs"]
+    ms = params["ms"]
+    tol = params["tol"]
     a = 1.0 - 2.0 * theta
     worst = 0.0
     bracket_ok = True
@@ -414,9 +364,9 @@ def _richardson(values, exponents):
 
 def _exp_codim_check(ctx, params):
     space, theta = ctx["space"], ctx["theta"]
-    rs = params.get("rs", [0.25, 0.5, 1.0])
-    tol = params.get("tol", 1e-12)
-    grid = build_grid(theta, max(rs), params.get("m", 64))
+    rs = params["rs"]
+    tol = params["tol"]
+    grid = build_grid(theta, max(rs), params["m"])
     worst = 0.0
     rows = [("x", "r", "lhs", "rhs")]
     for x in range(space.n):
@@ -429,18 +379,38 @@ def _exp_codim_check(ctx, params):
     return metrics, bool(worst <= tol), {"codim_check.csv": rows}
 
 
-_THETA_FREE = {"heat_properties"}
+class _Kind(NamedTuple):
+    runner: Callable
+    theta_free: bool  # runs once, not once per theta
+    defaults: dict  # every param the runner reads; no other is accepted
 
-_RUNNERS = {
-    "heat_properties": _exp_heat_properties,
-    "energy_comparability": _exp_energy_comparability,
-    "dtn_convergence": _exp_dtn_convergence,
-    "energy_identity": _exp_energy_identity,
-    "dirichlet_routes": _exp_dirichlet_routes,
-    "max_principle_batch": _exp_max_principle_batch,
-    "harnack_scan": _exp_harnack_scan,
-    "modulus_check": _exp_modulus_check,
-    "codim_check": _exp_codim_check,
+
+_KINDS = {
+    "heat_properties": _Kind(
+        _exp_heat_properties,
+        True,
+        {"ts": [0.01, 0.1, 1.0, 10.0], "subordination_ts": [0.1, 1.0], "export_kernels": False},
+    ),
+    "energy_comparability": _Kind(_exp_energy_comparability, False, {"family_size": 100}),
+    "dtn_convergence": _Kind(
+        _exp_dtn_convergence, False, {"ms": [8, 10, 12, 14, 16], "ymax": None}
+    ),
+    "energy_identity": _Kind(
+        _exp_energy_identity, False, {"lams": [0.5, 1.0, 2.0], "tol": 1e-4}
+    ),
+    "dirichlet_routes": _Kind(_exp_dirichlet_routes, False, {"m": 32, "omega_mask": None}),
+    "max_principle_batch": _Kind(
+        _exp_max_principle_batch, False, {"n_seeds": 100, "omega_mask": None}
+    ),
+    "harnack_scan": _Kind(_exp_harnack_scan, False, {"omega_mask": None, "radius": 1.0}),
+    "modulus_check": _Kind(
+        _exp_modulus_check,
+        False,
+        {"hs": [0.5, 1.0, 2.0], "ms": [2048, 4096, 8192, 16384], "tol": 1e-6},
+    ),
+    "codim_check": _Kind(
+        _exp_codim_check, False, {"rs": [0.25, 0.5, 1.0], "tol": 1e-12, "m": 64}
+    ),
 }
 
 
@@ -450,13 +420,13 @@ _RUNNERS = {
 
 def run(config: dict, out_dir: str, threads: int = 1) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    space = make_space(config["space"])
+    space = space_from_spec(config["space"])
     dec = decompose(space)
 
     jobs = []
     index = 0
     for exp in config["experiments"]:
-        thetas = [None] if exp["kind"] in _THETA_FREE else config["theta"]
+        thetas = [None] if _KINDS[exp["kind"]].theta_free else config["theta"]
         for theta in thetas:
             ctx = {
                 "space": space,
@@ -472,7 +442,8 @@ def run(config: dict, out_dir: str, threads: int = 1) -> dict:
     def execute(job):
         idx, kind, params, ctx = job
         start = time.perf_counter()
-        metrics, passed, tables = _RUNNERS[kind](ctx, params)
+        runner, _, defaults = _KINDS[kind]
+        metrics, passed, tables = runner(ctx, {**defaults, **params})
         wall = time.perf_counter() - start
         return idx, kind, ctx["theta"], params, metrics, passed, tables, wall
 

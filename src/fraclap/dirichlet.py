@@ -26,7 +26,6 @@ from scipy.linalg import LinAlgError, eigh, solve
 from .energy import FracEnergyForm, stiffness_matrix
 from .errors import (
     BallNotCompactlyInside,
-    GridThetaMismatch,
     InsufficientScales,
     InvalidParams,
     IterationBudgetExceeded,
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .extension import HalfSpaceGrid
 from .space import Space
-from .spectral import SpectralDecomposition, decompose
+from .spectral import SpectralDecomposition, check_theta, decompose, graph_stiffness
 
 __all__ = [
     "DirichletProblem",
@@ -72,8 +71,7 @@ class DirichletProblem:
         f = np.asarray(self.f, dtype=float)
         if omega.shape != (self.space.n,) or f.shape != (self.space.n,):
             raise InvalidParams("omega and f must be vectors over the point set")
-        if not 0 < self.theta < 1:
-            raise InvalidParams(f"theta must lie in (0, 1), got {self.theta}")
+        check_theta(self.theta)
         if not omega.any():
             raise InvalidParams("domain is empty")
         if omega.all():
@@ -192,8 +190,8 @@ class _ProductGridOperator:
         self.w = w
         self.cv = w / dy**2
         self.s = (grid.cell_centroids() - ys[:-1]) / dy
-        self.graph_stiffness = np.diag(space.cond.sum(axis=1)) - space.cond
-        gdiag = space.cond.sum(axis=1)
+        self.stiff = graph_stiffness(space)
+        gdiag = np.diag(self.stiff)
         wsuffix = np.concatenate([np.cumsum(w[::-1])[::-1][1:], [0.0]])
         diag_t = 2.0 * w.sum() * gdiag
         diag_v = 2.0 * self.cv[None, :] * space.mu[:, None] + 2.0 * gdiag[:, None] * (
@@ -211,12 +209,12 @@ class _ProductGridOperator:
     def energy(self, t, v):
         vert = float(np.sum(self.cv[None, :] * self.space.mu[:, None] * v * v))
         rows = self.rows_interp(t, v)
-        horiz = float(np.sum(self.w * np.einsum("xj,xj->j", rows, self.graph_stiffness @ rows)))
+        horiz = float(np.sum(self.w * np.einsum("xj,xj->j", rows, self.stiff @ rows)))
         return vert + horiz
 
     def gradient(self, t, v):
         rows = self.rows_interp(t, v)
-        h = 2.0 * self.w[None, :] * (self.graph_stiffness @ rows)
+        h = 2.0 * self.w[None, :] * (self.stiff @ rows)
         grad_t = h.sum(axis=1)
         suffix = np.cumsum(h[:, ::-1], axis=1)[:, ::-1]
         grad_v = 2.0 * self.cv[None, :] * self.space.mu[:, None] * v
@@ -260,10 +258,7 @@ def solve_extension(
     `initial` perturbs the starting iterate (used by uniqueness checks);
     `dec` is only used to report the fractional energy of the trace.
     """
-    if abs(grid.a - (1.0 - 2.0 * problem.theta)) > 1e-12:
-        raise GridThetaMismatch(
-            f"grid a={grid.a} does not match theta={problem.theta}"
-        )
+    grid.check_theta_matches(problem.theta)
     op = _ProductGridOperator(problem.space, grid, problem.omega)
     b = op.rhs_scaled(problem.f)
     x = np.zeros_like(b) if initial is None else initial / op.scale
@@ -330,36 +325,21 @@ def maximum_principle_check(sol: Solution, problem: DirichletProblem) -> dict:
     }
 
 
-def strong_maximum_check(
-    problems,
-    dec: SpectralDecomposition | None = None,
-    form: FracEnergyForm | None = None,
-) -> list[dict]:
-    """Contrapositive strong maximum principle over a family of problems: a
-    nonconstant solution attains its global max strictly outside the domain.
-
-    `dec` and `form` are forwarded to `solve_spectral`, so a family on one
-    space and exponent is solved with one decomposition and one stiffness
-    matrix; without them each problem builds its own.
-    """
-    reports = []
-    for problem in problems:
-        sol = solve_spectral(problem, dec=dec, form=form)
-        scale = max(1.0, float(np.abs(sol.u).max()))
-        is_constant = np.ptp(sol.u) <= 1e-10 * scale
-        interior_max = float(sol.u[problem.omega].max())
-        global_max = float(sol.u.max())
-        margin = global_max - interior_max
-        reports.append(
-            {
-                "is_constant": bool(is_constant),
-                "interior_max": interior_max,
-                "global_max": global_max,
-                "margin": margin,
-                "passed": bool(is_constant or margin > 1e-10 * scale),
-            }
-        )
-    return reports
+def strong_maximum_check(sol: Solution, problem: DirichletProblem) -> dict:
+    """Contrapositive strong maximum principle: a nonconstant solution
+    attains its global max strictly outside the domain."""
+    scale = max(1.0, float(np.abs(sol.u).max()))
+    is_constant = np.ptp(sol.u) <= 1e-10 * scale
+    interior_max = float(sol.u[problem.omega].max())
+    global_max = float(sol.u.max())
+    margin = global_max - interior_max
+    return {
+        "is_constant": bool(is_constant),
+        "interior_max": interior_max,
+        "global_max": global_max,
+        "margin": margin,
+        "passed": bool(is_constant or margin > 1e-10 * scale),
+    }
 
 
 def harnack_quotient(

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstantFunctionInFamily,
-    NonpositiveTime,
-    ThetaOutOfRange,
-)
+from .errors import ConstantFunctionInFamily, NonpositiveTime
 from .space import Space
-from .spectral import SpectralDecomposition, frac_heat_kernel, spectral_power_apply
+from .spectral import SpectralDecomposition, check_theta, frac_heat_kernel, lambda_power
 
 __all__ = [
     "FracEnergyForm",
@@ -31,11 +27,6 @@ __all__ = [
     "regularized_energy_double_sum",
     "comparability_report",
 ]
-
-
-def _check_theta(theta):
-    if not 0 < theta < 1:
-        raise ThetaOutOfRange(f"theta must lie in (0, 1), got {theta}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,7 @@ def besov_energy(space: Space, theta: float, f) -> float:
     The closed-ball masses come from the space's cached `ball_masses` table,
     so a call costs O(n^2) time and memory once the table exists.
     """
-    _check_theta(theta)
+    check_theta(theta)
     f = np.asarray(f, dtype=float)
     n = space.n
     off = ~np.eye(n, dtype=bool)
@@ -80,20 +71,14 @@ def frac_energy(dec: SpectralDecomposition, theta: float, f) -> float:
 
 def frac_bilinear(dec: SpectralDecomposition, theta: float, f, h) -> float:
     """E_theta(f, h) = sum_k lambda_k^theta <f, phi_k>_mu <h, phi_k>_mu."""
-    _check_theta(theta)
-    lam = dec.lambdas
-    weights = np.zeros_like(lam)
-    pos = lam > 0
-    weights[pos] = lam[pos] ** theta
+    check_theta(theta)
+    weights = lambda_power(dec.lambdas, theta)
     return float(np.sum(weights * dec.coefficients(f) * dec.coefficients(h)))
 
 
 def stiffness_matrix(dec: SpectralDecomposition, theta: float) -> FracEnergyForm:
-    _check_theta(theta)
-    lam = dec.lambdas
-    weights = np.zeros_like(lam)
-    pos = lam > 0
-    weights[pos] = lam[pos] ** theta
+    check_theta(theta)
+    weights = lambda_power(dec.lambdas, theta)
     m_phi = dec.space.mu[:, None] * dec.phis
     k = (m_phi * weights[None, :]) @ m_phi.T
     k = 0.5 * (k + k.T)
@@ -107,13 +92,10 @@ def regularized_energy(dec: SpectralDecomposition, theta: float, t: float, f) ->
 
     Monotone decreasing in t and increasing to E_theta(f, f) as t -> 0.
     """
-    _check_theta(theta)
+    check_theta(theta)
     if t <= 0:
         raise NonpositiveTime(f"t must be positive, got {t}")
-    lam = dec.lambdas
-    powers = np.zeros_like(lam)
-    pos = lam > 0
-    powers[pos] = lam[pos] ** theta
+    powers = lambda_power(dec.lambdas, theta)
     coeffs = dec.coefficients(f)
     return float(np.sum(-np.expm1(-t * powers) / t * coeffs**2))
 
@@ -139,7 +121,7 @@ def comparability_report(
     Both energies vanish exactly on constants, so constant members are
     rejected rather than producing 0/0.
     """
-    _check_theta(theta)
+    check_theta(theta)
     family = [np.asarray(f, dtype=float) for f in family]
     if not family:
         raise ConstantFunctionInFamily("family is empty")

@@ -39,8 +39,8 @@ class SeriesTimeTooLarge(FraclapError):
     """beta*t is beyond the range the uniformization series route supports."""
 
 
-class ThetaOutOfRange(FraclapError):
-    pass
+class ThetaOutOfRange(InvalidParams):
+    """An exponent theta outside (0, 1); an InvalidParams like any bad input."""
 
 
 class QuadratureNoConvergence(FraclapError):
@@ -95,8 +95,4 @@ class InsufficientScales(FraclapError):
 
 # -- cli
 class ConfigParseError(FraclapError):
-    pass
-
-
-class ExperimentFailure(FraclapError):
     pass

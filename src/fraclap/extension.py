@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma
+from scipy.special import gamma, kve
 
 from .errors import (
     DegenerateFirstCell,
@@ -27,11 +27,10 @@ from .errors import (
     InvalidParams,
     RadiusExceedsGrid,
     TailNotConverged,
-    ThetaOutOfRange,
 )
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_halfline
 from .space import Space, ball_measure
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, check_theta
 
 __all__ = [
     "HalfSpaceGrid",
@@ -50,7 +49,6 @@ __all__ = [
     "mode_energy_quadrature",
     "vertical_modulus",
     "codim_ball_check",
-    "trace",
     "trace_averaging_diagnostic",
     "field_to_csv_rows",
     "default_ymax",
@@ -60,16 +58,11 @@ MIN_GRID_NODES = 8
 DEFAULT_RATIO = 0.5
 
 
-def _check_theta(theta):
-    if not 0 < theta < 1:
-        raise ThetaOutOfRange(f"theta must lie in (0, 1), got {theta}")
-
-
 def dtn_constant(theta: float) -> float:
     """d_theta = 2^(2 theta - 1) Gamma(theta) / Gamma(1 - theta), the constant
     relating the weighted normal derivative to the fractional Laplacian:
     -d_theta * y^a du/dy -> (-Delta)^theta f as y -> 0."""
-    _check_theta(theta)
+    check_theta(theta)
     return 2.0 ** (2.0 * theta - 1.0) * gamma(theta) / gamma(1.0 - theta)
 
 
@@ -108,6 +101,13 @@ class HalfSpaceGrid:
         e = 2.0 + self.a
         return (hi**e - lo**e) / e
 
+    def check_theta_matches(self, theta: float) -> None:
+        """Raise GridThetaMismatch unless the grid weight y^a has a = 1 - 2 theta."""
+        if abs(self.a - (1.0 - 2.0 * theta)) > 1e-12:
+            raise GridThetaMismatch(
+                f"grid built for a={self.a}, but theta={theta} needs a={1 - 2 * theta}"
+            )
+
     def cell_centroids(self) -> np.ndarray:
         """Measure-weighted centroid of each cell (midpoint in measure)."""
         lo, hi = self.ys[:-1], self.ys[1:]
@@ -130,7 +130,7 @@ def build_grid(
     for the exact geometric identities (modulus, co-dimension) whose
     refinement limits need uniformly shrinking cells.
     """
-    _check_theta(theta)
+    check_theta(theta)
     if Ymax <= 0 or m < MIN_GRID_NODES:
         raise InvalidParams(f"need Ymax > 0 and m >= {MIN_GRID_NODES}, got {Ymax}, {m}")
     if layout == "geometric":
@@ -179,32 +179,37 @@ def default_ymax(dec: SpectralDecomposition, decay_target: float = 1e-8) -> floa
 # numerically in the test suite rather than assumed.
 
 
-def mode_profile(lam: float, theta: float, y: float) -> float:
-    """Vertical profile g_lam(y) of one eigenmode of the harmonic extension."""
-    _check_theta(theta)
-    if lam < 0 or y < 0:
+def mode_profile(lam, theta: float, y):
+    """Vertical profile g_lam(y) of one eigenmode of the harmonic extension.
+
+    `lam` and `y` broadcast against each other; scalars give a float.
+    """
+    check_theta(theta)
+    lam, y = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(y, dtype=float))
+    if np.any(lam < 0) or np.any(y < 0):
         raise InvalidParams("mode_profile needs lam >= 0 and y >= 0")
-    if y == 0.0 or lam == 0.0:
-        return 1.0
-    from scipy.special import kve
-
-    z = np.sqrt(lam) * y
+    g = np.ones(lam.shape)
+    pos = (y != 0.0) & (lam != 0.0)
+    z = np.sqrt(lam[pos]) * y[pos]
     scaled = z**theta * kve(theta, z)  # e^z z^theta K_theta(z)
-    return float(2.0 ** (1.0 - theta) / gamma(theta) * scaled * np.exp(-z))
+    g[pos] = 2.0 ** (1.0 - theta) / gamma(theta) * scaled * np.exp(-z)
+    return float(g) if g.ndim == 0 else g
 
 
-def mode_profile_derivative(lam: float, theta: float, y: float) -> float:
-    """dg_lam/dy; uses d/dz [z^nu K_nu(z)] = -z^nu K_(nu-1)(z)."""
-    _check_theta(theta)
-    if lam == 0.0:
-        return 0.0
-    if y <= 0:
+def mode_profile_derivative(lam, theta: float, y):
+    """dg_lam/dy; uses d/dz [z^nu K_nu(z)] = -z^nu K_(nu-1)(z).  Broadcasts
+    like `mode_profile`."""
+    check_theta(theta)
+    lam, y = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(y, dtype=float))
+    pos = lam != 0.0
+    if np.any(y[pos] <= 0):
         raise InvalidParams("profile derivative needs y > 0")
-    from scipy.special import kve
-
-    z = np.sqrt(lam) * y
+    dg = np.zeros(lam.shape)
+    root = np.sqrt(lam[pos])
+    z = root * y[pos]
     scaled = z**theta * kve(1.0 - theta, z)
-    return float(-(2.0 ** (1.0 - theta)) / gamma(theta) * np.sqrt(lam) * scaled * np.exp(-z))
+    dg[pos] = -(2.0 ** (1.0 - theta)) / gamma(theta) * root * scaled * np.exp(-z)
+    return float(dg) if dg.ndim == 0 else dg
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +233,7 @@ def mode_profile_quadrature(
     Independent oracle for `mode_profile`; accurate while lam y^2 is not many
     orders below one.
     """
-    _check_theta(theta)
+    check_theta(theta)
     if lam < 0 or y < 0:
         raise InvalidParams("mode_profile needs lam >= 0 and y >= 0")
     if y == 0.0 or lam == 0.0:
@@ -269,11 +274,8 @@ def poisson_extend(
 ) -> ExtensionField:
     """Extend boundary data into the weighted half-space mode by mode:
     u(x, y_j) = sum_k <f, phi_k>_mu g_{lambda_k}(y_j) phi_k(x)."""
-    _check_theta(theta)
-    if abs(grid.a - (1.0 - 2.0 * theta)) > 1e-12:
-        raise GridThetaMismatch(
-            f"grid built for a={grid.a}, but theta={theta} needs a={1 - 2 * theta}"
-        )
+    check_theta(theta)
+    grid.check_theta_matches(theta)
     f = np.asarray(f, dtype=float)
     coeffs = dec.coefficients(f)
     profiles = _profile_table(dec.lambdas, theta, grid.ys)
@@ -293,10 +295,7 @@ def _profile_table(lambdas, theta, ys):
     """g_{lambda_k}(y_j) for all modes and ordinates, deduplicating repeated
     eigenvalues (the profile depends on lambda only)."""
     uniq, inverse = np.unique(lambdas, return_inverse=True)
-    table = np.empty((len(uniq), len(ys)))
-    for i, lam in enumerate(uniq):
-        table[i] = [mode_profile(lam, theta, y) for y in ys]
-    return table[inverse]
+    return mode_profile(uniq[:, None], theta, ys[None, :])[inverse]
 
 
 def dtn_apply(u: ExtensionField) -> np.ndarray:
@@ -361,27 +360,22 @@ def extension_energy(
     w = grid.cellweights
 
     uniq, inverse = np.unique(lam, return_inverse=True)
-    mode_mid = np.zeros(len(uniq))
-    mode_alt = np.zeros(len(uniq))
-    tails = np.zeros(len(uniq))
-    for i, lv in enumerate(uniq):
-        if lv == 0.0:
-            continue
-        g_mid = np.array([mode_profile(lv, theta, y) for y in cents])
-        dg_mid = np.array([mode_profile_derivative(lv, theta, y) for y in cents])
-        density_mid = dg_mid**2 + lv * g_mid**2
-        mode_mid[i] = float(np.sum(w * density_mid))
-        # trapezoid alternative gauges the midpoint-rule error; the y = 0 node
-        # is skipped since y^a g'^2 may be unbounded there, so the first cell
-        # reuses its midpoint value
-        g_nd = np.array([mode_profile(lv, theta, y) for y in grid.ys[1:]])
-        dg_nd = np.array([mode_profile_derivative(lv, theta, y) for y in grid.ys[1:]])
-        density_nd = dg_nd**2 + lv * g_nd**2
-        trap = np.empty_like(w)
-        trap[0] = density_mid[0]
-        trap[1:] = 0.5 * (density_nd[:-1] + density_nd[1:])
-        mode_alt[i] = float(np.sum(w * trap))
-        tails[i] = grid.Ymax**grid.a * max(-dg_nd[-1], 0.0) * max(g_nd[-1], 0.0)
+    lv = uniq[:, None]  # one row per distinct eigenvalue; lv = 0 rows vanish
+    g_mid = mode_profile(lv, theta, cents)
+    dg_mid = mode_profile_derivative(lv, theta, cents)
+    density_mid = dg_mid**2 + lv * g_mid**2
+    mode_mid = np.sum(w * density_mid, axis=1)
+    # trapezoid alternative gauges the midpoint-rule error; the y = 0 node
+    # is skipped since y^a g'^2 may be unbounded there, so the first cell
+    # reuses its midpoint value
+    g_nd = mode_profile(lv, theta, grid.ys[1:])
+    dg_nd = mode_profile_derivative(lv, theta, grid.ys[1:])
+    density_nd = dg_nd**2 + lv * g_nd**2
+    trap = np.empty_like(density_mid)
+    trap[:, 0] = density_mid[:, 0]
+    trap[:, 1:] = 0.5 * (density_nd[:, :-1] + density_nd[:, 1:])
+    mode_alt = np.sum(w * trap, axis=1)
+    tails = grid.Ymax**grid.a * np.maximum(-dg_nd[:, -1], 0.0) * np.maximum(g_nd[:, -1], 0.0)
 
     weight = np.bincount(inverse, weights=coeffs**2, minlength=len(uniq))
     value = float(weight @ mode_mid)
@@ -399,7 +393,7 @@ def mode_energy_quadrature(
 ) -> float:
     """Independent high-resolution quadrature of the per-mode energy
     integral_0^inf y^a (g'(y)^2 + lam g(y)^2) dy over the half line."""
-    _check_theta(theta)
+    check_theta(theta)
     a = 1.0 - 2.0 * theta
 
     def integrand(y):
@@ -427,7 +421,7 @@ def vertical_modulus(
     approaches the exact one from above under uniform refinement and always
     lies within the bracket [(1-a), 1/(1+a)] * mu(A)/h^(1-a).
     """
-    _check_theta(theta)
+    check_theta(theta)
     if h <= 0:
         raise InvalidParams(f"column height must be positive, got {h}")
     mask = _subset_mask(space, subset)
@@ -489,11 +483,6 @@ def codim_ball_check(space: Space, grid: HalfSpaceGrid, x: int, r: float) -> dic
 
 # ---------------------------------------------------------------------------
 # trace
-
-
-def trace(u: ExtensionField) -> np.ndarray:
-    """Boundary values of the extension: the y = 0 row, exactly."""
-    return u.values[:, 0].copy()
 
 
 def field_to_csv_rows(u: ExtensionField) -> list:

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from .errors import QuadratureNoConvergence
 
-__all__ = ["QuadratureSpec", "integrate_halfline", "integrate_interval"]
+__all__ = ["QuadratureSpec", "integrate_halfline"]
 
 
 @dataclass(frozen=True)
@@ -50,19 +50,10 @@ def integrate_halfline(f, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
         # integrable endpoint singularities can evaluate to nan at the rims
         return val if np.isfinite(val) else 0.0
 
-    return _quad_checked(transformed, 0.0, 1.0, spec)
-
-
-def integrate_interval(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Integrate f over the finite interval [lo, hi]."""
-    return _quad_checked(f, lo, hi, spec)
-
-
-def _quad_checked(f, lo, hi, spec):
     value, abserr, info, *message = quad(
-        f,
-        lo,
-        hi,
+        transformed,
+        0.0,
+        1.0,
         epsabs=spec.abs_tol,
         epsrel=spec.rel_tol,
         limit=spec.max_subdivisions,

@@ -10,6 +10,7 @@ compatible pairs are accepted.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,12 +28,13 @@ from .errors import (
 
 __all__ = [
     "Space",
-    "BallStats",
     "build_space",
     "ball_measure",
-    "ball_stats",
     "doubling_stats",
     "fixture",
+    "check_space_spec",
+    "space_from_spec",
+    "interior_mask",
     "space_to_json",
     "space_from_json",
 ]
@@ -82,13 +84,6 @@ class Space:
             table[z] = cum_mass[z, inside - 1]
         table.setflags(write=False)
         return table
-
-
-@dataclass(frozen=True)
-class BallStats:
-    center: int
-    radius: float
-    mass: float
 
 
 def build_space(dist, mu, cond) -> Space:
@@ -163,10 +158,6 @@ def ball_measure(space: Space, x: int, r: float) -> float:
     return float(space.mu[space.dist[x] <= r].sum())
 
 
-def ball_stats(space: Space, x: int, r: float) -> BallStats:
-    return BallStats(center=x, radius=r, mass=ball_measure(space, x, r))
-
-
 def doubling_stats(space: Space) -> dict:
     """Volume-growth diagnostics: doubling constant and growth-exponent range.
 
@@ -215,15 +206,21 @@ def _shortest_path_metric(cond):
 
 def fixture(kind: str, **params) -> Space:
     """Deterministic canonical spaces: path, grid2d, dumbbell, random_geometric."""
-    builders = {
-        "path": _fixture_path,
-        "grid2d": _fixture_grid2d,
-        "dumbbell": _fixture_dumbbell,
-        "random_geometric": _fixture_random_geometric,
-    }
-    if kind not in builders:
-        raise InvalidParams(f"unknown fixture kind {kind!r}; valid: {sorted(builders)}")
-    return builders[kind](**params)
+    _check_fixture(kind, params)
+    return _FIXTURES[kind](**params)
+
+
+def _check_fixture(kind, params):
+    """InvalidParams unless `kind` names a fixture and `params` is a dict that
+    binds to its builder's signature."""
+    if not isinstance(kind, str) or kind not in _FIXTURES:
+        raise InvalidParams(f"unknown fixture kind {kind!r}; valid: {sorted(_FIXTURES)}")
+    if not isinstance(params, dict):
+        raise InvalidParams(f"fixture params must be an object, got {params!r}")
+    try:
+        inspect.signature(_FIXTURES[kind]).bind(**params)
+    except TypeError as exc:
+        raise InvalidParams(f"fixture {kind!r}: {exc}") from None
 
 
 def _fixture_path(n: int) -> Space:
@@ -288,6 +285,67 @@ def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
     return build_space(dist, np.ones(n), cond)
 
 
+_FIXTURES = {
+    "path": _fixture_path,
+    "grid2d": _fixture_grid2d,
+    "dumbbell": _fixture_dumbbell,
+    "random_geometric": _fixture_random_geometric,
+}
+
+
+def check_space_spec(spec) -> None:
+    """Check a space descriptor without building the space; InvalidParams for
+    a malformed one.  A descriptor is either
+    {"fixture": {"kind": ..., "params": {...}}} or inline matrices
+    {"dist": ..., "mu": ..., "cond": ...}."""
+    if not isinstance(spec, dict):
+        raise InvalidParams(f"space descriptor must be an object, got {spec!r}")
+    if "fixture" in spec:
+        fx = spec["fixture"]
+        if not isinstance(fx, dict):
+            raise InvalidParams(f"fixture descriptor must be an object, got {fx!r}")
+        _check_fixture(fx.get("kind"), fx.get("params", {}))
+    elif not {"dist", "mu", "cond"} <= set(spec):
+        raise InvalidParams(
+            "inline space needs fields 'dist', 'mu', 'cond' (or use a 'fixture' descriptor)"
+        )
+
+
+def space_from_spec(spec) -> Space:
+    """Build the space a descriptor names (see `check_space_spec`)."""
+    check_space_spec(spec)
+    if "fixture" in spec:
+        fx = spec["fixture"]
+        return fixture(fx["kind"], **fx.get("params", {}))
+    return build_space(spec["dist"], spec["mu"], spec["cond"])
+
+
+def interior_mask(space: Space, spec: dict) -> np.ndarray:
+    """Deterministic 'interior' domain: for fixtures, peel off the geometric
+    boundary (path endpoints, lattice rim, bridge-adjacent clique vertices);
+    otherwise take the max-degree core."""
+    kind = spec.get("fixture", {}).get("kind")
+    n = space.n
+    mask = np.zeros(n, dtype=bool)
+    if kind == "path":
+        mask[1 : n - 1] = True
+    elif kind == "grid2d":
+        degrees = (space.cond > 0).sum(axis=1)
+        mask[degrees == 4] = True
+    elif kind == "dumbbell":
+        params = spec["fixture"].get("params", {})
+        clique = params.get("clique", 2)
+        mask[: clique - 1] = True
+    else:
+        degrees = (space.cond > 0).sum(axis=1)
+        mask[degrees == degrees.max()] = True
+    if not mask.any() or mask.all():
+        half = max(1, n // 2)
+        mask = np.zeros(n, dtype=bool)
+        mask[:half] = True
+    return mask
+
+
 def space_to_json(space: Space) -> str:
     return json.dumps(
         {
@@ -300,8 +358,4 @@ def space_to_json(space: Space) -> str:
 
 
 def space_from_json(text: str) -> Space:
-    obj = json.loads(text)
-    if "fixture" in obj:
-        f = obj["fixture"]
-        return fixture(f["kind"], **f.get("params", {}))
-    return build_space(obj["dist"], obj["mu"], obj["cond"])
+    return space_from_spec(json.loads(text))

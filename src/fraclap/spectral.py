@@ -12,7 +12,6 @@ semigroup) is a function of the spectral resolution computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.linalg import eigh
@@ -30,8 +29,8 @@ from .space import Space
 __all__ = [
     "SpectralDecomposition",
     "KernelMatrix",
-    "KernelKind",
     "laplacian_apply",
+    "graph_stiffness",
     "dirichlet_form",
     "decompose",
     "heat_kernel",
@@ -45,11 +44,6 @@ __all__ = [
 
 DEFAULT_EIGENTOL = 1e-10
 _SERIES_MAX_BETA_T = 600.0
-
-
-class KernelKind(Enum):
-    HEAT = "heat"
-    FRAC_HEAT = "frac_heat"
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,6 @@ class SpectralDecomposition:
 class KernelMatrix:
     entries: np.ndarray
     time: float
-    kind: KernelKind
 
     def row_mu_sums(self, space: Space) -> np.ndarray:
         return self.entries @ space.mu
@@ -101,12 +94,18 @@ def laplacian_apply(space: Space, f) -> np.ndarray:
     return (space.cond @ f - space.cond.sum(axis=1) * f) / space.mu
 
 
+def graph_stiffness(space: Space) -> np.ndarray:
+    """Stiffness matrix diag(sum_y c(., y)) - c of the Dirichlet form E, so
+    that E(f, g) = f^T S g and -Delta = diag(mu)^-1 S.  Built afresh per call
+    (n^2 doubles), never cached on the space."""
+    return np.diag(space.cond.sum(axis=1)) - space.cond
+
+
 def dirichlet_form(space: Space, f, g) -> float:
     """E(f, g) = 1/2 sum_{x,y} c(x,y)(f(x)-f(y))(g(x)-g(y))."""
     f = _check_vector(space, f)
     g = _check_vector(space, g)
-    stiff = np.diag(space.cond.sum(axis=1)) - space.cond
-    return float(f @ (stiff @ g))
+    return float(f @ (graph_stiffness(space) @ g))
 
 
 def decompose(space: Space, eigentolerance: float = DEFAULT_EIGENTOL) -> SpectralDecomposition:
@@ -117,7 +116,7 @@ def decompose(space: Space, eigentolerance: float = DEFAULT_EIGENTOL) -> Spectra
     constant mode is exact.
     """
     sqrt_mu = np.sqrt(space.mu)
-    stiff = np.diag(space.cond.sum(axis=1)) - space.cond
+    stiff = graph_stiffness(space)
     sym = stiff / np.outer(sqrt_mu, sqrt_mu)
     sym = 0.5 * (sym + sym.T)
     lambdas, vecs = eigh(sym)
@@ -157,18 +156,18 @@ def _validate_decomposition(dec, tol):
         )
 
 
-def _kernel_from_weights(dec, weights, time, kind) -> KernelMatrix:
+def _kernel_from_weights(dec, weights, time) -> KernelMatrix:
     entries = (dec.phis * weights[None, :]) @ dec.phis.T
     entries = 0.5 * (entries + entries.T)
     entries.setflags(write=False)
-    return KernelMatrix(entries=entries, time=time, kind=kind)
+    return KernelMatrix(entries=entries, time=time)
 
 
 def heat_kernel(dec: SpectralDecomposition, t: float) -> KernelMatrix:
     """p_t(x,z) = sum_k exp(-lambda_k t) phi_k(x) phi_k(z)."""
     if t <= 0:
         raise NonpositiveTime(f"t must be positive, got {t}")
-    return _kernel_from_weights(dec, np.exp(-dec.lambdas * t), t, KernelKind.HEAT)
+    return _kernel_from_weights(dec, np.exp(-dec.lambdas * t), t)
 
 
 def heat_kernel_series(space: Space, t: float, tol: float = 1e-16) -> np.ndarray:
@@ -231,17 +230,18 @@ def heat_kernel_series(space: Space, t: float, tol: float = 1e-16) -> np.ndarray
 
 def frac_apply(dec: SpectralDecomposition, theta: float, f) -> np.ndarray:
     """Spectral fractional power: sum_k lambda_k^theta <f, phi_k>_mu phi_k."""
-    _check_theta(theta)
+    check_theta(theta)
     return spectral_power_apply(dec, theta, f)
 
 
 def spectral_power_apply(dec: SpectralDecomposition, p: float, f) -> np.ndarray:
     """(-Delta)^p f for any p >= 0, without the public range check."""
     coeffs = dec.coefficients(f)
-    return dec.synthesize(_power(dec.lambdas, p) * coeffs)
+    return dec.synthesize(lambda_power(dec.lambdas, p) * coeffs)
 
 
-def _power(lambdas, p):
+def lambda_power(lambdas: np.ndarray, p: float) -> np.ndarray:
+    """lambda_k^p with the zero eigenvalue mapped to 0 for every p."""
     out = np.zeros_like(lambdas)
     pos = lambdas > 0
     out[pos] = lambdas[pos] ** p
@@ -250,14 +250,15 @@ def _power(lambdas, p):
 
 def frac_heat_kernel(dec: SpectralDecomposition, theta: float, t: float) -> KernelMatrix:
     """Kernel of the subordinated semigroup exp(-t (-Delta)^theta)."""
-    _check_theta(theta)
+    check_theta(theta)
     if t <= 0:
         raise NonpositiveTime(f"t must be positive, got {t}")
-    weights = np.exp(-t * _power(dec.lambdas, theta))
-    return _kernel_from_weights(dec, weights, t, KernelKind.FRAC_HEAT)
+    weights = np.exp(-t * lambda_power(dec.lambdas, theta))
+    return _kernel_from_weights(dec, weights, t)
 
 
-def _check_theta(theta):
+def check_theta(theta: float) -> None:
+    """Raise ThetaOutOfRange unless 0 < theta < 1."""
     if not 0 < theta < 1:
         raise ThetaOutOfRange(f"theta must lie in (0, 1), got {theta}")
 
@@ -298,7 +299,7 @@ def qt_scaling_report(
     Reports the max sampled ratio under both exponents; no bound is asserted
     (the sharp exponent is left open upstream).
     """
-    _check_theta(theta)
+    check_theta(theta)
     space = dec.space
     off = ~np.eye(space.n, dtype=bool)
     ball = space.ball_masses

@@ -269,7 +269,7 @@ def test_criterion_8_maximum_principles(fixtures):
             sol = solve_spectral(prob, dec=dec, form=form)
             if not maximum_principle_check(sol, prob)["passed"]:
                 failures += 1
-            rep = strong_maximum_check([prob])[0]
+            rep = strong_maximum_check(sol, prob)
             if not (rep["passed"] and not rep["is_constant"] and rep["margin"] > 0):
                 strong_failures += 1
             n_problems += 1

@@ -1,0 +1,69 @@
+"""Guards on the public surface: every exported name resolves, and every
+function the benchmark's tracer wraps still exists under its layer."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import fraclap
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(fraclap.__path__))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"fraclap.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_package_exports_are_public_names():
+    # each name fraclap/__init__ re-exports is in its home module's __all__
+    tree = ast.parse(Path(fraclap.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"fraclap.{node.module}")
+            public = getattr(module, "__all__", dir(module))
+            for alias in node.names:
+                assert alias.name in public, f"fraclap.{node.module}.{alias.name}"
+                assert getattr(fraclap, alias.name) is getattr(module, alias.name)
+
+
+def test_traced_layers_exist():
+    # LAYERS is read from the tracer's source, which is not imported here
+    tree = ast.parse(TRACER.read_text())
+    (layers,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "LAYERS" for target in node.targets)
+    ]
+    layers = ast.literal_eval(layers)
+    assert layers
+    for layer, functions in layers.items():
+        module = importlib.import_module(f"fraclap.{layer}")
+        for fn in functions:
+            assert callable(getattr(module, fn, None)), f"fraclap.{layer}.{fn}"
+
+
+def test_cli_builds_fixtures_through_fixture(tmp_path, monkeypatch):
+    # the tracer times `space.fixture` by patching the module attribute, so
+    # the CLI must reach the builders through that name
+    import fraclap.space as space
+    from fraclap import cli
+
+    calls = []
+    real = space.fixture
+
+    def counting(kind, **params):
+        calls.append(kind)
+        return real(kind, **params)
+
+    monkeypatch.setattr(space, "fixture", counting)
+    config = cli.normalize_config({"space": {"fixture": {"kind": "path", "params": {"n": 4}}}})
+    cli.run(config, str(tmp_path / "out"))
+    assert calls == ["path"]

@@ -195,3 +195,45 @@ def test_max_principle_batch_decomposes_once(tmp_path, monkeypatch):
     report = cli.run(cfg, str(tmp_path / "out"))
     assert report["summary"]["n_failed"] == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "fixture_spec",
+    [
+        {"kind": "path", "params": {"m": 8}},  # a parameter the builder does not take
+        "path",  # descriptor not an object
+        {"kind": "path", "params": [8]},  # params not an object
+    ],
+)
+def test_malformed_fixture_is_config_error(tmp_path, capsys, fixture_spec):
+    path = write_config(tmp_path, base_config(space={"fixture": fixture_spec}))
+    with pytest.raises(ConfigParseError, match="space"):
+        load_config(path)
+    assert main(["validate", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_unknown_experiment_param_named(tmp_path):
+    cfg = base_config(
+        experiments=[{"kind": "energy_comparability", "params": {"famly_size": 3}}]
+    )
+    with pytest.raises(ConfigParseError) as err:
+        load_config(write_config(tmp_path, cfg))
+    assert "famly_size" in str(err.value)
+    assert "family_size" in str(err.value)  # the allowed keys are listed
+
+
+def test_dirichlet_routes_constant_complement_data(tmp_path):
+    # one complement point: the data has no oscillation to judge the gap by
+    params = {"m": 16, "omega_mask": [True, True, True, False]}
+    cfg = base_config(
+        space={"fixture": {"kind": "path", "params": {"n": 4}}},
+        experiments=[{"kind": "dirichlet_routes", "params": params}],
+    )
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    (rec,) = report["experiments"]
+    assert rec["passed"] is True
+    assert rec["metrics"]["gap_over_osc"] is None
+    assert rec["params"] == params  # the user's params, without the defaults

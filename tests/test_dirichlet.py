@@ -275,24 +275,11 @@ def test_strong_maximum_reports(p3, grid44):
     f = np.zeros(16)
     f[0] = 1.0
     probs.append(interior_grid_problem(grid44, f))
-    for rep in strong_maximum_check(probs):
+    for prob in probs:
+        rep = strong_maximum_check(solve_spectral(prob), prob)
         assert rep["passed"]
         assert not rep["is_constant"]
         assert rep["margin"] > 0
-
-
-def test_strong_maximum_reuses_decomposition(grid44, grid44_dec, monkeypatch):
-    import fraclap.dirichlet as dirichlet
-
-    calls = []
-    monkeypatch.setattr(dirichlet, "decompose", lambda sp: calls.append(sp))
-    form = stiffness_matrix(grid44_dec, 0.5)
-    f = np.zeros(16)
-    f[0] = 1.0
-    probs = [interior_grid_problem(grid44, f), interior_grid_problem(grid44, -f)]
-    reps = strong_maximum_check(probs, dec=grid44_dec, form=form)
-    assert calls == []
-    assert reps == strong_maximum_check(probs, dec=grid44_dec)
 
 
 def test_solve_spectral_rejects_foreign_decomposition(p3, path8_dec):
@@ -322,7 +309,7 @@ def test_strong_maximum_constant_vacuous(p3):
     prob = DirichletProblem(
         space=p3, theta=0.5, omega=np.array([False, True, False]), f=np.full(3, 5.0)
     )
-    rep = strong_maximum_check([prob])[0]
+    rep = strong_maximum_check(solve_spectral(prob), prob)
     assert rep["passed"] and rep["is_constant"]
 
 

@@ -17,7 +17,6 @@ from fraclap import (
     mode_profile_quadrature,
     poisson_extend,
     profile_normalization_quadrature,
-    trace,
     trace_averaging_diagnostic,
     vertical_modulus,
 )
@@ -102,6 +101,23 @@ def test_profile_quadrature_oracle(theta, lam):
         assert production == pytest.approx(fine, abs=1e-7)
 
 
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+def test_profile_on_arrays_matches_scalar_loop(theta):
+    # the array call broadcasts lam against y and must reproduce every scalar
+    # call bit for bit, zero frequency and the y = 0 row included
+    lams = np.array([0.0, 1e-6, 0.5, 1.7, 40.0])
+    ys = np.concatenate([[0.0], np.geomspace(1e-9, 30.0, 25)])
+    g = mode_profile(lams[:, None], theta, ys[None, :])
+    dg = mode_profile_derivative(lams[:, None], theta, ys[None, 1:])
+    assert g.shape == (5, 26) and dg.shape == (5, 25)
+    for i, lam in enumerate(lams):
+        for j, y in enumerate(ys):
+            scalar = mode_profile(lam, theta, y)
+            assert type(scalar) is float and scalar == g[i, j]
+            if j:
+                assert mode_profile_derivative(lam, theta, y) == dg[i, j - 1]
+
+
 def test_profile_monotone_and_bounded():
     ys = np.linspace(0.0, 6.0, 40)
     for theta in (0.25, 0.75):
@@ -133,7 +149,7 @@ def test_extend_boundary_row_exact(path8, path8_dec):
     grid = build_grid(0.3, 20.0, 16)
     u = poisson_extend(path8_dec, 0.3, f, grid)
     assert np.array_equal(u.values[:, 0], f)
-    assert np.array_equal(trace(u), f)
+    assert np.array_equal(u.boundary(), f)
 
 
 def test_extend_grid_theta_mismatch(p3_dec):
@@ -353,7 +369,7 @@ def test_trace_returns_boundary_exactly(path8, path8_dec):
     f = np.random.default_rng(9).standard_normal(8)
     grid = build_grid(0.5, 10.0, 16)
     u = poisson_extend(path8_dec, 0.5, f, grid)
-    assert np.array_equal(trace(u), f)
+    assert np.array_equal(u.boundary(), f)
 
 
 def test_trace_averages_converge_k2(k2, k2_dec):

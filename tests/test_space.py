@@ -12,6 +12,7 @@ from fraclap import (
     doubling_stats,
     fixture,
     space_from_json,
+    space_from_spec,
     space_to_json,
 )
 from fraclap.errors import (
@@ -207,13 +208,28 @@ def test_space_json_fixture_descriptor():
     assert sp.n == 3 and sp.dist[0, 2] == 2.0
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"fixture": {"kind": "path", "params": {"m": 8}}},
+        {"fixture": {"kind": "grid2d", "params": {}}},
+        {"fixture": {"kind": "path", "params": [8]}},
+        {"fixture": "path"},
+        {"fixture": {"kind": "ring", "params": {"n": 8}}},
+        {"mu": [1, 1], "cond": [[0, 1], [1, 0]]},
+    ],
+)
+def test_space_from_spec_rejects_malformed(spec):
+    with pytest.raises(InvalidParams):
+        space_from_spec(spec)
+
+
+def test_fixture_rejects_unknown_param():
+    with pytest.raises(InvalidParams, match="m"):
+        fixture("path", m=8)
+
+
 def test_space_immutable(p3):
     with pytest.raises(ValueError):
         p3.mu[0] = 5.0
 
-
-def test_ball_stats_record(k2):
-    from fraclap import ball_stats
-
-    st = ball_stats(k2, 0, 1.0)
-    assert (st.center, st.radius, st.mass) == (0, 1.0, 2.0)
