@@ -57,6 +57,7 @@ from .space import (
     fixture,
     space_from_json,
     space_from_spec,
+    space_size,
     space_to_json,
 )
 from .spectral import (

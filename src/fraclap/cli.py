@@ -49,7 +49,7 @@ from .extension import (
     poisson_extend,
     vertical_modulus,
 )
-from .space import check_space_spec, interior_mask, space_from_spec
+from .space import check_space_spec, interior_mask, space_from_spec, space_size
 from .spectral import (
     check_theta,
     decompose,
@@ -91,6 +91,8 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
 
     theta = raw.get("theta", 0.5)
     thetas = [theta] if isinstance(theta, (int, float)) else list(theta)
+    if not thetas:
+        raise ConfigParseError(f"{origin}: 'theta' must name at least one value")
     for th in thetas:
         if not isinstance(th, (int, float)):
             raise ConfigParseError(f"{origin}: theta values must be numbers, got {th!r}")
@@ -122,6 +124,8 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
                 f"{origin}: experiments[{i}] ({kind}): unknown params {unknown}; "
                 f"allowed: {sorted(allowed)}"
             )
+        if params.get("omega_mask") is not None:
+            _check_omega_mask(params["omega_mask"], space_spec, f"{origin}: experiments[{i}]")
         normalized_experiments.append({"kind": kind, "params": params})
 
     seed = raw.get("seed", 0)
@@ -136,6 +140,18 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
         "seed": seed,
         "output": raw.get("output"),
     }
+
+
+def _check_omega_mask(mask, space_spec, where):
+    """ConfigParseError unless `mask` is a list of booleans, one per point."""
+    if not isinstance(mask, list) or not all(isinstance(x, bool) for x in mask):
+        raise ConfigParseError(f"{where}: omega_mask must be a list of booleans")
+    try:
+        n = space_size(space_spec)
+    except InvalidParams as exc:
+        raise ConfigParseError(f"{where}: space: {exc}") from None
+    if len(mask) != n:
+        raise ConfigParseError(f"{where}: omega_mask has {len(mask)} entries, space has {n} points")
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +289,7 @@ def _exp_dirichlet_routes(ctx, params):
         "gap_over_osc": gap_over_osc,
         "energy_spectral": spectral.energy,
         "energy_extension": ext.energy,
+        "cg_iterations": ext.iterations,
         "m": m,
     }
     return metrics, bool(passed), {"dirichlet_routes.csv": rows}

@@ -14,6 +14,7 @@ import inspect
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -34,6 +35,7 @@ __all__ = [
     "fixture",
     "check_space_spec",
     "space_from_spec",
+    "space_size",
     "interior_mask",
     "space_to_json",
     "space_from_json",
@@ -207,7 +209,7 @@ def _shortest_path_metric(cond):
 def fixture(kind: str, **params) -> Space:
     """Deterministic canonical spaces: path, grid2d, dumbbell, random_geometric."""
     _check_fixture(kind, params)
-    return _FIXTURES[kind](**params)
+    return _FIXTURES[kind].build(**params)
 
 
 def _check_fixture(kind, params):
@@ -218,7 +220,7 @@ def _check_fixture(kind, params):
     if not isinstance(params, dict):
         raise InvalidParams(f"fixture params must be an object, got {params!r}")
     try:
-        inspect.signature(_FIXTURES[kind]).bind(**params)
+        inspect.signature(_FIXTURES[kind].build).bind(**params)
     except TypeError as exc:
         raise InvalidParams(f"fixture {kind!r}: {exc}") from None
 
@@ -285,11 +287,16 @@ def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
     return build_space(dist, np.ones(n), cond)
 
 
+class _Fixture(NamedTuple):
+    build: Callable[..., Space]
+    size: Callable[..., int]  # number of points, from the same params
+
+
 _FIXTURES = {
-    "path": _fixture_path,
-    "grid2d": _fixture_grid2d,
-    "dumbbell": _fixture_dumbbell,
-    "random_geometric": _fixture_random_geometric,
+    "path": _Fixture(_fixture_path, lambda n: n),
+    "grid2d": _Fixture(_fixture_grid2d, lambda nx, ny=None: nx * (nx if ny is None else ny)),
+    "dumbbell": _Fixture(_fixture_dumbbell, lambda clique, bridge=0: 2 * clique + bridge),
+    "random_geometric": _Fixture(_fixture_random_geometric, lambda n, radius, seed: n),
 }
 
 
@@ -318,6 +325,23 @@ def space_from_spec(spec) -> Space:
         fx = spec["fixture"]
         return fixture(fx["kind"], **fx.get("params", {}))
     return build_space(spec["dist"], spec["mu"], spec["cond"])
+
+
+def space_size(spec) -> int:
+    """Number of points of the space a descriptor names, without building it."""
+    check_space_spec(spec)
+    if "fixture" in spec:
+        fx = spec["fixture"]
+        try:
+            n = _FIXTURES[fx["kind"]].size(**fx.get("params", {}))
+        except TypeError:
+            n = None
+        if not isinstance(n, int):
+            raise InvalidParams(f"fixture {fx['kind']!r}: size params must be integers")
+        return n
+    if not isinstance(spec["mu"], list):
+        raise InvalidParams(f"inline mu must be a list, got {spec['mu']!r}")
+    return len(spec["mu"])
 
 
 def interior_mask(space: Space, spec: dict) -> np.ndarray:

@@ -207,7 +207,13 @@ def test_criterion_6_route_agreement(fixtures):
                 ext = solve_extension(prob, grid, dec=dec)
                 hs.append(np.max(np.diff(grid.ys)))
                 gaps.append(np.max(np.abs(spectral.u - ext.u)))
-            assert all(a > b for a, b in zip(gaps, gaps[1:])), f"{name} theta={theta}"
+            # below the floor the order of two gaps is roundoff
+            floor = 1e-12 * prob.data_oscillation
+            assert all(b < a or b <= floor for a, b in zip(gaps, gaps[1:])), (
+                f"{name} theta={theta}: {gaps}"
+            )
+            if theta == 0.5:
+                assert gaps[-1] <= floor, f"{name} theta=1/2: finest gap {gaps[-1]:.2e}"
             slope = np.polyfit(np.log(hs), np.log(gaps), 1)[0]
             worst_slope = min(worst_slope, slope)
     elapsed = time.perf_counter() - start

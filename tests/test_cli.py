@@ -237,3 +237,43 @@ def test_dirichlet_routes_constant_complement_data(tmp_path):
     assert rec["passed"] is True
     assert rec["metrics"]["gap_over_osc"] is None
     assert rec["params"] == params  # the user's params, without the defaults
+
+
+def test_dirichlet_routes_reports_cg_iterations(tmp_path):
+    cfg = base_config(
+        space={"fixture": {"kind": "grid2d", "params": {"nx": 6}}},
+        theta=[0.25, 0.5, 0.75],
+        experiments=[{"kind": "dirichlet_routes", "params": {"m": 32}}],
+    )
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    for rec in report["experiments"]:
+        assert 1 <= rec["metrics"]["cg_iterations"] <= 5
+
+
+def test_empty_theta_list_is_config_error(tmp_path, capsys):
+    cfg = base_config(theta=[], experiments=[{"kind": "energy_comparability", "params": {}}])
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert "theta" in capsys.readouterr().err
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "mask, message",
+    [
+        ([True, True, False, False], "4 entries, space has 8 points"),
+        ([0, 1, 1, 1, 1, 1, 1, 0], "list of booleans"),
+        ("interior", "list of booleans"),
+    ],
+    ids=["short", "integers", "string"],
+)
+def test_bad_omega_mask_is_config_error(tmp_path, capsys, mask, message):
+    cfg = base_config(
+        experiments=[{"kind": "dirichlet_routes", "params": {"omega_mask": mask}}]
+    )
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert message in capsys.readouterr().err
+

@@ -21,7 +21,7 @@ from fraclap import (
     strong_maximum_check,
     uniqueness_check,
 )
-from fraclap.dirichlet import _ProductGridOperator
+from fraclap.dirichlet import _conjugate_gradient, _ProductGridOperator
 from fraclap.errors import (
     BallNotCompactlyInside,
     GridThetaMismatch,
@@ -38,6 +38,14 @@ def p3_problem(p3, theta=0.5):
         omega=np.array([False, True, False]),
         f=np.array([0.0, 0.0, 1.0]),
     )
+
+
+def path8_problem(path8, theta=0.75):
+    """Interior domain of path n=8 with seed-0 data."""
+    omega = np.zeros(8, bool)
+    omega[1:-1] = True
+    f = np.random.default_rng(0).standard_normal(8)
+    return DirichletProblem(space=path8, theta=theta, omega=omega, f=f)
 
 
 def interior_grid_problem(grid44, f, theta=0.5):
@@ -162,14 +170,16 @@ def test_extension_route_agrees_on_p3(p3, p3_dec):
     assert np.max(np.abs(spectral.u - ext.u)) <= 1e-5
 
 
-def test_route_gap_contracts_under_refinement(p3, p3_dec):
-    prob = p3_problem(p3)
-    spectral = solve_spectral(prob, dec=p3_dec)
-    ymax = default_ymax(p3_dec)
+def test_route_gap_contracts_under_refinement(path8, path8_dec):
+    # on p3 both routes give u(1) = (f0 + f2)/2 for every symbol (phi_1
+    # vanishes at the middle point), so its gap is zero at every m
+    prob = path8_problem(path8)
+    spectral = solve_spectral(prob, dec=path8_dec)
+    ymax = default_ymax(path8_dec)
     y1s, gaps = [], []
     for m in (8, 10, 12, 14):
-        grid = build_grid(0.5, ymax, m)
-        ext = solve_extension(prob, grid, dec=p3_dec)
+        grid = build_grid(0.75, ymax, m)
+        ext = solve_extension(prob, grid, dec=path8_dec)
         y1s.append(grid.ys[1])
         gaps.append(np.max(np.abs(spectral.u - ext.u)))
     slope = np.polyfit(np.log(y1s), np.log(gaps), 1)[0]
@@ -199,13 +209,72 @@ def test_extension_iteration_budget(p3, p3_dec):
     prob = p3_problem(p3)
     grid = build_grid(0.5, default_ymax(p3_dec), 16)
     with pytest.raises(IterationBudgetExceeded):
-        solve_extension(prob, grid, IterSpec(rel_tol=1e-14, max_iter=2))
+        solve_extension(prob, grid, IterSpec(rel_tol=1e-14, max_iter=0))
 
 
 def test_extension_grid_mismatch(p3, p3_dec):
     prob = p3_problem(p3, theta=0.25)
     with pytest.raises(GridThetaMismatch):
         solve_extension(prob, build_grid(0.5, 10.0, 16))
+
+
+def _interior(space):
+    """Path endpoints or lattice rim peeled off."""
+    degrees = (space.cond > 0).sum(axis=1)
+    return degrees == degrees.max()
+
+
+@pytest.mark.parametrize("m", [32, 128])
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("name", ["path8", "grid44"])
+def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request):
+    # plain CG (identity preconditioner) on the same scaled system reaches
+    # the same trace, so the preconditioner changes only the path
+    space, dec = request.getfixturevalue(name), request.getfixturevalue(f"{name}_dec")
+    f = np.random.default_rng(0).standard_normal(space.n)
+    prob = DirichletProblem(space=space, theta=theta, omega=_interior(space), f=f)
+    grid = build_grid(theta, default_ymax(dec), m)
+    op = _ProductGridOperator(space, grid, prob.omega)
+    b = op.rhs_scaled(prob.f)
+    x, _, plain_iterations = _conjugate_gradient(
+        op.apply_scaled, b, np.zeros_like(b), lambda r: r, IterSpec()
+    )
+    plain, _ = op.unpack(x / op.scale, prob.f)
+    sol = solve_extension(prob, grid, dec=dec)
+    assert sol.iterations < plain_iterations
+    assert np.max(np.abs(sol.u - plain)) <= 1e-6 * prob.data_oscillation
+
+
+@pytest.mark.parametrize(
+    "nx, m", [(4, 32), (20, 32), (4, 128)], ids=["grid4-m32", "grid20-m32", "grid4-m128"]
+)
+def test_extension_iterations_independent_of_size(nx, m):
+    space = fixture("grid2d", nx=nx)
+    dec = decompose(space)
+    f = np.random.default_rng(0).standard_normal(space.n)
+    for theta in (0.25, 0.5, 0.75):
+        prob = DirichletProblem(space=space, theta=theta, omega=_interior(space), f=f)
+        sol = solve_extension(prob, build_grid(theta, default_ymax(dec), m), dec=dec)
+        assert sol.iterations <= 5, f"theta={theta}"
+        assert sol.residual <= IterSpec().rel_tol
+
+
+def test_extension_energy_is_trace_energy(grid44, grid44_dec):
+    f = np.random.default_rng(1).standard_normal(16)
+    prob = interior_grid_problem(grid44, f, theta=0.25)
+    sol = solve_extension(prob, build_grid(0.25, default_ymax(grid44_dec), 32), dec=grid44_dec)
+    form = stiffness_matrix(grid44_dec, 0.25)
+    assert sol.energy == pytest.approx(form.energy(sol.u), rel=1e-12)
+
+
+def test_solve_extension_rejects_foreign_decomposition(p3, path8_dec):
+    grid = build_grid(0.5, 10.0, 16)
+    with pytest.raises(InvalidParams):
+        solve_extension(p3_problem(p3), grid, dec=path8_dec)
+
+
+def test_spectral_route_reports_no_iterations(p3, p3_dec):
+    assert solve_spectral(p3_problem(p3), dec=p3_dec).iterations == 0
 
 
 def test_extension_constant_data(p3, p3_dec):
@@ -233,12 +302,12 @@ def test_residual_positive_without_solving(p3, p3_dec):
     assert residual_check(fake, prob) > 0.01
 
 
-def test_residual_decreases_under_grid_refinement(p3, p3_dec):
-    prob = p3_problem(p3)
-    ymax = default_ymax(p3_dec)
+def test_residual_decreases_under_grid_refinement(path8, path8_dec):
+    prob = path8_problem(path8)
+    ymax = default_ymax(path8_dec)
     resids = []
     for m in (8, 12, 16):
-        sol = solve_extension(prob, build_grid(0.5, ymax, m), dec=p3_dec)
+        sol = solve_extension(prob, build_grid(0.75, ymax, m), dec=path8_dec)
         resids.append(residual_check(sol, prob))
     assert resids[0] > resids[1] > resids[2]
 

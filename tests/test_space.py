@@ -13,6 +13,7 @@ from fraclap import (
     fixture,
     space_from_json,
     space_from_spec,
+    space_size,
     space_to_json,
 )
 from fraclap.errors import (
@@ -233,3 +234,25 @@ def test_space_immutable(p3):
     with pytest.raises(ValueError):
         p3.mu[0] = 5.0
 
+
+@pytest.mark.parametrize(
+    "space, n",
+    [
+        ({"fixture": {"kind": "path", "params": {"n": 5}}}, 5),
+        ({"fixture": {"kind": "grid2d", "params": {"nx": 3, "ny": 4}}}, 12),
+        ({"fixture": {"kind": "grid2d", "params": {"nx": 3}}}, 9),
+        ({"fixture": {"kind": "dumbbell", "params": {"clique": 3, "bridge": 2}}}, 8),
+        (
+            {"fixture": {"kind": "random_geometric", "params": {"n": 30, "radius": 0.5, "seed": 1}}},
+            30,
+        ),
+    ],
+)
+def test_space_size_matches_built_space(space, n):
+    # the size a config's omega_mask is checked against, without building
+    assert space_size(space) == space_from_spec(space).n == n
+
+
+def test_space_size_rejects_non_integer_params():
+    with pytest.raises(InvalidParams):
+        space_size({"fixture": {"kind": "grid2d", "params": {"nx": "4"}}})
