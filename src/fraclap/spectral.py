@@ -90,8 +90,17 @@ def _check_vector(space: Space, f) -> np.ndarray:
 
 
 def laplacian_apply(space: Space, f) -> np.ndarray:
-    f = _check_vector(space, f)
-    return (space.cond @ f - space.cond.sum(axis=1) * f) / space.mu
+    return _laplacian(space, _check_vector(space, f))
+
+
+def _laplacian(space: Space, f: np.ndarray) -> np.ndarray:
+    """Delta f for a vector f, or for every column of an n x k array f, built
+    from `cond` and `mu` alone (no stiffness matrix)."""
+    out = space.cond @ f
+    rows = out.T  # a view, so the updates below act on out in place
+    rows -= space.cond.sum(axis=1) * f.T
+    rows /= space.mu
+    return out
 
 
 def graph_stiffness(space: Space) -> np.ndarray:
@@ -112,8 +121,11 @@ def decompose(space: Space, eigentolerance: float = DEFAULT_EIGENTOL) -> Spectra
     """Full eigendecomposition of -Delta in the mu-weighted inner product.
 
     Solved as a symmetric problem after the similarity transform by
-    diag(sqrt(mu)); eigenvalues below the tolerance are clamped to zero so the
-    constant mode is exact.
+    diag(sqrt(mu)).  Eigenvalues within `eigentolerance * lambda_max` of zero
+    are clamped to zero so the constant mode is exact; the tolerance is
+    relative, so the result does not depend on the units of `cond` or `mu`.
+    A connected space has exactly one zero eigenvalue, and anything else
+    raises EigensolverNoConvergence.
     """
     sqrt_mu = np.sqrt(space.mu)
     stiff = graph_stiffness(space)
@@ -121,17 +133,19 @@ def decompose(space: Space, eigentolerance: float = DEFAULT_EIGENTOL) -> Spectra
     sym = 0.5 * (sym + sym.T)
     lambdas, vecs = eigh(sym)
 
-    if lambdas[0] < -eigentolerance:
-        raise EigensolverNoConvergence(f"negative eigenvalue {lambdas[0]:.3e}")
-    lambdas = np.where(np.abs(lambdas) <= eigentolerance, 0.0, lambdas)
+    zero_tol = eigentolerance * max(lambdas[-1], 0.0)
+    if lambdas[0] < -zero_tol:
+        raise EigensolverNoConvergence(
+            f"negative eigenvalue {lambdas[0]:.3e} (lambda_max {lambdas[-1]:.3e})"
+        )
+    lambdas = np.where(np.abs(lambdas) <= zero_tol, 0.0, lambdas)
+    n_zero = int(np.count_nonzero(lambdas == 0.0))
+    if n_zero != 1:
+        raise EigensolverNoConvergence(
+            f"{n_zero} eigenvalues within {zero_tol:.3e} of zero; a connected space has one"
+        )
 
-    phis = vecs / sqrt_mu[:, None]
-    for k in range(space.n):
-        col = phis[:, k]
-        lead = np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())
-        if col[lead] < 0:
-            phis[:, k] = -col
-
+    phis = _fix_signs(vecs / sqrt_mu[:, None])
     dec = SpectralDecomposition(space=space, lambdas=lambdas, phis=phis)
     _validate_decomposition(dec, eigentolerance)
     lambdas.setflags(write=False)
@@ -139,17 +153,26 @@ def decompose(space: Space, eigentolerance: float = DEFAULT_EIGENTOL) -> Spectra
     return dec
 
 
+def _fix_signs(phis: np.ndarray) -> np.ndarray:
+    """Flip columns in place so each one's first significant entry (above
+    1e-12 of its largest magnitude) is positive."""
+    mag = np.abs(phis)
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    flip = phis[lead, np.arange(phis.shape[1])] < 0
+    phis[:, flip] = -phis[:, flip]
+    return phis
+
+
 def _validate_decomposition(dec, tol):
     space, lam, phi = dec.space, dec.lambdas, dec.phis
     gram = phi.T @ (space.mu[:, None] * phi)
     ortho_err = np.max(np.abs(gram - np.eye(space.n)))
-    resid = np.max(
-        np.abs(
-            np.stack([-laplacian_apply(space, phi[:, k]) for k in range(space.n)], axis=1)
-            - phi * lam[None, :]
-        )
-    )
-    scale = max(1.0, float(lam.max()))
+    # eigen-residual |Delta phi_k + lambda_k phi_k| relative to max |phi|,
+    # which scales like mu^(-1/2)
+    resid = _laplacian(space, phi)
+    resid += phi * lam[None, :]
+    resid = np.max(np.abs(resid)) / np.max(np.abs(phi))
+    scale = float(lam.max())
     if ortho_err > 100 * tol or resid > 100 * tol * scale:
         raise EigensolverNoConvergence(
             f"orthonormality error {ortho_err:.3e}, residual {resid:.3e} exceed tolerance"
@@ -281,13 +304,13 @@ def subordination_check(
     """
     if t <= 0:
         raise NonpositiveTime(f"t must be positive, got {t}")
-    worst = 0.0
-    for lam in np.unique(dec.lambdas):
-        integral = integrate_halfline(
-            lambda s: inverse_gaussian_density(t, s) * np.exp(-lam * s), quad
-        )
-        worst = max(worst, abs(integral - np.exp(-t * np.sqrt(lam))))
-    return worst
+    lams = np.unique(dec.lambdas)
+    # one vector-valued quadrature over all eigenvalues; the integrands are
+    # bounded on the compactified interval, so no extrapolation is needed
+    integrals = integrate_halfline(
+        lambda s: inverse_gaussian_density(t, s) * np.exp(-lams * s), quad
+    )
+    return float(np.max(np.abs(integrals - np.exp(-t * np.sqrt(lams)))))
 
 
 def qt_scaling_report(

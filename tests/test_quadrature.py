@@ -1,0 +1,47 @@
+import numpy as np
+import pytest
+
+from fraclap.errors import QuadratureNoConvergence
+from fraclap.quadrature import QuadratureSpec, _compactified, integrate_halfline
+from fraclap.spectral import inverse_gaussian_density
+
+LAMS = np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 40)])
+
+
+def _family(t):
+    return lambda s: inverse_gaussian_density(t, s) * np.exp(-LAMS * s)
+
+
+@pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 10.0])
+def test_array_path_matches_scalar_calls(t):
+    got = integrate_halfline(_family(t))
+    assert got.shape == LAMS.shape
+    scalar = [
+        integrate_halfline(lambda s, lam=lam: inverse_gaussian_density(t, s) * np.exp(-lam * s))
+        for lam in LAMS
+    ]
+    assert np.max(np.abs(got - scalar)) <= 1e-9
+    assert np.max(np.abs(got - np.exp(-t * np.sqrt(LAMS)))) <= 1e-9
+
+
+def test_scalar_path_returns_float():
+    got = integrate_halfline(lambda s: np.exp(-s))
+    assert isinstance(got, float)
+    assert got == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.01, 1.0])
+def test_array_path_starved_budget_raises(t):
+    with pytest.raises(QuadratureNoConvergence, match="exceeds budget"):
+        integrate_halfline(_family(t), QuadratureSpec(max_subdivisions=2))
+
+
+def test_transform_zeroes_rims_per_component():
+    # u = 1 arrives as a Python float; the transform must not divide by zero
+    # in Python arithmetic, and non-finite components become 0 one by one
+    g = _compactified(lambda s: np.array([np.exp(-s), 1.0 / (1.0 + s) ** 2, 1.0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(g(1.0), [0.0, 0.0, 0.0])
+        assert np.array_equal(g(0.0), [0.0, 0.0, 0.0])
+    inner = g(0.5)  # s = 1, ds = 8
+    assert np.array_equal(inner, [8.0 * np.exp(-1.0), 2.0, 8.0])

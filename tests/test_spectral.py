@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclap import (
+    build_space,
     decompose,
     dirichlet_form,
     fixture,
@@ -15,14 +16,17 @@ from fraclap import (
     qt_scaling_report,
     subordination_check,
 )
+from fraclap import spectral
+from fraclap.energy import frac_energy
 from fraclap.errors import (
     DimensionMismatch,
+    EigensolverNoConvergence,
     NonpositiveTime,
     SeriesTimeTooLarge,
     ThetaOutOfRange,
 )
-from fraclap.quadrature import QuadratureSpec
-from fraclap.spectral import inverse_gaussian_density, spectral_power_apply
+from fraclap.quadrature import QuadratureSpec, integrate_halfline
+from fraclap.spectral import _fix_signs, inverse_gaussian_density, spectral_power_apply
 
 from conftest import random_vector
 
@@ -92,6 +96,69 @@ def test_decompose_deterministic(grid44):
     a, b = decompose(grid44), decompose(grid44)
     assert np.array_equal(a.lambdas, b.lambdas)
     assert np.array_equal(a.phis, b.phis)
+
+
+def _fix_signs_reference(phis):
+    # the per-column loop the vectorized sign fix replaced
+    for k in range(phis.shape[1]):
+        col = phis[:, k]
+        lead = np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())
+        if col[lead] < 0:
+            phis[:, k] = -col
+    return phis
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fix_signs_matches_reference_loop(path8_dec, grid44_dec, dumbbell55_dec, seed):
+    rng = np.random.default_rng(seed)
+    for dec in (path8_dec, grid44_dec, dumbbell55_dec):
+        # random signs and column scales; the cut is relative to each column
+        scales = rng.choice([-1.0, 1.0], size=dec.n) * 10.0 ** rng.uniform(-8, 8, size=dec.n)
+        scrambled = dec.phis * scales[None, :]
+        # leading entries below the 1e-12 significance cut, of the opposite sign
+        scrambled[0] = -1e-14 * np.sign(scrambled[1]) * np.abs(scrambled).max(axis=0)
+        got = _fix_signs(scrambled.copy())
+        assert np.array_equal(got, _fix_signs_reference(scrambled.copy()))
+        assert np.array_equal(np.abs(got), np.abs(scrambled))
+
+
+def _scaled_path(n, c, mu_factor=1.0):
+    p = fixture("path", n=n)
+    return build_space(p.dist, p.mu * mu_factor, p.cond * c)
+
+
+@pytest.mark.parametrize(
+    "c, mu_factor", [(1e-12, 1.0), (1e12, 1.0), (1.0, 1e-20), (1.0, 1e12), (1.0, 1e20)]
+)
+def test_decompose_is_unit_free(c, mu_factor):
+    # an absolute clamp zeroes every eigenvalue of path n=50 at cond x 1e-12
+    # and at mu x 1e12; an absolute eigen-residual bound rejects mu x 1e-20
+    base = decompose(fixture("path", n=50))
+    dec = decompose(_scaled_path(50, c, mu_factor))
+    scale = c / mu_factor
+    assert np.count_nonzero(dec.lambdas == 0.0) == 1
+    assert np.allclose(dec.lambdas / scale, base.lambdas, rtol=1e-12, atol=1e-13 * base.lambdas[-1])
+    assert np.allclose(np.abs(dec.phis) * np.sqrt(mu_factor), np.abs(base.phis), atol=1e-10)
+
+
+def test_decompose_rejects_second_zero_eigenvalue():
+    # two pairs joined by a bridge 1e-13 of the other conductances: lambda_1
+    # sits below the relative clamp, so a second eigenvalue would be zeroed
+    p = fixture("path", n=4)
+    cond = p.cond.copy()
+    cond[1, 2] = cond[2, 1] = 1e-13
+    with pytest.raises(EigensolverNoConvergence, match="2 eigenvalues"):
+        decompose(build_space(p.dist, p.mu, cond))
+
+
+@given(log_c=st.floats(-12, 12), theta=st.floats(0.05, 0.95), seed=st.integers(0, 50))
+@settings(max_examples=30, deadline=None)
+def test_frac_energy_scales_with_conductance_units(log_c, theta, seed):
+    c = 10.0**log_c
+    f = np.random.default_rng(seed).standard_normal(12)
+    base = frac_energy(decompose(fixture("path", n=12)), theta, f)
+    scaled = frac_energy(decompose(_scaled_path(12, c)), theta, f)
+    assert scaled == pytest.approx(c**theta * base, rel=1e-9)
 
 
 def test_ground_mode_constant(path8_dec):
@@ -238,6 +305,33 @@ def test_subordination_check_fixtures(path8_dec, grid44_dec, dumbbell55_dec):
     for dec in (path8_dec, grid44_dec, dumbbell55_dec):
         for t in (0.1, 1.0):
             assert subordination_check(dec, t) <= 1e-6
+
+
+def test_subordination_check_one_quadrature_per_time(monkeypatch, grid44_dec, dumbbell55_dec):
+    calls = []
+
+    def counting(f, spec):
+        calls.append(spec)
+        return integrate_halfline(f, spec)
+
+    monkeypatch.setattr(spectral, "integrate_halfline", counting)
+    for dec in (grid44_dec, dumbbell55_dec):
+        for t in (0.1, 1.0, 4.0):
+            calls.clear()
+            got = subordination_check(dec, t)
+            assert len(calls) == 1
+            # the same check as one scalar quadrature per distinct eigenvalue
+            want = max(
+                abs(
+                    integrate_halfline(
+                        lambda s, lam=lam: inverse_gaussian_density(t, s) * np.exp(-lam * s)
+                    )
+                    - np.exp(-t * np.sqrt(lam))
+                )
+                for lam in np.unique(dec.lambdas)
+            )
+            assert got <= 1e-6
+            assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_subordination_rejects_nonpositive_time(k2_dec):
