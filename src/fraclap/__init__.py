@@ -50,6 +50,7 @@ from .extension import (
 from .quadrature import QuadratureSpec
 from .space import (
     Space,
+    ball_mask,
     ball_measure,
     build_space,
     check_space_spec,

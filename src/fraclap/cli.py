@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .dirichlet import (
     DirichletProblem,
+    _leaves_domain,
     harnack_quotient,
     maximum_principle_check,
     solve_extension,
@@ -117,15 +118,18 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
         params = exp.get("params", {})
         if not isinstance(params, dict):
             raise ConfigParseError(f"{origin}: experiments[{i}].params must be an object")
+        where = f"{origin}: experiments[{i}] ({kind})"
         allowed = _KINDS[kind].defaults
         unknown = sorted(set(params) - set(allowed))
         if unknown:
-            raise ConfigParseError(
-                f"{origin}: experiments[{i}] ({kind}): unknown params {unknown}; "
-                f"allowed: {sorted(allowed)}"
-            )
-        if params.get("omega_mask") is not None:
-            _check_omega_mask(params["omega_mask"], space_spec, f"{origin}: experiments[{i}]")
+            raise ConfigParseError(f"{where}: unknown params {unknown}; allowed: {sorted(allowed)}")
+        for key, value in params.items():
+            if key != "omega_mask":
+                _check_param(value, allowed[key], f"{where}: {key!r}")
+            elif value is not None:
+                _check_omega_mask(value, space_spec, where)
+        if kind == "dtn_convergence" and len(params.get("ms", allowed["ms"])) < 2:
+            raise ConfigParseError(f"{where}: 'ms' needs at least 2 grid sizes to fit a slope")
         normalized_experiments.append({"kind": kind, "params": params})
 
     seed = raw.get("seed", 0)
@@ -140,6 +144,31 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
         "seed": seed,
         "output": raw.get("output"),
     }
+
+
+def _check_param(value, default, where):
+    """ConfigParseError unless `value` fits the param's default: a bool for a
+    bool; a finite positive number for a number or for null (which also takes
+    null); a nonempty list of them for a list; integers where the default's are."""
+    integer = isinstance(default[0] if isinstance(default, list) else default, int)
+    noun = "positive integer" if integer else "finite positive number"
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, list):
+        ok = isinstance(value, list) and value and all(_positive(v, integer) for v in value)
+        want = f"a nonempty list of {noun}s"
+    elif default is None:
+        ok, want = value is None or _positive(value, False), f"null or a {noun}"
+    else:
+        ok, want = _positive(value, integer), f"a {noun}"
+    if not ok:
+        raise ConfigParseError(f"{where} must be {want}, got {value!r}")
+
+
+def _positive(value, integer):
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        return False
+    return value > 0 and (isinstance(value, int) or bool(np.isfinite(value)))
 
 
 def _check_omega_mask(mask, space_spec, where):
@@ -323,17 +352,13 @@ def _exp_harnack_scan(ctx, params):
     f = np.abs(rng.standard_normal(space.n))
     problem = DirichletProblem(space=space, theta=theta, omega=omega, f=f)
     sol = solve_spectral(problem, dec=dec)
+    centres = np.flatnonzero(omega)
+    centres = centres[~_leaves_domain(problem, centres, 2.0 * radius)]
+    quotients = harnack_quotient(sol, problem, centres, radius)
     rows = [("center", "radius", "quotient")]
-    quotients = []
-    for x in np.where(omega)[0]:
-        if omega[space.dist[x] <= 2.0 * radius].all():
-            q = harnack_quotient(sol, problem, int(x), radius)
-            quotients.append(q)
-            rows.append((int(x), radius, q))
-    metrics = {
-        "n_balls": len(quotients),
-        "max_quotient": max(quotients) if quotients else None,
-    }
+    rows += zip(centres.tolist(), [radius] * len(centres), quotients.tolist())
+    top = float(quotients.max()) if len(quotients) else None
+    metrics = {"n_balls": len(quotients), "max_quotient": top}
     return metrics, None, {"harnack_scan.csv": rows}
 
 
@@ -382,18 +407,15 @@ def _richardson(values, exponents):
 def _exp_codim_check(ctx, params):
     space, theta = ctx["space"], ctx["theta"]
     rs = params["rs"]
-    tol = params["tol"]
     grid = build_grid(theta, max(rs), params["m"])
-    worst = 0.0
-    rows = [("x", "r", "lhs", "rhs")]
-    for x in range(space.n):
-        for r in rs:
-            out = codim_ball_check(space, grid, x, r)
-            scale = max(1.0, abs(out["rhs"]))
-            worst = max(worst, abs(out["lhs"] - out["rhs"]) / scale)
-            rows.append((x, r, out["lhs"], out["rhs"]))
+    outs = [codim_ball_check(space, grid, np.arange(space.n), r) for r in rs]
+    # (x, r) tables, flattened centre-major like the rows
+    lhs, rhs = (np.stack([out[side] for out in outs], axis=1).ravel() for side in ("lhs", "rhs"))
+    worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
+    xs = np.repeat(np.arange(space.n), len(rs)).tolist()
+    rows = [("x", "r", "lhs", "rhs"), *zip(xs, rs * space.n, lhs.tolist(), rhs.tolist())]
     metrics = {"max_rel_err": worst}
-    return metrics, bool(worst <= tol), {"codim_check.csv": rows}
+    return metrics, bool(worst <= params["tol"]), {"codim_check.csv": rows}
 
 
 class _Kind(NamedTuple):

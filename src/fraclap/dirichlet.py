@@ -36,7 +36,7 @@ from .errors import (
     SingularSystem,
 )
 from .extension import HalfSpaceGrid
-from .space import Space
+from .space import Space, ball_mask
 from .spectral import SpectralDecomposition, check_theta, decompose, graph_stiffness
 
 __all__ = [
@@ -117,7 +117,7 @@ def solution_to_json(sol: Solution, problem: DirichletProblem, diagnostics=None)
 @dataclass(frozen=True)
 class IterSpec:
     rel_tol: float = 1e-11
-    max_iter: int = 100_000
+    max_iter: int = 100
 
 
 def solve_spectral(
@@ -423,27 +423,35 @@ def strong_maximum_check(sol: Solution, problem: DirichletProblem) -> dict:
     }
 
 
-def harnack_quotient(
-    sol: Solution, problem: DirichletProblem, center: int, radius: float
-) -> float:
+def harnack_quotient(sol: Solution, problem: DirichletProblem, center, radius: float):
     """max/min of a nonnegative solution over a ball with 2B inside the domain.
 
-    Diagnostic only: the comparison constant for such quotients is not
-    explicit, so values are recorded, not asserted.
+    `center` may be an array of centres, giving an array of quotients (a
+    scalar gives a float).  Diagnostic only: the comparison constant for such
+    quotients is not explicit, so values are recorded, not asserted.
     """
-    space = problem.space
-    double_ball = space.dist[center] <= 2.0 * radius
-    if not problem.omega[double_ball].all():
-        raise BallNotCompactlyInside(
-            f"B({center}, {2 * radius}) leaves the domain"
-        )
+    leaves = _leaves_domain(problem, center, 2.0 * radius)
+    if np.any(leaves):
+        bad = np.asarray(center)[leaves]
+        raise BallNotCompactlyInside(f"B(x, {2 * radius}) leaves the domain for x in {bad}")
     scale = max(1.0, float(np.abs(sol.u).max()))
     if sol.u.min() < -1e-12 * scale:
         raise NegativeSolution(f"solution attains {sol.u.min():.3e} < 0")
-    ball = space.dist[center] <= radius
-    vals = np.clip(sol.u[ball], 0.0, None)
-    top, bottom = float(vals.max()), float(vals.min())
-    return float("inf") if bottom == 0.0 else top / bottom
+    top, bottom = _ball_extremes(problem.space, center, radius, np.clip(sol.u, 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(bottom == 0.0, np.inf, top / bottom)
+    return float(q) if q.ndim == 0 else q
+
+
+def _leaves_domain(problem, centres, r):
+    """True where the ball B(x, r) meets the complement of the domain."""
+    return np.any(ball_mask(problem.space, centres, r) & ~problem.omega, axis=-1)
+
+
+def _ball_extremes(space, centres, r, v):
+    """max and min of `v` over each ball B(x, r)."""
+    ball = ball_mask(space, centres, r)
+    return np.where(ball, v, -np.inf).max(axis=-1), np.where(ball, v, np.inf).min(axis=-1)
 
 
 def holder_estimate(sol: Solution, problem: DirichletProblem) -> dict:
@@ -451,26 +459,23 @@ def holder_estimate(sol: Solution, problem: DirichletProblem) -> dict:
     log osc_{B(x,r)}(u) against log r over balls inside the domain.
     Constant solutions report an infinite exponent sentinel."""
     space = problem.space
-    rmin = space.min_positive_distance()
     radii = []
-    r = rmin
+    r = space.min_positive_distance()
     while r <= space.diameter:
         radii.append(r)
         r *= 2.0
     if len(radii) < 3:
         raise InsufficientScales(f"only {len(radii)} radii available, need 3")
 
-    logs = []
-    for x in np.where(problem.omega)[0]:
-        for r in radii:
-            ball = space.dist[x] <= r
-            if problem.omega[ball].all():
-                osc = float(np.ptp(sol.u[ball]))
-                if osc > 0:
-                    logs.append((np.log(r), np.log(osc)))
-    if not logs:
+    # (centre, radius) tables; the fit reads them centre-major
+    centres = np.flatnonzero(problem.omega)
+    inside = np.stack([~_leaves_domain(problem, centres, r) for r in radii], axis=1)
+    osc = np.stack([np.subtract(*_ball_extremes(space, centres, r, sol.u)) for r in radii], axis=1)
+    keep = inside & (osc > 0)
+    if not keep.any():
         return {"alpha_fit": float("inf"), "r2": float("nan")}
-    lr, lo = np.array(logs).T
+    lr = np.broadcast_to(np.log(radii), keep.shape)[keep]
+    lo = np.log(osc[keep])
     if len(set(lr)) < 2:
         raise InsufficientScales("oscillation data spans fewer than 2 radii")
     slope, intercept = np.polyfit(lr, lo, 1)

@@ -29,7 +29,7 @@ from .errors import (
     TailNotConverged,
 )
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_halfline
-from .space import Space, ball_measure
+from .space import Space, ball_mask, ball_measure
 from .spectral import SpectralDecomposition, check_theta
 
 __all__ = [
@@ -91,13 +91,13 @@ class HalfSpaceGrid:
     def m(self) -> int:
         return len(self.ys) - 1
 
-    def weight_integral(self, lo: float, hi: float) -> float:
-        """Exact integral of y^a over [lo, hi] inside the grid span."""
+    def weight_integral(self, lo, hi):
+        """Exact integral of y^a over [lo, hi] (or over arrays of cells)."""
         e = 1.0 + self.a
         return (hi**e - lo**e) / e
 
-    def weight_first_moment(self, lo: float, hi: float) -> float:
-        """Exact integral of y * y^a over [lo, hi]."""
+    def weight_first_moment(self, lo, hi):
+        """Exact integral of y * y^a over [lo, hi], like `weight_integral`."""
         e = 2.0 + self.a
         return (hi**e - lo**e) / e
 
@@ -108,12 +108,15 @@ class HalfSpaceGrid:
                 f"grid built for a={self.a}, but theta={theta} needs a={1 - 2 * theta}"
             )
 
+    def _cells_below(self, r: float):
+        """The cells of [0, r] as arrays (lo, hi): every cell that starts
+        below r, the last one cut at r."""
+        k = int(np.searchsorted(self.ys[:-1], r))
+        return self.ys[:k], np.minimum(self.ys[1 : k + 1], r)
+
     def cell_centroids(self) -> np.ndarray:
         """Measure-weighted centroid of each cell (midpoint in measure)."""
-        lo, hi = self.ys[:-1], self.ys[1:]
-        return np.array(
-            [self.weight_first_moment(l, h) for l, h in zip(lo, hi)]
-        ) / self.cellweights
+        return self.weight_first_moment(*self._cells_below(self.Ymax)) / self.cellweights
 
 
 def build_grid(
@@ -432,14 +435,8 @@ def vertical_modulus(
     a = grid.a
     mass = float(space.mu[mask].sum())
 
-    resistance = 0.0
-    ys = grid.ys
-    for j in range(grid.m):
-        lo, hi = ys[j], min(ys[j + 1], h)
-        if hi <= lo:
-            break
-        wj = grid.weight_integral(lo, hi)
-        resistance += (hi - lo) ** 2 / wj
+    lo, hi = grid._cells_below(h)
+    resistance = float(np.sum((hi - lo) ** 2 / grid.weight_integral(lo, hi)))
     numeric = mass / resistance
     exact = mass * (1.0 - a) / h ** (1.0 - a)
     return {"numeric": numeric, "exact": exact}
@@ -456,7 +453,7 @@ def _subset_mask(space, subset):
     return mask
 
 
-def codim_ball_check(space: Space, grid: HalfSpaceGrid, x: int, r: float) -> dict:
+def codim_ball_check(space: Space, grid: HalfSpaceGrid, x, r: float) -> dict:
     """Volume of the product ball B((x,0), r) in the max metric intersected
     with the half-space, computed two ways:
 
@@ -464,19 +461,13 @@ def codim_ball_check(space: Space, grid: HalfSpaceGrid, x: int, r: float) -> dic
            (partial cell resolved by the exact antiderivative);
       rhs: r^(1+a)/(1+a) * mu(B_X(x, r)).
 
-    Both are exact integrals, so they agree to roundoff.
+    Both are exact integrals, so they agree to roundoff.  `x` may be an
+    array of centres, giving arrays of both sides (a scalar gives floats).
     """
     if not 0 < r <= grid.Ymax * (1 + 1e-12):
         raise RadiusExceedsGrid(f"need 0 < r <= Ymax={grid.Ymax}, got {r}")
     mass = ball_measure(space, x, r)
-    ys = grid.ys
-    height_weight = 0.0
-    for j in range(grid.m):
-        lo, hi = ys[j], min(ys[j + 1], r)
-        if hi <= lo:
-            break
-        height_weight += grid.weight_integral(lo, hi)
-    lhs = mass * height_weight
+    lhs = mass * float(np.sum(grid.weight_integral(*grid._cells_below(r))))
     rhs = r ** (1.0 + grid.a) / (1.0 + grid.a) * mass
     return {"lhs": lhs, "rhs": rhs}
 
@@ -502,39 +493,26 @@ def trace_averaging_diagnostic(u: ExtensionField, space: Space) -> dict:
     boundary row.  At grid level the boundary row is exact, so this only
     gauges the observed convergence rate of the averages; no rate is asserted.
     """
-    grid = u.grid
-    ys, vals = grid.ys, u.values
-    radii = [ys[j] for j in range(min(grid.m, 12), 0, -1)]
-    boundary = vals[:, 0]
-    deviations = []
-    for r in radii:
-        avg = _product_ball_average(u, space, r)
-        deviations.append(float(np.max(np.abs(avg - boundary))))
+    radii = u.grid.ys[min(u.grid.m, 12) : 0 : -1]
+    deviations = [
+        float(np.max(np.abs(_product_ball_average(u, space, r) - u.boundary()))) for r in radii
+    ]
     return {
-        "radii": [float(r) for r in radii],
+        "radii": radii.tolist(),
         "max_deviation": deviations,
         "finest_deviation": deviations[-1],
     }
 
 
 def _product_ball_average(u, space, r):
-    grid = u.grid
-    ys, vals = grid.ys, u.values
+    grid, vals = u.grid, u.values
     # integral of the piecewise-linear interpolant against y^a over [0, r]
-    col_int = np.zeros(space.n)
-    for j in range(grid.m):
-        lo, hi = ys[j], min(ys[j + 1], r)
-        if hi <= lo:
-            break
-        w = grid.weight_integral(lo, hi)
-        m1 = grid.weight_first_moment(lo, hi)
-        slope = (vals[:, j + 1] - vals[:, j]) / (ys[j + 1] - ys[j])
-        col_int += vals[:, j] * w + slope * (m1 - ys[j] * w)
-    height = grid.weight_integral(0.0, r)
-    out = np.empty(space.n)
-    for x in range(space.n):
-        in_ball = space.dist[x] <= r
-        out[x] = float(space.mu[in_ball] @ col_int[in_ball]) / (
-            float(space.mu[in_ball].sum()) * height
-        )
-    return out
+    lo, hi = grid._cells_below(r)
+    k = len(lo)
+    w = grid.weight_integral(lo, hi)
+    m1 = grid.weight_first_moment(lo, hi)
+    slope = np.diff(vals[:, : k + 1], axis=1) / np.diff(grid.ys[: k + 1])
+    col_int = vals[:, :k] @ w + slope @ (m1 - lo * w)
+    ball = ball_mask(space, np.arange(space.n), r)
+    total, mass = (ball @ np.column_stack([space.mu * col_int, space.mu])).T
+    return total / (mass * grid.weight_integral(0.0, r))

@@ -30,6 +30,7 @@ from .errors import (
 __all__ = [
     "Space",
     "build_space",
+    "ball_mask",
     "ball_measure",
     "doubling_stats",
     "fixture",
@@ -153,11 +154,20 @@ def _check_metric(dist):
             )
 
 
-def ball_measure(space: Space, x: int, r: float) -> float:
-    """Mass of the closed ball B(x, r) = {z : d(x, z) <= r}."""
+def ball_mask(space: Space, x, r: float) -> np.ndarray:
+    """Membership of the closed balls B(x, r) = {z : d(x, z) <= r}, points at
+    distance exactly r inside: shape x.shape + (n,) for a centre or an array
+    of centres.  The one place the closed-ball rule is written."""
     if r < 0:
         raise InvalidParams(f"radius must be nonnegative, got {r}")
-    return float(space.mu[space.dist[x] <= r].sum())
+    return space.dist[x] <= r
+
+
+def ball_measure(space: Space, x, r: float):
+    """Mass of the closed ball B(x, r), by a direct sum over its members;
+    broadcasts over an array of centres (a scalar centre gives a float)."""
+    mass = np.where(ball_mask(space, x, r), space.mu, 0.0).sum(axis=-1)
+    return float(mass) if mass.ndim == 0 else mass
 
 
 def doubling_stats(space: Space) -> dict:
@@ -168,35 +178,26 @@ def doubling_stats(space: Space) -> dict:
     per-center least-squares slopes of log mu(B(x,r)) against log r.  Purely
     diagnostic: nothing is enforced.
     """
-    diam = space.diameter
     rmin = space.min_positive_distance()
-
     radii = []
-    r = diam
+    r = space.diameter
     while r >= rmin / 2.0:
         radii.append(r)
         r /= 2.0
     radii = np.array(radii[::-1])
 
-    masses = np.array(
-        [[ball_measure(space, x, r) for r in radii] for x in range(space.n)]
-    )
-
-    cd = 0.0
-    for i, r in enumerate(radii):
-        j = np.searchsorted(radii, 2.0 * r)
-        col2 = masses[:, j] if j < len(radii) else np.full(space.n, space.total_mass)
-        cd = max(cd, float(np.max(col2 / masses[:, i])))
+    centres = np.arange(space.n)
+    masses = np.stack([ball_measure(space, centres, r) for r in radii], axis=1)
+    # mu(B(x, 2r)): the column of the radius 2r, or the whole space beyond the diameter
+    j = np.searchsorted(radii, 2.0 * radii)
+    doubled = np.hstack([masses, np.full((space.n, 1), space.total_mass)])[:, j]
+    cd = float(np.max(doubled / masses))
 
     fit = radii >= rmin
-    slopes = []
+    b_l = b_u = float("nan")
     if fit.sum() >= 2:
-        logr = np.log(radii[fit])
-        for x in range(space.n):
-            logm = np.log(masses[x, fit])
-            slopes.append(float(np.polyfit(logr, logm, 1)[0]))
-    b_l = min(slopes) if slopes else float("nan")
-    b_u = max(slopes) if slopes else float("nan")
+        slopes = np.polyfit(np.log(radii[fit]), np.log(masses[:, fit]).T, 1)[0]
+        b_l, b_u = float(slopes.min()), float(slopes.max())
     return {"C_D": cd, "b_l": b_l, "b_u": b_u}
 
 
@@ -225,34 +226,26 @@ def _check_fixture(kind, params):
         raise InvalidParams(f"fixture {kind!r}: {exc}") from None
 
 
+def _path_adjacency(n: int) -> np.ndarray:
+    """Unit conductances between consecutive points of a path on n points."""
+    return np.eye(n, k=1) + np.eye(n, k=-1)
+
+
 def _fixture_path(n: int) -> Space:
     if n < 2:
         raise InvalidParams("path fixture needs n >= 2")
-    cond = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    cond[idx, idx + 1] = cond[idx + 1, idx] = 1.0
     ii = np.arange(n)
     dist = np.abs(ii[:, None] - ii[None, :]).astype(float)
-    return build_space(dist, np.ones(n), cond)
+    return build_space(dist, np.ones(n), _path_adjacency(n))
 
 
 def _fixture_grid2d(nx: int, ny: int | None = None) -> Space:
     ny = nx if ny is None else ny
     if nx < 2 or ny < 2:
         raise InvalidParams("grid2d fixture needs nx, ny >= 2")
-    n = nx * ny
-    cond = np.zeros((n, n))
-
-    def node(i, j):
-        return i * ny + j
-
-    for i in range(nx):
-        for j in range(ny):
-            if i + 1 < nx:
-                cond[node(i, j), node(i + 1, j)] = cond[node(i + 1, j), node(i, j)] = 1.0
-            if j + 1 < ny:
-                cond[node(i, j), node(i, j + 1)] = cond[node(i, j + 1), node(i, j)] = 1.0
-    return build_space(_shortest_path_metric(cond), np.ones(n), cond)
+    # point (i, j) is i * ny + j
+    cond = np.kron(_path_adjacency(nx), np.eye(ny)) + np.kron(np.eye(nx), _path_adjacency(ny))
+    return build_space(_shortest_path_metric(cond), np.ones(nx * ny), cond)
 
 
 def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
@@ -262,16 +255,9 @@ def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
         raise InvalidParams("dumbbell fixture needs clique >= 2, bridge >= 0")
     n = 2 * clique + bridge
     cond = np.zeros((n, n))
-    left = range(clique)
-    right = range(clique + bridge, n)
-    for block in (left, right):
-        for i in block:
-            for j in block:
-                if i != j:
-                    cond[i, j] = 1.0
-    chain = [clique - 1, *range(clique, clique + bridge), clique + bridge]
-    for u, v in zip(chain[:-1], chain[1:]):
-        cond[u, v] = cond[v, u] = 1.0
+    cond[:clique, :clique] = cond[-clique:, -clique:] = 1.0 - np.eye(clique)
+    chain = np.arange(clique - 1, clique + bridge + 1)
+    cond[chain[:-1], chain[1:]] = cond[chain[1:], chain[:-1]] = 1.0
     return build_space(_shortest_path_metric(cond), np.ones(n), cond)
 
 

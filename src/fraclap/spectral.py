@@ -127,11 +127,15 @@ def decompose(space: Space, eigentolerance: float = DEFAULT_EIGENTOL) -> Spectra
     A connected space has exactly one zero eigenvalue, and anything else
     raises EigensolverNoConvergence.
     """
+    # n x n work arrays are updated in place and freed before validation;
+    # sym.T is sym (exactly symmetric) in the Fortran order LAPACK overwrites
     sqrt_mu = np.sqrt(space.mu)
-    stiff = graph_stiffness(space)
-    sym = stiff / np.outer(sqrt_mu, sqrt_mu)
-    sym = 0.5 * (sym + sym.T)
-    lambdas, vecs = eigh(sym)
+    sym = graph_stiffness(space)
+    sym /= np.outer(sqrt_mu, sqrt_mu)
+    sym += sym.T
+    sym *= 0.5
+    lambdas, vecs = eigh(sym.T, overwrite_a=True)
+    del sym
 
     zero_tol = eigentolerance * max(lambdas[-1], 0.0)
     if lambdas[0] < -zero_tol:
@@ -145,7 +149,8 @@ def decompose(space: Space, eigentolerance: float = DEFAULT_EIGENTOL) -> Spectra
             f"{n_zero} eigenvalues within {zero_tol:.3e} of zero; a connected space has one"
         )
 
-    phis = _fix_signs(vecs / sqrt_mu[:, None])
+    vecs /= sqrt_mu[:, None]
+    phis = _fix_signs(vecs)
     dec = SpectralDecomposition(space=space, lambdas=lambdas, phis=phis)
     _validate_decomposition(dec, eigentolerance)
     lambdas.setflags(write=False)
@@ -158,15 +163,16 @@ def _fix_signs(phis: np.ndarray) -> np.ndarray:
     1e-12 of its largest magnitude) is positive."""
     mag = np.abs(phis)
     lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
-    flip = phis[lead, np.arange(phis.shape[1])] < 0
-    phis[:, flip] = -phis[:, flip]
+    phis *= np.where(phis[lead, np.arange(phis.shape[1])] < 0, -1.0, 1.0)
     return phis
 
 
 def _validate_decomposition(dec, tol):
     space, lam, phi = dec.space, dec.lambdas, dec.phis
     gram = phi.T @ (space.mu[:, None] * phi)
-    ortho_err = np.max(np.abs(gram - np.eye(space.n)))
+    gram[np.diag_indices(space.n)] -= 1.0
+    ortho_err = np.max(np.abs(gram))
+    del gram
     # eigen-residual |Delta phi_k + lambda_k phi_k| relative to max |phi|,
     # which scales like mu^(-1/2)
     resid = _laplacian(space, phi)

@@ -30,6 +30,15 @@ def dumbbell55():
 
 
 @pytest.fixture(scope="session")
+def weighted_grid34():
+    """Inline 3x4 grid with unequal masses and conductances.  The masses are
+    multiples of 1/4, so every sum of them is exact in any order."""
+    grid = fixture("grid2d", nx=3, ny=4)
+    mu = (1.0 + np.arange(12) % 5) / 4.0
+    return build_space(grid.dist, mu, 2.5 * grid.cond)
+
+
+@pytest.fixture(scope="session")
 def k2_dec(k2):
     return decompose(k2)
 

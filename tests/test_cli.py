@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from fraclap.cli import load_config, main, normalize_config
+from fraclap.cli import _KINDS, load_config, main, normalize_config
 from fraclap.errors import ConfigParseError
 
 
@@ -277,3 +277,47 @@ def test_bad_omega_mask_is_config_error(tmp_path, capsys, mask, message):
     assert main(["validate", "--config", path]) == 2
     assert message in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("harnack_scan", {"radius": -1}),
+        ("harnack_scan", {"radius": "1"}),
+        ("codim_check", {"rs": []}),
+        ("codim_check", {"rs": [0.5, float("inf")]}),
+        ("heat_properties", {"subordination_ts": []}),
+        ("heat_properties", {"ts": []}),
+        ("heat_properties", {"export_kernels": 1}),
+        ("dtn_convergence", {"ms": []}),
+        ("dtn_convergence", {"ms": [16]}),  # one point fits no slope
+        ("dtn_convergence", {"ymax": 0}),
+        ("energy_comparability", {"family_size": "3"}),
+        ("energy_comparability", {"family_size": True}),
+        ("energy_identity", {"lams": []}),
+        ("energy_identity", {"tol": float("nan")}),
+        ("modulus_check", {"hs": []}),
+        ("modulus_check", {"ms": [1024.5, 2048]}),
+        ("max_principle_batch", {"n_seeds": 0}),
+    ],
+)
+def test_bad_experiment_param_is_config_error(tmp_path, capsys, kind, params):
+    path = write_config(tmp_path, base_config(experiments=[{"kind": kind, "params": params}]))
+    (key,) = params
+    with pytest.raises(ConfigParseError, match=key):
+        load_config(path)
+    assert main(["validate", "--config", path]) == 2
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_experiment_params_fitting_the_defaults_accepted(tmp_path):
+    # ints where a default is a float, null ymax, and every default itself
+    experiments = [
+        {"kind": "harnack_scan", "params": {"radius": 1}},
+        {"kind": "dtn_convergence", "params": {"ms": [8, 10], "ymax": None}},
+        {"kind": "codim_check", "params": {"rs": [1, 0.5], "tol": 1}},
+        {"kind": "heat_properties", "params": {"export_kernels": True}},
+    ]
+    experiments += [{"kind": kind, "params": spec.defaults} for kind, spec in _KINDS.items()]
+    assert load_config(write_config(tmp_path, base_config(experiments=experiments)))

@@ -237,7 +237,7 @@ def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request):
     op = _ProductGridOperator(space, grid, prob.omega)
     b = op.rhs_scaled(prob.f)
     x, _, plain_iterations = _conjugate_gradient(
-        op.apply_scaled, b, np.zeros_like(b), lambda r: r, IterSpec()
+        op.apply_scaled, b, np.zeros_like(b), lambda r: r, IterSpec(max_iter=100_000)
     )
     plain, _ = op.unpack(x / op.scale, prob.f)
     sol = solve_extension(prob, grid, dec=dec)
@@ -453,6 +453,8 @@ def test_harnack_ball_not_inside(p3, p3_dec):
     sol = solve_spectral(prob, dec=p3_dec)
     with pytest.raises(BallNotCompactlyInside):
         harnack_quotient(sol, prob, 1, 1.0)
+    with pytest.raises(BallNotCompactlyInside, match=r"\[1\]"):
+        harnack_quotient(sol, prob, np.array([1]), 1.0)
 
 
 def test_holder_estimate_grid16():
@@ -481,6 +483,83 @@ def test_holder_insufficient_scales(k2, k2_dec):
     sol = solve_spectral(prob, dec=k2_dec)
     with pytest.raises(InsufficientScales):
         holder_estimate(sol, prob)
+
+
+# -- array code against the per-centre loops it replaced
+
+
+def _all_but_last(space, k=2):
+    omega = np.ones(space.n, dtype=bool)
+    omega[-k:] = False
+    return omega
+
+
+def harnack_rows_loop(sol, problem, radius):
+    """The CLI's per-centre admissibility filter and quotient."""
+    space, omega = problem.space, problem.omega
+    rows = []
+    for x in np.where(omega)[0]:
+        if omega[space.dist[x] <= 2.0 * radius].all():
+            vals = np.clip(sol.u[space.dist[x] <= radius], 0.0, None)
+            top, bottom = float(vals.max()), float(vals.min())
+            rows.append((int(x), radius, float("inf") if bottom == 0.0 else top / bottom))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["path8", "grid44", "dumbbell55", "weighted_grid34"])
+def test_harnack_scan_matches_loop(name, request):
+    from fraclap import cli
+
+    sp = request.getfixturevalue(name)
+    dec = decompose(sp)
+    omega = _all_but_last(sp)
+    f = np.abs(np.random.default_rng([0, 0]).standard_normal(sp.n))
+    problem = DirichletProblem(space=sp, theta=0.5, omega=omega, f=f)
+    sol = solve_spectral(problem, dec=dec)
+    ctx = {"space": sp, "dec": dec, "theta": 0.5, "seed": 0, "index": 0}
+    n_rows = 0
+    for radius in (0.5, 1.0, 1.5, sp.diameter):  # the last admits no centre
+        params = {"omega_mask": omega.tolist(), "radius": radius}
+        metrics, _, tables = cli._exp_harnack_scan(ctx, params)
+        loop = harnack_rows_loop(sol, problem, radius)
+        assert tables["harnack_scan.csv"][1:] == loop
+        assert metrics["n_balls"] == len(loop)
+        assert metrics["max_quotient"] == max((q for _, _, q in loop), default=None)
+        n_rows += len(loop)
+    assert n_rows > 0
+
+
+def holder_loop(sol, problem):
+    """holder_estimate's centre x radius loop."""
+    space = problem.space
+    radii = []
+    r = space.min_positive_distance()
+    while r <= space.diameter:
+        radii.append(r)
+        r *= 2.0
+    logs = []
+    for x in np.where(problem.omega)[0]:
+        for r in radii:
+            ball = space.dist[x] <= r
+            if problem.omega[ball].all():
+                osc = float(np.ptp(sol.u[ball]))
+                if osc > 0:
+                    logs.append((np.log(r), np.log(osc)))
+    lr, lo = np.array(logs).T
+    slope, intercept = np.polyfit(lr, lo, 1)
+    r2 = 1.0 - np.sum((lo - slope * lr - intercept) ** 2) / np.sum((lo - lo.mean()) ** 2)
+    return slope, r2
+
+
+def test_holder_estimate_matches_loop(path8, grid44, weighted_grid34):
+    for sp in (path8, grid44, weighted_grid34, fixture("dumbbell", clique=4, bridge=3)):
+        f = np.random.default_rng(5).standard_normal(sp.n)
+        problem = DirichletProblem(space=sp, theta=0.25, omega=_all_but_last(sp), f=f)
+        sol = solve_spectral(problem)
+        rep = holder_estimate(sol, problem)
+        slope, r2 = holder_loop(sol, problem)
+        assert rep["alpha_fit"] == pytest.approx(slope, rel=1e-13, abs=0.0)
+        assert rep["r2"] == pytest.approx(r2, rel=1e-13, abs=0.0)
 
 
 # -- properties

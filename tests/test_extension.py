@@ -397,3 +397,108 @@ def test_field_csv_rows(p3, p3_dec):
     assert rows[0] == ("x_index", "y", "value")
     assert len(rows) == 1 + 3 * 9
     assert rows[1] == (0, 0.0, 1.0)
+
+
+# -- array code against the per-cell and per-centre loops it replaced
+
+
+def clipped_cells_loop(grid, r):
+    cells = []
+    for j in range(grid.m):
+        lo, hi = grid.ys[j], min(grid.ys[j + 1], r)
+        if hi <= lo:
+            break
+        cells.append((lo, hi))
+    return cells
+
+
+def product_ball_average_loop(u, space, r):
+    grid, ys, vals = u.grid, u.grid.ys, u.values
+    col_int = np.zeros(space.n)
+    for j, (lo, hi) in enumerate(clipped_cells_loop(grid, r)):
+        w = grid.weight_integral(lo, hi)
+        m1 = grid.weight_first_moment(lo, hi)
+        slope = (vals[:, j + 1] - vals[:, j]) / (ys[j + 1] - ys[j])
+        col_int += vals[:, j] * w + slope * (m1 - ys[j] * w)
+    height = grid.weight_integral(0.0, r)
+    out = np.empty(space.n)
+    for x in range(space.n):
+        in_ball = space.dist[x] <= r
+        out[x] = float(space.mu[in_ball] @ col_int[in_ball]) / (
+            float(space.mu[in_ball].sum()) * height
+        )
+    return out
+
+
+def assert_rel_close(actual, expected, rel=1e-13):
+    expected = np.asarray(expected, dtype=float)
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("layout", ["uniform", "geometric"])
+def test_cell_sums_match_loops(path8, grid44, dumbbell55, weighted_grid34, theta, layout):
+    grid = build_grid(theta, 4.0, 16, layout=layout)
+    # radii between nodes, on a node, and at the top of the grid
+    for r in (grid.ys[1] / 3, 0.3, grid.ys[5], 1.7, 4.0):
+        cells = clipped_cells_loop(grid, r)
+        height = sum(grid.weight_integral(lo, hi) for lo, hi in cells)
+        resistance = sum((hi - lo) ** 2 / grid.weight_integral(lo, hi) for lo, hi in cells)
+        for sp in (path8, grid44, dumbbell55, weighted_grid34):
+            out = codim_ball_check(sp, grid, np.arange(sp.n), r)
+            mass = np.array([sp.mu[sp.dist[x] <= r].sum() for x in range(sp.n)])
+            assert_rel_close(out["lhs"], mass * height)
+            numeric = vertical_modulus(sp, np.ones(sp.n, dtype=bool), r, theta, grid)["numeric"]
+            assert numeric == pytest.approx(sp.total_mass / resistance, rel=1e-13, abs=0.0)
+    centroids = [
+        grid.weight_first_moment(lo, hi) / w
+        for (lo, hi), w in zip(clipped_cells_loop(grid, grid.Ymax), grid.cellweights)
+    ]
+    assert_rel_close(grid.cell_centroids(), centroids)
+
+
+def test_codim_scalar_centre_gives_floats(grid44):
+    grid = build_grid(0.25, 4.0, 16)
+    out = codim_ball_check(grid44, grid, 5, 1.5)
+    assert type(out["lhs"]) is float and type(out["rhs"]) is float
+    both = codim_ball_check(grid44, grid, np.array([5, 6]), 1.5)
+    assert both["lhs"][0] == out["lhs"] and both["rhs"][0] == out["rhs"]
+
+
+@pytest.mark.parametrize("name", ["path8", "grid44", "dumbbell55", "weighted_grid34"])
+def test_product_ball_average_matches_loop(name, request):
+    from fraclap import decompose
+    from fraclap.extension import _product_ball_average
+
+    sp = request.getfixturevalue(name)
+    dec = decompose(sp)
+    f = np.random.default_rng(4).standard_normal(sp.n)
+    for theta, layout in ((0.25, "geometric"), (0.75, "uniform")):
+        u = poisson_extend(dec, theta, f, build_grid(theta, 8.0, 16, layout=layout))
+        for r in (u.grid.ys[1], 0.7, u.grid.ys[9], 3.0):
+            assert_rel_close(_product_ball_average(u, sp, r), product_ball_average_loop(u, sp, r))
+
+
+def test_codim_check_rows_match_loop(grid44, weighted_grid34):
+    # the CLI's centre x radius loop over the per-cell sums
+    from fraclap import cli
+
+    rs, a = [0.25, 1, 2.5], 0.5
+    grid = build_grid(0.25, 2.5, 16)
+    for sp in (grid44, weighted_grid34):
+        _, passed, tables = cli._exp_codim_check(
+            {"space": sp, "theta": 0.25}, {"rs": rs, "tol": 1e-12, "m": 16}
+        )
+        keys, lhs, rhs = [], [], []
+        for x in range(sp.n):
+            for r in rs:
+                mass = sp.mu[sp.dist[x] <= r].sum()
+                cells = clipped_cells_loop(grid, r)
+                keys.append((x, r))
+                lhs.append(mass * sum(grid.weight_integral(lo, hi) for lo, hi in cells))
+                rhs.append(r ** (1 + a) / (1 + a) * mass)
+        rows = tables["codim_check.csv"][1:]
+        assert [row[:2] for row in rows] == keys
+        assert_rel_close(np.array([row[2] for row in rows]), lhs)
+        assert_rel_close(np.array([row[3] for row in rows]), rhs)
+        assert passed

@@ -1,17 +1,35 @@
 """Peak-allocation guards: the dense kernels must stay within O(n^2) memory.
 
 The bound is 32 n^2 doubles at n=300 (about 23 MB), so a single n^3
-temporary (216 MB of doubles, or 27 MB even as booleans) breaks it.
+temporary (216 MB of doubles, or 27 MB even as booleans) breaks it.  The
+geometric checks run over every centre at once, where the easy mistake is a
+(centre, point, radius) tensor: with 6 to 12 radii at n=300 it stays under
+32 n^2 doubles, so they are held to 4 n^2 (they take about 1.2 n^2).
 """
 
 import tracemalloc
 
 import numpy as np
 
-from fraclap import besov_energy, fixture, heat_kernel_series
+from fraclap import (
+    DirichletProblem,
+    besov_energy,
+    build_grid,
+    codim_ball_check,
+    decompose,
+    default_ymax,
+    doubling_stats,
+    fixture,
+    heat_kernel_series,
+    holder_estimate,
+    poisson_extend,
+    solve_spectral,
+    trace_averaging_diagnostic,
+)
 
 N = 300
 BOUND_BYTES = 32 * N * N * 8
+GEOMETRIC_BOUND_BYTES = 4 * N * N * 8
 
 
 def peak_bytes(fn, *args):
@@ -23,6 +41,10 @@ def peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def grid300():
+    return fixture("grid2d", nx=15, ny=20)
+
+
 def test_besov_energy_peak_allocation():
     # a fresh space, so the ball-mass table is built inside the traced call
     sp = fixture("random_geometric", n=N, radius=0.15, seed=0)
@@ -31,5 +53,25 @@ def test_besov_energy_peak_allocation():
 
 
 def test_heat_kernel_series_peak_allocation():
-    sp = fixture("grid2d", nx=15, ny=20)
-    assert peak_bytes(heat_kernel_series, sp, 1.0) <= BOUND_BYTES
+    assert peak_bytes(heat_kernel_series, grid300(), 1.0) <= BOUND_BYTES
+
+
+def test_decompose_peak_allocation():
+    # the eigensolver's inputs are freed before validation: about 3 n^2
+    # doubles, where keeping them alive takes about 7
+    assert peak_bytes(decompose, grid300()) <= 5 * N * N * 8
+
+
+def test_geometric_checks_peak_allocation():
+    sp = grid300()
+    dec = decompose(sp)
+    omega = (sp.cond > 0).sum(axis=1) == 4
+    f = np.random.default_rng(0).standard_normal(N)
+    prob = DirichletProblem(space=sp, theta=0.25, omega=omega, f=f)
+    sol = solve_spectral(prob, dec=dec)
+    u = poisson_extend(dec, 0.25, f, build_grid(0.25, default_ymax(dec), 32))
+    grid = build_grid(0.25, 4.0, 64)
+    assert peak_bytes(doubling_stats, sp) <= GEOMETRIC_BOUND_BYTES
+    assert peak_bytes(holder_estimate, sol, prob) <= GEOMETRIC_BOUND_BYTES
+    assert peak_bytes(codim_ball_check, sp, grid, np.arange(N), 4.0) <= GEOMETRIC_BOUND_BYTES
+    assert peak_bytes(trace_averaging_diagnostic, u, sp) <= GEOMETRIC_BOUND_BYTES

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import floyd_warshall
 
 from fraclap import (
+    ball_mask,
     ball_measure,
     build_space,
     doubling_stats,
@@ -137,6 +138,23 @@ def test_ball_masses_nonuniform_measure():
     )
 
 
+def test_ball_measure_all_centres_matches_loop(path8, grid44, dumbbell55, weighted_grid34):
+    # the per-centre mask sum that the array code replaced, at tie radii too
+    for sp in (path8, grid44, dumbbell55, weighted_grid34):
+        centres = np.arange(sp.n)
+        for r in (0.0, 0.5, 1.0, 1.5, 2.0, sp.diameter):
+            loop = np.array([sp.mu[sp.dist[x] <= r].sum() for x in range(sp.n)])
+            assert np.array_equal(ball_measure(sp, centres, r), loop)
+            assert [ball_measure(sp, int(x), r) for x in centres] == loop.tolist()
+            assert ball_mask(sp, centres, r).shape == (sp.n, sp.n)
+    # generic masses: the same sums up to their order
+    sp = fixture("random_geometric", n=40, radius=0.4, seed=3)
+    sp = build_space(sp.dist, np.random.default_rng(3).uniform(0.1, 3.0, 40), sp.cond)
+    for r in (0.1, 0.3, 0.7):
+        loop = np.array([sp.mu[sp.dist[x] <= r].sum() for x in range(sp.n)])
+        np.testing.assert_allclose(ball_measure(sp, np.arange(sp.n), r), loop, rtol=1e-14)
+
+
 def test_negative_radius_rejected(k2):
     with pytest.raises(InvalidParams):
         ball_measure(k2, 0, -0.1)
@@ -149,6 +167,36 @@ def test_doubling_k2(k2):
     # two regimes: mass 1 below distance 1, mass 2 at and beyond
     stats = doubling_stats(k2)
     assert stats["C_D"] <= 2.0 + 1e-12
+
+
+def doubling_stats_loop(space):
+    """The per-centre, per-radius loop that doubling_stats replaced."""
+    radii = []
+    r = space.diameter
+    while r >= space.min_positive_distance() / 2.0:
+        radii.append(r)
+        r /= 2.0
+    radii = np.array(radii[::-1])
+    masses = np.array(
+        [[space.mu[space.dist[x] <= r].sum() for r in radii] for x in range(space.n)]
+    )
+    cd = 0.0
+    for i, r in enumerate(radii):
+        j = np.searchsorted(radii, 2.0 * r)
+        col2 = masses[:, j] if j < len(radii) else np.full(space.n, space.total_mass)
+        cd = max(cd, float(np.max(col2 / masses[:, i])))
+    fit = radii >= space.min_positive_distance()
+    logr = np.log(radii[fit])
+    slopes = [np.polyfit(logr, np.log(masses[x, fit]), 1)[0] for x in range(space.n)]
+    return {"C_D": cd, "b_l": min(slopes), "b_u": max(slopes)}
+
+
+def test_doubling_stats_matches_loop(path8, grid44, dumbbell55, weighted_grid34):
+    for sp in (path8, grid44, dumbbell55, weighted_grid34, fixture("path", n=32)):
+        stats, loop = doubling_stats(sp), doubling_stats_loop(sp)
+        assert stats["C_D"] == loop["C_D"]
+        for key in ("b_l", "b_u"):
+            assert stats[key] == pytest.approx(loop[key], rel=1e-13, abs=0.0)
 
 
 def test_doubling_path_growth_exponent_near_one():
@@ -179,6 +227,31 @@ def test_dumbbell_fixture(dumbbell55):
     # bridge endpoints have clique degree + 1
     assert sorted(degrees)[-2:] == [5, 5]
     assert dumbbell55.dist[0, 9] == 3.0
+
+
+def test_fixture_conductances_match_loops():
+    # the scalar loops the grid2d and dumbbell builders replaced
+    for nx, ny in ((2, 2), (4, 4), (3, 7), (20, 20)):
+        cond = np.zeros((nx * ny, nx * ny))
+        for i in range(nx):
+            for j in range(ny):
+                if i + 1 < nx:
+                    cond[i * ny + j, (i + 1) * ny + j] = cond[(i + 1) * ny + j, i * ny + j] = 1
+                if j + 1 < ny:
+                    cond[i * ny + j, i * ny + j + 1] = cond[i * ny + j + 1, i * ny + j] = 1
+        assert np.array_equal(fixture("grid2d", nx=nx, ny=ny).cond, cond)
+    for clique, bridge in ((2, 0), (5, 5), (4, 1)):
+        n = 2 * clique + bridge
+        cond = np.zeros((n, n))
+        for block in (range(clique), range(clique + bridge, n)):
+            for i in block:
+                for j in block:
+                    if i != j:
+                        cond[i, j] = 1.0
+        chain = [clique - 1, *range(clique, clique + bridge), clique + bridge]
+        for u, v in zip(chain[:-1], chain[1:]):
+            cond[u, v] = cond[v, u] = 1.0
+        assert np.array_equal(fixture("dumbbell", clique=clique, bridge=bridge).cond, cond)
 
 
 def test_random_geometric_deterministic():
