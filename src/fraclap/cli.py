@@ -40,6 +40,7 @@ from .dirichlet import (
 from .energy import comparability_report, stiffness_matrix
 from .errors import ConfigParseError, FraclapError, InvalidParams
 from .extension import (
+    MIN_GRID_NODES,
     build_grid,
     codim_ball_check,
     default_ymax,
@@ -50,7 +51,7 @@ from .extension import (
     poisson_extend,
     vertical_modulus,
 )
-from .space import check_space_spec, interior_mask, space_from_spec, space_size
+from .space import ball_mask, check_space_spec, interior_mask, space_from_spec, space_size
 from .spectral import (
     check_theta,
     decompose,
@@ -124,10 +125,15 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
         if unknown:
             raise ConfigParseError(f"{where}: unknown params {unknown}; allowed: {sorted(allowed)}")
         for key, value in params.items():
-            if key != "omega_mask":
-                _check_param(value, allowed[key], f"{where}: {key!r}")
-            elif value is not None:
-                _check_omega_mask(value, space_spec, where)
+            if key == "omega_mask":
+                if value is not None:
+                    _check_omega_mask(value, space_spec, where)
+                continue
+            _check_param(value, allowed[key], f"{where}: {key!r}")
+            if key in _GRID_SIZE_PARAMS and min(np.atleast_1d(value)) < MIN_GRID_NODES:
+                raise ConfigParseError(
+                    f"{where}: {key!r} grid sizes must be at least {MIN_GRID_NODES}, got {value!r}"
+                )
         if kind == "dtn_convergence" and len(params.get("ms", allowed["ms"])) < 2:
             raise ConfigParseError(f"{where}: 'ms' needs at least 2 grid sizes to fit a slope")
         normalized_experiments.append({"kind": kind, "params": params})
@@ -144,6 +150,10 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
         "seed": seed,
         "output": raw.get("output"),
     }
+
+
+# params that count nodes of an extension grid (`build_grid`'s m)
+_GRID_SIZE_PARAMS = ("m", "ms")
 
 
 def _check_param(value, default, where):
@@ -353,7 +363,7 @@ def _exp_harnack_scan(ctx, params):
     problem = DirichletProblem(space=space, theta=theta, omega=omega, f=f)
     sol = solve_spectral(problem, dec=dec)
     centres = np.flatnonzero(omega)
-    centres = centres[~_leaves_domain(problem, centres, 2.0 * radius)]
+    centres = centres[~_leaves_domain(problem, ball_mask(space, centres, 2.0 * radius))]
     quotients = harnack_quotient(sol, problem, centres, radius)
     rows = [("center", "radius", "quotient")]
     rows += zip(centres.tolist(), [radius] * len(centres), quotients.tolist())

@@ -430,27 +430,27 @@ def harnack_quotient(sol: Solution, problem: DirichletProblem, center, radius: f
     scalar gives a float).  Diagnostic only: the comparison constant for such
     quotients is not explicit, so values are recorded, not asserted.
     """
-    leaves = _leaves_domain(problem, center, 2.0 * radius)
+    space = problem.space
+    leaves = _leaves_domain(problem, ball_mask(space, center, 2.0 * radius))
     if np.any(leaves):
         bad = np.asarray(center)[leaves]
         raise BallNotCompactlyInside(f"B(x, {2 * radius}) leaves the domain for x in {bad}")
     scale = max(1.0, float(np.abs(sol.u).max()))
     if sol.u.min() < -1e-12 * scale:
         raise NegativeSolution(f"solution attains {sol.u.min():.3e} < 0")
-    top, bottom = _ball_extremes(problem.space, center, radius, np.clip(sol.u, 0.0, None))
+    top, bottom = _ball_extremes(ball_mask(space, center, radius), np.clip(sol.u, 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(bottom == 0.0, np.inf, top / bottom)
     return float(q) if q.ndim == 0 else q
 
 
-def _leaves_domain(problem, centres, r):
-    """True where the ball B(x, r) meets the complement of the domain."""
-    return np.any(ball_mask(problem.space, centres, r) & ~problem.omega, axis=-1)
+def _leaves_domain(problem, ball):
+    """True where a ball (a `ball_mask` row) meets the complement of the domain."""
+    return np.any(ball & ~problem.omega, axis=-1)
 
 
-def _ball_extremes(space, centres, r, v):
-    """max and min of `v` over each ball B(x, r)."""
-    ball = ball_mask(space, centres, r)
+def _ball_extremes(ball, v):
+    """max and min of `v` over each ball (a `ball_mask` row)."""
     return np.where(ball, v, -np.inf).max(axis=-1), np.where(ball, v, np.inf).min(axis=-1)
 
 
@@ -467,10 +467,15 @@ def holder_estimate(sol: Solution, problem: DirichletProblem) -> dict:
     if len(radii) < 3:
         raise InsufficientScales(f"only {len(radii)} radii available, need 3")
 
-    # (centre, radius) tables; the fit reads them centre-major
+    # (centre, radius) tables; the fit reads them centre-major.  One ball mask
+    # per radius; oscillations only where the ball stays inside the domain.
     centres = np.flatnonzero(problem.omega)
-    inside = np.stack([~_leaves_domain(problem, centres, r) for r in radii], axis=1)
-    osc = np.stack([np.subtract(*_ball_extremes(space, centres, r, sol.u)) for r in radii], axis=1)
+    inside = np.empty((len(centres), len(radii)), dtype=bool)
+    osc = np.zeros(inside.shape)
+    for j, r in enumerate(radii):
+        ball = ball_mask(space, centres, r)
+        inside[:, j] = stays = ~_leaves_domain(problem, ball)
+        osc[stays, j] = np.subtract(*_ball_extremes(ball[stays], sol.u))
     keep = inside & (osc > 0)
     if not keep.any():
         return {"alpha_fit": float("inf"), "r2": float("nan")}

@@ -128,13 +128,16 @@ def decompose(space: Space, eigentolerance: float = DEFAULT_EIGENTOL) -> Spectra
     raises EigensolverNoConvergence.
     """
     # n x n work arrays are updated in place and freed before validation;
-    # sym.T is sym (exactly symmetric) in the Fortran order LAPACK overwrites
+    # sym.T is sym (exactly symmetric) in the Fortran order LAPACK overwrites.
+    # Divide and conquer ("evd") rather than the default MRRR: lattice
+    # spectra are clustered, where it is about twice as fast and more
+    # accurately orthogonal.
     sqrt_mu = np.sqrt(space.mu)
     sym = graph_stiffness(space)
     sym /= np.outer(sqrt_mu, sqrt_mu)
     sym += sym.T
     sym *= 0.5
-    lambdas, vecs = eigh(sym.T, overwrite_a=True)
+    lambdas, vecs = eigh(sym.T, overwrite_a=True, driver="evd")
     del sym
 
     zero_tol = eigentolerance * max(lambdas[-1], 0.0)

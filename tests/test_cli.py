@@ -5,6 +5,7 @@ import pytest
 
 from fraclap.cli import _KINDS, load_config, main, normalize_config
 from fraclap.errors import ConfigParseError
+from fraclap.extension import MIN_GRID_NODES
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -308,6 +309,28 @@ def test_bad_experiment_param_is_config_error(tmp_path, capsys, kind, params):
         load_config(path)
     assert main(["validate", "--config", path]) == 2
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("dtn_convergence", {"ms": [4, 6]}),
+        ("dtn_convergence", {"ms": [8, 7]}),
+        ("modulus_check", {"ms": [2, 2048]}),
+        ("codim_check", {"m": 4}),
+        ("dirichlet_routes", {"m": 7}),
+    ],
+)
+def test_grid_size_below_minimum_is_config_error(tmp_path, capsys, kind, params):
+    # the extension grid needs MIN_GRID_NODES nodes: caught at validate, not
+    # when the run reaches build_grid
+    path = write_config(tmp_path, base_config(experiments=[{"kind": kind, "params": params}]))
+    (key,) = params
+    message = f"'{key}' grid sizes must be at least {MIN_GRID_NODES}"
+    with pytest.raises(ConfigParseError, match=message):
+        load_config(path)
+    assert main(["validate", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
 
 

@@ -4,7 +4,9 @@ The bound is 32 n^2 doubles at n=300 (about 23 MB), so a single n^3
 temporary (216 MB of doubles, or 27 MB even as booleans) breaks it.  The
 geometric checks run over every centre at once, where the easy mistake is a
 (centre, point, radius) tensor: with 6 to 12 radii at n=300 it stays under
-32 n^2 doubles, so they are held to 4 n^2 (they take about 1.2 n^2).
+32 n^2 doubles, so they are held to 4 n^2 (they take about 1.2 n^2).  The
+validation of a graph metric and the ball-mass table have their own, tighter
+bounds.
 """
 
 import tracemalloc
@@ -13,8 +15,10 @@ import numpy as np
 
 from fraclap import (
     DirichletProblem,
+    Space,
     besov_energy,
     build_grid,
+    build_space,
     codim_ball_check,
     decompose,
     default_ymax,
@@ -52,6 +56,14 @@ def test_besov_energy_peak_allocation():
     assert peak_bytes(besov_energy, sp, 0.5, f) <= BOUND_BYTES
 
 
+def test_ball_masses_peak_allocation():
+    # the table takes four n^2 work arrays at its peak; the tie-run rule must
+    # not add to the per-row lookup it replaced, which took the same four
+    sp = fixture("random_geometric", n=N, radius=0.15, seed=0)
+    fresh = Space(sp.dist, sp.mu, sp.cond)
+    assert peak_bytes(lambda: fresh.ball_masses) <= 4.5 * N * N * 8
+
+
 def test_heat_kernel_series_peak_allocation():
     assert peak_bytes(heat_kernel_series, grid300(), 1.0) <= BOUND_BYTES
 
@@ -60,6 +72,14 @@ def test_decompose_peak_allocation():
     # the eigensolver's inputs are freed before validation: about 3 n^2
     # doubles, where keeping them alive takes about 7
     assert peak_bytes(decompose, grid300()) <= 5 * N * N * 8
+
+
+def test_metric_certificate_peak_allocation():
+    # grid2d's metric is certified by Dijkstra over its edges: about 2.3 n^2
+    # doubles for all of build_space (the path metric and its gap to dist),
+    # where the Floyd-Warshall route takes 3.1, so a silent fallback fails too
+    sp = grid300()
+    assert peak_bytes(build_space, sp.dist, sp.mu, sp.cond) <= 3 * N * N * 8
 
 
 def test_geometric_checks_peak_allocation():

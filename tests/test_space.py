@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fraclap.errors import (
     MetricViolation,
     NonpositiveMeasure,
 )
+from fraclap.space import _METRIC_TOL, _check_metric, _is_edge_path_metric
 
 
 def test_k2_is_valid():
@@ -39,7 +41,7 @@ def test_triangle_violation_reports_witness():
         build_space(dist, [1, 1, 1], cond)
 
 
-def test_slack_accumulated_over_several_hops_accepted():
+def _several_hop_slack():
     # every triple is within the triangle tolerance, but the three-hop path
     # 0-1-2-3 undercuts d(0,3) by more than the tolerance allows
     e1, e3 = 2e-12, 5e-12
@@ -51,11 +53,15 @@ def test_slack_accumulated_over_several_hops_accepted():
             [3.0 + e3, 2.0 + e1, 1.0, 0.0],
         ]
     )
-    cond = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
+    return dist, np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
+
+
+def test_slack_accumulated_over_several_hops_accepted():
+    dist, cond = _several_hop_slack()
     fw = floyd_warshall(dist)
     assert np.any(dist - fw > 1e-12 * (1.0 + fw))
     sp = build_space(dist, np.ones(4), cond)
-    assert sp.dist[0, 3] == 3.0 + e3
+    assert sp.dist[0, 3] == 3.0 + 5e-12
 
 
 def test_nonpositive_measure_rejected():
@@ -84,6 +90,100 @@ def test_zero_offdiagonal_distance_rejected():
     cond = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     with pytest.raises(MetricViolation, match="nonpositive"):
         build_space(dist, [1, 1, 1], cond)
+
+
+# -- shortest-path certificate of the triangle inequality
+
+
+def _weighted_grid_metric():
+    # edge lengths in [0.5, 2) on a 4x5 grid; the metric is their
+    # Floyd-Warshall closure, so it is a path metric up to rounding
+    cond = fixture("grid2d", nx=4, ny=5).cond
+    lengths = np.triu(cond * np.random.default_rng(3).uniform(0.5, 2.0, cond.shape), 1)
+    return floyd_warshall(lengths + lengths.T), cond
+
+
+def _fixture_metric(kind, **params):
+    sp = fixture(kind, **params)
+    return np.array(sp.dist), np.array(sp.cond)
+
+
+_CERTIFICATE_BASES = {
+    "path": lambda: _fixture_metric("path", n=7),
+    "grid2d": lambda: _fixture_metric("grid2d", nx=3, ny=4),
+    "dumbbell": lambda: _fixture_metric("dumbbell", clique=4, bridge=2),
+    "random_geometric": lambda: _fixture_metric("random_geometric", n=12, radius=0.5, seed=3),
+    "weighted_grid": _weighted_grid_metric,
+    "several_hop_slack": _several_hop_slack,
+}
+
+
+def _metric_verdict(dist, cond):
+    """None if `_check_metric` accepts, else its MetricViolation message."""
+    try:
+        _check_metric(dist, cond)
+    except MetricViolation as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    base=st.sampled_from(sorted(_CERTIFICATE_BASES)),
+    perturb=st.booleans(),
+    factor=st.floats(0.5, 5.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_certificate_and_floyd_warshall_agree(base, perturb, factor, sign, data):
+    dist, cond = _CERTIFICATE_BASES[base]()
+    n = len(dist)
+    if perturb:
+        # one pair moved by 0.5 to 5 times the triangle tolerance
+        i = data.draw(st.integers(0, n - 1))
+        k = data.draw(st.integers(0, n - 1).filter(lambda k: k != i))
+        dist[i, k] = dist[k, i] = dist[i, k] + sign * factor * _METRIC_TOL * (1.0 + dist[i, k])
+    with_certificate = _metric_verdict(dist, cond)
+    with mock.patch("fraclap.space._is_edge_path_metric", return_value=False):
+        assert _metric_verdict(dist, cond) == with_certificate
+    if _is_edge_path_metric(dist, cond):
+        assert with_certificate is None
+
+
+def test_certificate_decides_graph_metrics_only():
+    for base in ("path", "grid2d", "dumbbell", "weighted_grid"):
+        assert _is_edge_path_metric(*_CERTIFICATE_BASES[base]())
+    for base in ("random_geometric", "several_hop_slack"):
+        assert not _is_edge_path_metric(*_CERTIFICATE_BASES[base]())
+
+
+def test_certificate_rejects_unreachable_points():
+    # point 2 has no edge: a violating metric is reported as such, before
+    # the graph is found disconnected
+    dist = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
+    cond = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    with pytest.raises(MetricViolation, match="witness triple 0,1,2"):
+        build_space(dist, [1, 1, 1], cond)
+    with pytest.raises(DisconnectedGraph):
+        build_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [1, 1, 1], cond)
+
+
+def test_floyd_warshall_only_where_the_certificate_cannot_decide(monkeypatch):
+    calls = []
+
+    def counting_floyd_warshall(dist):
+        calls.append(len(dist))
+        return floyd_warshall(dist)
+
+    monkeypatch.setattr("fraclap.space.floyd_warshall", counting_floyd_warshall)
+    fixture("path", n=50)
+    fixture("grid2d", nx=12, ny=9)
+    assert calls == []
+    fixture("random_geometric", n=40, radius=0.4, seed=0)  # Euclidean, no path metric
+    assert calls == [40]
+    # 39 edges per point, above the certificate's cap
+    fixture("dumbbell", clique=40)
+    assert calls == [40, 80]
 
 
 # -- ball measure

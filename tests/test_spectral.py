@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from fraclap import (
     build_space,
@@ -17,7 +18,7 @@ from fraclap import (
     subordination_check,
 )
 from fraclap import spectral
-from fraclap.energy import frac_energy
+from fraclap.energy import frac_energy, stiffness_matrix
 from fraclap.errors import (
     DimensionMismatch,
     EigensolverNoConvergence,
@@ -96,6 +97,36 @@ def test_decompose_deterministic(grid44):
     a, b = decompose(grid44), decompose(grid44)
     assert np.array_equal(a.lambdas, b.lambdas)
     assert np.array_equal(a.phis, b.phis)
+
+
+def _evr_decomposition(space):
+    """The MRRR eigensolver's decomposition, built here as an oracle for the
+    divide-and-conquer one `decompose` uses."""
+    sqrt_mu = np.sqrt(space.mu)
+    stiff = np.diag(space.cond.sum(axis=1)) - space.cond
+    lambdas, vecs = eigh(stiff / np.outer(sqrt_mu, sqrt_mu), driver="evr")
+    lambdas[0] = 0.0
+    return spectral.SpectralDecomposition(space, lambdas, vecs / sqrt_mu[:, None])
+
+
+def _max_rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("nx, ny", [(6, 6), (8, 8), (5, 10)])
+def test_decompose_matches_evr_on_degenerate_spectrum(nx, ny):
+    # square lattices have eigenvalues of multiplicity 2 and more, where the
+    # two drivers may return different bases of an eigenspace: compare only
+    # what does not depend on the basis
+    sp = fixture("grid2d", nx=nx, ny=ny)
+    dec, oracle = decompose(sp), _evr_decomposition(sp)
+    assert np.any(np.diff(oracle.lambdas) <= 1e-12 * oracle.lambdas[-1])
+    assert np.allclose(dec.lambdas, oracle.lambdas, rtol=0.0, atol=1e-12 * oracle.lambdas[-1])
+    for t in (0.01, 0.5, 5.0):
+        assert _max_rel_err(heat_kernel(dec, t).entries, heat_kernel(oracle, t).entries) <= 1e-12
+    for theta in (0.25, 0.75):
+        got = stiffness_matrix(dec, theta).stiffness
+        assert _max_rel_err(got, stiffness_matrix(oracle, theta).stiffness) <= 1e-12
 
 
 def _fix_signs_reference(phis):
