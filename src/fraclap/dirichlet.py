@@ -470,13 +470,12 @@ def holder_estimate(sol: Solution, problem: DirichletProblem) -> dict:
     # (centre, radius) tables; the fit reads them centre-major.  One ball mask
     # per radius; oscillations only where the ball stays inside the domain.
     centres = np.flatnonzero(problem.omega)
-    inside = np.empty((len(centres), len(radii)), dtype=bool)
-    osc = np.zeros(inside.shape)
+    osc = np.zeros((len(centres), len(radii)))
     for j, r in enumerate(radii):
         ball = ball_mask(space, centres, r)
-        inside[:, j] = stays = ~_leaves_domain(problem, ball)
+        stays = ~_leaves_domain(problem, ball)
         osc[stays, j] = np.subtract(*_ball_extremes(ball[stays], sol.u))
-    keep = inside & (osc > 0)
+    keep = osc > 0
     if not keep.any():
         return {"alpha_fit": float("inf"), "r2": float("nan")}
     lr = np.broadcast_to(np.log(radii), keep.shape)[keep]

@@ -43,14 +43,6 @@ __all__ = [
 ]
 
 _METRIC_TOL = 1e-12
-# The shortest-path certificate of `_check_metric` runs only on graphs with at
-# most this many conductance edges per point.  Measured on random weighted
-# graphs whose metric passes (one BLAS thread), certificate against
-# Floyd-Warshall at 34 edges per point: n=100 2.2 ms / 1.0 ms, n=200
-# 9.3 / 6.8 ms, n=400 40 / 49 ms, n=800 0.17 / 0.37 s; at 66 per point
-# n=400 is even and n=800 0.20 / 0.37 s; two 405-cliques (404 per point)
-# 0.41 / 0.38 s.
-_CERTIFICATE_MAX_DEGREE = 32
 
 
 @dataclass(frozen=True)
@@ -87,24 +79,16 @@ class Space:
         sorted position reads the cumulative mass at the last position of its
         run of equal distances.
         """
-        # n x n work arrays are built in place and freed early, so that at
-        # most four are alive at once
-        n = self.n
         order = np.argsort(self.dist, axis=1)
         sorted_dist = np.take_along_axis(self.dist, order, axis=1)
-        # a run of ties ends where the next distance differs, or at the row's end
-        ends = np.ones((n, n), dtype=bool)
-        ends[:, :-1] = sorted_dist[:, :-1] != sorted_dist[:, 1:]
+        mass = np.cumsum(self.mu[order], axis=1)
+        # inside a run of ties only the last position keeps its mass; a
+        # reversed running minimum then hands that mass to the whole run
+        mass[:, :-1][sorted_dist[:, :-1] == sorted_dist[:, 1:]] = np.inf
         del sorted_dist
-        last = np.where(ends, np.arange(n), n)
-        del ends
-        np.minimum.accumulate(last[:, ::-1], axis=1, out=last[:, ::-1])
-        cum_mass = self.mu[order]
-        np.cumsum(cum_mass, axis=1, out=cum_mass)
-        inside = np.take_along_axis(cum_mass, last, axis=1)
-        del cum_mass, last
-        table = np.empty((n, n))
-        np.put_along_axis(table, order, inside, axis=1)
+        np.minimum.accumulate(mass[:, ::-1], axis=1, out=mass[:, ::-1])
+        table = np.empty((self.n, self.n))
+        np.put_along_axis(table, order, mass, axis=1)
         table.setflags(write=False)
         return table
 
@@ -187,23 +171,26 @@ def _is_edge_path_metric(dist, cond) -> bool:
     """
     n = dist.shape[0]
     rows, cols = np.nonzero(cond > 0)
-    if n == 0 or len(rows) > _CERTIFICATE_MAX_DEGREE * n:
+    if n == 0:
+        return False
+    # A screen from point 0 without a shortest-path solve: in a path metric
+    # every other point v is reached through a neighbour u, d(0,v) = d(0,u) +
+    # d(u,v).  Any metric the certificate accepts passes it, and one that is no
+    # path metric of its edges (points of the plane, say) fails at once.
+    detour = dist[0, rows] + dist[rows, cols] - dist[0, cols]
+    through = detour <= _METRIC_TOL * (1.0 + dist[0, cols])
+    reached = np.zeros(n, dtype=bool)
+    reached[cols[through]] = True
+    if not reached[1:].all():
         return False
     lengths = csr_matrix((dist[rows, cols], (rows, cols)), shape=(n, n))
-
-    def agrees(k):
-        # D from the first k sources; an unreachable point has D = inf, which
-        # no finite distance matches
-        paths = shortest_path(lengths, method="D", directed=True, indices=np.arange(k))
-        gap = dist[:k] - paths
-        np.abs(gap, out=gap)
-        paths += 1.0
-        paths *= _METRIC_TOL / 4
-        return bool(np.all(gap <= paths) and np.all(np.isfinite(paths)))
-
-    # one source first: a metric that is no path metric of its edges (points
-    # of the plane, say) almost always fails there, at the cost of one Dijkstra
-    return agrees(1) and agrees(n)
+    paths = shortest_path(lengths, method="D", directed=True)
+    # an unreachable point has D = inf, which no finite distance matches
+    gap = dist - paths
+    np.abs(gap, out=gap)
+    paths += 1.0
+    paths *= _METRIC_TOL / 4
+    return bool(np.all(gap <= paths) and np.all(np.isfinite(paths)))
 
 
 def ball_mask(space: Space, x, r: float) -> np.ndarray:

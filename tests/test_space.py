@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import floyd_warshall
+from scipy.sparse.csgraph import floyd_warshall, shortest_path
 
 from fraclap import (
     ball_mask,
@@ -155,6 +155,11 @@ def test_certificate_decides_graph_metrics_only():
         assert _is_edge_path_metric(*_CERTIFICATE_BASES[base]())
     for base in ("random_geometric", "several_hop_slack"):
         assert not _is_edge_path_metric(*_CERTIFICATE_BASES[base]())
+    # a distance from point 0 moved by a tenth of the tolerance stays certified
+    for sign in (-1.0, 1.0):
+        dist, cond = _CERTIFICATE_BASES["grid2d"]()
+        dist[0, -1] = dist[-1, 0] = dist[0, -1] + sign * 0.1 * _METRIC_TOL * (1.0 + dist[0, -1])
+        assert _is_edge_path_metric(dist, cond)
 
 
 def test_certificate_rejects_unreachable_points():
@@ -171,19 +176,24 @@ def test_certificate_rejects_unreachable_points():
 def test_floyd_warshall_only_where_the_certificate_cannot_decide(monkeypatch):
     calls = []
 
-    def counting_floyd_warshall(dist):
-        calls.append(len(dist))
-        return floyd_warshall(dist)
+    def counting(name, solve):
+        def counted(graph, *args, **kwargs):
+            calls.append((name, graph.shape[0]))
+            return solve(graph, *args, **kwargs)
 
-    monkeypatch.setattr("fraclap.space.floyd_warshall", counting_floyd_warshall)
+        return counted
+
+    monkeypatch.setattr("fraclap.space.floyd_warshall", counting("fw", floyd_warshall))
+    monkeypatch.setattr("fraclap.space.shortest_path", counting("dijkstra", shortest_path))
     fixture("path", n=50)
     fixture("grid2d", nx=12, ny=9)
-    assert calls == []
-    fixture("random_geometric", n=40, radius=0.4, seed=0)  # Euclidean, no path metric
-    assert calls == [40]
-    # 39 edges per point, above the certificate's cap
-    fixture("dumbbell", clique=40)
-    assert calls == [40, 80]
+    fixture("dumbbell", clique=40)  # dense: 39 edges per point
+    assert "fw" not in [name for name, _ in calls]
+    calls.clear()
+    # Euclidean, no path metric: the screen from point 0 rejects it before
+    # any shortest-path solve
+    fixture("random_geometric", n=40, radius=0.4, seed=0)
+    assert calls == [("fw", 40)]
 
 
 # -- ball measure
