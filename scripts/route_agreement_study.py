@@ -21,6 +21,7 @@ from fraclap import (
     fixture,
     solve_extension,
     solve_spectral,
+    stiffness_matrix,
 )
 
 
@@ -49,11 +50,11 @@ def main():
 
     rows = [("theta", "level", "h_max", "gap", "gap_over_osc")]
     for theta in args.thetas:
-        problem = DirichletProblem(space=space, theta=theta, omega=omega, f=f)
-        spectral = solve_spectral(problem, dec=dec)
+        problem = DirichletProblem(stiffness_matrix(dec, theta), omega, f)
+        spectral = solve_spectral(problem)
         for level in range(args.levels):
             grid = refined_grid(theta, ymax, level)
-            ext = solve_extension(problem, grid, dec=dec)
+            ext = solve_extension(problem, grid)
             gap = float(np.max(np.abs(spectral.u - ext.u)))
             h = float(np.max(np.diff(grid.ys)))
             rows.append((theta, level, h, gap, gap / problem.data_oscillation))

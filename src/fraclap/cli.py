@@ -253,7 +253,7 @@ def _exp_energy_comparability(ctx, params):
     size = params["family_size"]
     rng = np.random.default_rng([ctx["seed"], ctx["index"]])
     family = [rng.standard_normal(space.n) for _ in range(size)]
-    rep = comparability_report(space, dec, theta, family)
+    rep = comparability_report(dec, theta, family)
     ok = (
         np.isfinite(rep["ratio_min"])
         and np.isfinite(rep["ratio_max"])
@@ -308,10 +308,10 @@ def _exp_dirichlet_routes(ctx, params):
     omega = _domain(ctx, params)
     rng = np.random.default_rng([ctx["seed"], ctx["index"]])
     f = rng.standard_normal(space.n)
-    problem = DirichletProblem(space=space, theta=theta, omega=omega, f=f)
-    spectral = solve_spectral(problem, dec=dec)
+    problem = DirichletProblem(stiffness_matrix(dec, theta), omega, f)
+    spectral = solve_spectral(problem)
     grid = build_grid(theta, default_ymax(dec), m)
-    ext = solve_extension(problem, grid, dec=dec)
+    ext = solve_extension(problem, grid)
     gap = float(np.max(np.abs(spectral.u - ext.u)))
     osc = problem.data_oscillation
     rows = [("index", "u_spectral", "u_extension")]
@@ -344,8 +344,8 @@ def _exp_max_principle_batch(ctx, params):
     for s in range(n_seeds):
         rng = np.random.default_rng([ctx["seed"], ctx["index"], s])
         f = rng.standard_normal(space.n)
-        problem = DirichletProblem(space=space, theta=theta, omega=omega, f=f)
-        sol = solve_spectral(problem, dec=dec, form=form)
+        problem = DirichletProblem(form, omega, f)
+        sol = solve_spectral(problem)
         if not maximum_principle_check(sol, problem)["passed"]:
             failures += 1
         if not strong_maximum_check(sol, problem)["passed"]:
@@ -360,8 +360,8 @@ def _exp_harnack_scan(ctx, params):
     radius = params["radius"]
     rng = np.random.default_rng([ctx["seed"], ctx["index"]])
     f = np.abs(rng.standard_normal(space.n))
-    problem = DirichletProblem(space=space, theta=theta, omega=omega, f=f)
-    sol = solve_spectral(problem, dec=dec)
+    problem = DirichletProblem(stiffness_matrix(dec, theta), omega, f)
+    sol = solve_spectral(problem)
     centres = np.flatnonzero(omega)
     centres = centres[~_leaves_domain(problem, ball_mask(space, centres, 2.0 * radius))]
     quotients = harnack_quotient(sol, problem, centres, radius)

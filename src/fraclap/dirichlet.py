@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, solve
 
-from .energy import FracEnergyForm, frac_energy, stiffness_matrix
+from .energy import FracEnergyForm, frac_energy
 from .errors import (
     BallNotCompactlyInside,
     InsufficientScales,
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .extension import HalfSpaceGrid
 from .space import Space, ball_mask
-from .spectral import SpectralDecomposition, check_theta, decompose, graph_stiffness
+from .spectral import SpectralDecomposition, graph_stiffness
 
 __all__ = [
     "DirichletProblem",
@@ -57,15 +57,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DirichletProblem:
-    """Domain mask, boundary data, and exponent for one Dirichlet problem.
+    """Minimize E_theta(u, u) over u = f off the domain Omega: the energy
+    form (`stiffness_matrix(dec, theta)`, which carries the space, the
+    exponent and the spectral data), the domain mask, and the data.
 
     Both the domain and its complement must be nonempty: the complement
     carries the data, and a nonempty complement makes the constrained
     stiffness block positive definite on connected spaces.
     """
 
-    space: Space
-    theta: float
+    form: FracEnergyForm
     omega: np.ndarray
     f: np.ndarray
 
@@ -74,7 +75,6 @@ class DirichletProblem:
         f = np.asarray(self.f, dtype=float)
         if omega.shape != (self.space.n,) or f.shape != (self.space.n,):
             raise InvalidParams("omega and f must be vectors over the point set")
-        check_theta(self.theta)
         if not omega.any():
             raise InvalidParams("domain is empty")
         if omega.all():
@@ -83,6 +83,14 @@ class DirichletProblem:
         f.setflags(write=False)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "f", f)
+
+    @property
+    def space(self) -> Space:
+        return self.form.dec.space
+
+    @property
+    def theta(self) -> float:
+        return self.form.theta
 
     @property
     def data_oscillation(self) -> float:
@@ -120,31 +128,9 @@ class IterSpec:
     max_iter: int = 100
 
 
-def solve_spectral(
-    problem: DirichletProblem,
-    dec: SpectralDecomposition | None = None,
-    form: FracEnergyForm | None = None,
-) -> Solution:
-    """Direct solve of the Euler-Lagrange system for the energy minimizer.
-
-    `dec` and `form` may be passed to reuse work across problems; they must
-    belong to the problem's space and exponent, else InvalidParams.
-    """
-    space = problem.space
-    if dec is not None and not _same_space(dec.space, space):
-        raise InvalidParams("decomposition was built for another space")
-    if form is not None:
-        if form.theta != problem.theta:
-            raise InvalidParams(
-                f"stiffness form has theta={form.theta}, problem has {problem.theta}"
-            )
-        if form.stiffness.shape != (space.n, space.n):
-            raise InvalidParams(
-                f"stiffness form has shape {form.stiffness.shape}, space has n={space.n}"
-            )
-    else:
-        form = stiffness_matrix(dec or decompose(space), problem.theta)
-    k = form.stiffness
+def solve_spectral(problem: DirichletProblem) -> Solution:
+    """Direct solve of the Euler-Lagrange system for the energy minimizer."""
+    k = problem.form.stiffness
     idx = np.where(problem.omega)[0]
     cdx = np.where(~problem.omega)[0]
     koo = k[np.ix_(idx, idx)]
@@ -157,12 +143,6 @@ def solve_spectral(
     u[idx] = u_omega
     residual = float(np.max(np.abs((k @ u)[idx])))
     return Solution(u=u, route="spectral", residual=residual, energy=float(u @ (k @ u)))
-
-
-def _same_space(a: Space, b: Space) -> bool:
-    return a is b or all(
-        np.array_equal(getattr(a, name), getattr(b, name)) for name in ("dist", "mu", "cond")
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +318,6 @@ def solve_extension(
     problem: DirichletProblem,
     grid: HalfSpaceGrid,
     solver: IterSpec = IterSpec(),
-    dec: SpectralDecomposition | None = None,
     initial: np.ndarray | None = None,
 ) -> Solution:
     """Minimize the discrete weighted product-grid energy and return the
@@ -347,16 +326,12 @@ def solve_extension(
     symmetry of the full-space problem); the top row is free, which is
     harmless once the grid is tall enough for the slowest mode to die out.
 
-    `initial` perturbs the starting iterate (used by uniqueness checks);
-    `dec` (decomposed here when None, InvalidParams if built for another
-    space) preconditions the conjugate gradient and gives the fractional
-    energy of the trace.
+    `initial` perturbs the starting iterate (used by uniqueness checks).
+    The decomposition of the problem's form preconditions the conjugate
+    gradient and gives the fractional energy of the trace.
     """
     grid.check_theta_matches(problem.theta)
-    if dec is None:
-        dec = decompose(problem.space)
-    elif not _same_space(dec.space, problem.space):
-        raise InvalidParams("decomposition was built for another space")
+    dec = problem.form.dec
     op = _ProductGridOperator(problem.space, grid, problem.omega)
     b = op.rhs_scaled(problem.f)
     x = np.zeros_like(b) if initial is None else initial / op.scale
@@ -377,13 +352,10 @@ def solve_extension(
 # verification operations
 
 
-def residual_check(
-    sol: Solution, problem: DirichletProblem, form: FracEnergyForm | None = None
-) -> float:
+def residual_check(sol: Solution, problem: DirichletProblem) -> float:
     """Max over x in Omega of |E_theta(u, e_x)|: the unit indicators span the
     functions supported in the domain, so this is the full weak residual."""
-    form = form or stiffness_matrix(decompose(problem.space), problem.theta)
-    return float(np.max(np.abs(form.apply(sol.u)[problem.omega])))
+    return float(np.max(np.abs(problem.form.apply(sol.u)[problem.omega])))
 
 
 def maximum_principle_check(sol: Solution, problem: DirichletProblem) -> dict:
@@ -498,18 +470,16 @@ def uniqueness_check(
     """Two facets of uniqueness: the constrained stiffness block is positive
     definite, and the iterative route lands on the same trace from a
     perturbed initial iterate."""
-    dec = decompose(problem.space)
-    form = stiffness_matrix(dec, problem.theta)
     idx = np.where(problem.omega)[0]
-    koo = form.stiffness[np.ix_(idx, idx)]
+    koo = problem.form.stiffness[np.ix_(idx, idx)]
     lam_min = float(eigh(koo, eigvals_only=True)[0])
 
     report = {"lambda_min": lam_min, "passed": lam_min > 0}
     if grid is not None:
-        base = solve_extension(problem, grid, solver, dec=dec)
+        base = solve_extension(problem, grid, solver)
         size = int(problem.omega.sum()) + problem.space.n * grid.m
         perturbed_start = np.full(size, float(np.abs(problem.f).max() or 1.0))
-        again = solve_extension(problem, grid, solver, dec=dec, initial=perturbed_start)
+        again = solve_extension(problem, grid, solver, initial=perturbed_start)
         agreement = float(np.max(np.abs(base.u - again.u)))
         tol = 100 * solver.rel_tol * max(1.0, float(np.abs(base.u).max()))
         report["trace_agreement"] = agreement

@@ -31,12 +31,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FracEnergyForm:
-    """Fractional stiffness operator K with f^T K h = E_theta(f, h).
+    """Fractional stiffness operator K with f^T K h = E_theta(f, h), together
+    with the decomposition it was built from (`stiffness_matrix`).
 
     K = M Phi diag(lambda^theta) Phi^T M for M = diag(mu); symmetric positive
     semidefinite with the constants as nullspace.
     """
 
+    dec: SpectralDecomposition
     theta: float
     stiffness: np.ndarray
 
@@ -83,7 +85,7 @@ def stiffness_matrix(dec: SpectralDecomposition, theta: float) -> FracEnergyForm
     k = (m_phi * weights[None, :]) @ m_phi.T
     k = 0.5 * (k + k.T)
     k.setflags(write=False)
-    return FracEnergyForm(theta=theta, stiffness=k)
+    return FracEnergyForm(dec=dec, theta=theta, stiffness=k)
 
 
 def regularized_energy(dec: SpectralDecomposition, theta: float, t: float, f) -> float:
@@ -113,15 +115,15 @@ def regularized_energy_double_sum(
     return float(np.einsum("xy,xy,x,y->", diff2, q, mu, mu) / (2.0 * t))
 
 
-def comparability_report(
-    space: Space, dec: SpectralDecomposition, theta: float, family
-) -> dict:
-    """Min and max of besov/fractional energy ratios over a family of vectors.
+def comparability_report(dec: SpectralDecomposition, theta: float, family) -> dict:
+    """Min and max of besov/fractional energy ratios over a family of vectors,
+    both energies on the decomposition's space.
 
     Both energies vanish exactly on constants, so constant members are
     rejected rather than producing 0/0.
     """
     check_theta(theta)
+    space = dec.space
     family = [np.asarray(f, dtype=float) for f in family]
     if not family:
         raise ConstantFunctionInFamily("family is empty")

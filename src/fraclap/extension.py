@@ -56,6 +56,8 @@ __all__ = [
 
 MIN_GRID_NODES = 8
 DEFAULT_RATIO = 0.5
+_YMAX_DECAY = 1e-8  # decay of the slowest mode at the default grid height
+_TAIL_TOL = 1e-6  # largest truncated-tail bound extension_energy accepts
 
 
 def dtn_constant(theta: float) -> float:
@@ -85,7 +87,6 @@ class HalfSpaceGrid:
     ys: np.ndarray
     cellweights: np.ndarray
     Ymax: float
-    layout: str
 
     @property
     def m(self) -> int:
@@ -151,16 +152,16 @@ def build_grid(
     w = (pw[1:] - pw[:-1]) / e
     ys.setflags(write=False)
     w.setflags(write=False)
-    return HalfSpaceGrid(theta=theta, a=a, ys=ys, cellweights=w, Ymax=float(Ymax), layout=layout)
+    return HalfSpaceGrid(theta=theta, a=a, ys=ys, cellweights=w, Ymax=float(Ymax))
 
 
-def default_ymax(dec: SpectralDecomposition, decay_target: float = 1e-8) -> float:
-    """Height at which the slowest nonzero mode has decayed below the target,
-    so truncating the energy tail is negligible."""
+def default_ymax(dec: SpectralDecomposition) -> float:
+    """Height at which the slowest nonzero mode has decayed below 1e-8, so
+    truncating the energy tail is negligible."""
     lam_pos = dec.lambdas[dec.lambdas > 0]
     if lam_pos.size == 0:
         return 10.0
-    return float(-np.log(decay_target) / np.sqrt(lam_pos.min()))
+    return float(-np.log(_YMAX_DECAY) / np.sqrt(lam_pos.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +341,7 @@ class ExtensionEnergy:
     tail_bound: float
 
 
-def extension_energy(
-    u: ExtensionField,
-    space: Space,
-    tail_tol: float = 1e-6,
-) -> ExtensionEnergy:
+def extension_energy(u: ExtensionField) -> ExtensionEnergy:
     """Weighted Dirichlet energy of the extension over the half-space,
 
         sum_j w_j [ sum_x (du/dy)^2(x, yhat_j) mu(x) + E_X(u(., yhat_j)) ],
@@ -355,7 +352,7 @@ def extension_energy(
     alternative).  The truncated tail above Ymax is computed exactly per mode
     from the flux identity
     integral_Y^inf y^a (g'^2 + lam g^2) dy = -Y^a g'(Y) g(Y);
-    raises TailNotConverged when the tail exceeds tail_tol.
+    raises TailNotConverged when the tail exceeds 1e-6.
     """
     grid, theta = u.grid, u.theta
     lam, coeffs = u.mode_lambdas, u.mode_coeffs
@@ -384,9 +381,9 @@ def extension_energy(
     value = float(weight @ mode_mid)
     tol = float(weight @ np.abs(mode_mid - mode_alt))
     tail = float(weight @ tails)
-    if tail > tail_tol:
+    if tail > _TAIL_TOL:
         raise TailNotConverged(
-            f"truncated-tail bound {tail:.3e} exceeds tolerance {tail_tol:.1e}; increase Ymax"
+            f"truncated-tail bound {tail:.3e} exceeds tolerance {_TAIL_TOL:.1e}; increase Ymax"
         )
     return ExtensionEnergy(value=value, quadrature_tolerance=tol + tail, tail_bound=tail)
 

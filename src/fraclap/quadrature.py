@@ -40,11 +40,11 @@ class QuadratureSpec:
     rel_tol: float = 1e-9
     max_subdivisions: int = 200
 
-    def refined(self, factor: float = 10.0) -> "QuadratureSpec":
-        """A stricter budget, used for self-convergence cross checks."""
+    def refined(self) -> "QuadratureSpec":
+        """A budget ten times stricter, used for self-convergence cross checks."""
         return QuadratureSpec(
-            abs_tol=self.abs_tol / factor,
-            rel_tol=self.rel_tol / factor,
+            abs_tol=self.abs_tol / 10.0,
+            rel_tol=self.rel_tol / 10.0,
             max_subdivisions=2 * self.max_subdivisions,
         )
 

@@ -240,12 +240,6 @@ def doubling_stats(space: Space) -> dict:
     return {"C_D": cd, "b_l": b_l, "b_u": b_u}
 
 
-def _shortest_path_metric(cond):
-    # unit edge lengths on the conductance graph
-    adj = csr_matrix((cond > 0).astype(float))
-    return shortest_path(adj, method="D", directed=False, unweighted=True)
-
-
 def fixture(kind: str, **params) -> Space:
     """Deterministic canonical spaces: path, grid2d, dumbbell, random_geometric."""
     _check_fixture(kind, params)
@@ -282,9 +276,11 @@ def _fixture_grid2d(nx: int, ny: int | None = None) -> Space:
     ny = nx if ny is None else ny
     if nx < 2 or ny < 2:
         raise InvalidParams("grid2d fixture needs nx, ny >= 2")
-    # point (i, j) is i * ny + j
+    # point (i, j) is i * ny + j; the hop metric is |i - i'| + |j - j'|
     cond = np.kron(_path_adjacency(nx), np.eye(ny)) + np.kron(np.eye(nx), _path_adjacency(ny))
-    return build_space(_shortest_path_metric(cond), np.ones(nx * ny), cond)
+    i, j = np.divmod(np.arange(nx * ny, dtype=float), ny)
+    dist = np.abs(i[:, None] - i[None, :]) + np.abs(j[:, None] - j[None, :])
+    return build_space(dist, np.ones(nx * ny), cond)
 
 
 def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
@@ -297,7 +293,16 @@ def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
     cond[:clique, :clique] = cond[-clique:, -clique:] = 1.0 - np.eye(clique)
     chain = np.arange(clique - 1, clique + bridge + 1)
     cond[chain[:-1], chain[1:]] = cond[chain[1:], chain[:-1]] = 1.0
-    return build_space(_shortest_path_metric(cond), np.ones(n), cond)
+    # hop metric: a vertex off the chain is one hop from the chain end p of
+    # its clique, and two of them in the same clique are one hop apart
+    k = np.arange(n, dtype=float)
+    p = np.clip(k, clique - 1, clique + bridge)
+    off = p != k
+    same_end = p[:, None] == p[None, :]
+    dist = np.abs(p[:, None] - p[None, :]) + off[:, None] + off[None, :]
+    dist[off[:, None] & off[None, :] & same_end] = 1
+    np.fill_diagonal(dist, 0.0)
+    return build_space(dist, np.ones(n), cond)
 
 
 def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:

@@ -42,8 +42,10 @@ __all__ = [
     "qt_scaling_report",
 ]
 
-DEFAULT_EIGENTOL = 1e-10
+_EIGENTOL = 1e-10  # zero clamp and validation bounds, relative to lambda_max
+_SERIES_TOL = 1e-16  # the series stops once a term falls below this share of the sum
 _SERIES_MAX_BETA_T = 600.0
+_QT_TIMES = (0.01, 0.1, 1.0)
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,6 @@ class SpectralDecomposition:
 @dataclass(frozen=True)
 class KernelMatrix:
     entries: np.ndarray
-    time: float
 
     def row_mu_sums(self, space: Space) -> np.ndarray:
         return self.entries @ space.mu
@@ -117,11 +118,11 @@ def dirichlet_form(space: Space, f, g) -> float:
     return float(f @ (graph_stiffness(space) @ g))
 
 
-def decompose(space: Space, eigentolerance: float = DEFAULT_EIGENTOL) -> SpectralDecomposition:
+def decompose(space: Space) -> SpectralDecomposition:
     """Full eigendecomposition of -Delta in the mu-weighted inner product.
 
     Solved as a symmetric problem after the similarity transform by
-    diag(sqrt(mu)).  Eigenvalues within `eigentolerance * lambda_max` of zero
+    diag(sqrt(mu)).  Eigenvalues within `1e-10 * lambda_max` of zero
     are clamped to zero so the constant mode is exact; the tolerance is
     relative, so the result does not depend on the units of `cond` or `mu`.
     A connected space has exactly one zero eigenvalue, and anything else
@@ -140,7 +141,7 @@ def decompose(space: Space, eigentolerance: float = DEFAULT_EIGENTOL) -> Spectra
     lambdas, vecs = eigh(sym.T, overwrite_a=True, driver="evd")
     del sym
 
-    zero_tol = eigentolerance * max(lambdas[-1], 0.0)
+    zero_tol = _EIGENTOL * max(lambdas[-1], 0.0)
     if lambdas[0] < -zero_tol:
         raise EigensolverNoConvergence(
             f"negative eigenvalue {lambdas[0]:.3e} (lambda_max {lambdas[-1]:.3e})"
@@ -155,7 +156,7 @@ def decompose(space: Space, eigentolerance: float = DEFAULT_EIGENTOL) -> Spectra
     vecs /= sqrt_mu[:, None]
     phis = _fix_signs(vecs)
     dec = SpectralDecomposition(space=space, lambdas=lambdas, phis=phis)
-    _validate_decomposition(dec, eigentolerance)
+    _validate_decomposition(dec)
     lambdas.setflags(write=False)
     phis.setflags(write=False)
     return dec
@@ -170,7 +171,7 @@ def _fix_signs(phis: np.ndarray) -> np.ndarray:
     return phis
 
 
-def _validate_decomposition(dec, tol):
+def _validate_decomposition(dec):
     space, lam, phi = dec.space, dec.lambdas, dec.phis
     gram = phi.T @ (space.mu[:, None] * phi)
     gram[np.diag_indices(space.n)] -= 1.0
@@ -182,27 +183,27 @@ def _validate_decomposition(dec, tol):
     resid += phi * lam[None, :]
     resid = np.max(np.abs(resid)) / np.max(np.abs(phi))
     scale = float(lam.max())
-    if ortho_err > 100 * tol or resid > 100 * tol * scale:
+    if ortho_err > 100 * _EIGENTOL or resid > 100 * _EIGENTOL * scale:
         raise EigensolverNoConvergence(
             f"orthonormality error {ortho_err:.3e}, residual {resid:.3e} exceed tolerance"
         )
 
 
-def _kernel_from_weights(dec, weights, time) -> KernelMatrix:
+def _kernel_from_weights(dec, weights) -> KernelMatrix:
     entries = (dec.phis * weights[None, :]) @ dec.phis.T
     entries = 0.5 * (entries + entries.T)
     entries.setflags(write=False)
-    return KernelMatrix(entries=entries, time=time)
+    return KernelMatrix(entries=entries)
 
 
 def heat_kernel(dec: SpectralDecomposition, t: float) -> KernelMatrix:
     """p_t(x,z) = sum_k exp(-lambda_k t) phi_k(x) phi_k(z)."""
     if t <= 0:
         raise NonpositiveTime(f"t must be positive, got {t}")
-    return _kernel_from_weights(dec, np.exp(-dec.lambdas * t), t)
+    return _kernel_from_weights(dec, np.exp(-dec.lambdas * t))
 
 
-def heat_kernel_series(space: Space, t: float, tol: float = 1e-16) -> np.ndarray:
+def heat_kernel_series(space: Space, t: float) -> np.ndarray:
     """Heat kernel via the uniformization series, a cancellation-free route.
 
     Writing Delta = beta (Q - I) with Q an entrywise-nonnegative operator
@@ -250,7 +251,7 @@ def heat_kernel_series(space: Space, t: float, tol: float = 1e-16) -> np.ndarray
     term = np.eye(space.n)
     acc = term.copy()
     j = 0
-    while j < min_terms or term.max() > tol * acc.max():
+    while j < min_terms or term.max() > _SERIES_TOL * acc.max():
         j += 1
         term = (h / j) * (term @ q)
         acc += term
@@ -286,7 +287,7 @@ def frac_heat_kernel(dec: SpectralDecomposition, theta: float, t: float) -> Kern
     if t <= 0:
         raise NonpositiveTime(f"t must be positive, got {t}")
     weights = np.exp(-t * lambda_power(dec.lambdas, theta))
-    return _kernel_from_weights(dec, weights, t)
+    return _kernel_from_weights(dec, weights)
 
 
 def check_theta(theta: float) -> None:
@@ -322,11 +323,10 @@ def subordination_check(
     return float(np.max(np.abs(integrals - np.exp(-t * np.sqrt(lams)))))
 
 
-def qt_scaling_report(
-    dec: SpectralDecomposition, theta: float, ts=(0.01, 0.1, 1.0)
-) -> dict:
+def qt_scaling_report(dec: SpectralDecomposition, theta: float) -> dict:
     """Scaling diagnostic for the subordinated kernel against the jump-kernel
-    normalizations t / (d(x,y)^e mu(B(x, d(x,y)))) for e in {theta, 2 theta}.
+    normalizations t / (d(x,y)^e mu(B(x, d(x,y)))) for e in {theta, 2 theta},
+    at t = 0.01, 0.1, 1.
 
     Reports the max sampled ratio under both exponents; no bound is asserted
     (the sharp exponent is left open upstream).
@@ -336,7 +336,7 @@ def qt_scaling_report(
     off = ~np.eye(space.n, dtype=bool)
     ball = space.ball_masses
     out = {"exp_theta": 0.0, "exp_2theta": 0.0}
-    for t in ts:
+    for t in _QT_TIMES:
         q = frac_heat_kernel(dec, theta, t).entries
         for key, e in (("exp_theta", theta), ("exp_2theta", 2 * theta)):
             ratios = q[off] * space.dist[off] ** e * ball[off] / t

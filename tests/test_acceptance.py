@@ -121,7 +121,7 @@ def test_criterion_3_besov_comparability(fixtures):
             for seed in (8, 9):  # fixed representative seed pair
                 rng = np.random.default_rng(seed)
                 family = [rng.standard_normal(sp.n) for _ in range(100)]
-                rep = comparability_report(sp, dec, theta, family)
+                rep = comparability_report(dec, theta, family)
                 assert 0.0 < rep["ratio_min"] <= rep["ratio_max"] < np.inf
                 spreads.append(rep["ratio_max"] / rep["ratio_min"])
             worst_spread_drift = max(
@@ -129,7 +129,7 @@ def test_criterion_3_besov_comparability(fixtures):
             )
     # analytic check: K2 ratio is sqrt(2) at theta = 1/2
     k2 = fixture("path", n=2)
-    rep = comparability_report(k2, decompose(k2), 0.5, [np.array([1.0, -1.0])])
+    rep = comparability_report(decompose(k2), 0.5, [np.array([1.0, -1.0])])
     k2_err = abs(rep["ratio_min"] - np.sqrt(2))
     ok = worst_spread_drift <= 0.05 and k2_err <= 1e-12
     report(3, ok, f"spread drift {worst_spread_drift:.3f} <= 5%, K2 ratio err {k2_err:.1e}")
@@ -195,16 +195,16 @@ def test_criterion_6_route_agreement(fixtures):
         f = rng.standard_normal(sp.n)
         ymax = default_ymax(dec)
         for theta in THETAS:
-            prob = DirichletProblem(space=sp, theta=theta, omega=omega, f=f)
-            spectral = solve_spectral(prob, dec=dec)
-            ext = solve_extension(prob, build_grid(theta, ymax, 128), dec=dec)
+            prob = DirichletProblem(stiffness_matrix(dec, theta), omega=omega, f=f)
+            spectral = solve_spectral(prob)
+            ext = solve_extension(prob, build_grid(theta, ymax, 128))
             gap = np.max(np.abs(spectral.u - ext.u))
             worst_gap_ratio = max(worst_gap_ratio, gap / prob.data_oscillation)
             # contraction under mesh refinement of the product grid
             hs, gaps = [], []
             for level in range(4):
                 grid = _route_refined_grid(theta, ymax, level)
-                ext = solve_extension(prob, grid, dec=dec)
+                ext = solve_extension(prob, grid)
                 hs.append(np.max(np.diff(grid.ys)))
                 gaps.append(np.max(np.abs(spectral.u - ext.u)))
             # below the floor the order of two gaps is roundoff
@@ -240,10 +240,10 @@ def test_criterion_7_existence_uniqueness_minimality(fixtures):
             for omega in masks:
                 rng = np.random.default_rng(42)
                 f = rng.standard_normal(sp.n)
-                prob = DirichletProblem(space=sp, theta=theta, omega=omega, f=f)
+                prob = DirichletProblem(form, omega=omega, f=f)
                 rep = uniqueness_check(prob)
                 worst_lambda_min = min(worst_lambda_min, rep["lambda_min"])
-                sol = solve_spectral(prob, dec=dec, form=form)
+                sol = solve_spectral(prob)
                 scale = max(1.0, sol.energy)
                 for _ in range(100):
                     h = sol.u.copy()
@@ -271,8 +271,8 @@ def test_criterion_8_maximum_principles(fixtures):
         form = stiffness_matrix(dec, 0.5)
         for seed in range(100):
             f = np.random.default_rng([seed, sp.n]).standard_normal(sp.n)
-            prob = DirichletProblem(space=sp, theta=0.5, omega=omega, f=f)
-            sol = solve_spectral(prob, dec=dec, form=form)
+            prob = DirichletProblem(form, omega=omega, f=f)
+            sol = solve_spectral(prob)
             if not maximum_principle_check(sol, prob)["passed"]:
                 failures += 1
             rep = strong_maximum_check(sol, prob)

@@ -119,6 +119,33 @@ def test_run_deterministic_modulo_metadata(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_threads_change_scheduling_not_results(tmp_path):
+    # eight jobs on two threads against one: same report and tables
+    cfg = base_config(
+        space={"fixture": {"kind": "grid2d", "params": {"nx": 4}}},
+        theta=[0.25, 0.75],
+        experiments=[
+            {"kind": "energy_comparability", "params": {"family_size": 10}},
+            {"kind": "dirichlet_routes", "params": {"m": 16}},
+            {"kind": "max_principle_batch", "params": {"n_seeds": 5}},
+            {"kind": "harnack_scan", "params": {}},
+        ],
+    )
+    path = write_config(tmp_path, cfg)
+    outputs = []
+    for threads in ("2", "1"):
+        out = tmp_path / f"threads{threads}"
+        assert main(["run", "--config", path, "--out", str(out), "--threads", threads]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["metadata"]["wall_time_s"]) == 8
+        del report["metadata"]
+        tables = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+        del tables["report.json"]
+        outputs.append((json.dumps(report, indent=2, sort_keys=True), tables))
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1] == outputs[1][1]
+
+
 def test_run_failure_exit_code(tmp_path, capsys):
     # an impossible tolerance forces the assertive experiment to fail
     # (theta != 1/2 so the column program carries genuine discretization error)
@@ -176,7 +203,6 @@ def test_kernel_export_option(tmp_path):
 
 def test_max_principle_batch_decomposes_once(tmp_path, monkeypatch):
     import fraclap.cli as cli
-    import fraclap.dirichlet as dirichlet
 
     real = cli.decompose
     calls = []
@@ -186,7 +212,6 @@ def test_max_principle_batch_decomposes_once(tmp_path, monkeypatch):
         return real(space, *args, **kwargs)
 
     monkeypatch.setattr(cli, "decompose", counting)
-    monkeypatch.setattr(dirichlet, "decompose", counting)
     cfg = normalize_config(
         base_config(
             theta=[0.25, 0.75],

@@ -31,73 +31,81 @@ from fraclap.errors import (
 )
 
 
-def p3_problem(p3, theta=0.5):
+def p3_problem(p3_dec, theta=0.5):
     return DirichletProblem(
-        space=p3,
-        theta=theta,
+        stiffness_matrix(p3_dec, theta),
         omega=np.array([False, True, False]),
         f=np.array([0.0, 0.0, 1.0]),
     )
 
 
-def path8_problem(path8, theta=0.75):
+def path8_problem(path8_dec, theta=0.75):
     """Interior domain of path n=8 with seed-0 data."""
     omega = np.zeros(8, bool)
     omega[1:-1] = True
     f = np.random.default_rng(0).standard_normal(8)
-    return DirichletProblem(space=path8, theta=theta, omega=omega, f=f)
+    return DirichletProblem(stiffness_matrix(path8_dec, theta), omega=omega, f=f)
 
 
-def interior_grid_problem(grid44, f, theta=0.5):
-    omega = (grid44.cond > 0).sum(axis=1) == 4
-    return DirichletProblem(space=grid44, theta=theta, omega=omega, f=f)
+def interior_grid_problem(grid44_dec, f, theta=0.5):
+    omega = (grid44_dec.space.cond > 0).sum(axis=1) == 4
+    return DirichletProblem(stiffness_matrix(grid44_dec, theta), omega=omega, f=f)
 
 
 # -- problem invariants
 
 
-def test_problem_rejects_empty_domain(p3):
+def test_problem_rejects_empty_domain(p3_dec):
+    form = stiffness_matrix(p3_dec, 0.5)
     with pytest.raises(InvalidParams):
-        DirichletProblem(space=p3, theta=0.5, omega=np.zeros(3, bool), f=np.zeros(3))
+        DirichletProblem(form, omega=np.zeros(3, bool), f=np.zeros(3))
 
 
-def test_problem_rejects_full_domain(p3):
+def test_problem_rejects_full_domain(p3_dec):
+    form = stiffness_matrix(p3_dec, 0.5)
     with pytest.raises(InvalidParams):
-        DirichletProblem(space=p3, theta=0.5, omega=np.ones(3, bool), f=np.zeros(3))
+        DirichletProblem(form, omega=np.ones(3, bool), f=np.zeros(3))
 
 
-def test_problem_rejects_bad_theta(p3):
+def test_problem_rejects_bad_theta(p3_dec):
     with pytest.raises(InvalidParams):
         DirichletProblem(
-            space=p3, theta=1.5, omega=np.array([False, True, False]), f=np.zeros(3)
+            stiffness_matrix(p3_dec, 1.5), omega=np.array([False, True, False]), f=np.zeros(3)
         )
+
+
+def test_problem_reads_space_and_theta_from_its_form(p3_dec):
+    form = stiffness_matrix(p3_dec, 0.25)
+    prob = DirichletProblem(form, omega=np.array([False, True, False]), f=np.zeros(3))
+    assert prob.space is form.dec.space
+    assert prob.theta == form.theta == 0.25
 
 
 # -- spectral route
 
 
-def test_constant_data_gives_constant_minimizer(path8, path8_dec):
+def test_constant_data_gives_constant_minimizer(path8_dec):
     omega = np.zeros(8, bool)
     omega[2:6] = True
-    prob = DirichletProblem(space=path8, theta=0.5, omega=omega, f=np.full(8, 3.3))
-    sol = solve_spectral(prob, dec=path8_dec)
+    prob = DirichletProblem(stiffness_matrix(path8_dec, 0.5), omega=omega, f=np.full(8, 3.3))
+    sol = solve_spectral(prob)
     assert np.allclose(sol.u, 3.3, atol=1e-12)
     assert sol.energy == pytest.approx(0.0, abs=1e-12)
 
 
-def test_p3_schur_formula(p3, p3_dec):
-    prob = p3_problem(p3)
-    sol = solve_spectral(prob, dec=p3_dec)
+def test_p3_schur_formula(p3_dec):
+    prob = p3_problem(p3_dec)
+    sol = solve_spectral(prob)
     k = stiffness_matrix(p3_dec, 0.5).stiffness
     expected = -(k[1, 0] * 0.0 + k[1, 2] * 1.0) / k[1, 1]
     assert sol.u[1] == pytest.approx(expected, abs=1e-13)
     assert np.array_equal(sol.u[[0, 2]], prob.f[[0, 2]])
 
 
-def test_p3_against_scalar_minimization_oracle(p3, p3_dec):
+def test_p3_against_scalar_minimization_oracle(p3_dec):
     # one free value: refine a brute-force grid search of E(u(t)) over t
-    prob = p3_problem(p3)
-    sol = solve_spectral(prob, dec=p3_dec)
+    prob = p3_problem(p3_dec)
+    sol = solve_spectral(prob)
 
     def energy_at(t):
         u = np.array([0.0, t, 1.0])
@@ -114,43 +122,45 @@ def test_p3_against_scalar_minimization_oracle(p3, p3_dec):
     assert energy_at(sol.u[1]) <= energy_at(best) + 1e-12
 
 
-def test_spectral_residual_scaled(grid44, grid44_dec):
+def test_spectral_residual_scaled(grid44_dec):
     f = np.random.default_rng(0).standard_normal(16)
-    prob = interior_grid_problem(grid44, f)
-    sol = solve_spectral(prob, dec=grid44_dec)
+    prob = interior_grid_problem(grid44_dec, f)
+    sol = solve_spectral(prob)
     k = stiffness_matrix(grid44_dec, 0.5).stiffness
     scale = np.linalg.norm(k) * np.linalg.norm(sol.u)
     assert sol.residual <= 1e-9 * scale
 
 
-def test_spectral_linearity(path8, path8_dec):
+def test_spectral_linearity(path8_dec):
     omega = np.zeros(8, bool)
     omega[3:6] = True
     rng = np.random.default_rng(4)
     f1, f2 = rng.standard_normal(8), rng.standard_normal(8)
     c = 2.7
-    u1 = solve_spectral(DirichletProblem(path8, 0.5, omega, f1), dec=path8_dec).u
-    u2 = solve_spectral(DirichletProblem(path8, 0.5, omega, f2), dec=path8_dec).u
-    u12 = solve_spectral(DirichletProblem(path8, 0.5, omega, f1 + c * f2), dec=path8_dec).u
+    form = stiffness_matrix(path8_dec, 0.5)
+    u1 = solve_spectral(DirichletProblem(form, omega, f1)).u
+    u2 = solve_spectral(DirichletProblem(form, omega, f2)).u
+    u12 = solve_spectral(DirichletProblem(form, omega, f1 + c * f2)).u
     assert np.max(np.abs(u12 - (u1 + c * u2))) <= 1e-10
 
 
-def test_comparison_principle(path8, path8_dec):
+def test_comparison_principle(path8_dec):
     omega = np.zeros(8, bool)
     omega[2:6] = True
     rng = np.random.default_rng(8)
     f = rng.standard_normal(8)
     g = f + np.abs(rng.standard_normal(8))  # g >= f everywhere
-    uf = solve_spectral(DirichletProblem(path8, 0.5, omega, f), dec=path8_dec).u
-    ug = solve_spectral(DirichletProblem(path8, 0.5, omega, g), dec=path8_dec).u
+    form = stiffness_matrix(path8_dec, 0.5)
+    uf = solve_spectral(DirichletProblem(form, omega, f)).u
+    ug = solve_spectral(DirichletProblem(form, omega, g)).u
     scale = max(1.0, np.abs(ug).max())
     assert np.all(ug >= uf - 1e-12 * scale)
 
 
-def test_energy_minimality_against_competitors(grid44, grid44_dec):
+def test_energy_minimality_against_competitors(grid44_dec):
     f = np.random.default_rng(1).standard_normal(16)
-    prob = interior_grid_problem(grid44, f)
-    sol = solve_spectral(prob, dec=grid44_dec)
+    prob = interior_grid_problem(grid44_dec, f)
+    sol = solve_spectral(prob)
     rng = np.random.default_rng(2)
     for _ in range(100):
         h = sol.u.copy()
@@ -162,24 +172,24 @@ def test_energy_minimality_against_competitors(grid44, grid44_dec):
 # -- extension route and agreement
 
 
-def test_extension_route_agrees_on_p3(p3, p3_dec):
-    prob = p3_problem(p3)
-    spectral = solve_spectral(prob, dec=p3_dec)
+def test_extension_route_agrees_on_p3(p3_dec):
+    prob = p3_problem(p3_dec)
+    spectral = solve_spectral(prob)
     grid = build_grid(0.5, default_ymax(p3_dec), 32)
-    ext = solve_extension(prob, grid, dec=p3_dec)
+    ext = solve_extension(prob, grid)
     assert np.max(np.abs(spectral.u - ext.u)) <= 1e-5
 
 
-def test_route_gap_contracts_under_refinement(path8, path8_dec):
+def test_route_gap_contracts_under_refinement(path8_dec):
     # on p3 both routes give u(1) = (f0 + f2)/2 for every symbol (phi_1
     # vanishes at the middle point), so its gap is zero at every m
-    prob = path8_problem(path8)
-    spectral = solve_spectral(prob, dec=path8_dec)
+    prob = path8_problem(path8_dec)
+    spectral = solve_spectral(prob)
     ymax = default_ymax(path8_dec)
     y1s, gaps = [], []
     for m in (8, 10, 12, 14):
         grid = build_grid(0.75, ymax, m)
-        ext = solve_extension(prob, grid, dec=path8_dec)
+        ext = solve_extension(prob, grid)
         y1s.append(grid.ys[1])
         gaps.append(np.max(np.abs(spectral.u - ext.u)))
     slope = np.polyfit(np.log(y1s), np.log(gaps), 1)[0]
@@ -205,15 +215,15 @@ def test_extension_operator_gradient_matches_energy(path8):
         assert fd == pytest.approx(analytic, rel=1e-6)
 
 
-def test_extension_iteration_budget(p3, p3_dec):
-    prob = p3_problem(p3)
+def test_extension_iteration_budget(p3_dec):
+    prob = p3_problem(p3_dec)
     grid = build_grid(0.5, default_ymax(p3_dec), 16)
     with pytest.raises(IterationBudgetExceeded):
         solve_extension(prob, grid, IterSpec(rel_tol=1e-14, max_iter=0))
 
 
-def test_extension_grid_mismatch(p3, p3_dec):
-    prob = p3_problem(p3, theta=0.25)
+def test_extension_grid_mismatch(p3_dec):
+    prob = p3_problem(p3_dec, theta=0.25)
     with pytest.raises(GridThetaMismatch):
         solve_extension(prob, build_grid(0.5, 10.0, 16))
 
@@ -232,7 +242,7 @@ def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request):
     # the same trace, so the preconditioner changes only the path
     space, dec = request.getfixturevalue(name), request.getfixturevalue(f"{name}_dec")
     f = np.random.default_rng(0).standard_normal(space.n)
-    prob = DirichletProblem(space=space, theta=theta, omega=_interior(space), f=f)
+    prob = DirichletProblem(stiffness_matrix(dec, theta), omega=_interior(space), f=f)
     grid = build_grid(theta, default_ymax(dec), m)
     op = _ProductGridOperator(space, grid, prob.omega)
     b = op.rhs_scaled(prob.f)
@@ -240,7 +250,7 @@ def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request):
         op.apply_scaled, b, np.zeros_like(b), lambda r: r, IterSpec(max_iter=100_000)
     )
     plain, _ = op.unpack(x / op.scale, prob.f)
-    sol = solve_extension(prob, grid, dec=dec)
+    sol = solve_extension(prob, grid)
     assert sol.iterations < plain_iterations
     assert np.max(np.abs(sol.u - plain)) <= 1e-6 * prob.data_oscillation
 
@@ -253,61 +263,55 @@ def test_extension_iterations_independent_of_size(nx, m):
     dec = decompose(space)
     f = np.random.default_rng(0).standard_normal(space.n)
     for theta in (0.25, 0.5, 0.75):
-        prob = DirichletProblem(space=space, theta=theta, omega=_interior(space), f=f)
-        sol = solve_extension(prob, build_grid(theta, default_ymax(dec), m), dec=dec)
+        prob = DirichletProblem(stiffness_matrix(dec, theta), omega=_interior(space), f=f)
+        sol = solve_extension(prob, build_grid(theta, default_ymax(dec), m))
         assert sol.iterations <= 5, f"theta={theta}"
         assert sol.residual <= IterSpec().rel_tol
 
 
-def test_extension_energy_is_trace_energy(grid44, grid44_dec):
+def test_extension_energy_is_trace_energy(grid44_dec):
     f = np.random.default_rng(1).standard_normal(16)
-    prob = interior_grid_problem(grid44, f, theta=0.25)
-    sol = solve_extension(prob, build_grid(0.25, default_ymax(grid44_dec), 32), dec=grid44_dec)
+    prob = interior_grid_problem(grid44_dec, f, theta=0.25)
+    sol = solve_extension(prob, build_grid(0.25, default_ymax(grid44_dec), 32))
     form = stiffness_matrix(grid44_dec, 0.25)
     assert sol.energy == pytest.approx(form.energy(sol.u), rel=1e-12)
 
 
-def test_solve_extension_rejects_foreign_decomposition(p3, path8_dec):
-    grid = build_grid(0.5, 10.0, 16)
-    with pytest.raises(InvalidParams):
-        solve_extension(p3_problem(p3), grid, dec=path8_dec)
+def test_spectral_route_reports_no_iterations(p3_dec):
+    assert solve_spectral(p3_problem(p3_dec)).iterations == 0
 
 
-def test_spectral_route_reports_no_iterations(p3, p3_dec):
-    assert solve_spectral(p3_problem(p3), dec=p3_dec).iterations == 0
-
-
-def test_extension_constant_data(p3, p3_dec):
+def test_extension_constant_data(p3_dec):
     prob = DirichletProblem(
-        space=p3, theta=0.5, omega=np.array([False, True, False]), f=np.full(3, 1.7)
+        stiffness_matrix(p3_dec, 0.5), omega=np.array([False, True, False]), f=np.full(3, 1.7)
     )
     grid = build_grid(0.5, default_ymax(p3_dec), 16)
-    sol = solve_extension(prob, grid, dec=p3_dec)
+    sol = solve_extension(prob, grid)
     assert np.allclose(sol.u, 1.7, atol=1e-9)
 
 
 # -- residual check
 
 
-def test_residual_check_spectral(p3, p3_dec):
-    prob = p3_problem(p3)
-    sol = solve_spectral(prob, dec=p3_dec)
+def test_residual_check_spectral(p3_dec):
+    prob = p3_problem(p3_dec)
+    sol = solve_spectral(prob)
     assert residual_check(sol, prob) <= 1e-12
 
 
-def test_residual_positive_without_solving(p3, p3_dec):
-    prob = p3_problem(p3)
-    unsolved = solve_spectral(prob, dec=p3_dec)
+def test_residual_positive_without_solving(p3_dec):
+    prob = p3_problem(p3_dec)
+    unsolved = solve_spectral(prob)
     fake = type(unsolved)(u=prob.f.copy(), route="none", residual=0.0, energy=0.0)
     assert residual_check(fake, prob) > 0.01
 
 
-def test_residual_decreases_under_grid_refinement(path8, path8_dec):
-    prob = path8_problem(path8)
+def test_residual_decreases_under_grid_refinement(path8_dec):
+    prob = path8_problem(path8_dec)
     ymax = default_ymax(path8_dec)
     resids = []
     for m in (8, 12, 16):
-        sol = solve_extension(prob, build_grid(0.75, ymax, m), dec=path8_dec)
+        sol = solve_extension(prob, build_grid(0.75, ymax, m))
         resids.append(residual_check(sol, prob))
     assert resids[0] > resids[1] > resids[2]
 
@@ -317,33 +321,34 @@ def test_residual_decreases_under_grid_refinement(path8, path8_dec):
 
 def test_max_principle_batch_grid(grid44, grid44_dec):
     form = stiffness_matrix(grid44_dec, 0.5)
+    omega = (grid44.cond > 0).sum(axis=1) == 4
     for seed in range(100):
         f = np.random.default_rng(seed).standard_normal(16)
-        prob = interior_grid_problem(grid44, f)
-        sol = solve_spectral(prob, dec=grid44_dec, form=form)
+        prob = DirichletProblem(form, omega=omega, f=f)
+        sol = solve_spectral(prob)
         assert maximum_principle_check(sol, prob)["passed"]
 
 
-def test_max_principle_equality_for_constants(p3, p3_dec):
+def test_max_principle_equality_for_constants(p3_dec):
     prob = DirichletProblem(
-        space=p3, theta=0.5, omega=np.array([False, True, False]), f=np.full(3, 2.0)
+        stiffness_matrix(p3_dec, 0.5), omega=np.array([False, True, False]), f=np.full(3, 2.0)
     )
-    sol = solve_spectral(prob, dec=p3_dec)
+    sol = solve_spectral(prob)
     rep = maximum_principle_check(sol, prob)
     assert rep["passed"]
     assert rep["min_interior"] == pytest.approx(rep["upper"], abs=1e-12)
 
 
-def test_strict_interior_bounds_p3(p3, p3_dec):
-    sol = solve_spectral(p3_problem(p3), dec=p3_dec)
+def test_strict_interior_bounds_p3(p3_dec):
+    sol = solve_spectral(p3_problem(p3_dec))
     assert 0.0 < sol.u[1] < 1.0
 
 
-def test_strong_maximum_reports(p3, grid44):
-    probs = [p3_problem(p3)]
+def test_strong_maximum_reports(p3_dec, grid44_dec):
+    probs = [p3_problem(p3_dec)]
     f = np.zeros(16)
     f[0] = 1.0
-    probs.append(interior_grid_problem(grid44, f))
+    probs.append(interior_grid_problem(grid44_dec, f))
     for prob in probs:
         rep = strong_maximum_check(solve_spectral(prob), prob)
         assert rep["passed"]
@@ -351,70 +356,68 @@ def test_strong_maximum_reports(p3, grid44):
         assert rep["margin"] > 0
 
 
-def test_solve_spectral_rejects_foreign_decomposition(p3, path8_dec):
-    with pytest.raises(InvalidParams, match="another space"):
-        solve_spectral(p3_problem(p3), dec=path8_dec)
-
-
-def test_solve_spectral_accepts_equal_space(p3):
-    twin = fixture("path", n=3)
-    sol = solve_spectral(p3_problem(p3), dec=decompose(twin))
-    assert sol.u[1] == pytest.approx(solve_spectral(p3_problem(p3)).u[1], abs=1e-14)
-
-
-def test_solve_spectral_rejects_form_for_other_theta(p3, p3_dec):
-    form = stiffness_matrix(p3_dec, 0.25)
-    with pytest.raises(InvalidParams, match="theta"):
-        solve_spectral(p3_problem(p3, theta=0.5), dec=p3_dec, form=form)
-
-
-def test_solve_spectral_rejects_form_for_other_space(p3, path8_dec):
-    form = stiffness_matrix(path8_dec, 0.5)
-    with pytest.raises(InvalidParams, match="shape"):
-        solve_spectral(p3_problem(p3), form=form)
-
-
-def test_strong_maximum_constant_vacuous(p3):
+def test_strong_maximum_constant_vacuous(p3_dec):
     prob = DirichletProblem(
-        space=p3, theta=0.5, omega=np.array([False, True, False]), f=np.full(3, 5.0)
+        stiffness_matrix(p3_dec, 0.5), omega=np.array([False, True, False]), f=np.full(3, 5.0)
     )
     rep = strong_maximum_check(solve_spectral(prob), prob)
     assert rep["passed"] and rep["is_constant"]
 
 
-def test_strong_maximum_dumbbell(dumbbell55, dumbbell55_dec):
+def test_strong_maximum_dumbbell(dumbbell55_dec):
     # data 1 on part of one clique's complement portion, 0 elsewhere
     omega = np.zeros(10, bool)
     omega[:4] = True
     f = np.zeros(10)
     f[4] = 1.0
-    prob = DirichletProblem(space=dumbbell55, theta=0.5, omega=omega, f=f)
-    sol = solve_spectral(prob, dec=dumbbell55_dec)
+    prob = DirichletProblem(stiffness_matrix(dumbbell55_dec, 0.5), omega=omega, f=f)
+    sol = solve_spectral(prob)
     assert np.all(sol.u[omega] < 1.0) and np.all(sol.u[omega] > 0.0)
 
 
 # -- uniqueness
 
 
-def test_uniqueness_p3_scalar_block(p3, p3_dec):
-    rep = uniqueness_check(p3_problem(p3))
+def test_uniqueness_p3_scalar_block(p3_dec):
+    rep = uniqueness_check(p3_problem(p3_dec))
     k = stiffness_matrix(p3_dec, 0.5).stiffness
     assert rep["lambda_min"] == pytest.approx(k[1, 1], abs=1e-12)
     assert rep["passed"]
 
 
-def test_uniqueness_single_point_complement(grid44):
+def test_uniqueness_single_point_complement(grid44_dec):
     omega = np.ones(16, bool)
     omega[0] = False
-    prob = DirichletProblem(space=grid44, theta=0.5, omega=omega, f=np.zeros(16))
+    prob = DirichletProblem(stiffness_matrix(grid44_dec, 0.5), omega=omega, f=np.zeros(16))
     assert uniqueness_check(prob)["lambda_min"] > 0
 
 
-def test_uniqueness_perturbed_restart(p3, p3_dec):
+def test_uniqueness_perturbed_restart(p3_dec):
     grid = build_grid(0.5, default_ymax(p3_dec), 16)
-    rep = uniqueness_check(p3_problem(p3), grid=grid)
+    rep = uniqueness_check(p3_problem(p3_dec), grid=grid)
     assert rep["passed"]
     assert rep["trace_agreement"] <= 1e-8
+
+
+def test_checks_read_the_problems_decomposition(p3_dec, monkeypatch):
+    # uniqueness_check and residual_check take the spectral data from the
+    # problem's form instead of decomposing its space again
+    import fraclap.dirichlet as dirichlet
+    import fraclap.spectral as spectral
+
+    calls = []
+
+    def counting(space):
+        calls.append(space)
+        return p3_dec
+
+    monkeypatch.setattr(spectral, "decompose", counting)
+    monkeypatch.setattr(dirichlet, "decompose", counting, raising=False)
+    prob = p3_problem(p3_dec)
+    rep = uniqueness_check(prob, grid=build_grid(0.5, default_ymax(p3_dec), 16))
+    assert rep["passed"]
+    assert residual_check(solve_spectral(prob), prob) <= 1e-12
+    assert calls == []
 
 
 # -- Harnack and oscillation diagnostics
@@ -426,13 +429,13 @@ def grid8_problem(theta=0.5, seed=0):
     degrees = (sp.cond > 0).sum(axis=1)
     omega = degrees == 4
     f = np.abs(np.random.default_rng(seed).standard_normal(sp.n))
-    return sp, DirichletProblem(space=sp, theta=theta, omega=omega, f=f)
+    return sp, DirichletProblem(stiffness_matrix(decompose(sp), theta), omega=omega, f=f)
 
 
 def test_harnack_constant_solution_quotient_one():
     sp = fixture("grid2d", nx=8)
     omega = (sp.cond > 0).sum(axis=1) == 4
-    prob = DirichletProblem(space=sp, theta=0.5, omega=omega, f=np.ones(sp.n))
+    prob = DirichletProblem(stiffness_matrix(decompose(sp), 0.5), omega=omega, f=np.ones(sp.n))
     sol = solve_spectral(prob)
     center = int(np.argmin(sp.dist.max(axis=1)))  # deepest node
     assert harnack_quotient(sol, prob, center, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -448,9 +451,9 @@ def test_harnack_scan_grid8():
     assert quotients and all(1.0 <= q < np.inf for q in quotients)
 
 
-def test_harnack_ball_not_inside(p3, p3_dec):
-    prob = p3_problem(p3)
-    sol = solve_spectral(prob, dec=p3_dec)
+def test_harnack_ball_not_inside(p3_dec):
+    prob = p3_problem(p3_dec)
+    sol = solve_spectral(prob)
     with pytest.raises(BallNotCompactlyInside):
         harnack_quotient(sol, prob, 1, 1.0)
     with pytest.raises(BallNotCompactlyInside, match=r"\[1\]"):
@@ -462,25 +465,25 @@ def test_holder_estimate_grid16():
     degrees = (sp.cond > 0).sum(axis=1)
     omega = degrees == 4
     f = np.random.default_rng(3).standard_normal(sp.n)
-    prob = DirichletProblem(space=sp, theta=0.5, omega=omega, f=f)
+    prob = DirichletProblem(stiffness_matrix(decompose(sp), 0.5), omega=omega, f=f)
     sol = solve_spectral(prob)
     rep = holder_estimate(sol, prob)
     assert 0.0 < rep["alpha_fit"] <= 1.5
     assert np.isfinite(rep["r2"])
 
 
-def test_holder_constant_sentinel(grid44, grid44_dec):
-    prob = interior_grid_problem(grid44, np.full(16, 2.0))
-    sol = solve_spectral(prob, dec=grid44_dec)
+def test_holder_constant_sentinel(grid44_dec):
+    prob = interior_grid_problem(grid44_dec, np.full(16, 2.0))
+    sol = solve_spectral(prob)
     rep = holder_estimate(sol, prob)
     assert rep["alpha_fit"] == np.inf
 
 
-def test_holder_insufficient_scales(k2, k2_dec):
+def test_holder_insufficient_scales(k2_dec):
     prob = DirichletProblem(
-        space=k2, theta=0.5, omega=np.array([True, False]), f=np.array([0.0, 1.0])
+        stiffness_matrix(k2_dec, 0.5), omega=np.array([True, False]), f=np.array([0.0, 1.0])
     )
-    sol = solve_spectral(prob, dec=k2_dec)
+    sol = solve_spectral(prob)
     with pytest.raises(InsufficientScales):
         holder_estimate(sol, prob)
 
@@ -514,8 +517,8 @@ def test_harnack_scan_matches_loop(name, request):
     dec = decompose(sp)
     omega = _all_but_last(sp)
     f = np.abs(np.random.default_rng([0, 0]).standard_normal(sp.n))
-    problem = DirichletProblem(space=sp, theta=0.5, omega=omega, f=f)
-    sol = solve_spectral(problem, dec=dec)
+    problem = DirichletProblem(stiffness_matrix(dec, 0.5), omega=omega, f=f)
+    sol = solve_spectral(problem)
     ctx = {"space": sp, "dec": dec, "theta": 0.5, "seed": 0, "index": 0}
     n_rows = 0
     for radius in (0.5, 1.0, 1.5, sp.diameter):  # the last admits no centre
@@ -554,7 +557,9 @@ def holder_loop(sol, problem):
 def test_holder_estimate_matches_loop(path8, grid44, weighted_grid34):
     for sp in (path8, grid44, weighted_grid34, fixture("dumbbell", clique=4, bridge=3)):
         f = np.random.default_rng(5).standard_normal(sp.n)
-        problem = DirichletProblem(space=sp, theta=0.25, omega=_all_but_last(sp), f=f)
+        problem = DirichletProblem(
+            stiffness_matrix(decompose(sp), 0.25), omega=_all_but_last(sp), f=f
+        )
         sol = solve_spectral(problem)
         rep = holder_estimate(sol, problem)
         slope, r2 = holder_loop(sol, problem)
@@ -574,18 +579,20 @@ def test_max_principle_random_problems(seed):
     omega[rng.choice(6, size=rng.integers(1, 5), replace=False)] = True
     if omega.all():
         omega[0] = False
-    prob = DirichletProblem(space=sp, theta=0.5, omega=omega, f=rng.standard_normal(6))
+    prob = DirichletProblem(
+        stiffness_matrix(decompose(sp), 0.5), omega=omega, f=rng.standard_normal(6)
+    )
     sol = solve_spectral(prob)
     assert maximum_principle_check(sol, prob)["passed"]
 
 
-def test_solution_json_export(p3, p3_dec):
+def test_solution_json_export(p3_dec):
     import json
 
     from fraclap import solution_to_json
 
-    prob = p3_problem(p3)
-    sol = solve_spectral(prob, dec=p3_dec)
+    prob = p3_problem(p3_dec)
+    sol = solve_spectral(prob)
     obj = json.loads(solution_to_json(sol, prob, diagnostics={"note": 1}))
     assert obj["route"] == "spectral"
     assert obj["omega"] == [False, True, False]

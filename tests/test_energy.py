@@ -236,31 +236,31 @@ def test_truncation_in_the_limit(path8_dec):
 
 
 def test_comparability_k2_analytic_ratio(k2, k2_dec):
-    rep = comparability_report(k2, k2_dec, 0.5, [np.array([1.0, -1.0])])
+    rep = comparability_report(k2_dec, 0.5, [np.array([1.0, -1.0])])
     assert rep["ratio_min"] == pytest.approx(np.sqrt(2), abs=1e-12)
     assert rep["ratio_max"] == pytest.approx(np.sqrt(2), abs=1e-12)
 
 
 def test_comparability_scaling_invariance(p3, p3_dec):
     f = np.array([0.0, 1.0, -0.5])
-    a = comparability_report(p3, p3_dec, 0.5, [f])
-    b = comparability_report(p3, p3_dec, 0.5, [7.3 * f])
+    a = comparability_report(p3_dec, 0.5, [f])
+    b = comparability_report(p3_dec, 0.5, [7.3 * f])
     assert a["ratio_min"] == pytest.approx(b["ratio_min"], rel=1e-12)
 
 
 def test_comparability_random_family_finite(path8, path8_dec):
     rng = np.random.default_rng(0)
     family = [rng.standard_normal(8) for _ in range(100)]
-    rep = comparability_report(path8, path8_dec, 0.5, family)
+    rep = comparability_report(path8_dec, 0.5, family)
     assert 0 < rep["ratio_min"] <= rep["ratio_max"] < np.inf
     assert rep["family_size"] == 100
 
 
 def test_comparability_rejects_constants(p3, p3_dec):
     with pytest.raises(ConstantFunctionInFamily):
-        comparability_report(p3, p3_dec, 0.5, [np.ones(3)])
+        comparability_report(p3_dec, 0.5, [np.ones(3)])
     with pytest.raises(ConstantFunctionInFamily):
-        comparability_report(p3, p3_dec, 0.5, [])
+        comparability_report(p3_dec, 0.5, [])
 
 
 def test_theta_range_checks(p3, p3_dec):

@@ -240,7 +240,7 @@ def test_extension_energy_k2(k2, k2_dec):
     f = np.array([1.0, -1.0])
     grid = build_grid(0.5, 13.0, 64)
     u = poisson_extend(k2_dec, 0.5, f, grid)
-    res = extension_energy(u, k2)
+    res = extension_energy(u)
     # single mode lam = 2, coefficient^2 = 2: energy = sqrt(2) * 2
     assert abs(res.value - 2 * np.sqrt(2)) <= res.quadrature_tolerance
     assert res.tail_bound <= 1e-8
@@ -249,7 +249,7 @@ def test_extension_energy_k2(k2, k2_dec):
 def test_extension_energy_constant_data_zero(p3, p3_dec):
     grid = build_grid(0.5, 10.0, 16)
     u = poisson_extend(p3_dec, 0.5, np.full(3, 9.0), grid)
-    res = extension_energy(u, p3)
+    res = extension_energy(u)
     assert res.value == pytest.approx(0.0, abs=1e-14)
 
 
@@ -257,7 +257,7 @@ def test_extension_energy_tail_guard(k2, k2_dec):
     grid = build_grid(0.5, 0.5, 8)  # far too short for the slowest mode
     u = poisson_extend(k2_dec, 0.5, np.array([1.0, -1.0]), grid)
     with pytest.raises(TailNotConverged):
-        extension_energy(u, k2)
+        extension_energy(u)
 
 
 # -- vertical modulus

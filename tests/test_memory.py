@@ -28,6 +28,7 @@ from fraclap import (
     holder_estimate,
     poisson_extend,
     solve_spectral,
+    stiffness_matrix,
     trace_averaging_diagnostic,
 )
 
@@ -87,8 +88,8 @@ def test_geometric_checks_peak_allocation():
     dec = decompose(sp)
     omega = (sp.cond > 0).sum(axis=1) == 4
     f = np.random.default_rng(0).standard_normal(N)
-    prob = DirichletProblem(space=sp, theta=0.25, omega=omega, f=f)
-    sol = solve_spectral(prob, dec=dec)
+    prob = DirichletProblem(stiffness_matrix(dec, 0.25), omega=omega, f=f)
+    sol = solve_spectral(prob)
     u = poisson_extend(dec, 0.25, f, build_grid(0.25, default_ymax(dec), 32))
     grid = build_grid(0.25, 4.0, 64)
     assert peak_bytes(doubling_stats, sp) <= GEOMETRIC_BOUND_BYTES

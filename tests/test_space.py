@@ -339,6 +339,26 @@ def test_dumbbell_fixture(dumbbell55):
     assert dumbbell55.dist[0, 9] == 3.0
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("path", {"n": 6}),
+        ("grid2d", {"nx": 2}),
+        ("grid2d", {"nx": 3, "ny": 7}),
+        ("grid2d", {"nx": 20}),
+        ("dumbbell", {"clique": 2}),
+        ("dumbbell", {"clique": 3}),
+        ("dumbbell", {"clique": 4, "bridge": 1}),
+        ("dumbbell", {"clique": 5, "bridge": 5}),
+        ("dumbbell", {"clique": 10, "bridge": 3}),
+    ],
+)
+def test_fixture_metric_is_hop_metric_of_its_graph(kind, params):
+    # the closed-form metrics against unit-length shortest paths of `cond`
+    sp = fixture(kind, **params)
+    assert np.array_equal(sp.dist, shortest_path(sp.cond > 0, unweighted=True))
+
+
 def test_fixture_conductances_match_loops():
     # the scalar loops the grid2d and dumbbell builders replaced
     for nx, ny in ((2, 2), (4, 4), (3, 7), (20, 20)):
