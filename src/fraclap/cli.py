@@ -252,7 +252,7 @@ def _exp_energy_comparability(ctx, params):
     space, dec, theta = ctx["space"], ctx["dec"], ctx["theta"]
     size = params["family_size"]
     rng = np.random.default_rng([ctx["seed"], ctx["index"]])
-    family = [rng.standard_normal(space.n) for _ in range(size)]
+    family = rng.standard_normal((size, space.n))
     rep = comparability_report(dec, theta, family)
     ok = (
         np.isfinite(rep["ratio_min"])

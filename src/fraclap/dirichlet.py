@@ -247,7 +247,6 @@ class _ModePreconditioner:
 
     def __init__(self, op: _ProductGridOperator, dec: SpectralDecomposition):
         self.op, self.lam, self.phis = op, dec.lambdas, dec.phis
-        self.m_phi = op.space.mu[:, None] * dec.phis
         r = np.tril(np.ones((op.m, op.m)), -1) + np.diag(op.s)
         self.rw = r.T @ op.w
         self.cinv = 1.0 / np.sqrt(op.cv)
@@ -256,11 +255,16 @@ class _ModePreconditioner:
         # G_k^-1 g_k, and sigma_k = 2 lam_k sum(w) - g_k . G_k^-1 g_k (0 at lam = 0)
         self.g_solved = self.solve_modes(2.0 * self.lam[:, None] * self.rw[None, :])
         sigma = 2.0 * self.lam * (op.w.sum() - self.g_solved @ self.rw)
-        m_phi_o = self.m_phi[op.omega]
+        # the Omega rows of M Phi, built before the full M Phi so that the two
+        # |Omega| x n factors of the Schur product never live beside it
+        m_phi_o = dec.phis[op.omega]
+        m_phi_o *= op.space.mu[op.omega, None]
         try:
             self.s_factor = cho_factor((m_phi_o * sigma) @ m_phi_o.T, overwrite_a=True)
         except LinAlgError as exc:
             raise SingularSystem(f"boundary Schur complement not positive definite: {exc}")
+        del m_phi_o
+        self.m_phi = op.space.mu[:, None] * dec.phis
 
     def solve_modes(self, rhs):
         """G_k^-1 rhs_k for every mode k (row k of the n x m array `rhs`)."""

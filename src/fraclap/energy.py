@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantFunctionInFamily, NonpositiveTime
+from .errors import ConstantFunctionInFamily, InvalidParams, NonpositiveTime
 from .space import Space
 from .spectral import SpectralDecomposition, check_theta, frac_heat_kernel, lambda_power
 
@@ -67,6 +67,27 @@ def besov_energy(space: Space, theta: float, f) -> float:
     return float(np.einsum("zw,zw,z,w->", diff2, weights, space.mu, space.mu))
 
 
+def _besov_stiffness(space: Space, theta: float) -> np.ndarray:
+    """Matrix B with f^T B f = besov_energy(space, theta, f) for every f.
+
+    With A = W o (mu mu^T) and W_zw = 1/(d(z,w)^{2 theta} mu(B(z, d(z,w))))
+    off the diagonal (0 on it), the double sum of A_zw (f_z - f_w)^2 is
+    f^T (diag(A 1 + A^T 1) - (A + A^T)) f.  Built from `dist`, `mu` and the
+    ball-mass table alone, never from eigenpairs.
+    """
+    a = space.dist ** (2 * theta)
+    a *= space.ball_masses
+    np.fill_diagonal(a, 1.0)
+    np.divide(1.0, a, out=a)
+    np.fill_diagonal(a, 0.0)
+    a *= space.mu[:, None]
+    a *= space.mu[None, :]
+    b = a + a.T
+    np.negative(b, out=b)
+    np.fill_diagonal(b, a.sum(axis=1) + a.sum(axis=0))
+    return b
+
+
 def frac_energy(dec: SpectralDecomposition, theta: float, f) -> float:
     return frac_bilinear(dec, theta, f, f)
 
@@ -116,26 +137,35 @@ def regularized_energy_double_sum(
 
 
 def comparability_report(dec: SpectralDecomposition, theta: float, family) -> dict:
-    """Min and max of besov/fractional energy ratios over a family of vectors,
-    both energies on the decomposition's space.
+    """Min and max of besov/fractional energy ratios over a family of vectors
+    (a list of them, or an (F, n) array of F members), both energies on the
+    decomposition's space.
 
-    Both energies vanish exactly on constants, so constant members are
-    rejected rather than producing 0/0.
+    One Besov stiffness matrix (`_besov_stiffness`) and one coefficient
+    product Phi^T M F^T give the energies of the whole family.  Both energies
+    vanish exactly on constants, so constant members are rejected rather than
+    producing 0/0.
     """
     check_theta(theta)
     space = dec.space
-    family = [np.asarray(f, dtype=float) for f in family]
-    if not family:
+    shape_msg = f"family must be F vectors of length {space.n}"
+    try:
+        family = np.asarray(family, dtype=float)
+    except ValueError:  # members of unequal lengths
+        raise InvalidParams(shape_msg) from None
+    if family.size == 0:
         raise ConstantFunctionInFamily("family is empty")
-    ratios = []
-    for f in family:
-        if np.ptp(f) == 0:
-            raise ConstantFunctionInFamily("family contains a constant vector")
-        ratios.append(besov_energy(space, theta, f) / frac_energy(dec, theta, f))
+    if family.ndim != 2 or family.shape[1] != space.n:
+        raise InvalidParams(f"{shape_msg}, got shape {family.shape}")
+    if np.any(np.ptp(family, axis=1) == 0):
+        raise ConstantFunctionInFamily("family contains a constant vector")
+    besov = np.einsum("fz,fz->f", family, family @ _besov_stiffness(space, theta))
+    coeffs = dec.phis.T @ (space.mu[:, None] * family.T)
+    ratios = besov / (lambda_power(dec.lambdas, theta) @ coeffs**2)
     return {
         "theta": theta,
         "n": space.n,
-        "ratio_min": float(min(ratios)),
-        "ratio_max": float(max(ratios)),
+        "ratio_min": float(ratios.min()),
+        "ratio_max": float(ratios.max()),
         "family_size": len(family),
     }

@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 _METRIC_TOL = 1e-12
+# the Euclidean certificate embeds in at most this many dimensions, and stops
+# pivoting once the residual Gram diagonal is below this fraction of max d(0,.)^2
+_EMBEDDING_RANK = 3
+_EMBEDDING_STOP = 1e-13
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ def _check_metric(dist, cond):
         raise MetricViolation("distance matrix not symmetric")
     if n > 1 and dist[~np.eye(n, dtype=bool)].min() <= 0:
         raise MetricViolation("distinct points at nonpositive distance")
-    if _is_edge_path_metric(dist, cond):
+    if _is_edge_path_metric(dist, cond) or _is_euclidean_metric(dist):
         return
     # Otherwise the dense triangle check.  Floyd-Warshall's shortest paths
     # are never longer than any two-hop detour d(i,j) + d(j,k) (rounding is
@@ -191,6 +195,58 @@ def _is_edge_path_metric(dist, cond) -> bool:
     paths += 1.0
     paths *= _METRIC_TOL / 4
     return bool(np.all(gap <= paths) and np.all(np.isfinite(paths)))
+
+
+def _is_euclidean_metric(dist) -> bool:
+    """Certificate for the triangle inequality in O(n^2): True when `dist`
+    equals, within _METRIC_TOL/4, the distance matrix D of explicit points in
+    R^r, r <= _EMBEDDING_RANK (Schoenberg).  The points come from `dist`
+    alone, as in landmark MDS: a pivoted Cholesky of the Gram matrix relative
+    to point 0, G_ij = (d(0,i)^2 + d(0,j)^2 - d(i,j)^2) / 2, built one pivot
+    column at a time.  D satisfies the triangle inequality up to rounding, so
+    the chaining argument of `_is_edge_path_metric` applies: True implies the
+    Floyd-Warshall screen or the per-pivot scan accepts, and False decides
+    nothing.
+    """
+    n = dist.shape[0]
+    if n == 0:
+        return False
+    d0_sq = dist[0] ** 2
+    # a pivot on rounding noise would cost three orders of magnitude of
+    # accuracy in the coordinates, so stop once the residual is at that level
+    stop = _EMBEDDING_STOP * d0_sq.max()
+    residual = d0_sq.copy()
+    coords = np.zeros((n, _EMBEDDING_RANK))
+    rank = 0
+    while rank < _EMBEDDING_RANK:
+        p = int(np.argmax(residual))
+        if residual[p] <= stop:
+            break
+        gram = 0.5 * (d0_sq + d0_sq[p] - dist[p] ** 2)
+        gram -= coords[:, :rank] @ coords[p, :rank]
+        coords[:, rank] = gram / np.sqrt(residual[p])
+        residual -= coords[:, rank] ** 2
+        rank += 1
+    embedded = _euclidean_distances(coords[:, :rank])
+    gap = dist - embedded
+    np.abs(gap, out=gap)
+    embedded += 1.0
+    embedded *= _METRIC_TOL / 4
+    return bool(np.all(gap <= embedded))
+
+
+def _euclidean_distances(points) -> np.ndarray:
+    """Distance matrix of the rows of `points` (n x r), summed one coordinate
+    at a time: |x|^2 + |y|^2 - 2 x.y would lose sqrt(eps) on close pairs, and
+    an (n, n, r) difference tensor would take r n^2 memory."""
+    n = len(points)
+    dist = np.zeros((n, n))
+    step = np.empty((n, n))
+    for x in points.T:
+        np.subtract.outer(x, x, out=step)
+        np.square(step, out=step)
+        dist += step
+    return np.sqrt(dist, out=dist)
 
 
 def ball_mask(space: Space, x, r: float) -> np.ndarray:
@@ -310,9 +366,7 @@ def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
     if n < 2 or radius <= 0:
         raise InvalidParams("random_geometric fixture needs n >= 2, radius > 0")
     rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(-1))
+    dist = _euclidean_distances(rng.random((n, 2)))
     cond = ((dist <= radius) & ~np.eye(n, dtype=bool)).astype(float)
     return build_space(dist, np.ones(n), cond)
 

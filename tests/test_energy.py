@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fraclap import (
     ball_measure,
     besov_energy,
+    build_space,
     comparability_report,
     decompose,
     fixture,
@@ -16,7 +17,13 @@ from fraclap import (
     regularized_energy_double_sum,
     stiffness_matrix,
 )
-from fraclap.errors import ConstantFunctionInFamily, NonpositiveTime, ThetaOutOfRange
+from fraclap.energy import _besov_stiffness
+from fraclap.errors import (
+    ConstantFunctionInFamily,
+    InvalidParams,
+    NonpositiveTime,
+    ThetaOutOfRange,
+)
 from fraclap.spectral import spectral_power_apply
 
 from conftest import random_vector
@@ -261,6 +268,47 @@ def test_comparability_rejects_constants(p3, p3_dec):
         comparability_report(p3_dec, 0.5, [np.ones(3)])
     with pytest.raises(ConstantFunctionInFamily):
         comparability_report(p3_dec, 0.5, [])
+    with pytest.raises(ConstantFunctionInFamily):
+        comparability_report(p3_dec, 0.5, np.array([[0.0, 1.0, 2.0], [4.0, 4.0, 4.0]]))
+
+
+def test_comparability_rejects_misshapen_family(p3, p3_dec):
+    with pytest.raises(InvalidParams):
+        comparability_report(p3_dec, 0.5, [np.arange(4.0)])
+    with pytest.raises(InvalidParams):
+        comparability_report(p3_dec, 0.5, np.arange(3.0))
+    with pytest.raises(InvalidParams):
+        comparability_report(p3_dec, 0.5, [np.arange(3.0), np.arange(4.0)])
+
+
+def test_besov_stiffness_quadratic_form_is_the_double_sum(weighted_grid34):
+    # unequal masses, and a random_geometric space without ties
+    rgg = fixture("random_geometric", n=30, radius=0.4, seed=2)
+    rgg = build_space(rgg.dist, np.random.default_rng(2).uniform(0.2, 3.0, 30), rgg.cond)
+    for sp in (weighted_grid34, rgg):
+        for theta in (0.25, 0.5, 0.75):
+            b = _besov_stiffness(sp, theta)
+            assert np.array_equal(b, b.T)
+            np.testing.assert_allclose(b @ np.ones(sp.n), 0.0, atol=1e-12 * np.abs(b).max())
+            for seed in range(3):
+                f = random_vector(sp, seed)
+                assert f @ b @ f == pytest.approx(besov_energy(sp, theta, f), rel=1e-13)
+
+
+def test_comparability_matches_per_member_energies(grid44_dec, dumbbell55_dec):
+    # the per-member loop over besov_energy and frac_energy that the one
+    # stiffness matrix and one coefficient product replaced
+    for dec in (grid44_dec, dumbbell55_dec):
+        family = np.random.default_rng(4).standard_normal((12, dec.space.n))
+        for theta in (0.25, 0.75):
+            ratios = [
+                besov_energy(dec.space, theta, f) / frac_energy(dec, theta, f) for f in family
+            ]
+            rep = comparability_report(dec, theta, family)
+            assert rep == comparability_report(dec, theta, list(family))
+            assert rep["ratio_min"] == pytest.approx(min(ratios), rel=1e-13)
+            assert rep["ratio_max"] == pytest.approx(max(ratios), rel=1e-13)
+            assert rep["family_size"] == 12
 
 
 def test_theta_range_checks(p3, p3_dec):

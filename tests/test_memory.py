@@ -5,8 +5,8 @@ temporary (216 MB of doubles, or 27 MB even as booleans) breaks it.  The
 geometric checks run over every centre at once, where the easy mistake is a
 (centre, point, radius) tensor: with 6 to 12 radii at n=300 it stays under
 32 n^2 doubles, so they are held to 4 n^2 (they take about 1.2 n^2).  The
-validation of a graph metric and the ball-mass table have their own, tighter
-bounds.
+validation of graph and Euclidean metrics, the ball-mass table, the mode
+preconditioner and the comparability family have their own, tighter bounds.
 """
 
 import tracemalloc
@@ -20,6 +20,7 @@ from fraclap import (
     build_grid,
     build_space,
     codim_ball_check,
+    comparability_report,
     decompose,
     default_ymax,
     doubling_stats,
@@ -31,6 +32,7 @@ from fraclap import (
     stiffness_matrix,
     trace_averaging_diagnostic,
 )
+from fraclap.dirichlet import _ModePreconditioner, _ProductGridOperator
 
 N = 300
 BOUND_BYTES = 32 * N * N * 8
@@ -81,6 +83,40 @@ def test_metric_certificate_peak_allocation():
     # where the Floyd-Warshall route takes 3.1, so a silent fallback fails too
     sp = grid300()
     assert peak_bytes(build_space, sp.dist, sp.mu, sp.cond) <= 3 * N * N * 8
+
+
+def test_euclidean_certificate_peak_allocation():
+    # random_geometric's metric is certified by its planar embedding: about
+    # 2.2 n^2 doubles for all of build_space (the embedded distances and
+    # their gap to dist), where the Floyd-Warshall route takes 3.1
+    sp = fixture("random_geometric", n=N, radius=0.15, seed=0)
+    assert peak_bytes(build_space, sp.dist, sp.mu, sp.cond) <= 3 * N * N * 8
+    # the fixture sums one coordinate at a time: about 4.2 n^2, where the
+    # (n, n, 2) difference tensor took 7.1
+    build = peak_bytes(lambda: fixture("random_geometric", n=N, radius=0.15, seed=0))
+    assert build <= 5 * N * N * 8
+
+
+def test_mode_preconditioner_peak_allocation():
+    # the Omega rows of M Phi are built before the full M Phi: about 2.4 n^2
+    # doubles, where holding M Phi, its row copy, the sigma-scaled copy and
+    # their product at once took 3.4
+    sp = grid300()
+    dec = decompose(sp)
+    omega = (sp.cond > 0).sum(axis=1) == 4
+    op = _ProductGridOperator(sp, build_grid(0.25, default_ymax(dec), 32), omega)
+    assert peak_bytes(_ModePreconditioner, op, dec) <= 2.8 * N * N * 8
+
+
+def test_comparability_report_peak_allocation():
+    # with the ball-mass table built, the family's energies take the Besov
+    # stiffness matrix and its one work array: about 2.1 n^2 doubles, where
+    # the per-member double sums took 4.1
+    sp = fixture("random_geometric", n=N, radius=0.15, seed=0)
+    dec = decompose(sp)
+    family = np.random.default_rng(0).standard_normal((10, N))
+    sp.ball_masses
+    assert peak_bytes(comparability_report, dec, 0.5, family) <= 3 * N * N * 8
 
 
 def test_geometric_checks_peak_allocation():

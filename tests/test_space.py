@@ -24,7 +24,13 @@ from fraclap.errors import (
     MetricViolation,
     NonpositiveMeasure,
 )
-from fraclap.space import _METRIC_TOL, _check_metric, _is_edge_path_metric
+from fraclap.space import (
+    _METRIC_TOL,
+    _check_metric,
+    _euclidean_distances,
+    _is_edge_path_metric,
+    _is_euclidean_metric,
+)
 
 
 def test_k2_is_valid():
@@ -108,11 +114,29 @@ def _fixture_metric(kind, **params):
     return np.array(sp.dist), np.array(sp.cond)
 
 
+def _scaled_metric(scale, kind, **params):
+    dist, cond = _fixture_metric(kind, **params)
+    return scale * dist, cond
+
+
+def _points_3d_metric():
+    # points of the unit cube joined in a chain, so no path metric of its edges
+    dist = _euclidean_distances(np.random.default_rng(5).random((10, 3)))
+    return dist, np.eye(10, k=1) + np.eye(10, k=-1)
+
+
 _CERTIFICATE_BASES = {
     "path": lambda: _fixture_metric("path", n=7),
     "grid2d": lambda: _fixture_metric("grid2d", nx=3, ny=4),
     "dumbbell": lambda: _fixture_metric("dumbbell", clique=4, bridge=2),
     "random_geometric": lambda: _fixture_metric("random_geometric", n=12, radius=0.5, seed=3),
+    "random_geometric_1e-6": lambda: _scaled_metric(
+        1e-6, "random_geometric", n=12, radius=0.5, seed=4
+    ),
+    "random_geometric_1e3": lambda: _scaled_metric(
+        1e3, "random_geometric", n=12, radius=0.5, seed=5
+    ),
+    "euclidean_3d": _points_3d_metric,
     "weighted_grid": _weighted_grid_metric,
     "several_hop_slack": _several_hop_slack,
 }
@@ -144,22 +168,53 @@ def test_certificate_and_floyd_warshall_agree(base, perturb, factor, sign, data)
         k = data.draw(st.integers(0, n - 1).filter(lambda k: k != i))
         dist[i, k] = dist[k, i] = dist[i, k] + sign * factor * _METRIC_TOL * (1.0 + dist[i, k])
     with_certificate = _metric_verdict(dist, cond)
-    with mock.patch("fraclap.space._is_edge_path_metric", return_value=False):
+    with (
+        mock.patch("fraclap.space._is_edge_path_metric", return_value=False),
+        mock.patch("fraclap.space._is_euclidean_metric", return_value=False),
+    ):
         assert _metric_verdict(dist, cond) == with_certificate
-    if _is_edge_path_metric(dist, cond):
+    if _is_edge_path_metric(dist, cond) or _is_euclidean_metric(dist):
         assert with_certificate is None
 
 
 def test_certificate_decides_graph_metrics_only():
     for base in ("path", "grid2d", "dumbbell", "weighted_grid"):
         assert _is_edge_path_metric(*_CERTIFICATE_BASES[base]())
-    for base in ("random_geometric", "several_hop_slack"):
+    for base in ("random_geometric", "euclidean_3d", "several_hop_slack"):
         assert not _is_edge_path_metric(*_CERTIFICATE_BASES[base]())
     # a distance from point 0 moved by a tenth of the tolerance stays certified
     for sign in (-1.0, 1.0):
         dist, cond = _CERTIFICATE_BASES["grid2d"]()
         dist[0, -1] = dist[-1, 0] = dist[0, -1] + sign * 0.1 * _METRIC_TOL * (1.0 + dist[0, -1])
         assert _is_edge_path_metric(dist, cond)
+
+
+def test_euclidean_certificate_decides_embedded_points_only():
+    # the path metric is the line's, so it embeds in R^1
+    for base in ("path", "random_geometric", "random_geometric_1e-6",
+                 "random_geometric_1e3", "euclidean_3d"):
+        assert _is_euclidean_metric(_CERTIFICATE_BASES[base]()[0])
+    for base in ("grid2d", "dumbbell", "weighted_grid", "several_hop_slack"):
+        assert not _is_euclidean_metric(_CERTIFICATE_BASES[base]()[0])
+    # one pair of the plane moved by 1e-9 relative is no longer embedded
+    dist, _ = _CERTIFICATE_BASES["random_geometric"]()
+    dist[2, 7] = dist[7, 2] = dist[2, 7] * (1.0 + 1e-9)
+    assert not _is_euclidean_metric(dist)
+    # four points of R^3 in general position need all three coordinates
+    with mock.patch("fraclap.space._EMBEDDING_RANK", 2):
+        assert not _is_euclidean_metric(_CERTIFICATE_BASES["euclidean_3d"]()[0])
+
+
+def test_random_geometric_certified_at_rank_two():
+    # the benchmark fixture (n=400, radius 0.15) embeds in the plane: the
+    # third pivot allowed is not spent on rounding noise
+    for seed in range(20):
+        dist = fixture("random_geometric", n=400, radius=0.15, seed=seed).dist
+        with mock.patch(
+            "fraclap.space._euclidean_distances", wraps=_euclidean_distances
+        ) as embed:
+            assert _is_euclidean_metric(dist)
+        assert embed.call_args.args[0].shape == (400, 2)
 
 
 def test_certificate_rejects_unreachable_points():
@@ -191,9 +246,13 @@ def test_floyd_warshall_only_where_the_certificate_cannot_decide(monkeypatch):
     assert "fw" not in [name for name, _ in calls]
     calls.clear()
     # Euclidean, no path metric: the screen from point 0 rejects it before
-    # any shortest-path solve
+    # any shortest-path solve, and the embedding certifies it
     fixture("random_geometric", n=40, radius=0.4, seed=0)
-    assert calls == [("fw", 40)]
+    assert calls == []
+    # neither a path metric of its edges nor points of R^r
+    dist, cond = _several_hop_slack()
+    build_space(dist, np.ones(4), cond)
+    assert [call for call in calls if call[0] == "fw"] == [("fw", 4)]
 
 
 # -- ball measure
@@ -382,6 +441,16 @@ def test_fixture_conductances_match_loops():
         for u, v in zip(chain[:-1], chain[1:]):
             cond[u, v] = cond[v, u] = 1.0
         assert np.array_equal(fixture("dumbbell", clique=clique, bridge=bridge).cond, cond)
+
+
+def test_random_geometric_metric_matches_difference_tensor():
+    # the (n, n, 2) difference tensor the fixture summed before: the same
+    # two-term sum, so the same bits
+    for seed in (0, 7):
+        pts = np.random.default_rng(seed).random((50, 2))
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff * diff).sum(-1))
+        assert np.array_equal(fixture("random_geometric", n=50, radius=0.3, seed=seed).dist, dist)
 
 
 def test_random_geometric_deterministic():
