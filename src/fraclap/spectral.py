@@ -11,6 +11,7 @@ semigroup) is a function of the spectral resolution computed here.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from scipy.linalg import eigh
 from .errors import (
     DimensionMismatch,
     EigensolverNoConvergence,
+    InvalidParams,
     NonpositiveTime,
     SeriesTimeTooLarge,
     ThetaOutOfRange,
@@ -43,7 +45,7 @@ __all__ = [
 ]
 
 _EIGENTOL = 1e-10  # zero clamp and validation bounds, relative to lambda_max
-_SERIES_TOL = 1e-16  # the series stops once a term falls below this share of the sum
+_SERIES_TOL = 1e-16  # the series ends at a term bounded by this share of the sum
 _SERIES_MAX_BETA_T = 600.0
 _QT_TIMES = (0.01, 0.1, 1.0)
 
@@ -203,20 +205,35 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> KernelMatrix:
     return _kernel_from_weights(dec, np.exp(-dec.lambdas * t))
 
 
-def heat_kernel_series(space: Space, t: float) -> np.ndarray:
+def heat_kernel_series(space: Space, t: float | Sequence[float]) -> np.ndarray | list[np.ndarray]:
     """Heat kernel via the uniformization series, a cancellation-free route.
 
-    Writing Delta = beta (Q - I) with Q an entrywise-nonnegative operator
-    matrix gives exp(t Delta) = exp(-beta t) sum_j (beta t)^j / j! Q^j.  The
-    series is evaluated by scaling and squaring: for x = beta t and the least
-    k >= 0 with h = x / 2^k <= 1/2 and (n - 1) / 2^k <= 16,
+    Writing Delta = beta (Q - I) with Q a row-stochastic, entrywise-nonnegative
+    operator matrix gives exp(t Delta) = exp(-beta t) sum_j (beta t)^j / j! Q^j.
+    The series is evaluated by scaling and squaring: for x = beta t and the
+    least k >= 0 with h = x / 2^k <= 1/2 and (n - 1) / 2^k <= 16,
 
-        exp(t Delta) = (exp(-h) sum_j h^j / j! Q^j)^(2^k),
+        exp(t Delta) = (exp(-h) sum_{j <= m} h^j / j! Q^j)^(2^k).
 
-    which takes about k + 16 dense products instead of more than n.
+    The degree m is fixed up front: the least m >= ceil((n - 1) / 2^k) with
+    h^m / m! <= 1e-16.  Every entry of h^j / j! Q^j is at most h^j / j! and
+    the sum is at least I, so no term past m reaches 1e-16 of its largest
+    entry.  The sum is evaluated by Horner's rule in Q^2 (Paterson and
+    Stockmeyer),
 
-    Every term and every product is entrywise nonnegative and nothing is
-    subtracted, so entries come out strictly positive in floating point on
+        sum_b (c_2b I + c_2b+1 Q) (Q^2)^b,   c_j = h^j / j!  (c_j = 0 for j > m),
+
+    in ceil(m / 2) <= 8 dense products instead of m, with at most Q, Q^2, the
+    running sum and one product alive at once; the squarings take k more.
+
+    `t` is one time, which gives one array, or a sequence of times, which
+    gives a list of arrays in input order.  Times with the same short step h
+    (times that differ by a power of two, once x sets k) share one sum and
+    one chain of squarings, and each is read off at its own k; the group's
+    degree is taken at its smallest k.
+
+    Every coefficient and every product is entrywise nonnegative and nothing
+    is subtracted, so entries come out strictly positive in floating point on
     connected graphs, which the spectral sum cannot guarantee for entries far
     below roundoff.  For that the short-step sum keeps at least
     ceil((n - 1) / 2^k) terms: its 2^k-th power then contains Q^j for every
@@ -227,38 +244,91 @@ def heat_kernel_series(space: Space, t: float) -> np.ndarray:
     divided by mu.  Built from `cond` and `mu` alone, never from the
     eigenpairs, so it stays an independent check of `heat_kernel`.
     """
-    if t <= 0:
-        raise NonpositiveTime(f"t must be positive, got {t}")
+    scalar = np.ndim(t) == 0
+    ts = [t] if scalar else list(t)
+    if not ts:
+        raise InvalidParams("the series route needs at least one time")
     degrees = space.cond.sum(axis=1) / space.mu
     beta = float(degrees.max())
+    groups: dict[float, list[tuple[int, int]]] = {}  # h -> [(k, index)]
+    for i, s in enumerate(ts):
+        if not s > 0:
+            raise NonpositiveTime(f"t must be positive, got {s}")
+        x = beta * s
+        # agreement with the spectral kernel is verified up to here; the
+        # squarings amplify roundoff beyond it
+        if x > _SERIES_MAX_BETA_T:
+            raise SeriesTimeTooLarge(
+                f"beta*t = {x:.1f} at t = {s} exceeds {_SERIES_MAX_BETA_T:.0f} "
+                "for the series route"
+            )
+        # the short step also reaches n - 1 hops within 16 terms, so the
+        # minimum-terms rule never costs more than the tolerance does
+        k = 0
+        while x / 2**k > 0.5 or (space.n - 1) / 2**k > 16:
+            k += 1
+        groups.setdefault(x / 2**k, []).append((k, i))
+
     q = space.cond / (beta * space.mu[:, None])
     np.fill_diagonal(q, 1.0 - degrees / beta)
+    kernels = [None] * len(ts)
+    for g, (h, members) in enumerate(groups.items()):
+        if g == len(groups) - 1:
+            hq, q = q, None  # the last group scales Q in place
+            hq *= h
+        else:
+            hq = q * h
+        members.sort()
+        min_terms = -(-(space.n - 1) // 2 ** members[0][0])
+        acc = _short_step_exp(hq, h, _series_degree(h, min_terms))
+        del hq
+        squarings = 0
+        for k, i in members:
+            for _ in range(k - squarings):
+                acc = acc @ acc
+            squarings = k
+            kernels[i] = acc / space.mu[None, :]
+        del acc
+    return kernels[0] if scalar else kernels
 
-    x = beta * t
-    # agreement with the spectral kernel is verified up to here; the squarings
-    # amplify roundoff beyond it
-    if x > _SERIES_MAX_BETA_T:
-        raise SeriesTimeTooLarge(
-            f"beta*t = {x:.1f} exceeds {_SERIES_MAX_BETA_T:.0f} for the series route"
-        )
-    # the short step also reaches n - 1 hops within 16 terms, so the
-    # minimum-terms rule below never costs more than the tolerance does
-    k = 0
-    while x / 2**k > 0.5 or (space.n - 1) / 2**k > 16:
-        k += 1
-    h = x / 2**k
-    min_terms = -(-(space.n - 1) // 2**k)
-    term = np.eye(space.n)
-    acc = term.copy()
-    j = 0
-    while j < min_terms or term.max() > _SERIES_TOL * acc.max():
-        j += 1
-        term = (h / j) * (term @ q)
-        acc += term
+
+def _series_degree(h: float, min_terms: int) -> int:
+    """The least m >= min_terms with h^m / m! <= _SERIES_TOL."""
+    m, coef = 0, 1.0
+    while m < min_terms or coef > _SERIES_TOL:
+        m += 1
+        coef *= h / m
+    return m
+
+
+def _short_step_exp(hq: np.ndarray, h: float, degree: int) -> np.ndarray:
+    """exp(-h) sum_{j <= degree} (hQ)^j / j! for hq = hQ, by Horner's rule in (hQ)^2.
+
+    The blocks are scaled by (2b + 1)!, so that every update is in place:
+    T_b = (2b + 1) I + hQ + (hQ)^2 T_{b+1} / ((2b + 2)(2b + 3)) and T_0 is the
+    sum.  The top block is degree I + hQ for an odd degree, and
+    (degree - 1) I + hQ + (hQ)^2 / degree for an even one.
+    """
+    hq2 = hq @ hq if degree > 1 else None
+    if degree % 2:
+        acc = hq.copy()
+    else:
+        acc = hq2 / degree
+        acc += hq
+    top = degree - 1 + degree % 2  # 2b + 1 of the block in acc
+    _add_to_diagonal(acc, top)
+    for c in range(top - 2, 0, -2):
+        acc = acc @ hq2
+        acc /= (c + 1) * (c + 2)
+        acc += hq
+        _add_to_diagonal(acc, c)
     acc *= np.exp(-h)
-    for _ in range(k):
-        acc = acc @ acc
-    return acc / space.mu[None, :]
+    return acc
+
+
+def _add_to_diagonal(a: np.ndarray, c: float) -> None:
+    """a += c I in place, for a C-contiguous square array."""
+    a.reshape(-1)[:: a.shape[0] + 1] += c
 
 
 def frac_apply(dec: SpectralDecomposition, theta: float, f) -> np.ndarray:

@@ -1,9 +1,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fraclap.cli import _KINDS, load_config, main, normalize_config
+from fraclap import build_space, decompose
+from fraclap.cli import _KINDS, _exp_heat_properties, load_config, main, normalize_config
 from fraclap.errors import ConfigParseError
 from fraclap.extension import MIN_GRID_NODES
 
@@ -369,3 +373,29 @@ def test_experiment_params_fitting_the_defaults_accepted(tmp_path):
     ]
     experiments += [{"kind": kind, "params": spec.defaults} for kind, spec in _KINDS.items()]
     assert load_config(write_config(tmp_path, base_config(experiments=experiments)))
+
+
+
+# pure numbers, unchanged by the units of mu and cond up to roundoff
+_DIMENSIONLESS = ("markov_max_err", "symmetry_max_err", "semigroup_max_err", "subordination_err")
+
+
+def _heat_properties(sp):
+    params = _KINDS["heat_properties"].defaults
+    metrics, passed, _ = _exp_heat_properties({"space": sp, "dec": decompose(sp)}, params)
+    return metrics, passed
+
+
+@given(name=st.sampled_from(["path8", "grid44"]), log_s=st.floats(-6, 6))
+@settings(max_examples=25, deadline=None)
+def test_heat_properties_unit_free(path8, grid44, name, log_s):
+    # (mu, cond) -> s (mu, cond) leaves Delta unchanged and scales kernel
+    # entries by 1/s; an absolute semigroup bound failed at s = 1e-6
+    s = 10.0**log_s
+    sp = {"path8": path8, "grid44": grid44}[name]
+    ref_metrics, ref_passed = _heat_properties(sp)
+    metrics, passed = _heat_properties(build_space(sp.dist, s * sp.mu, s * sp.cond))
+    assert passed is ref_passed is True
+    for key in _DIMENSIONLESS:
+        assert abs(metrics[key] - ref_metrics[key]) <= 1e-13, key
+    assert np.isclose(s * metrics["min_entry_series"], ref_metrics["min_entry_series"], rtol=1e-10)

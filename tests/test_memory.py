@@ -6,7 +6,8 @@ geometric checks run over every centre at once, where the easy mistake is a
 (centre, point, radius) tensor: with 6 to 12 radii at n=300 it stays under
 32 n^2 doubles, so they are held to 4 n^2 (they take about 1.2 n^2).  The
 validation of graph and Euclidean metrics, the ball-mass table, the mode
-preconditioner and the comparability family have their own, tighter bounds.
+preconditioner, the comparability family and the heat series have their own,
+tighter bounds.
 """
 
 import tracemalloc
@@ -32,6 +33,7 @@ from fraclap import (
     stiffness_matrix,
     trace_averaging_diagnostic,
 )
+from fraclap.cli import _KINDS, _exp_heat_properties
 from fraclap.dirichlet import _ModePreconditioner, _ProductGridOperator
 
 N = 300
@@ -68,7 +70,20 @@ def test_ball_masses_peak_allocation():
 
 
 def test_heat_kernel_series_peak_allocation():
-    assert peak_bytes(heat_kernel_series, grid300(), 1.0) <= BOUND_BYTES
+    # Q (scaled in place), Q^2, the running sum and one product: about 4 n^2
+    # doubles; each further group of times keeps its own scaled copy of Q and
+    # each emitted kernel one more n^2 (about 6 for three groups)
+    assert peak_bytes(heat_kernel_series, grid300(), 1.0) <= 4.5 * N * N * 8
+    assert peak_bytes(heat_kernel_series, grid300(), [0.1, 1.0, 4.0]) <= 7.5 * N * N * 8
+
+
+def test_heat_properties_peak_allocation():
+    # the series kernels are reduced to their minima before the spectral
+    # loop: about 5.1 n^2 doubles, where one series call per t took 7.05
+    sp = fixture("random_geometric", n=400, radius=0.15, seed=3)
+    ctx = {"space": sp, "dec": decompose(sp)}
+    params = {**_KINDS["heat_properties"].defaults, "ts": [0.1, 1.0, 4.0]}
+    assert peak_bytes(_exp_heat_properties, ctx, params) <= 7.05 * 400 * 400 * 8
 
 
 def test_decompose_peak_allocation():

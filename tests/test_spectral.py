@@ -22,6 +22,7 @@ from fraclap.energy import frac_energy, stiffness_matrix
 from fraclap.errors import (
     DimensionMismatch,
     EigensolverNoConvergence,
+    FraclapError,
     NonpositiveTime,
     SeriesTimeTooLarge,
     ThetaOutOfRange,
@@ -262,7 +263,68 @@ def test_heat_kernel_series_time_cap(path8):
     # beta = 2 on the path, so t = 301 puts beta*t past the cap of 600
     with pytest.raises(SeriesTimeTooLarge):
         heat_kernel_series(path8, 301.0)
+    with pytest.raises(SeriesTimeTooLarge, match="t = 301"):
+        heat_kernel_series(path8, [300.0, 301.0])
     assert heat_kernel_series(path8, 300.0).min() > 0.0
+
+
+def _max_rel_diff(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def test_heat_kernel_series_batch_matches_scalar(path8, grid44, dumbbell55, weighted_grid34):
+    # t = 1 and t = 4 share their short step wherever beta*t sets k, so the
+    # batch reads both off one squaring chain
+    ts = [0.01, 0.1, 1.0, 4.0, 10.0]
+    for sp in (path8, grid44, dumbbell55, weighted_grid34, fixture("path", n=64)):
+        batch = heat_kernel_series(sp, ts)
+        assert isinstance(batch, list) and len(batch) == len(ts)
+        for t, kernel in zip(ts, batch):
+            assert _max_rel_diff(kernel, heat_kernel_series(sp, t)) <= 1e-13
+
+
+def test_heat_kernel_series_batch_keeps_input_order(grid44):
+    ts = [4.0, 0.1, 1.0, 4.0, 0.1, 2.0]
+    batch = heat_kernel_series(grid44, ts)
+    for t, kernel in zip(ts, batch):
+        assert _max_rel_diff(kernel, heat_kernel_series(grid44, t)) <= 1e-13
+    assert np.array_equal(batch[0], batch[3]) and batch[0] is not batch[3]
+    assert np.array_equal(batch[1], batch[4])
+    # the kernel grows flatter with t, so the order is not a relabelling
+    assert batch[1].max() > batch[2].max() > batch[5].max() > batch[0].max()
+
+
+def test_heat_kernel_series_rejects_bad_times(path8):
+    with pytest.raises(FraclapError):
+        heat_kernel_series(path8, [])
+    with pytest.raises(NonpositiveTime):
+        heat_kernel_series(path8, 0.0)
+    with pytest.raises(NonpositiveTime, match="-0.5"):
+        heat_kernel_series(path8, [1.0, -0.5, 2.0])
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 3.0, 1e6])
+def test_heat_kernel_series_unit_free(s, path8, grid44, weighted_grid34):
+    # Delta is unchanged by (mu, cond) -> s (mu, cond), and kernel entries
+    # are densities against mu, so they scale like 1/s
+    for sp in (path8, grid44, weighted_grid34):
+        scaled = build_space(sp.dist, s * sp.mu, s * sp.cond)
+        ts = [0.05, 1.0, 4.0]
+        for ref, kernel in zip(heat_kernel_series(sp, ts), heat_kernel_series(scaled, ts)):
+            assert _max_rel_diff(kernel * s, ref) <= 1e-13
+
+
+def test_heat_kernel_series_agrees_up_to_time_cap(path8, grid44, dumbbell55, weighted_grid34):
+    # evidence for the beta*t cap of 600: every fixture kind, up to the cap
+    rgg = fixture("random_geometric", n=40, radius=0.3, seed=0)
+    for sp in (path8, grid44, dumbbell55, rgg, weighted_grid34):
+        beta = float(np.max(sp.cond.sum(axis=1) / sp.mu))
+        ts = [bt / beta for bt in (0.01, 1.0, 10.0, 100.0, 300.0, 600.0)]
+        dec = decompose(sp)
+        for t, series in zip(ts, heat_kernel_series(sp, ts)):
+            spectral = heat_kernel(dec, t).entries
+            assert np.max(np.abs(series - spectral)) <= 1e-12 * spectral.max()
+            assert series.min() > 0.0
 
 
 def test_heat_kernel_rejects_nonpositive_time(k2_dec):
