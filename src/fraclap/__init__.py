@@ -70,6 +70,7 @@ from .spectral import (
     frac_heat_kernel,
     graph_stiffness,
     heat_kernel,
+    heat_kernel_log_bound,
     heat_kernel_series,
     laplacian_apply,
     qt_scaling_report,

@@ -11,11 +11,14 @@ semigroup) is a function of the spectral resolution computed here.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
+from scipy.special import gammaln, xlogy
 
 from .errors import (
     DimensionMismatch,
@@ -37,6 +40,7 @@ __all__ = [
     "decompose",
     "heat_kernel",
     "heat_kernel_series",
+    "heat_kernel_log_bound",
     "frac_apply",
     "frac_heat_kernel",
     "subordination_check",
@@ -206,129 +210,87 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> KernelMatrix:
 
 
 def heat_kernel_series(space: Space, t: float | Sequence[float]) -> np.ndarray | list[np.ndarray]:
-    """Heat kernel via the uniformization series, a cancellation-free route.
+    """Heat kernel entries k(x, z) by the uniformization series, built from
+    `cond` and `mu` alone: the tests' independent oracle for `heat_kernel`.
 
-    Writing Delta = beta (Q - I) with Q a row-stochastic, entrywise-nonnegative
-    operator matrix gives exp(t Delta) = exp(-beta t) sum_j (beta t)^j / j! Q^j.
-    The series is evaluated by scaling and squaring: for x = beta t and the
-    least k >= 0 with h = x / 2^k <= 1/2 and (n - 1) / 2^k <= 16,
-
-        exp(t Delta) = (exp(-h) sum_{j <= m} h^j / j! Q^j)^(2^k).
-
-    The degree m is fixed up front: the least m >= ceil((n - 1) / 2^k) with
-    h^m / m! <= 1e-16.  Every entry of h^j / j! Q^j is at most h^j / j! and
-    the sum is at least I, so no term past m reaches 1e-16 of its largest
-    entry.  The sum is evaluated by Horner's rule in Q^2 (Paterson and
-    Stockmeyer),
-
-        sum_b (c_2b I + c_2b+1 Q) (Q^2)^b,   c_j = h^j / j!  (c_j = 0 for j > m),
-
-    in ceil(m / 2) <= 8 dense products instead of m, with at most Q, Q^2, the
-    running sum and one product alive at once; the squarings take k more.
-
-    `t` is one time, which gives one array, or a sequence of times, which
-    gives a list of arrays in input order.  Times with the same short step h
-    (times that differ by a power of two, once x sets k) share one sum and
-    one chain of squarings, and each is read off at its own k; the group's
-    degree is taken at its smallest k.
-
-    Every coefficient and every product is entrywise nonnegative and nothing
-    is subtracted, so entries come out strictly positive in floating point on
-    connected graphs, which the spectral sum cannot guarantee for entries far
-    below roundoff.  For that the short-step sum keeps at least
-    ceil((n - 1) / 2^k) terms: its 2^k-th power then contains Q^j for every
-    j <= n - 1, beyond the hop diameter, so every entry has received its
-    first nonzero contribution.
-
-    Returns kernel entries k(x, z), i.e. the operator matrix with columns
-    divided by mu.  Built from `cond` and `mu` alone, never from the
-    eigenpairs, so it stays an independent check of `heat_kernel`.
+    With Delta = beta (Q - I) for a row-stochastic, entrywise-nonnegative Q,
+    exp(t Delta) = exp(-beta t) sum_j (beta t)^j / j! Q^j.  For x = beta t
+    and the least k >= 0 with h = x / 2^k <= 1/2 and (n - 1) / 2^k <= 16, a
+    plain Taylor sum of exp(h (Q - I)) is squared k times.  The sum keeps at
+    least ceil((n - 1) / 2^k) terms, past the hop diameter, and stops at the
+    first term below 1e-16 of its largest entry.  `t` is one time, or a
+    sequence of times for a list of kernels in input order.
     """
-    scalar = np.ndim(t) == 0
-    ts = [t] if scalar else list(t)
-    if not ts:
-        raise InvalidParams("the series route needs at least one time")
+    if np.ndim(t) != 0:
+        if not len(t):
+            raise InvalidParams("the series route needs at least one time")
+        return [heat_kernel_series(space, s) for s in t]
+    if not t > 0:
+        raise NonpositiveTime(f"t must be positive, got {t}")
     degrees = space.cond.sum(axis=1) / space.mu
     beta = float(degrees.max())
-    groups: dict[float, list[tuple[int, int]]] = {}  # h -> [(k, index)]
-    for i, s in enumerate(ts):
-        if not s > 0:
-            raise NonpositiveTime(f"t must be positive, got {s}")
-        x = beta * s
-        # agreement with the spectral kernel is verified up to here; the
-        # squarings amplify roundoff beyond it
-        if x > _SERIES_MAX_BETA_T:
-            raise SeriesTimeTooLarge(
-                f"beta*t = {x:.1f} at t = {s} exceeds {_SERIES_MAX_BETA_T:.0f} "
-                "for the series route"
-            )
-        # the short step also reaches n - 1 hops within 16 terms, so the
-        # minimum-terms rule never costs more than the tolerance does
-        k = 0
-        while x / 2**k > 0.5 or (space.n - 1) / 2**k > 16:
-            k += 1
-        groups.setdefault(x / 2**k, []).append((k, i))
-
+    x = beta * t
+    # agreement with the spectral kernel is verified up to here; the
+    # squarings amplify roundoff beyond it
+    if x > _SERIES_MAX_BETA_T:
+        raise SeriesTimeTooLarge(
+            f"beta*t = {x:.1f} at t = {t} exceeds {_SERIES_MAX_BETA_T:.0f} for the series route"
+        )
+    # the short step also reaches n - 1 hops within 16 terms, so the
+    # minimum-terms rule never costs more than the tolerance does
+    k = 0
+    while x / 2**k > 0.5 or (space.n - 1) / 2**k > 16:
+        k += 1
+    h, min_terms = x / 2**k, -(-(space.n - 1) // 2**k)
     q = space.cond / (beta * space.mu[:, None])
     np.fill_diagonal(q, 1.0 - degrees / beta)
-    kernels = [None] * len(ts)
-    for g, (h, members) in enumerate(groups.items()):
-        if g == len(groups) - 1:
-            hq, q = q, None  # the last group scales Q in place
-            hq *= h
-        else:
-            hq = q * h
-        members.sort()
-        min_terms = -(-(space.n - 1) // 2 ** members[0][0])
-        acc = _short_step_exp(hq, h, _series_degree(h, min_terms))
-        del hq
-        squarings = 0
-        for k, i in members:
-            for _ in range(k - squarings):
-                acc = acc @ acc
-            squarings = k
-            kernels[i] = acc / space.mu[None, :]
-        del acc
-    return kernels[0] if scalar else kernels
-
-
-def _series_degree(h: float, min_terms: int) -> int:
-    """The least m >= min_terms with h^m / m! <= _SERIES_TOL."""
-    m, coef = 0, 1.0
-    while m < min_terms or coef > _SERIES_TOL:
-        m += 1
-        coef *= h / m
-    return m
-
-
-def _short_step_exp(hq: np.ndarray, h: float, degree: int) -> np.ndarray:
-    """exp(-h) sum_{j <= degree} (hQ)^j / j! for hq = hQ, by Horner's rule in (hQ)^2.
-
-    The blocks are scaled by (2b + 1)!, so that every update is in place:
-    T_b = (2b + 1) I + hQ + (hQ)^2 T_{b+1} / ((2b + 2)(2b + 3)) and T_0 is the
-    sum.  The top block is degree I + hQ for an odd degree, and
-    (degree - 1) I + hQ + (hQ)^2 / degree for an even one.
-    """
-    hq2 = hq @ hq if degree > 1 else None
-    if degree % 2:
-        acc = hq.copy()
-    else:
-        acc = hq2 / degree
-        acc += hq
-    top = degree - 1 + degree % 2  # 2b + 1 of the block in acc
-    _add_to_diagonal(acc, top)
-    for c in range(top - 2, 0, -2):
-        acc = acc @ hq2
-        acc /= (c + 1) * (c + 2)
-        acc += hq
-        _add_to_diagonal(acc, c)
+    term = np.eye(space.n)
+    acc = term.copy()
+    j = 0
+    while j < min_terms or term.max() > _SERIES_TOL * acc.max():
+        j += 1
+        term = term @ q
+        term *= h / j
+        acc += term
     acc *= np.exp(-h)
-    return acc
+    for _ in range(k):
+        acc = acc @ acc
+    return acc / space.mu[None, :]
 
 
-def _add_to_diagonal(a: np.ndarray, c: float) -> None:
-    """a += c I in place, for a C-contiguous square array."""
-    a.reshape(-1)[:: a.shape[0] + 1] += c
+def heat_kernel_log_bound(space: Space) -> Callable[[float], np.ndarray]:
+    """Lower bound on log k_t(x, z) from one shortest-hop walk, for any t > 0.
+
+    Every term of the uniformization series (`heat_kernel_series`) is
+    nonnegative, and Q^j(x, z) is at least q_min^j along a j-hop walk, with
+    q_min = min c(x, y) / (beta mu(x)) over the edges.  Keeping the one term
+    at the hop distance j = j(x, z) gives
+
+        log k_t(x, z) >= -beta t + j (log(beta t) + log q_min) - log j! - log mu(z).
+
+    The hops come from one unweighted sparse shortest-path pass, then each t
+    is a lookup in a table indexed by j: finite on connected spaces, with no
+    underflow and no cap on beta t.  Returns a function of t giving the n x n
+    array of log bounds, built from `cond` and `mu` alone.
+    """
+    edges = space.cond > 0
+    hops = shortest_path(csr_matrix(edges), unweighted=True, directed=False)
+    hops = hops.astype(np.min_scalar_type(space.n))  # at most n - 1 hops
+    beta = float((space.cond.sum(axis=1) / space.mu).max())
+    # every q is at most 1; a one-point space has no edges and beta = 0
+    rows, cols = np.nonzero(edges)
+    log_q_min = np.log(np.min(space.cond[rows, cols] / space.mu[rows] / beta, initial=1.0))
+    j = np.arange(int(hops.max()) + 1)
+
+    def log_bound(t: float) -> np.ndarray:
+        if not t > 0:
+            raise NonpositiveTime(f"t must be positive, got {t}")
+        x = beta * t
+        out = (xlogy(j, x) + j * log_q_min - gammaln(j + 1) - x)[hops]
+        out -= np.log(space.mu)
+        return out
+
+    return log_bound
 
 
 def frac_apply(dec: SpectralDecomposition, theta: float, f) -> np.ndarray:

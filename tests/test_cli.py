@@ -1,13 +1,15 @@
 import json
 import os
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap import build_space, decompose
-from fraclap.cli import _KINDS, _exp_heat_properties, load_config, main, normalize_config
+from fraclap import build_space, decompose, fixture
+from fraclap.cli import _KINDS, _exp_heat_properties, load_config, main, normalize_config, run
 from fraclap.errors import ConfigParseError
 from fraclap.extension import MIN_GRID_NODES
 
@@ -227,6 +229,54 @@ def test_max_principle_batch_decomposes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+_DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
+
+
+def _count_form_builds(monkeypatch, delay=0.0):
+    """The theta of every stiffness_matrix call the runner makes from now on."""
+    import fraclap.cli as cli
+
+    real, calls = cli.stiffness_matrix, []
+
+    def counting(dec, theta):
+        calls.append(theta)
+        time.sleep(delay)
+        return real(dec, theta)
+
+    monkeypatch.setattr(cli, "stiffness_matrix", counting)
+    return calls
+
+
+def test_one_energy_form_per_theta(tmp_path, monkeypatch):
+    calls = _count_form_builds(monkeypatch)
+    with open(_DEFAULT_CONFIG) as fh:
+        experiments = json.load(fh)["experiments"]
+    cfg = normalize_config(base_config(theta=[0.25, 0.75], experiments=experiments))
+    run(cfg, str(tmp_path / "out"))
+    # dirichlet_routes, max_principle_batch and harnack_scan share each form
+    assert sorted(calls) == [0.25, 0.75]
+
+
+def test_one_energy_form_per_theta_under_threads(tmp_path, monkeypatch):
+    # more threads than cores, a short switch interval and a slow build: a
+    # lost update of the job count would drop a form early, and an unlocked
+    # check would build one twice, either way a second call for that theta
+    calls = _count_form_builds(monkeypatch, delay=0.02)
+    experiments = [
+        {"kind": kind, "params": {"n_seeds": 2} if kind == "max_principle_batch" else {}}
+        for kind in ("max_principle_batch", "harnack_scan", "energy_comparability") * 4
+    ]
+    cfg = normalize_config(base_config(theta=[0.25, 0.5, 0.75], experiments=experiments))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = run(cfg, str(tmp_path / "out"), threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report["summary"]["n_experiments"] == 36
+    assert sorted(calls) == [0.25, 0.5, 0.75]
+
+
 @pytest.mark.parametrize(
     "fixture_spec",
     [
@@ -377,7 +427,13 @@ def test_experiment_params_fitting_the_defaults_accepted(tmp_path):
 
 
 # pure numbers, unchanged by the units of mu and cond up to roundoff
-_DIMENSIONLESS = ("markov_max_err", "symmetry_max_err", "semigroup_max_err", "subordination_err")
+_DIMENSIONLESS = (
+    "markov_max_err",
+    "semigroup_max_err",
+    "min_log10_bound",
+    "bound_max_excess",
+    "subordination_err",
+)
 
 
 def _heat_properties(sp):
@@ -398,4 +454,32 @@ def test_heat_properties_unit_free(path8, grid44, name, log_s):
     assert passed is ref_passed is True
     for key in _DIMENSIONLESS:
         assert abs(metrics[key] - ref_metrics[key]) <= 1e-13, key
-    assert np.isclose(s * metrics["min_entry_series"], ref_metrics["min_entry_series"], rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_heat_properties_positive_on_long_paths(n):
+    # the series route underflowed to 0.0 here; the walk bound is a logarithm
+    metrics, passed = _heat_properties(fixture("path", n=n))
+    assert passed is True
+    assert -800 < metrics["min_log10_bound"] < -300
+    assert -1e-12 < metrics["bound_max_excess"] < 0.0
+
+
+def test_heat_properties_one_point_space():
+    # no edges and beta = 0: the kernel is 1/mu, and the bound is exact
+    metrics, passed = _heat_properties(build_space([[0.0]], [2.0], [[0.0]]))
+    assert passed is True
+    assert abs(metrics["min_log10_bound"]) <= 1e-15
+    assert abs(metrics["bound_max_excess"]) <= 1e-15
+
+
+def test_heat_properties_past_series_time_cap(tmp_path):
+    # beta * t = 800 on path8, past the series route's cap of 600
+    cfg = base_config(experiments=[{"kind": "heat_properties", "params": {"ts": [400.0]}}])
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    metrics = json.loads((out / "report.json").read_text())["experiments"][0]["metrics"]
+    assert np.isfinite(metrics["min_log10_bound"])
+    # e^-800 puts every entry of the bound below the kernel's roundoff
+    assert metrics["bound_max_excess"] == -1.0
+

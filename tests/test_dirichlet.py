@@ -520,6 +520,7 @@ def test_harnack_scan_matches_loop(name, request):
     problem = DirichletProblem(stiffness_matrix(dec, 0.5), omega=omega, f=f)
     sol = solve_spectral(problem)
     ctx = {"space": sp, "dec": dec, "theta": 0.5, "seed": 0, "index": 0}
+    ctx["form"] = lambda: problem.form  # the run's shared form at theta
     n_rows = 0
     for radius in (0.5, 1.0, 1.5, sp.diameter):  # the last admits no centre
         params = {"omega_mask": omega.tolist(), "radius": radius}

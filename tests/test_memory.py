@@ -70,16 +70,15 @@ def test_ball_masses_peak_allocation():
 
 
 def test_heat_kernel_series_peak_allocation():
-    # Q (scaled in place), Q^2, the running sum and one product: about 4 n^2
-    # doubles; each further group of times keeps its own scaled copy of Q and
-    # each emitted kernel one more n^2 (about 6 for three groups)
+    # Q, the term, the running sum and one product: about 4.1 n^2 doubles;
+    # each finished kernel keeps one more n^2 (about 6.1 for three times)
     assert peak_bytes(heat_kernel_series, grid300(), 1.0) <= 4.5 * N * N * 8
     assert peak_bytes(heat_kernel_series, grid300(), [0.1, 1.0, 4.0]) <= 7.5 * N * N * 8
 
 
 def test_heat_properties_peak_allocation():
-    # the series kernels are reduced to their minima before the spectral
-    # loop: about 5.1 n^2 doubles, where one series call per t took 7.05
+    # the spectral kernels and the walk bound's 2-byte hop table: about
+    # 5.4 n^2 doubles, where one series call per t took 7.05
     sp = fixture("random_geometric", n=400, radius=0.15, seed=3)
     ctx = {"space": sp, "dec": decompose(sp)}
     params = {**_KINDS["heat_properties"].defaults, "ts": [0.1, 1.0, 4.0]}

@@ -12,6 +12,7 @@ from fraclap import (
     frac_apply,
     frac_heat_kernel,
     heat_kernel,
+    heat_kernel_log_bound,
     heat_kernel_series,
     laplacian_apply,
     qt_scaling_report,
@@ -330,6 +331,97 @@ def test_heat_kernel_series_agrees_up_to_time_cap(path8, grid44, dumbbell55, wei
 def test_heat_kernel_rejects_nonpositive_time(k2_dec):
     with pytest.raises(NonpositiveTime):
         heat_kernel(k2_dec, 0.0)
+
+
+# -- the walk lower bound
+
+
+def _log_kernel_oracle(sp, t):
+    """log k_t from the uniformization series summed in log space, each power
+    of Q by a logsumexp over an n x n x n tensor, so no entry underflows.  The
+    sum runs until every entry is reached and the tail past term j, at most
+    e^-x x^(j+1) / (j+1)! / (1 - x / (j + 2)), is below e^-40 of the least
+    entry."""
+    degrees = sp.cond.sum(axis=1) / sp.mu
+    beta = degrees.max()
+    q = sp.cond / (beta * sp.mu[:, None])
+    np.fill_diagonal(q, 1.0 - degrees / beta)
+    with np.errstate(divide="ignore"):
+        log_q = np.log(q)
+        log_qj = np.log(np.eye(sp.n))
+    x = beta * t
+    log_term = -x  # log of e^-x x^j / j!
+    acc = log_qj + log_term
+    for j in range(1, 10_000):
+        log_term += np.log(x / j)
+        paths = log_qj[:, :, None] + log_q[None, :, :]
+        top = paths.max(axis=1)
+        top[np.isinf(top)] = 0.0  # no walk: every path is -inf
+        paths -= top[:, None, :]
+        with np.errstate(divide="ignore"):
+            log_qj = np.log(np.exp(paths).sum(axis=1)) + top
+        acc = np.logaddexp(acc, log_qj + log_term)
+        if j + 2 > x and np.isfinite(acc).all():
+            tail = log_term + np.log(x / (j + 1)) - np.log1p(-x / (j + 2))
+            if tail < acc.min() - 40:
+                return acc - np.log(sp.mu)[None, :]
+    raise AssertionError("the log-space series did not converge")
+
+
+def _small_spaces(weighted_grid34):
+    return {
+        "path60": fixture("path", n=60),
+        "grid8x8": fixture("grid2d", nx=8),
+        "dumbbell": fixture("dumbbell", clique=5, bridge=3),
+        "rgg40": fixture("random_geometric", n=40, radius=0.3, seed=0),
+        "weighted_grid34": weighted_grid34,
+    }
+
+
+def test_heat_kernel_log_bound_below_log_oracle(weighted_grid34):
+    for name, sp in _small_spaces(weighted_grid34).items():
+        dec = decompose(sp)
+        log_bound = heat_kernel_log_bound(sp)
+        for t in (0.01, 1.0, 10.0):
+            oracle = _log_kernel_oracle(sp, t)
+            # the oracle is the kernel wherever the spectral sum resolves it
+            spectral = heat_kernel(dec, t).entries
+            assert np.max(np.abs(np.exp(oracle) - spectral)) <= 1e-12 * spectral.max(), name
+            assert np.all(log_bound(t) <= oracle + 1e-12 * np.abs(oracle)), (name, t)
+
+
+def test_heat_kernel_log_bound_tight_at_short_times():
+    # one walk from end to end of a path, with q = 1/2 on every step: at
+    # small t the bound is the series' leading term, where the spectral sum
+    # (about 1e-198 here) is pure roundoff
+    sp = fixture("path", n=60)
+    bound, oracle = heat_kernel_log_bound(sp)(0.01)[0, -1], _log_kernel_oracle(sp, 0.01)[0, -1]
+    assert bound <= oracle <= bound + 1e-3
+    assert -460 < bound < -450
+
+
+_BOUND_SPACES = ("path8", "grid44", "dumbbell55", "weighted_grid34")
+
+
+@given(name=st.sampled_from(_BOUND_SPACES), log_t=st.floats(-3, 1))
+@settings(max_examples=40, deadline=None)
+def test_heat_kernel_log_bound_below_spectral(
+    path8, grid44, dumbbell55, weighted_grid34, name, log_t
+):
+    sp = dict(zip(_BOUND_SPACES, (path8, grid44, dumbbell55, weighted_grid34)))[name]
+    t = 10.0**log_t
+    k = heat_kernel(decompose(sp), t).entries
+    bound = np.exp(heat_kernel_log_bound(sp)(t))
+    resolved = k >= 1e-8 * k.max()
+    assert np.all(bound[resolved] <= k[resolved] + 1e-12 * k.max())
+
+
+def test_heat_kernel_log_bound_finite_past_series_cap(path8):
+    # beta = 2 on the path: t = 1e4 is far past the series' beta*t cap
+    log_bound = heat_kernel_log_bound(path8)
+    assert np.all(np.isfinite(log_bound(1e4)))
+    with pytest.raises(NonpositiveTime):
+        log_bound(0.0)
 
 
 # -- fractional powers
