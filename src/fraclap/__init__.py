@@ -12,6 +12,7 @@ from .dirichlet import (
     solution_to_json,
     solve_extension,
     solve_spectral,
+    solve_spectral_batch,
     strong_maximum_check,
     uniqueness_check,
 )

@@ -38,6 +38,7 @@ from .dirichlet import (
     maximum_principle_check,
     solve_extension,
     solve_spectral,
+    solve_spectral_batch,
     strong_maximum_check,
 )
 from .energy import comparability_report, stiffness_matrix
@@ -56,6 +57,7 @@ from .extension import (
 )
 from .space import ball_mask, check_space_spec, interior_mask, space_from_spec, space_size
 from .spectral import (
+    _gram,
     check_theta,
     decompose,
     frac_apply,
@@ -231,8 +233,7 @@ def _exp_heat_properties(ctx, params):
         gap -= k.entries / kmax
         b_err = float(np.max(gap, where=resolvable, initial=-1.0))
         del rel, gap, resolvable
-        k2 = heat_kernel(dec, t / 2.0).entries
-        comp = (k2 * space.mu[None, :]) @ k2.T
+        comp = _gram(heat_kernel(dec, t / 2.0).entries, space.mu)  # K_{t/2} M K_{t/2}
         # relative to the kernel's largest entry, so the verdict is unit-free
         g_err = float(np.max(np.abs(comp - k.entries)) / kmax)
         markov, semigroup, excess = max(markov, m_err), max(semigroup, g_err), max(excess, b_err)
@@ -350,13 +351,11 @@ def _exp_max_principle_batch(ctx, params):
     n_seeds = params["n_seeds"]
     omega = _domain(ctx, params)
     form = ctx["form"]()
+    rngs = (np.random.default_rng([ctx["seed"], ctx["index"], s]) for s in range(n_seeds))
+    problems = [DirichletProblem(form, omega, rng.standard_normal(space.n)) for rng in rngs]
     failures = 0
     strong_failures = 0
-    for s in range(n_seeds):
-        rng = np.random.default_rng([ctx["seed"], ctx["index"], s])
-        f = rng.standard_normal(space.n)
-        problem = DirichletProblem(form, omega, f)
-        sol = solve_spectral(problem)
+    for sol, problem in zip(solve_spectral_batch(problems), problems):
         if not maximum_principle_check(sol, problem)["passed"]:
             failures += 1
         if not strong_maximum_check(sol, problem)["passed"]:

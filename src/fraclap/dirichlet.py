@@ -21,10 +21,11 @@ the equivalence between energy minimizers and harmonic-extension traces.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .energy import FracEnergyForm, frac_energy
 from .errors import (
@@ -45,6 +46,7 @@ __all__ = [
     "solution_to_json",
     "IterSpec",
     "solve_spectral",
+    "solve_spectral_batch",
     "solve_extension",
     "residual_check",
     "maximum_principle_check",
@@ -130,19 +132,38 @@ class IterSpec:
 
 def solve_spectral(problem: DirichletProblem) -> Solution:
     """Direct solve of the Euler-Lagrange system for the energy minimizer."""
-    k = problem.form.stiffness
-    idx = np.where(problem.omega)[0]
-    cdx = np.where(~problem.omega)[0]
-    koo = k[np.ix_(idx, idx)]
-    rhs = -k[np.ix_(idx, cdx)] @ problem.f[cdx]
+    return solve_spectral_batch([problem])[0]
+
+
+def solve_spectral_batch(problems: Sequence[DirichletProblem]) -> list[Solution]:
+    """`solve_spectral` for problems that share one energy form and one
+    domain and differ only in their data, solutions in input order.
+
+    K_OO is factored once and every data column goes through one
+    multi-right-hand-side solve; one product K U gives every residual and
+    energy.
+    """
+    if not problems:
+        raise InvalidParams("a batch needs at least one problem")
+    form, omega = problems[0].form, problems[0].omega
+    if any(p.form is not form or not np.array_equal(p.omega, omega) for p in problems):
+        raise InvalidParams("a batch must share one energy form and one domain")
+    k = form.stiffness
+    idx = np.flatnonzero(omega)
+    cdx = np.flatnonzero(~omega)
+    u = np.stack([p.f for p in problems], axis=1)  # one column per problem
     try:
-        u_omega = solve(koo, rhs, assume_a="pos")
+        factor = cho_factor(k[np.ix_(idx, idx)], overwrite_a=True)
     except LinAlgError as exc:
         raise SingularSystem(f"constrained stiffness block not positive definite: {exc}")
-    u = problem.f.copy()
-    u[idx] = u_omega
-    residual = float(np.max(np.abs((k @ u)[idx])))
-    return Solution(u=u, route="spectral", residual=residual, energy=float(u @ (k @ u)))
+    u[idx] = cho_solve(factor, -k[np.ix_(idx, cdx)] @ u[cdx], overwrite_b=True)
+    ku = k @ u
+    residuals = np.max(np.abs(ku[idx]), axis=0)
+    energies = np.einsum("xs,xs->s", u, ku)
+    return [
+        Solution(u=col, route="spectral", residual=float(r), energy=float(e))
+        for col, r, e in zip(u.T.copy(), residuals, energies)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,13 @@ import numpy as np
 
 from .errors import ConstantFunctionInFamily, InvalidParams, NonpositiveTime
 from .space import Space
-from .spectral import SpectralDecomposition, check_theta, frac_heat_kernel, lambda_power
+from .spectral import (
+    SpectralDecomposition,
+    _gram,
+    check_theta,
+    frac_heat_kernel,
+    lambda_power,
+)
 
 __all__ = [
     "FracEnergyForm",
@@ -100,11 +106,10 @@ def frac_bilinear(dec: SpectralDecomposition, theta: float, f, h) -> float:
 
 
 def stiffness_matrix(dec: SpectralDecomposition, theta: float) -> FracEnergyForm:
+    """The form of E_theta, with K the Gram product of M Phi Lambda^(theta/2),
+    so K is exactly symmetric."""
     check_theta(theta)
-    weights = lambda_power(dec.lambdas, theta)
-    m_phi = dec.space.mu[:, None] * dec.phis
-    k = (m_phi * weights[None, :]) @ m_phi.T
-    k = 0.5 * (k + k.T)
+    k = _gram(dec.space.mu[:, None] * dec.phis, lambda_power(dec.lambdas, theta))
     k.setflags(write=False)
     return FracEnergyForm(dec=dec, theta=theta, stiffness=k)
 

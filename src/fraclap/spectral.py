@@ -177,9 +177,20 @@ def _fix_signs(phis: np.ndarray) -> np.ndarray:
     return phis
 
 
+def _gram(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a diag(w) a^T for weights w >= 0, as the Gram product root root^T of
+    root = a sqrt(w).  numpy hands a product with its own transpose to BLAS
+    syrk, which does half the work of a general product and returns an
+    exactly symmetric matrix.  `a` is dropped once scaled, so a temporary
+    argument is freed before the product."""
+    root = a * np.sqrt(w)
+    del a
+    return root @ root.T
+
+
 def _validate_decomposition(dec):
     space, lam, phi = dec.space, dec.lambdas, dec.phis
-    gram = phi.T @ (space.mu[:, None] * phi)
+    gram = _gram(phi.T, space.mu)
     gram[np.diag_indices(space.n)] -= 1.0
     ortho_err = np.max(np.abs(gram))
     del gram
@@ -196,8 +207,7 @@ def _validate_decomposition(dec):
 
 
 def _kernel_from_weights(dec, weights) -> KernelMatrix:
-    entries = (dec.phis * weights[None, :]) @ dec.phis.T
-    entries = 0.5 * (entries + entries.T)
+    entries = _gram(dec.phis, weights)
     entries.setflags(write=False)
     return KernelMatrix(entries=entries)
 
@@ -274,12 +284,16 @@ def heat_kernel_log_bound(space: Space) -> Callable[[float], np.ndarray]:
     array of log bounds, built from `cond` and `mu` alone.
     """
     edges = space.cond > 0
-    hops = shortest_path(csr_matrix(edges), unweighted=True, directed=False)
-    hops = hops.astype(np.min_scalar_type(space.n))  # at most n - 1 hops
     beta = float((space.cond.sum(axis=1) / space.mu).max())
     # every q is at most 1; a one-point space has no edges and beta = 0
     rows, cols = np.nonzero(edges)
     log_q_min = np.log(np.min(space.cond[rows, cols] / space.mu[rows] / beta, initial=1.0))
+    # `cond` is symmetric only to 1e-12, so a conductance can be one-way; on
+    # the explicit union the directed pass relaxes each edge once, where an
+    # undirected pass relaxes both copies of it
+    edges |= edges.T
+    hops = shortest_path(csr_matrix(edges), unweighted=True, directed=True)
+    hops = hops.astype(np.min_scalar_type(space.n))  # at most n - 1 hops
     j = np.arange(int(hops.max()) + 1)
 
     def log_bound(t: float) -> np.ndarray:

@@ -65,3 +65,14 @@ def dumbbell55_dec(dumbbell55):
 
 def random_vector(space, seed):
     return np.random.default_rng(seed).standard_normal(space.n)
+
+
+def gemm_symmetrized(a, w):
+    """a diag(w) a^T by a general product and then symmetrized: how the
+    dense kernels were built before the Gram form."""
+    k = (a * w[None, :]) @ a.T
+    return 0.5 * (k + k.T)
+
+
+def rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))

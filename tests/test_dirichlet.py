@@ -17,6 +17,7 @@ from fraclap import (
     residual_check,
     solve_extension,
     solve_spectral,
+    solve_spectral_batch,
     stiffness_matrix,
     strong_maximum_check,
     uniqueness_check,
@@ -29,6 +30,8 @@ from fraclap.errors import (
     InvalidParams,
     IterationBudgetExceeded,
 )
+
+from conftest import random_vector
 
 
 def p3_problem(p3_dec, theta=0.5):
@@ -327,6 +330,32 @@ def test_max_principle_batch_grid(grid44, grid44_dec):
         prob = DirichletProblem(form, omega=omega, f=f)
         sol = solve_spectral(prob)
         assert maximum_principle_check(sol, prob)["passed"]
+
+
+@pytest.mark.parametrize(
+    "space",
+    [fixture("grid2d", nx=4), fixture("random_geometric", n=60, radius=0.3, seed=0)],
+    ids=["grid44", "rgg60"],
+)
+def test_spectral_batch_matches_single_solves(space):
+    form = stiffness_matrix(decompose(space), 0.4)
+    omega = np.arange(space.n) % 3 != 0
+    problems = [DirichletProblem(form, omega, random_vector(space, s)) for s in range(10)]
+    batch = solve_spectral_batch(problems)
+    for sol, prob in zip(batch, problems):
+        single = solve_spectral(prob)
+        assert np.max(np.abs(sol.u - single.u)) <= 1e-12 * np.max(np.abs(single.u))
+        assert sol.energy == pytest.approx(single.energy, rel=1e-12)
+        assert sol.residual <= 1e-12 * np.max(np.abs(form.stiffness))
+
+
+def test_spectral_batch_needs_one_form_and_domain(p3_dec):
+    prob = p3_problem(p3_dec)
+    other_omega = DirichletProblem(prob.form, [True, False, False], prob.f)
+    other_form = p3_problem(p3_dec, theta=0.25)
+    for problems in ([], [prob, other_omega], [prob, other_form]):
+        with pytest.raises(InvalidParams):
+            solve_spectral_batch(problems)
 
 
 def test_max_principle_equality_for_constants(p3_dec):

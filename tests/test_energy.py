@@ -24,9 +24,9 @@ from fraclap.errors import (
     NonpositiveTime,
     ThetaOutOfRange,
 )
-from fraclap.spectral import spectral_power_apply
+from fraclap.spectral import lambda_power, spectral_power_apply
 
-from conftest import random_vector
+from conftest import gemm_symmetrized, random_vector, rel_gap
 
 
 def besov_oracle(space, theta, f):
@@ -143,6 +143,18 @@ def test_stiffness_k2_hand_assembly(k2_dec):
 def test_stiffness_annihilates_constants(grid44_dec):
     form = stiffness_matrix(grid44_dec, 0.3)
     assert np.max(np.abs(form.apply(np.ones(16)))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["path8", "grid44", "dumbbell55"])
+def test_stiffness_gram_form(name, request):
+    # exactly symmetric, and the general product of the same factors to roundoff
+    dec = request.getfixturevalue(f"{name}_dec")
+    m_phi = dec.space.mu[:, None] * dec.phis
+    for theta in (0.25, 0.75):
+        k = stiffness_matrix(dec, theta).stiffness
+        assert np.array_equal(k, k.T)
+        expected = gemm_symmetrized(m_phi, lambda_power(dec.lambdas, theta))
+        assert rel_gap(k, expected) <= 1e-14
 
 
 def test_stiffness_rediagonalization_oracle(path8, path8_dec):

@@ -6,8 +6,8 @@ geometric checks run over every centre at once, where the easy mistake is a
 (centre, point, radius) tensor: with 6 to 12 radii at n=300 it stays under
 32 n^2 doubles, so they are held to 4 n^2 (they take about 1.2 n^2).  The
 validation of graph and Euclidean metrics, the ball-mass table, the mode
-preconditioner, the comparability family and the heat series have their own,
-tighter bounds.
+preconditioner, the fractional stiffness, the comparability family and the
+heat series have their own, tighter bounds.
 """
 
 import tracemalloc
@@ -83,6 +83,14 @@ def test_heat_properties_peak_allocation():
     ctx = {"space": sp, "dec": decompose(sp)}
     params = {**_KINDS["heat_properties"].defaults, "ts": [0.1, 1.0, 4.0]}
     assert peak_bytes(_exp_heat_properties, ctx, params) <= 7.05 * 400 * 400 * 8
+
+
+def test_stiffness_matrix_peak_allocation():
+    # the Gram product of M Phi Lambda^(theta/2): its scaled root and K, about
+    # 2.06 n^2 doubles at n=400 (numpy's 64 KiB broadcast buffer is 0.05 of
+    # that), where the general product and its symmetrization took 3.05
+    dec = decompose(fixture("grid2d", nx=20))
+    assert peak_bytes(stiffness_matrix, dec, 0.5) <= 2.1 * 400 * 400 * 8
 
 
 def test_decompose_peak_allocation():

@@ -31,7 +31,7 @@ from fraclap.errors import (
 from fraclap.quadrature import QuadratureSpec, integrate_halfline
 from fraclap.spectral import _fix_signs, inverse_gaussian_density, spectral_power_apply
 
-from conftest import random_vector
+from conftest import gemm_symmetrized, random_vector, rel_gap
 
 
 # -- Laplacian
@@ -228,6 +228,34 @@ def test_heat_kernel_symmetry_exact(grid44_dec):
     assert np.array_equal(k.entries, k.entries.T)
 
 
+def test_frac_heat_kernel_symmetry_exact(grid44_dec):
+    q = frac_heat_kernel(grid44_dec, 0.3, 0.7)
+    assert np.array_equal(q.entries, q.entries.T)
+
+
+@pytest.mark.parametrize("name", ["path8", "grid44", "dumbbell55"])
+def test_kernels_agree_with_general_product(name, request):
+    dec = request.getfixturevalue(f"{name}_dec")
+    for t in (0.1, 1.0, 10.0):
+        k = heat_kernel(dec, t).entries
+        assert rel_gap(k, gemm_symmetrized(dec.phis, np.exp(-t * dec.lambdas))) <= 1e-14
+        q = frac_heat_kernel(dec, 0.4, t).entries
+        weights = np.exp(-t * spectral.lambda_power(dec.lambdas, 0.4))
+        assert rel_gap(q, gemm_symmetrized(dec.phis, weights)) <= 1e-14
+    gram = spectral._gram(dec.phis.T, dec.space.mu)
+    assert np.array_equal(gram, gram.T)
+    assert rel_gap(gram, gemm_symmetrized(dec.phis.T, dec.space.mu)) <= 1e-14
+
+
+def test_gram_with_zero_weights():
+    a = np.random.default_rng(0).standard_normal((30, 20))
+    w = np.abs(np.random.default_rng(1).standard_normal(20))
+    w[::3] = 0.0
+    k = spectral._gram(a, w)
+    assert np.array_equal(k, k.T)
+    assert rel_gap(k, gemm_symmetrized(a, w)) <= 1e-14
+
+
 def test_heat_kernel_semigroup(dumbbell55, dumbbell55_dec):
     for t, s in ((0.1, 0.4), (1.0, 1.0)):
         kt = heat_kernel(dumbbell55_dec, t).entries
@@ -414,6 +442,25 @@ def test_heat_kernel_log_bound_below_spectral(
     bound = np.exp(heat_kernel_log_bound(sp)(t))
     resolved = k >= 1e-8 * k.max()
     assert np.all(bound[resolved] <= k[resolved] + 1e-12 * k.max())
+
+
+def test_heat_kernel_log_bound_hops_with_one_way_conductance(monkeypatch):
+    # cond need only be symmetric within 1e-12, so the 1e-13 chord 0 -> 5
+    # runs one way; its hop counts are still those of the undirected graph
+    path = fixture("path", n=6)
+    cond = path.cond.copy()
+    cond[0, 5] = 1e-13
+    sp = build_space(path.dist, path.mu, cond)
+    real, tables = spectral.shortest_path, []
+
+    def recording(*args, **kwargs):
+        tables.append(real(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(spectral, "shortest_path", recording)
+    heat_kernel_log_bound(sp)
+    assert np.array_equal(tables[0], real(cond > 0, unweighted=True, directed=False))
+    assert tables[0][5, 0] == tables[0][0, 5] == 1
 
 
 def test_heat_kernel_log_bound_finite_past_series_cap(path8):
