@@ -6,11 +6,13 @@ Usage:
 
 A config names a space (inline matrices or a fixture descriptor), one or more
 exponent values, and a list of experiments.  Running writes `report.json`
-plus per-experiment CSV tables under the output directory and exits 0 iff
-every assertive experiment passed.  Reports are reproducible byte-for-byte
-for a fixed config and seed once the `metadata` field (timestamps and wall
-times) is dropped; all numeric work is single-threaded per experiment, so
-`--threads` only changes scheduling, never results.
+plus per-experiment CSV tables under the output directory.  It exits 0 iff
+every assertive experiment passed, 1 if one failed, and 2 on a bad config or
+on a thread count (`--threads`, else FRACLAP_THREADS, else 1) that is not a
+positive integer.  Reports are reproducible byte-for-byte for a fixed config
+and seed once the `metadata` field (timestamps and wall times) is dropped;
+all numeric work is single-threaded per experiment, so `--threads` only
+changes scheduling, never results.
 """
 
 from __future__ import annotations
@@ -605,7 +607,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute the experiments in a config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", default=None)
     p_run.add_argument("--seed", type=int, default=None)
 
     p_val = sub.add_parser("validate", help="check a config without executing")
@@ -625,9 +627,16 @@ def main(argv=None) -> int:
 
     if args.seed is not None:
         config["seed"] = args.seed
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("FRACLAP_THREADS", "1"))
+    source, raw = "--threads", args.threads
+    if raw is None:
+        source, raw = "FRACLAP_THREADS", os.environ.get("FRACLAP_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        print(f"run failed: {source} must be a positive integer, got {raw!r}", file=sys.stderr)
+        return 2
 
     try:
         report = run(config, args.out, threads=threads)

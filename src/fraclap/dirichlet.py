@@ -38,7 +38,7 @@ from .errors import (
 )
 from .extension import HalfSpaceGrid
 from .space import Space, ball_mask
-from .spectral import SpectralDecomposition, graph_stiffness
+from .spectral import SpectralDecomposition, _gram, graph_stiffness
 
 __all__ = [
     "DirichletProblem",
@@ -275,16 +275,18 @@ class _ModePreconditioner:
         self.denom = 1.0 + self.lam[:, None] * vartheta[None, :]
         # G_k^-1 g_k, and sigma_k = 2 lam_k sum(w) - g_k . G_k^-1 g_k (0 at lam = 0)
         self.g_solved = self.solve_modes(2.0 * self.lam[:, None] * self.rw[None, :])
-        sigma = 2.0 * self.lam * (op.w.sum() - self.g_solved @ self.rw)
-        # the Omega rows of M Phi, built before the full M Phi so that the two
-        # |Omega| x n factors of the Schur product never live beside it
-        m_phi_o = dec.phis[op.omega]
-        m_phi_o *= op.space.mu[op.omega, None]
+        # sigma_k is a Schur complement of a positive semidefinite block, so it
+        # is >= 0; a value that rounds below 0 is clipped, as it only steers CG
+        sigma = np.maximum(2.0 * self.lam * (op.w.sum() - self.g_solved @ self.rw), 0.0)
+        # the Omega rows of M Phi go in as a temporary, built before the full
+        # M Phi; `_gram` frees them once scaled, so one |Omega| x n factor
+        # lives beside S
         try:
-            self.s_factor = cho_factor((m_phi_o * sigma) @ m_phi_o.T, overwrite_a=True)
+            self.s_factor = cho_factor(
+                _gram(op.space.mu[op.omega, None] * dec.phis[op.omega], sigma), overwrite_a=True
+            )
         except LinAlgError as exc:
             raise SingularSystem(f"boundary Schur complement not positive definite: {exc}")
-        del m_phi_o
         self.m_phi = op.space.mu[:, None] * dec.phis
 
     def solve_modes(self, rhs):

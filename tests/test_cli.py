@@ -152,6 +152,22 @@ def test_threads_change_scheduling_not_results(tmp_path):
     assert outputs[0][1] == outputs[1][1]
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+@pytest.mark.parametrize("source", ["--threads", "FRACLAP_THREADS"])
+def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, source, raw):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    argv = ["run", "--config", path, "--out", str(out)]
+    if source == "--threads":
+        argv += ["--threads", raw]
+    else:
+        monkeypatch.setenv("FRACLAP_THREADS", raw)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{source} must be a positive integer, got {raw!r}" in err
+    assert not out.exists()
+
+
 def test_run_failure_exit_code(tmp_path, capsys):
     # an impossible tolerance forces the assertive experiment to fail
     # (theta != 1/2 so the column program carries genuine discretization error)

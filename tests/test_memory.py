@@ -5,9 +5,9 @@ temporary (216 MB of doubles, or 27 MB even as booleans) breaks it.  The
 geometric checks run over every centre at once, where the easy mistake is a
 (centre, point, radius) tensor: with 6 to 12 radii at n=300 it stays under
 32 n^2 doubles, so they are held to 4 n^2 (they take about 1.2 n^2).  The
-validation of graph and Euclidean metrics, the ball-mass table, the mode
-preconditioner, the fractional stiffness, the comparability family and the
-heat series have their own, tighter bounds.
+validation of graph and Euclidean metrics, the ball-mass table, the hop
+table, the mode preconditioner, the fractional stiffness, the comparability
+family and the heat series have their own, tighter bounds.
 """
 
 import tracemalloc
@@ -35,6 +35,7 @@ from fraclap import (
 )
 from fraclap.cli import _KINDS, _exp_heat_properties
 from fraclap.dirichlet import _ModePreconditioner, _ProductGridOperator
+from fraclap.spectral import _hop_counts
 
 N = 300
 BOUND_BYTES = 32 * N * N * 8
@@ -85,6 +86,19 @@ def test_heat_properties_peak_allocation():
     assert peak_bytes(_exp_heat_properties, ctx, params) <= 7.05 * 400 * 400 * 8
 
 
+def test_hop_counts_peak_allocation():
+    # the breadth-first sweep keeps its sources as bits, so the peak is the
+    # 2-byte hop table and one unpacked bit plane: about 3.7 n^2 bytes at
+    # n=400, where scipy's shortest-path pass took 10 (an n^2 float64 table
+    # and its cast).  Both cliques of the dumbbell hold most of its edges:
+    # its neighbour lists take about 7.5 n^2 bytes, where one gather of every
+    # edge's frontier words per level would take |E| n/8 (about 25 n^2)
+    sp = fixture("random_geometric", n=400, radius=0.15, seed=3)
+    assert peak_bytes(_hop_counts, sp.cond > 0) <= 4 * 400 * 400
+    sp = fixture("dumbbell", clique=190, bridge=20)
+    assert peak_bytes(_hop_counts, sp.cond > 0) <= 8 * 400 * 400
+
+
 def test_stiffness_matrix_peak_allocation():
     # the Gram product of M Phi Lambda^(theta/2): its scaled root and K, about
     # 2.06 n^2 doubles at n=400 (numpy's 64 KiB broadcast buffer is 0.05 of
@@ -120,14 +134,15 @@ def test_euclidean_certificate_peak_allocation():
 
 
 def test_mode_preconditioner_peak_allocation():
-    # the Omega rows of M Phi are built before the full M Phi: about 2.4 n^2
-    # doubles, where holding M Phi, its row copy, the sigma-scaled copy and
-    # their product at once took 3.4
+    # the Omega rows of M Phi are built before the full M Phi and freed once
+    # scaled by sqrt(sigma) for the Gram product: about 1.95 n^2 doubles,
+    # where keeping them beside the sigma-scaled copy took 2.4, and holding
+    # M Phi, its row copy, the scaled copy and their product at once took 3.4
     sp = grid300()
     dec = decompose(sp)
     omega = (sp.cond > 0).sum(axis=1) == 4
     op = _ProductGridOperator(sp, build_grid(0.25, default_ymax(dec), 32), omega)
-    assert peak_bytes(_ModePreconditioner, op, dec) <= 2.8 * N * N * 8
+    assert peak_bytes(_ModePreconditioner, op, dec) <= 2.1 * N * N * 8
 
 
 def test_comparability_report_peak_allocation():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
+from scipy.sparse.csgraph import shortest_path
 
 from fraclap import (
     build_space,
@@ -451,16 +452,43 @@ def test_heat_kernel_log_bound_hops_with_one_way_conductance(monkeypatch):
     cond = path.cond.copy()
     cond[0, 5] = 1e-13
     sp = build_space(path.dist, path.mu, cond)
-    real, tables = spectral.shortest_path, []
+    real, tables = spectral._hop_counts, []
 
-    def recording(*args, **kwargs):
-        tables.append(real(*args, **kwargs))
+    def recording(edges):
+        tables.append(real(edges))
         return tables[-1]
 
-    monkeypatch.setattr(spectral, "shortest_path", recording)
+    monkeypatch.setattr(spectral, "_hop_counts", recording)
     heat_kernel_log_bound(sp)
-    assert np.array_equal(tables[0], real(cond > 0, unweighted=True, directed=False))
+    assert np.array_equal(tables[0], shortest_path(cond > 0, unweighted=True, directed=False))
     assert tables[0][5, 0] == tables[0][0, 5] == 1
+
+
+@given(
+    n=st.sampled_from([2, 63, 64, 65, 129]),
+    span=st.sampled_from([1, 2, 8, 200]),
+    n_chords=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, span=1, n_chords=0, seed=0)  # the one-point space: no edges
+@settings(max_examples=60, deadline=None)
+def test_hop_counts_equal_undirected_shortest_path(n, span, n_chords, seed):
+    # sizes on both sides of the 64-bit word boundary.  A random tree with
+    # each point's parent at most `span` points back (a path at span 1), each
+    # tree edge stored one way or both, plus one-way chords: the union is
+    # connected, and the sweep must see every one-way edge both ways
+    rng = np.random.default_rng(seed)
+    child = np.arange(1, n)
+    parent = rng.integers(np.maximum(child - span, 0), child)
+    edges = np.zeros((n, n), dtype=bool)
+    edges[child, parent] = True
+    both = rng.random(n - 1) < 0.5
+    edges[parent[both], child[both]] = True
+    a, b = rng.integers(0, n, size=(2, n_chords))
+    edges[a[a != b], b[a != b]] = True
+    hops = spectral._hop_counts(edges)
+    assert hops.dtype == np.min_scalar_type(n)
+    assert np.array_equal(hops, shortest_path(edges, unweighted=True, directed=False))
 
 
 def test_heat_kernel_log_bound_finite_past_series_cap(path8):
