@@ -60,11 +60,19 @@ class SpectralDecomposition:
     the sign of each column fixed so its first significant entry is positive.
     Degenerate eigenvalues admit any orthonormal basis of the eigenspace, so
     only projection-level quantities are reproducible across platforms.
+
+    `ortho_defect` is the Frobenius norm of Phi^T M Phi - I.  It bounds the
+    semigroup defect of every spectral heat kernel: K_{t/2} M K_{t/2} - K_t
+    is Phi D (Phi^T M Phi - I) D Phi^T with D = exp(-t Lambda / 2), whose
+    (x, z) entry is a_x^T (Phi^T M Phi - I) a_z with |a_x|^2 = K_t(x, x), so
+    relative to max K_t it is at most |Phi^T M Phi - I|_2 <= ortho_defect,
+    at every t > 0.
     """
 
     space: Space
     lambdas: np.ndarray
     phis: np.ndarray
+    ortho_defect: float
 
     @property
     def n(self) -> int:
@@ -159,11 +167,10 @@ def decompose(space: Space) -> SpectralDecomposition:
 
     vecs /= sqrt_mu[:, None]
     phis = _fix_signs(vecs)
-    dec = SpectralDecomposition(space=space, lambdas=lambdas, phis=phis)
-    _validate_decomposition(dec)
+    ortho_defect = _validate_decomposition(space, lambdas, phis)
     lambdas.setflags(write=False)
     phis.setflags(write=False)
-    return dec
+    return SpectralDecomposition(space, lambdas, phis, ortho_defect)
 
 
 def _fix_signs(phis: np.ndarray) -> np.ndarray:
@@ -186,11 +193,13 @@ def _gram(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return root @ root.T
 
 
-def _validate_decomposition(dec):
-    space, lam, phi = dec.space, dec.lambdas, dec.phis
+def _validate_decomposition(space, lam, phi) -> float:
+    """Check orthonormality and the eigen-residuals; return the Frobenius
+    norm of Phi^T M Phi - I (`SpectralDecomposition.ortho_defect`)."""
     gram = _gram(phi.T, space.mu)
     gram[np.diag_indices(space.n)] -= 1.0
     ortho_err = np.max(np.abs(gram))
+    ortho_defect = float(np.linalg.norm(gram))
     del gram
     # eigen-residual |Delta phi_k + lambda_k phi_k| relative to max |phi|,
     # which scales like mu^(-1/2)
@@ -202,6 +211,7 @@ def _validate_decomposition(dec):
         raise EigensolverNoConvergence(
             f"orthonormality error {ortho_err:.3e}, residual {resid:.3e} exceed tolerance"
         )
+    return ortho_defect
 
 
 def _kernel_from_weights(dec, weights) -> KernelMatrix:
@@ -355,9 +365,12 @@ def heat_kernel_log_bound(space: Space) -> Callable[[float], np.ndarray]:
     """
     edges = space.cond > 0
     beta = float((space.cond.sum(axis=1) / space.mu).max())
-    # every q is at most 1; a one-point space has no edges and beta = 0
-    rows, cols = np.nonzero(edges)
-    log_q_min = np.log(np.min(space.cond[rows, cols] / space.mu[rows] / beta, initial=1.0))
+    # every q is at most 1.  The row minima are divided after the reduction:
+    # division by a positive number is monotone, so this is the least
+    # c(x, y) / (beta mu(x)).  A one-point space has no edges and beta = 0,
+    # and inf / 0 is inf with no floating-point flag.
+    row_min = np.min(space.cond, axis=1, where=edges, initial=np.inf)
+    log_q_min = np.log(np.min(row_min / space.mu / beta, initial=1.0))
     hops = _hop_counts(edges)
     j = np.arange(int(hops.max()) + 1)
 

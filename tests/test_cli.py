@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap import build_space, decompose, fixture
+from fraclap import build_space, decompose, fixture, spectral
 from fraclap.cli import _KINDS, _exp_heat_properties, load_config, main, normalize_config, run
 from fraclap.errors import ConfigParseError
 from fraclap.extension import MIN_GRID_NODES
@@ -472,6 +472,29 @@ def test_heat_properties_unit_free(path8, grid44, name, log_s):
         assert abs(metrics[key] - ref_metrics[key]) <= 1e-13, key
 
 
+def test_heat_properties_semigroup_verdict_sees_orthogonality_defect(dumbbell55):
+    # one eigenvector scaled by 1 + 1e-9: Phi^T M Phi - I gets one diagonal
+    # entry of 2e-9, which decompose's own check (max-abs <= 1e-8) accepts.
+    # The scaled mode is orthogonal to the constants, so Markov still holds,
+    # and only the semigroup verdict can fail
+    dec = decompose(dumbbell55)
+    phis = dec.phis.copy()
+    phis[:, 1] *= 1.0 + 1e-9
+    ortho_defect = spectral._validate_decomposition(dumbbell55, dec.lambdas, phis)
+    bad = spectral.SpectralDecomposition(dumbbell55, dec.lambdas, phis, ortho_defect)
+    params = _KINDS["heat_properties"].defaults
+    metrics, passed, _ = _exp_heat_properties({"space": dumbbell55, "dec": bad}, params)
+    assert passed is False
+    assert abs(metrics["semigroup_max_err"] - 2e-9) <= 1e-13
+    assert metrics["markov_max_err"] <= 1e-10
+    # the composed defect at t = 1 is of the same order, so the verdict
+    # flags a semigroup law that does fail
+    k = spectral.heat_kernel(bad, 1.0).entries
+    half = spectral.heat_kernel(bad, 0.5).entries
+    comp = (half * dumbbell55.mu[None, :]) @ half
+    assert np.max(np.abs(comp - k)) / k.max() > 1e-10
+
+
 @pytest.mark.parametrize("n", [100, 200])
 def test_heat_properties_positive_on_long_paths(n):
     # the series route underflowed to 0.0 here; the walk bound is a logarithm
@@ -481,8 +504,10 @@ def test_heat_properties_positive_on_long_paths(n):
     assert -1e-12 < metrics["bound_max_excess"] < 0.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_heat_properties_one_point_space():
-    # no edges and beta = 0: the kernel is 1/mu, and the bound is exact
+    # no edges and beta = 0: the kernel is 1/mu, and the bound is exact.  The
+    # row minimum of cond over no edges is inf, and inf / 0 raises no warning
     metrics, passed = _heat_properties(build_space([[0.0]], [2.0], [[0.0]]))
     assert passed is True
     assert abs(metrics["min_log10_bound"]) <= 1e-15

