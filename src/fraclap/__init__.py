@@ -3,7 +3,6 @@ extension-problem Dirichlet solvers on finite metric measure spaces."""
 
 from .dirichlet import (
     DirichletProblem,
-    IterSpec,
     Solution,
     harnack_quotient,
     holder_estimate,
@@ -48,7 +47,6 @@ from .extension import (
     trace_averaging_diagnostic,
     vertical_modulus,
 )
-from .quadrature import QuadratureSpec
 from .space import (
     Space,
     ball_mask,

@@ -7,12 +7,13 @@ Usage:
 A config names a space (inline matrices or a fixture descriptor), one or more
 exponent values, and a list of experiments.  Running writes `report.json`
 plus per-experiment CSV tables under the output directory.  It exits 0 iff
-every assertive experiment passed, 1 if one failed, and 2 on a bad config or
-on a thread count (`--threads`, else FRACLAP_THREADS, else 1) that is not a
-positive integer.  Reports are reproducible byte-for-byte for a fixed config
-and seed once the `metadata` field (timestamps and wall times) is dropped;
-all numeric work is single-threaded per experiment, so `--threads` only
-changes scheduling, never results.
+every assertive experiment passed, 1 if one failed, and 2 on a bad config,
+on a `--seed` that is not a nonnegative integer, or on a thread count
+(`--threads`, else FRACLAP_THREADS, else 1) that is not a positive integer.
+Reports are reproducible byte-for-byte for a fixed config and seed once the
+`metadata` field (timestamps and wall times) is dropped; all numeric work is
+single-threaded per experiment, so `--threads` only changes scheduling,
+never results.
 """
 
 from __future__ import annotations
@@ -144,9 +145,7 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
             raise ConfigParseError(f"{where}: 'ms' needs at least 2 grid sizes to fit a slope")
         normalized_experiments.append({"kind": kind, "params": params})
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigParseError(f"{origin}: 'seed' must be an integer")
+    seed = _check_seed(raw.get("seed", 0), f"{origin}: 'seed'")
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -156,6 +155,14 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
         "seed": seed,
         "output": raw.get("output"),
     }
+
+
+def _check_seed(seed, where):
+    """`seed` if it is a nonnegative integer, the seeds `numpy.random.default_rng`
+    takes; ConfigParseError otherwise."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigParseError(f"{where} must be a nonnegative integer, got {seed!r}")
+    return seed
 
 
 # params that count nodes of an extension grid (`build_grid`'s m)
@@ -406,9 +413,11 @@ def _exp_modulus_check(ctx, params):
         exact = out["exact"]
         limit = _richardson(vals, [1.0 - a, min(2.0, 2.0 - 2.0 * a)])
         err = abs(limit - exact)
-        worst = max(worst, err)
+        # both values are mu(A) times a per-column number, so the error per
+        # unit mass does not grow with the space
+        worst = max(worst, err / space.total_mass)
         rows.append((h, limit, exact, err))
-    metrics = {"max_err": worst, "bracket_ok": bracket_ok, "a": a}
+    metrics = {"max_err_per_mass": worst, "bracket_ok": bracket_ok, "a": a}
     return metrics, bool(worst <= tol and bracket_ok), {"modulus_check.csv": rows}
 
 
@@ -466,7 +475,7 @@ _KINDS = {
     "modulus_check": _Kind(
         _exp_modulus_check,
         False,
-        {"hs": [0.5, 1.0, 2.0], "ms": [2048, 4096, 8192, 16384], "tol": 1e-6},
+        {"hs": [0.5, 1.0, 2.0], "ms": [2048, 4096, 8192, 16384], "tol": 1e-7},
     ),
     "codim_check": _Kind(
         _exp_codim_check, False, {"rs": [0.25, 0.5, 1.0], "tol": 1e-12, "m": 64}
@@ -615,6 +624,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
+        if args.command == "run" and args.seed is not None:
+            config["seed"] = _check_seed(args.seed, "--seed")
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -624,8 +635,6 @@ def main(argv=None) -> int:
         print(json.dumps(config, indent=2, sort_keys=True))
         return 0
 
-    if args.seed is not None:
-        config["seed"] = args.seed
     source, raw = "--threads", args.threads
     if raw is None:
         source, raw = "FRACLAP_THREADS", os.environ.get("FRACLAP_THREADS", "1")

@@ -44,7 +44,6 @@ __all__ = [
     "DirichletProblem",
     "Solution",
     "solution_to_json",
-    "IterSpec",
     "solve_spectral",
     "solve_spectral_batch",
     "solve_extension",
@@ -55,6 +54,11 @@ __all__ = [
     "holder_estimate",
     "uniqueness_check",
 ]
+
+# the conjugate gradient's budget, read when it is called: it stops once
+# ||r|| <= _CG_REL_TOL ||b||, and raises after _CG_MAX_ITER iterations
+_CG_REL_TOL = 1e-11
+_CG_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -122,12 +126,6 @@ def solution_to_json(sol: Solution, problem: DirichletProblem, diagnostics=None)
             "diagnostics": diagnostics or {},
         }
     )
-
-
-@dataclass(frozen=True)
-class IterSpec:
-    rel_tol: float = 1e-11
-    max_iter: int = 100
 
 
 def solve_spectral(problem: DirichletProblem) -> Solution:
@@ -308,9 +306,9 @@ class _ModePreconditioner:
         return op.pack(t, v) * op.scale
 
 
-def _conjugate_gradient(apply, b, x, precondition, solver: IterSpec):
+def _conjugate_gradient(apply, b, x, precondition):
     """Preconditioned conjugate gradient for apply(x) = b from `x`, stopping
-    once ||r|| <= rel_tol ||b||; `precondition` maps a residual to a search
+    once ||r|| <= _CG_REL_TOL ||b||; `precondition` maps a residual to a search
     direction (the identity gives plain CG).  Returns (x, ||r||/||b||,
     iterations)."""
     r = b - apply(x)
@@ -322,11 +320,11 @@ def _conjugate_gradient(apply, b, x, precondition, solver: IterSpec):
     if bnorm == 0.0:
         bnorm = 1.0
     iterations = 0
-    while rnorm > solver.rel_tol * bnorm:
-        if iterations >= solver.max_iter:
+    while rnorm > _CG_REL_TOL * bnorm:
+        if iterations >= _CG_MAX_ITER:
             raise IterationBudgetExceeded(
                 f"conjugate gradient: {iterations} iterations, residual "
-                f"{rnorm / bnorm:.3e} > {solver.rel_tol:.1e}"
+                f"{rnorm / bnorm:.3e} > {_CG_REL_TOL:.1e}"
             )
         ap = apply(p)
         alpha = rz / float(p @ ap)
@@ -344,7 +342,6 @@ def _conjugate_gradient(apply, b, x, precondition, solver: IterSpec):
 def solve_extension(
     problem: DirichletProblem,
     grid: HalfSpaceGrid,
-    solver: IterSpec = IterSpec(),
     initial: np.ndarray | None = None,
 ) -> Solution:
     """Minimize the discrete weighted product-grid energy and return the
@@ -362,9 +359,8 @@ def solve_extension(
     op = _ProductGridOperator(problem.space, grid, problem.omega)
     b = op.rhs_scaled(problem.f)
     x = np.zeros_like(b) if initial is None else initial / op.scale
-    x, residual, iterations = _conjugate_gradient(
-        op.apply_scaled, b, x, _ModePreconditioner(op, dec), solver
-    )
+    precondition = _ModePreconditioner(op, dec)
+    x, residual, iterations = _conjugate_gradient(op.apply_scaled, b, x, precondition)
     t, _ = op.unpack(x / op.scale, problem.f)
     return Solution(
         u=t,
@@ -489,11 +485,7 @@ def holder_estimate(sol: Solution, problem: DirichletProblem) -> dict:
     return {"alpha_fit": float(slope), "r2": r2}
 
 
-def uniqueness_check(
-    problem: DirichletProblem,
-    grid: HalfSpaceGrid | None = None,
-    solver: IterSpec = IterSpec(),
-) -> dict:
+def uniqueness_check(problem: DirichletProblem, grid: HalfSpaceGrid | None = None) -> dict:
     """Two facets of uniqueness: the constrained stiffness block is positive
     definite, and the iterative route lands on the same trace from a
     perturbed initial iterate."""
@@ -503,12 +495,12 @@ def uniqueness_check(
 
     report = {"lambda_min": lam_min, "passed": lam_min > 0}
     if grid is not None:
-        base = solve_extension(problem, grid, solver)
+        base = solve_extension(problem, grid)
         size = int(problem.omega.sum()) + problem.space.n * grid.m
         perturbed_start = np.full(size, float(np.abs(problem.f).max() or 1.0))
-        again = solve_extension(problem, grid, solver, initial=perturbed_start)
+        again = solve_extension(problem, grid, initial=perturbed_start)
         agreement = float(np.max(np.abs(base.u - again.u)))
-        tol = 100 * solver.rel_tol * max(1.0, float(np.abs(base.u).max()))
+        tol = 100 * _CG_REL_TOL * max(1.0, float(np.abs(base.u).max()))
         report["trace_agreement"] = agreement
         report["passed"] = bool(report["passed"] and agreement <= tol)
     return report

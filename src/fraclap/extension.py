@@ -28,7 +28,7 @@ from .errors import (
     RadiusExceedsGrid,
     TailNotConverged,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_halfline
+from .quadrature import integrate_halfline
 from .space import Space, ball_mask, ball_measure
 from .spectral import SpectralDecomposition, check_theta
 
@@ -217,17 +217,13 @@ def mode_profile_derivative(lam, theta: float, y):
 
 
 @lru_cache(maxsize=None)
-def profile_normalization_quadrature(a: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def profile_normalization_quadrature(a: float) -> float:
     """1/C_a = integral over (0, inf) of tau^((a-3)/2) exp(-1/(4 tau)) dtau by
     adaptive quadrature (closed form: 4^theta Gamma(theta))."""
-    return integrate_halfline(
-        lambda tau: tau ** ((a - 3.0) / 2.0) * np.exp(-1.0 / (4.0 * tau)), spec
-    )
+    return integrate_halfline(lambda tau: tau ** ((a - 3.0) / 2.0) * np.exp(-1.0 / (4.0 * tau)))
 
 
-def mode_profile_quadrature(
-    lam: float, theta: float, y: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def mode_profile_quadrature(lam: float, theta: float, y: float) -> float:
     """Profile by adaptive quadrature of the kernel integral, rescaled by
     s = y^2 sigma so the integrand keeps unit scale:
 
@@ -244,10 +240,8 @@ def mode_profile_quadrature(
         return 1.0
     a = 1.0 - 2.0 * theta
     c = lam * y * y
-    val = integrate_halfline(
-        lambda s: s ** ((a - 3.0) / 2.0) * np.exp(-1.0 / (4.0 * s) - c * s), quad
-    )
-    return val / profile_normalization_quadrature(a, quad)
+    val = integrate_halfline(lambda s: s ** ((a - 3.0) / 2.0) * np.exp(-1.0 / (4.0 * s) - c * s))
+    return val / profile_normalization_quadrature(a)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +382,7 @@ def extension_energy(u: ExtensionField) -> ExtensionEnergy:
     return ExtensionEnergy(value=value, quadrature_tolerance=tol + tail, tail_bound=tail)
 
 
-def mode_energy_quadrature(
-    lam: float, theta: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def mode_energy_quadrature(lam: float, theta: float) -> float:
     """Independent high-resolution quadrature of the per-mode energy
     integral_0^inf y^a (g'(y)^2 + lam g(y)^2) dy over the half line."""
     check_theta(theta)
@@ -401,7 +393,7 @@ def mode_energy_quadrature(
         dg = mode_profile_derivative(lam, theta, y)
         return y**a * (dg * dg + lam * g * g)
 
-    return integrate_halfline(integrand, quad)
+    return integrate_halfline(integrand)
 
 
 # ---------------------------------------------------------------------------

@@ -22,34 +22,17 @@ The rule depends on what the integrand returns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad, quad_vec
 
 from .errors import QuadratureNoConvergence
 
-__all__ = ["QuadratureSpec", "integrate_halfline"]
+__all__ = ["integrate_halfline"]
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Error budget for one adaptive quadrature call."""
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 200
-
-    def refined(self) -> "QuadratureSpec":
-        """A budget ten times stricter, used for self-convergence cross checks."""
-        return QuadratureSpec(
-            abs_tol=self.abs_tol / 10.0,
-            rel_tol=self.rel_tol / 10.0,
-            max_subdivisions=2 * self.max_subdivisions,
-        )
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# the error budget of every call, read when the call is made
+_ABS_TOL = 1e-9
+_REL_TOL = 1e-9
+_MAX_SUBDIVISIONS = 200
 
 
 def _compactified(f):
@@ -71,7 +54,7 @@ def _compactified(f):
     return transformed
 
 
-def integrate_halfline(f, spec: QuadratureSpec = DEFAULT_QUAD) -> float | np.ndarray:
+def integrate_halfline(f) -> float | np.ndarray:
     """Integrate f over (0, inf) via the substitution s = u^2/(1-u)^2.
 
     A scalar-valued f gives a float (QUADPACK qags); an array-valued f gives
@@ -87,9 +70,9 @@ def integrate_halfline(f, spec: QuadratureSpec = DEFAULT_QUAD) -> float | np.nda
                 transformed,
                 0.0,
                 1.0,
-                epsabs=spec.abs_tol,
-                epsrel=spec.rel_tol,
-                limit=spec.max_subdivisions,
+                epsabs=_ABS_TOL,
+                epsrel=_REL_TOL,
+                limit=_MAX_SUBDIVISIONS,
                 full_output=1,
             )
             failure = message[0].strip() if message else None
@@ -98,13 +81,13 @@ def integrate_halfline(f, spec: QuadratureSpec = DEFAULT_QUAD) -> float | np.nda
                 transformed,
                 0.0,
                 1.0,
-                epsabs=spec.abs_tol,
-                epsrel=spec.rel_tol,
+                epsabs=_ABS_TOL,
+                epsrel=_REL_TOL,
                 norm="max",
-                limit=spec.max_subdivisions,
+                limit=_MAX_SUBDIVISIONS,
                 full_output=True,
             )
             failure = info.message if info.status != 0 else None
-    if failure and abserr > 10.0 * max(spec.abs_tol, spec.rel_tol * np.max(np.abs(value))):
+    if failure and abserr > 10.0 * max(_ABS_TOL, _REL_TOL * np.max(np.abs(value))):
         raise QuadratureNoConvergence(f"estimated error {abserr:.3e} exceeds budget ({failure})")
     return value

@@ -14,6 +14,7 @@ import inspect
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -298,21 +299,40 @@ def doubling_stats(space: Space) -> dict:
 
 def fixture(kind: str, **params) -> Space:
     """Deterministic canonical spaces: path, grid2d, dumbbell, random_geometric."""
-    _check_fixture(kind, params)
-    return _FIXTURES[kind].build(**params)
+    args = _fixture_args(kind, params)
+    return _FIXTURES[kind].build(**args)
 
 
-def _check_fixture(kind, params):
-    """InvalidParams unless `kind` names a fixture and `params` is a dict that
-    binds to its builder's signature."""
+# every fixture param is an integer at least this large, except `radius` (a
+# finite positive number) and a `ny` left at None (a square grid)
+_INT_PARAM_MIN = {"n": 2, "nx": 2, "ny": 2, "clique": 2, "bridge": 0, "seed": 0}
+
+
+def _fixture_args(kind, params) -> dict:
+    """The builder arguments of fixture `kind` for `params`, defaults filled
+    in; InvalidParams unless `kind` names a fixture and `params` is a dict
+    that binds to its builder's signature with every value in range."""
     if not isinstance(kind, str) or kind not in _FIXTURES:
         raise InvalidParams(f"unknown fixture kind {kind!r}; valid: {sorted(_FIXTURES)}")
     if not isinstance(params, dict):
         raise InvalidParams(f"fixture params must be an object, got {params!r}")
+    signature = inspect.signature(_FIXTURES[kind].build)
     try:
-        inspect.signature(_FIXTURES[kind].build).bind(**params)
+        bound = signature.bind(**params)
     except TypeError as exc:
         raise InvalidParams(f"fixture {kind!r}: {exc}") from None
+    bound.apply_defaults()
+    for name, value in bound.arguments.items():
+        if value is None and signature.parameters[name].default is None:
+            continue
+        if name == "radius":
+            ok, want = isinstance(value, Real) and 0 < value < np.inf, "a finite positive number"
+        else:
+            low = _INT_PARAM_MIN[name]
+            ok, want = isinstance(value, Integral) and value >= low, f"an integer >= {low}"
+        if isinstance(value, bool) or not ok:
+            raise InvalidParams(f"fixture {kind!r}: {name!r} must be {want}, got {value!r}")
+    return bound.arguments
 
 
 def _path_adjacency(n: int) -> np.ndarray:
@@ -321,8 +341,6 @@ def _path_adjacency(n: int) -> np.ndarray:
 
 
 def _fixture_path(n: int) -> Space:
-    if n < 2:
-        raise InvalidParams("path fixture needs n >= 2")
     ii = np.arange(n)
     dist = np.abs(ii[:, None] - ii[None, :]).astype(float)
     return build_space(dist, np.ones(n), _path_adjacency(n))
@@ -330,8 +348,6 @@ def _fixture_path(n: int) -> Space:
 
 def _fixture_grid2d(nx: int, ny: int | None = None) -> Space:
     ny = nx if ny is None else ny
-    if nx < 2 or ny < 2:
-        raise InvalidParams("grid2d fixture needs nx, ny >= 2")
     # point (i, j) is i * ny + j; the hop metric is |i - i'| + |j - j'|
     cond = np.kron(_path_adjacency(nx), np.eye(ny)) + np.kron(np.eye(nx), _path_adjacency(ny))
     i, j = np.divmod(np.arange(nx * ny, dtype=float), ny)
@@ -342,8 +358,6 @@ def _fixture_grid2d(nx: int, ny: int | None = None) -> Space:
 def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
     """Two complete graphs on `clique` vertices joined by a path with
     `bridge` intermediate vertices (bridge=0 joins them by a single edge)."""
-    if clique < 2 or bridge < 0:
-        raise InvalidParams("dumbbell fixture needs clique >= 2, bridge >= 0")
     n = 2 * clique + bridge
     cond = np.zeros((n, n))
     cond[:clique, :clique] = cond[-clique:, -clique:] = 1.0 - np.eye(clique)
@@ -363,25 +377,67 @@ def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
 
 def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
     """Points in the unit square, edges within `radius`, Euclidean metric."""
-    if n < 2 or radius <= 0:
-        raise InvalidParams("random_geometric fixture needs n >= 2, radius > 0")
     rng = np.random.default_rng(seed)
     dist = _euclidean_distances(rng.random((n, 2)))
     cond = ((dist <= radius) & ~np.eye(n, dtype=bool)).astype(float)
     return build_space(dist, np.ones(n), cond)
 
 
+def _degrees(space: Space) -> np.ndarray:
+    return (space.cond > 0).sum(axis=1)
+
+
+def _max_degree_core(space: Space, **_) -> np.ndarray:
+    """The points of largest degree: a path's interior points, and the
+    interior rule of spaces without their own."""
+    degrees = _degrees(space)
+    return degrees == degrees.max()
+
+
 class _Fixture(NamedTuple):
+    """A fixture kind: its builder, and two rules that take the builder's
+    arguments (defaults filled in)."""
+
     build: Callable[..., Space]
-    size: Callable[..., int]  # number of points, from the same params
+    size: Callable[..., int]  # number of points, without building
+    interior: Callable[..., np.ndarray]  # interior_mask before its fallback
 
 
 _FIXTURES = {
-    "path": _Fixture(_fixture_path, lambda n: n),
-    "grid2d": _Fixture(_fixture_grid2d, lambda nx, ny=None: nx * (nx if ny is None else ny)),
-    "dumbbell": _Fixture(_fixture_dumbbell, lambda clique, bridge=0: 2 * clique + bridge),
-    "random_geometric": _Fixture(_fixture_random_geometric, lambda n, radius, seed: n),
+    "path": _Fixture(_fixture_path, lambda n: n, _max_degree_core),
+    "grid2d": _Fixture(
+        _fixture_grid2d,
+        lambda nx, ny: nx * (nx if ny is None else ny),
+        lambda space, **_: _degrees(space) == 4,  # the lattice rim peeled off
+    ),
+    "dumbbell": _Fixture(
+        _fixture_dumbbell,
+        lambda clique, bridge: 2 * clique + bridge,
+        # the first clique's vertices off the bridge
+        lambda space, clique, bridge: np.arange(space.n) < clique - 1,
+    ),
+    "random_geometric": _Fixture(
+        _fixture_random_geometric, lambda n, radius, seed: n, _max_degree_core
+    ),
 }
+
+
+def _parse_space_spec(spec):
+    """(kind, builder arguments) for a fixture descriptor, (None, None) for
+    inline matrices; InvalidParams for a malformed descriptor (see
+    `check_space_spec`)."""
+    if not isinstance(spec, dict):
+        raise InvalidParams(f"space descriptor must be an object, got {spec!r}")
+    if "fixture" in spec:
+        fx = spec["fixture"]
+        if not isinstance(fx, dict):
+            raise InvalidParams(f"fixture descriptor must be an object, got {fx!r}")
+        return fx.get("kind"), _fixture_args(fx.get("kind"), fx.get("params", {}))
+    if not {"dist", "mu", "cond"} <= set(spec):
+        raise InvalidParams(
+            "inline space needs fields 'dist', 'mu', 'cond' (or use a 'fixture' descriptor)"
+        )
+    return None, None
 
 
 def check_space_spec(spec) -> None:
@@ -389,68 +445,40 @@ def check_space_spec(spec) -> None:
     a malformed one.  A descriptor is either
     {"fixture": {"kind": ..., "params": {...}}} or inline matrices
     {"dist": ..., "mu": ..., "cond": ...}."""
-    if not isinstance(spec, dict):
-        raise InvalidParams(f"space descriptor must be an object, got {spec!r}")
-    if "fixture" in spec:
-        fx = spec["fixture"]
-        if not isinstance(fx, dict):
-            raise InvalidParams(f"fixture descriptor must be an object, got {fx!r}")
-        _check_fixture(fx.get("kind"), fx.get("params", {}))
-    elif not {"dist", "mu", "cond"} <= set(spec):
-        raise InvalidParams(
-            "inline space needs fields 'dist', 'mu', 'cond' (or use a 'fixture' descriptor)"
-        )
+    _parse_space_spec(spec)
 
 
 def space_from_spec(spec) -> Space:
     """Build the space a descriptor names (see `check_space_spec`)."""
-    check_space_spec(spec)
-    if "fixture" in spec:
-        fx = spec["fixture"]
-        return fixture(fx["kind"], **fx.get("params", {}))
+    kind, args = _parse_space_spec(spec)
+    if kind:
+        return fixture(kind, **args)
     return build_space(spec["dist"], spec["mu"], spec["cond"])
 
 
 def space_size(spec) -> int:
     """Number of points of the space a descriptor names, without building it."""
-    check_space_spec(spec)
-    if "fixture" in spec:
-        fx = spec["fixture"]
-        try:
-            n = _FIXTURES[fx["kind"]].size(**fx.get("params", {}))
-        except TypeError:
-            n = None
-        if not isinstance(n, int):
-            raise InvalidParams(f"fixture {fx['kind']!r}: size params must be integers")
-        return n
+    kind, args = _parse_space_spec(spec)
+    if kind:
+        return _FIXTURES[kind].size(**args)
     if not isinstance(spec["mu"], list):
         raise InvalidParams(f"inline mu must be a list, got {spec['mu']!r}")
     return len(spec["mu"])
 
 
 def interior_mask(space: Space, spec: dict) -> np.ndarray:
-    """Deterministic 'interior' domain: for fixtures, peel off the geometric
-    boundary (path endpoints, lattice rim, bridge-adjacent clique vertices);
-    otherwise take the max-degree core."""
-    kind = spec.get("fixture", {}).get("kind")
-    n = space.n
-    mask = np.zeros(n, dtype=bool)
-    if kind == "path":
-        mask[1 : n - 1] = True
-    elif kind == "grid2d":
-        degrees = (space.cond > 0).sum(axis=1)
-        mask[degrees == 4] = True
-    elif kind == "dumbbell":
-        params = spec["fixture"].get("params", {})
-        clique = params.get("clique", 2)
-        mask[: clique - 1] = True
+    """Deterministic 'interior' domain of the space a descriptor names: each
+    fixture kind's own rule (path endpoints, lattice rim, bridge-adjacent
+    clique vertices peeled off), the max-degree core for inline matrices;
+    the first half of the points when the rule gives no point or every
+    point."""
+    kind, args = _parse_space_spec(spec)
+    if kind:
+        mask = _FIXTURES[kind].interior(space, **args)
     else:
-        degrees = (space.cond > 0).sum(axis=1)
-        mask[degrees == degrees.max()] = True
+        mask = _max_degree_core(space)
     if not mask.any() or mask.all():
-        half = max(1, n // 2)
-        mask = np.zeros(n, dtype=bool)
-        mask[:half] = True
+        mask = np.arange(space.n) < max(1, space.n // 2)
     return mask
 
 

@@ -26,7 +26,7 @@ from .errors import (
     SeriesTimeTooLarge,
     ThetaOutOfRange,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_halfline
+from .quadrature import integrate_halfline
 from .space import Space
 
 __all__ = [
@@ -427,9 +427,7 @@ def inverse_gaussian_density(t: float, s) -> np.ndarray:
     return t / (2.0 * np.sqrt(np.pi)) * s ** (-1.5) * np.exp(-t * t / (4.0 * s))
 
 
-def subordination_check(
-    dec: SpectralDecomposition, t: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def subordination_check(dec: SpectralDecomposition, t: float) -> float:
     """Max over eigenvalues of |integral(eta_t e^{-lambda s} ds) - e^{-t sqrt(lambda)}|.
 
     Quadrature oracle for the identity that the half-power semigroup is the
@@ -441,9 +439,7 @@ def subordination_check(
     lams = np.unique(dec.lambdas)
     # one vector-valued quadrature over all eigenvalues; the integrands are
     # bounded on the compactified interval, so no extrapolation is needed
-    integrals = integrate_halfline(
-        lambda s: inverse_gaussian_density(t, s) * np.exp(-lams * s), quad
-    )
+    integrals = integrate_halfline(lambda s: inverse_gaussian_density(t, s) * np.exp(-lams * s))
     return float(np.max(np.abs(integrals - np.exp(-t * np.sqrt(lams)))))
 
 

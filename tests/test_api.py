@@ -1,5 +1,6 @@
-"""Guards on the public surface: every exported name resolves, and every
-function the benchmark's tracer wraps still exists under its layer."""
+"""Guards on the public surface: every exported name resolves, every
+function the benchmark's tracer wraps still exists under its layer, and the
+number of settable parameters does not grow."""
 
 import ast
 import importlib
@@ -67,3 +68,36 @@ def test_cli_builds_fixtures_through_fixture(tmp_path, monkeypatch):
     config = cli.normalize_config({"space": {"fixture": {"kind": "path", "params": {"n": 4}}}})
     cli.run(config, str(tmp_path / "out"))
     assert calls == ["path"]
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", None) == "dataclass"
+
+
+def _settable_parameters():
+    """(module, owner, name) of every function parameter with a default and
+    every dataclass field with a default in the package's source."""
+    found = []
+    for path in sorted(Path(fraclap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults) :]
+                with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                found += [(path.stem, node.name, a.arg) for a in with_default]
+            elif isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                found += [
+                    (path.stem, node.name, field.target.id)
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign) and field.value is not None
+                ]
+    return found
+
+
+def test_settable_parameter_count():
+    # the error budgets of the quadrature and of the conjugate gradient are
+    # module constants, not options; a new knob has to replace an old one
+    found = _settable_parameters()
+    assert len(found) <= 11, found

@@ -309,6 +309,87 @@ def test_malformed_fixture_is_config_error(tmp_path, capsys, fixture_spec):
     assert "config error" in capsys.readouterr().err
 
 
+def _fixture_config(kind, **params):
+    return base_config(space={"fixture": {"kind": kind, "params": params}})
+
+
+_RGG = {"n": 10, "radius": 0.5, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "config, seed_flag, named",
+    [
+        (_fixture_config("path", n=4.5), None, "'n'"),
+        (_fixture_config("grid2d", nx="3"), None, "'nx'"),
+        (_fixture_config("dumbbell", clique=3, bridge=1.5), None, "'bridge'"),
+        (_fixture_config("random_geometric", **{**_RGG, "radius": "x"}), None, "'radius'"),
+        (_fixture_config("random_geometric", **{**_RGG, "seed": -2}), None, "'seed'"),
+        (_fixture_config("random_geometric", **{**_RGG, "seed": 1.5}), None, "'seed'"),
+        (base_config(seed=-1), None, "'seed'"),
+        (base_config(seed=True), None, "'seed'"),
+        (base_config(), "-5", "--seed"),
+    ],
+    ids=[
+        "path-n-float",
+        "grid2d-nx-str",
+        "dumbbell-bridge-float",
+        "rgg-radius-str",
+        "rgg-seed-negative",
+        "rgg-seed-float",
+        "config-seed-negative",
+        "config-seed-bool",
+        "flag-seed-negative",
+    ],
+)
+def test_bad_fixture_param_or_seed_exits_2(tmp_path, capsys, config, seed_flag, named):
+    # each of these once passed `validate` and ended `run` in a traceback
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    run_argv = ["run", "--config", path, "--out", str(out)]
+    if seed_flag is None:
+        assert main(["validate", "--config", path]) == 2
+        assert named in capsys.readouterr().err
+    else:
+        run_argv += ["--seed", seed_flag]
+    assert main(run_argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [80, 400])
+def test_modulus_check_passes_on_long_paths(tmp_path, n):
+    # the absolute error grows with mu(A) (1.3e-6 at n=80 against a bound of
+    # 1e-6); per unit mass it stays near 1.6e-8 at every n
+    cfg = base_config(
+        space={"fixture": {"kind": "path", "params": {"n": n}}},
+        theta=0.25,
+        experiments=[{"kind": "modulus_check", "params": {}}],
+    )
+    report = run(normalize_config(cfg), str(tmp_path / "out"))
+    (record,) = report["experiments"]
+    assert record["passed"] is True
+    assert record["metrics"]["max_err_per_mass"] <= 2e-8
+
+
+def test_modulus_check_verdict_unit_free(tmp_path):
+    # mu -> s mu scales the limit and the exact modulus alike
+    space = fixture("path", n=8)
+    reports = []
+    for s in (1e-6, 1.0, 1e6):
+        inline = {"dist": space.dist.tolist(), "mu": (s * space.mu).tolist()}
+        cfg = base_config(
+            space={**inline, "cond": space.cond.tolist()},
+            theta=0.25,
+            experiments=[{"kind": "modulus_check", "params": {}}],
+        )
+        (record,) = run(normalize_config(cfg), str(tmp_path / f"out{s}"))["experiments"]
+        assert record["passed"] is True
+        reports.append(record["metrics"]["max_err_per_mass"])
+    assert reports[0] == pytest.approx(reports[1], rel=1e-6)
+    assert reports[2] == pytest.approx(reports[1], rel=1e-6)
+
+
 def test_unknown_experiment_param_named(tmp_path):
     cfg = base_config(
         experiments=[{"kind": "energy_comparability", "params": {"famly_size": 3}}]

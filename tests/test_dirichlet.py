@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fraclap import (
     DirichletProblem,
-    IterSpec,
     build_grid,
     decompose,
     default_ymax,
@@ -22,6 +21,7 @@ from fraclap import (
     strong_maximum_check,
     uniqueness_check,
 )
+from fraclap import dirichlet
 from fraclap.dirichlet import _conjugate_gradient, _ProductGridOperator
 from fraclap.errors import (
     BallNotCompactlyInside,
@@ -218,11 +218,13 @@ def test_extension_operator_gradient_matches_energy(path8):
         assert fd == pytest.approx(analytic, rel=1e-6)
 
 
-def test_extension_iteration_budget(p3_dec):
+def test_extension_iteration_budget(p3_dec, monkeypatch):
     prob = p3_problem(p3_dec)
     grid = build_grid(0.5, default_ymax(p3_dec), 16)
+    monkeypatch.setattr(dirichlet, "_CG_REL_TOL", 1e-14)
+    monkeypatch.setattr(dirichlet, "_CG_MAX_ITER", 0)
     with pytest.raises(IterationBudgetExceeded):
-        solve_extension(prob, grid, IterSpec(rel_tol=1e-14, max_iter=0))
+        solve_extension(prob, grid)
 
 
 def test_extension_grid_mismatch(p3_dec):
@@ -240,7 +242,7 @@ def _interior(space):
 @pytest.mark.parametrize("m", [32, 128])
 @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("name", ["path8", "grid44"])
-def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request):
+def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request, monkeypatch):
     # plain CG (identity preconditioner) on the same scaled system reaches
     # the same trace, so the preconditioner changes only the path
     space, dec = request.getfixturevalue(name), request.getfixturevalue(f"{name}_dec")
@@ -249,9 +251,11 @@ def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request):
     grid = build_grid(theta, default_ymax(dec), m)
     op = _ProductGridOperator(space, grid, prob.omega)
     b = op.rhs_scaled(prob.f)
-    x, _, plain_iterations = _conjugate_gradient(
-        op.apply_scaled, b, np.zeros_like(b), lambda r: r, IterSpec(max_iter=100_000)
-    )
+    with monkeypatch.context() as budget:
+        budget.setattr(dirichlet, "_CG_MAX_ITER", 100_000)
+        x, _, plain_iterations = _conjugate_gradient(
+            op.apply_scaled, b, np.zeros_like(b), lambda r: r
+        )
     plain, _ = op.unpack(x / op.scale, prob.f)
     sol = solve_extension(prob, grid)
     assert sol.iterations < plain_iterations
@@ -269,7 +273,7 @@ def test_extension_iterations_independent_of_size(nx, m):
         prob = DirichletProblem(stiffness_matrix(dec, theta), omega=_interior(space), f=f)
         sol = solve_extension(prob, build_grid(theta, default_ymax(dec), m))
         assert sol.iterations <= 5, f"theta={theta}"
-        assert sol.residual <= IterSpec().rel_tol
+        assert sol.residual <= dirichlet._CG_REL_TOL
 
 
 def test_extension_energy_is_trace_energy(grid44_dec):

@@ -28,7 +28,7 @@ from fraclap.errors import (
     RadiusExceedsGrid,
     TailNotConverged,
 )
-from fraclap.quadrature import QuadratureSpec
+from fraclap import quadrature
 
 
 # -- grid
@@ -69,7 +69,7 @@ def test_profile_normalization_matches_closed_form():
     # 1/C_a computed by quadrature against 4^theta Gamma(theta)
     for theta in (0.25, 0.5, 0.75):
         a = 1 - 2 * theta
-        got = profile_normalization_quadrature(a, QuadratureSpec())
+        got = profile_normalization_quadrature(a)
         assert got == pytest.approx(4.0**theta * gamma(theta), rel=1e-9)
 
 
@@ -90,15 +90,24 @@ def test_profile_halfpower_is_exponential():
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
-def test_profile_quadrature_oracle(theta, lam):
-    # production values against the kernel-integral quadrature at two budgets
-    spec = QuadratureSpec()
-    for y in (0.05, 0.7, 3.0):
+def test_profile_quadrature_oracle(theta, lam, monkeypatch):
+    # production values against the kernel-integral quadrature at two
+    # budgets: the fixed one, and one ten times stricter
+    ys = (0.05, 0.7, 3.0)
+    coarse = [mode_profile_quadrature(lam, theta, y) for y in ys]
+    profile_normalization_quadrature.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_ABS_TOL", quadrature._ABS_TOL / 10.0)
+        m.setattr(quadrature, "_REL_TOL", quadrature._REL_TOL / 10.0)
+        m.setattr(quadrature, "_MAX_SUBDIVISIONS", 2 * quadrature._MAX_SUBDIVISIONS)
+        try:
+            fine = [mode_profile_quadrature(lam, theta, y) for y in ys]
+        finally:
+            profile_normalization_quadrature.cache_clear()
+    for y, c, f in zip(ys, coarse, fine):
         production = mode_profile(lam, theta, y)
-        coarse = mode_profile_quadrature(lam, theta, y, spec)
-        fine = mode_profile_quadrature(lam, theta, y, spec.refined())
-        assert abs(coarse - fine) <= 1e-7
-        assert production == pytest.approx(fine, abs=1e-7)
+        assert abs(c - f) <= 1e-7
+        assert production == pytest.approx(f, abs=1e-7)
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fraclap.errors import QuadratureNoConvergence
-from fraclap.quadrature import QuadratureSpec, _compactified, integrate_halfline
+from fraclap import quadrature
+from fraclap.quadrature import _compactified, integrate_halfline
 from fraclap.spectral import inverse_gaussian_density
 
 LAMS = np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 40)])
@@ -31,9 +32,10 @@ def test_scalar_path_returns_float():
 
 
 @pytest.mark.parametrize("t", [0.01, 1.0])
-def test_array_path_starved_budget_raises(t):
+def test_array_path_starved_budget_raises(t, monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
     with pytest.raises(QuadratureNoConvergence, match="exceeds budget"):
-        integrate_halfline(_family(t), QuadratureSpec(max_subdivisions=2))
+        integrate_halfline(_family(t))
 
 
 def test_transform_zeroes_rims_per_component():

@@ -11,6 +11,7 @@ from fraclap import (
     ball_mask,
     ball_measure,
     build_space,
+    check_space_spec,
     doubling_stats,
     fixture,
     space_from_json,
@@ -30,6 +31,7 @@ from fraclap.space import (
     _euclidean_distances,
     _is_edge_path_metric,
     _is_euclidean_metric,
+    interior_mask,
 )
 
 
@@ -528,3 +530,56 @@ def test_space_size_matches_built_space(space, n):
 def test_space_size_rejects_non_integer_params():
     with pytest.raises(InvalidParams):
         space_size({"fixture": {"kind": "grid2d", "params": {"nx": "4"}}})
+
+
+@pytest.mark.parametrize(
+    "kind, params, interior",
+    [
+        ("path", {"n": 6}, [False, True, True, True, True, False]),
+        ("path", {"n": 2}, [True, False]),  # no interior: the first half
+        ("grid2d", {"nx": 4, "ny": 3}, [False] * 3 + [False, True, False] * 2 + [False] * 3),
+        ("grid2d", {"nx": 2, "ny": 3}, [True] * 3 + [False] * 3),  # no degree-4 point
+        ("dumbbell", {"clique": 4, "bridge": 1}, [True] * 3 + [False] * 6),
+        ("dumbbell", {"clique": 3}, [True] * 2 + [False] * 4),
+    ],
+)
+def test_interior_mask_of_each_fixture_kind(kind, params, interior):
+    spec = {"fixture": {"kind": kind, "params": params}}
+    assert interior_mask(space_from_spec(spec), spec).tolist() == interior
+
+
+def test_interior_mask_of_inline_space_is_max_degree_core(grid44):
+    spec = json.loads(space_to_json(grid44))
+    mask = interior_mask(grid44, spec)
+    degrees = (grid44.cond > 0).sum(axis=1)
+    assert np.array_equal(mask, degrees == 4) and mask.sum() == 4
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("path", {"n": 4.5}),
+        ("path", {"n": True}),
+        ("path", {"n": 1}),
+        ("grid2d", {"nx": "3"}),
+        ("grid2d", {"nx": 3, "ny": 1}),
+        ("dumbbell", {"clique": 3, "bridge": 1.5}),
+        ("dumbbell", {"clique": 3, "bridge": -1}),
+        ("random_geometric", {"n": 10, "radius": "x", "seed": 1}),
+        ("random_geometric", {"n": 10, "radius": float("inf"), "seed": 1}),
+        ("random_geometric", {"n": 10, "radius": 0.0, "seed": 1}),
+        ("random_geometric", {"n": 10, "radius": 0.5, "seed": -2}),
+        ("random_geometric", {"n": 10, "radius": 0.5, "seed": 1.5}),
+    ],
+)
+def test_fixture_param_out_of_range_rejected(kind, params):
+    spec = {"fixture": {"kind": kind, "params": params}}
+    for check in (check_space_spec, space_size, space_from_spec):
+        with pytest.raises(InvalidParams, match="must be"):
+            check(spec)
+
+
+def test_fixture_accepts_numpy_integers_and_null_ny():
+    assert fixture("grid2d", nx=np.int64(3), ny=None).n == 9
+    params = {"n": np.int32(12), "radius": np.float64(0.6), "seed": np.int64(3)}
+    assert fixture("random_geometric", **params).n == 12

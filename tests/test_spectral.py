@@ -29,7 +29,7 @@ from fraclap.errors import (
     SeriesTimeTooLarge,
     ThetaOutOfRange,
 )
-from fraclap.quadrature import QuadratureSpec, integrate_halfline
+from fraclap.quadrature import integrate_halfline
 from fraclap.spectral import _fix_signs, inverse_gaussian_density, spectral_power_apply
 
 from conftest import gemm_symmetrized, random_vector, rel_gap
@@ -584,11 +584,8 @@ def test_frac_heat_markov(grid44, grid44_dec):
 
 
 def test_subordinator_density_normalizes():
-    spec = QuadratureSpec()
-    from fraclap.quadrature import integrate_halfline
-
     for t in (0.1, 1.0):
-        total = integrate_halfline(lambda s: inverse_gaussian_density(t, s), spec)
+        total = integrate_halfline(lambda s: inverse_gaussian_density(t, s))
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -605,9 +602,9 @@ def test_subordination_check_fixtures(path8_dec, grid44_dec, dumbbell55_dec):
 def test_subordination_check_one_quadrature_per_time(monkeypatch, grid44_dec, dumbbell55_dec):
     calls = []
 
-    def counting(f, spec):
-        calls.append(spec)
-        return integrate_halfline(f, spec)
+    def counting(f):
+        calls.append(f)
+        return integrate_halfline(f)
 
     monkeypatch.setattr(spectral, "integrate_halfline", counting)
     for dec in (grid44_dec, dumbbell55_dec):
