@@ -8,7 +8,6 @@ from .dirichlet import (
     holder_estimate,
     maximum_principle_check,
     residual_check,
-    solution_to_json,
     solve_extension,
     solve_spectral,
     solve_spectral_batch,
@@ -21,13 +20,10 @@ from .energy import (
     comparability_report,
     frac_bilinear,
     frac_energy,
-    regularized_energy,
-    regularized_energy_double_sum,
     stiffness_matrix,
 )
 from .errors import FraclapError
 from .extension import (
-    ExtensionEnergy,
     ExtensionField,
     HalfSpaceGrid,
     build_grid,
@@ -35,16 +31,13 @@ from .extension import (
     default_ymax,
     dtn_apply,
     dtn_constant,
-    extension_energy,
     extension_energy_constant,
-    field_to_csv_rows,
     mode_energy_quadrature,
     mode_profile,
     mode_profile_derivative,
     mode_profile_quadrature,
     poisson_extend,
     profile_normalization_quadrature,
-    trace_averaging_diagnostic,
     vertical_modulus,
 )
 from .space import (
@@ -53,26 +46,20 @@ from .space import (
     ball_measure,
     build_space,
     check_space_spec,
-    doubling_stats,
     fixture,
-    space_from_json,
     space_from_spec,
     space_size,
-    space_to_json,
 )
 from .spectral import (
-    KernelMatrix,
     SpectralDecomposition,
     decompose,
     dirichlet_form,
     frac_apply,
-    frac_heat_kernel,
     graph_stiffness,
     heat_kernel,
     heat_kernel_log_bound,
     heat_kernel_series,
     laplacian_apply,
-    qt_scaling_report,
     subordination_check,
 )
 

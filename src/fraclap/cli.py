@@ -99,7 +99,12 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
         raise ConfigParseError(f"{origin}: space: {exc}") from None
 
     theta = raw.get("theta", 0.5)
-    thetas = [theta] if isinstance(theta, (int, float)) else list(theta)
+    if isinstance(theta, (int, float)):
+        thetas = [theta]
+    elif isinstance(theta, list):
+        thetas = theta
+    else:
+        raise ConfigParseError(f"{origin}: 'theta' must be a number or a list, got {theta!r}")
     if not thetas:
         raise ConfigParseError(f"{origin}: 'theta' must name at least one value")
     for th in thetas:
@@ -229,8 +234,8 @@ def _exp_heat_properties(ctx, params):
     tables = {"heat_properties.csv": rows}
     for t in params["ts"]:
         k = heat_kernel(dec, t)
-        kmax = k.entries.max()
-        m_err = float(np.max(np.abs(k.row_mu_sums(space) - 1.0)))
+        kmax = k.max()
+        m_err = float(np.max(np.abs(k @ space.mu - 1.0)))
         # the walk bound against the spectral kernel, both relative to the
         # largest entry, where the bound is above the kernel's roundoff
         rel = log_bound(t)
@@ -238,15 +243,15 @@ def _exp_heat_properties(ctx, params):
         b_min = float((rel.min() + np.log(space.total_mass * kmax)) / np.log(10.0))
         resolvable = rel >= np.log(1e-10)
         gap = np.exp(rel, out=rel)
-        gap -= k.entries / kmax
+        gap -= k / kmax
         b_err = float(np.max(gap, where=resolvable, initial=-1.0))
         del rel, gap, resolvable
         markov, excess = max(markov, m_err), max(excess, b_err)
-        min_entry, min_bound = min(min_entry, float(k.entries.min())), min(min_bound, b_min)
-        rows.append((t, m_err, float(k.entries.min()), b_min, b_err))
+        min_entry, min_bound = min(min_entry, float(k.min())), min(min_bound, b_min)
+        rows.append((t, m_err, float(k.min()), b_min, b_err))
         if params["export_kernels"]:
             tables[f"heat_kernel_t{t}.csv"] = [("x", "z", "p_t")] + [
-                (x, z, float(k.entries[x, z]))
+                (x, z, float(k[x, z]))
                 for x in range(space.n)
                 for z in range(space.n)
             ]

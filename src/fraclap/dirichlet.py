@@ -43,7 +43,6 @@ from .spectral import SpectralDecomposition, _gram, graph_stiffness
 __all__ = [
     "DirichletProblem",
     "Solution",
-    "solution_to_json",
     "solve_spectral",
     "solve_spectral_batch",
     "solve_extension",
@@ -110,22 +109,6 @@ class Solution:
     residual: float
     energy: float
     iterations: int = 0  # conjugate-gradient iterations; 0 for a direct solve
-
-
-def solution_to_json(sol: Solution, problem: DirichletProblem, diagnostics=None) -> str:
-    import json
-
-    return json.dumps(
-        {
-            "route": sol.route,
-            "theta": problem.theta,
-            "omega": problem.omega.tolist(),
-            "u": sol.u.tolist(),
-            "energy": sol.energy,
-            "residual": sol.residual,
-            "diagnostics": diagnostics or {},
-        }
-    )
 
 
 def solve_spectral(problem: DirichletProblem) -> Solution:

@@ -1,5 +1,5 @@
 """Nonlocal energies: the Besov double sum, the spectral fractional form,
-its stiffness-matrix realization, and the semigroup-regularized energies.
+its stiffness-matrix realization, and the comparability of the two.
 
 The Besov denominator uses the exponent 2*theta on the distance (the scaling
 under which the two energies are comparable) together with closed balls, so
@@ -13,15 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantFunctionInFamily, InvalidParams, NonpositiveTime
+from .errors import ConstantFunctionInFamily, InvalidParams
 from .space import Space
-from .spectral import (
-    SpectralDecomposition,
-    _gram,
-    check_theta,
-    frac_heat_kernel,
-    lambda_power,
-)
+from .spectral import SpectralDecomposition, _gram, check_theta, lambda_power
 
 __all__ = [
     "FracEnergyForm",
@@ -29,8 +23,6 @@ __all__ = [
     "frac_energy",
     "frac_bilinear",
     "stiffness_matrix",
-    "regularized_energy",
-    "regularized_energy_double_sum",
     "comparability_report",
 ]
 
@@ -112,33 +104,6 @@ def stiffness_matrix(dec: SpectralDecomposition, theta: float) -> FracEnergyForm
     k = _gram(dec.space.mu[:, None] * dec.phis, lambda_power(dec.lambdas, theta))
     k.setflags(write=False)
     return FracEnergyForm(dec=dec, theta=theta, stiffness=k)
-
-
-def regularized_energy(dec: SpectralDecomposition, theta: float, t: float, f) -> float:
-    """(1/t) sum_x (f - T_t f)(x) f(x) mu(x) for the subordinated semigroup T_t,
-    equal to sum_k (1 - exp(-t lambda_k^theta))/t <f, phi_k>_mu^2.
-
-    Monotone decreasing in t and increasing to E_theta(f, f) as t -> 0.
-    """
-    check_theta(theta)
-    if t <= 0:
-        raise NonpositiveTime(f"t must be positive, got {t}")
-    powers = lambda_power(dec.lambdas, theta)
-    coeffs = dec.coefficients(f)
-    return float(np.sum(-np.expm1(-t * powers) / t * coeffs**2))
-
-
-def regularized_energy_double_sum(
-    dec: SpectralDecomposition, theta: float, t: float, f
-) -> float:
-    """Same quantity as `regularized_energy` via the kernel double sum
-    (1/2t) sum_{x,y} |f(x)-f(y)|^2 q_t(x,y) mu(x) mu(y); the two routes must
-    agree to roundoff."""
-    f = np.asarray(f, dtype=float)
-    q = frac_heat_kernel(dec, theta, t).entries
-    mu = dec.space.mu
-    diff2 = (f[:, None] - f[None, :]) ** 2
-    return float(np.einsum("xy,xy,x,y->", diff2, q, mu, mu) / (2.0 * t))
 
 
 def comparability_report(dec: SpectralDecomposition, theta: float, family) -> dict:

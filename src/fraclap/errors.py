@@ -60,10 +60,6 @@ class DegenerateFirstCell(FraclapError):
     pass
 
 
-class TailNotConverged(FraclapError):
-    pass
-
-
 class EmptySubset(FraclapError):
     pass
 

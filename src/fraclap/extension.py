@@ -3,9 +3,9 @@
 Provides the discretized half-space grid, the Poisson-type harmonic extension
 of boundary data (assembled per eigenmode from a subordination-style integral),
 the weighted normal derivative at y = 0 (which recovers the fractional
-Laplacian), the extension energy, and two exact geometric identities on the
-product space: the 2-modulus of vertical curve families and the co-dimension
-ball-volume identity.
+Laplacian), the per-mode extension energy, and two exact geometric identities
+on the product space: the 2-modulus of vertical curve families and the
+co-dimension ball-volume identity.
 
 Only the upper half-space is ever materialized: the full-space problem is
 symmetric under y -> -y, so full-space quantities are twice the half-space
@@ -26,16 +26,14 @@ from .errors import (
     GridThetaMismatch,
     InvalidParams,
     RadiusExceedsGrid,
-    TailNotConverged,
 )
 from .quadrature import integrate_halfline
-from .space import Space, ball_mask, ball_measure
+from .space import Space, ball_measure
 from .spectral import SpectralDecomposition, check_theta
 
 __all__ = [
     "HalfSpaceGrid",
     "ExtensionField",
-    "ExtensionEnergy",
     "build_grid",
     "dtn_constant",
     "extension_energy_constant",
@@ -45,19 +43,15 @@ __all__ = [
     "profile_normalization_quadrature",
     "poisson_extend",
     "dtn_apply",
-    "extension_energy",
     "mode_energy_quadrature",
     "vertical_modulus",
     "codim_ball_check",
-    "trace_averaging_diagnostic",
-    "field_to_csv_rows",
     "default_ymax",
 ]
 
 MIN_GRID_NODES = 8
 DEFAULT_RATIO = 0.5
 _YMAX_DECAY = 1e-8  # decay of the slowest mode at the default grid height
-_TAIL_TOL = 1e-6  # largest truncated-tail bound extension_energy accepts
 
 
 def dtn_constant(theta: float) -> float:
@@ -251,14 +245,11 @@ def mode_profile_quadrature(lam: float, theta: float, y: float) -> float:
 @dataclass(frozen=True)
 class ExtensionField:
     """Harmonic extension sampled on the grid rows; u(., 0) is the boundary
-    data exactly.  Mode data is kept so energies and tails can be evaluated
-    off-grid."""
+    data exactly."""
 
     values: np.ndarray
     grid: HalfSpaceGrid
     theta: float
-    mode_lambdas: np.ndarray
-    mode_coeffs: np.ndarray
 
     def boundary(self) -> np.ndarray:
         return self.values[:, 0]
@@ -280,13 +271,7 @@ def poisson_extend(
     values = dec.phis @ (coeffs[:, None] * profiles)
     values[:, 0] = f  # boundary row carries the data exactly
     values.setflags(write=False)
-    return ExtensionField(
-        values=values,
-        grid=grid,
-        theta=theta,
-        mode_lambdas=dec.lambdas,
-        mode_coeffs=coeffs,
-    )
+    return ExtensionField(values=values, grid=grid, theta=theta)
 
 
 def _profile_table(lambdas, theta, ys):
@@ -326,60 +311,6 @@ def dtn_apply(u: ExtensionField) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # extension energy
-
-
-@dataclass(frozen=True)
-class ExtensionEnergy:
-    value: float
-    quadrature_tolerance: float
-    tail_bound: float
-
-
-def extension_energy(u: ExtensionField) -> ExtensionEnergy:
-    """Weighted Dirichlet energy of the extension over the half-space,
-
-        sum_j w_j [ sum_x (du/dy)^2(x, yhat_j) mu(x) + E_X(u(., yhat_j)) ],
-
-    with both factors evaluated at the measure midpoint yhat_j of each cell.
-    Decomposes over modes; equals extension_energy_constant(theta) * E_theta(f, f)
-    up to the reported midpoint-rule tolerance (gauged by a trapezoid
-    alternative).  The truncated tail above Ymax is computed exactly per mode
-    from the flux identity
-    integral_Y^inf y^a (g'^2 + lam g^2) dy = -Y^a g'(Y) g(Y);
-    raises TailNotConverged when the tail exceeds 1e-6.
-    """
-    grid, theta = u.grid, u.theta
-    lam, coeffs = u.mode_lambdas, u.mode_coeffs
-    cents = grid.cell_centroids()
-    w = grid.cellweights
-
-    uniq, inverse = np.unique(lam, return_inverse=True)
-    lv = uniq[:, None]  # one row per distinct eigenvalue; lv = 0 rows vanish
-    g_mid = mode_profile(lv, theta, cents)
-    dg_mid = mode_profile_derivative(lv, theta, cents)
-    density_mid = dg_mid**2 + lv * g_mid**2
-    mode_mid = np.sum(w * density_mid, axis=1)
-    # trapezoid alternative gauges the midpoint-rule error; the y = 0 node
-    # is skipped since y^a g'^2 may be unbounded there, so the first cell
-    # reuses its midpoint value
-    g_nd = mode_profile(lv, theta, grid.ys[1:])
-    dg_nd = mode_profile_derivative(lv, theta, grid.ys[1:])
-    density_nd = dg_nd**2 + lv * g_nd**2
-    trap = np.empty_like(density_mid)
-    trap[:, 0] = density_mid[:, 0]
-    trap[:, 1:] = 0.5 * (density_nd[:, :-1] + density_nd[:, 1:])
-    mode_alt = np.sum(w * trap, axis=1)
-    tails = grid.Ymax**grid.a * np.maximum(-dg_nd[:, -1], 0.0) * np.maximum(g_nd[:, -1], 0.0)
-
-    weight = np.bincount(inverse, weights=coeffs**2, minlength=len(uniq))
-    value = float(weight @ mode_mid)
-    tol = float(weight @ np.abs(mode_mid - mode_alt))
-    tail = float(weight @ tails)
-    if tail > _TAIL_TOL:
-        raise TailNotConverged(
-            f"truncated-tail bound {tail:.3e} exceeds tolerance {_TAIL_TOL:.1e}; increase Ymax"
-        )
-    return ExtensionEnergy(value=value, quadrature_tolerance=tol + tail, tail_bound=tail)
 
 
 def mode_energy_quadrature(lam: float, theta: float) -> float:
@@ -459,49 +390,3 @@ def codim_ball_check(space: Space, grid: HalfSpaceGrid, x, r: float) -> dict:
     lhs = mass * float(np.sum(grid.weight_integral(*grid._cells_below(r))))
     rhs = r ** (1.0 + grid.a) / (1.0 + grid.a) * mass
     return {"lhs": lhs, "rhs": rhs}
-
-
-# ---------------------------------------------------------------------------
-# trace
-
-
-def field_to_csv_rows(u: ExtensionField) -> list:
-    """Flatten a field for external plotting: (x_index, y, value) per sample."""
-    rows = [("x_index", "y", "value")]
-    for x in range(u.values.shape[0]):
-        for j, y in enumerate(u.grid.ys):
-            rows.append((x, float(y), float(u.values[x, j])))
-    return rows
-
-
-def trace_averaging_diagnostic(u: ExtensionField, space: Space) -> dict:
-    """Consistency check of the averaged-limit definition of boundary values.
-
-    Averages u over B((x,0), r) cap Z_+ = B_X(x, r) x (0, r) (max metric) for
-    the decreasing grid radii r = y_j and reports the deviation from the
-    boundary row.  At grid level the boundary row is exact, so this only
-    gauges the observed convergence rate of the averages; no rate is asserted.
-    """
-    radii = u.grid.ys[min(u.grid.m, 12) : 0 : -1]
-    deviations = [
-        float(np.max(np.abs(_product_ball_average(u, space, r) - u.boundary()))) for r in radii
-    ]
-    return {
-        "radii": radii.tolist(),
-        "max_deviation": deviations,
-        "finest_deviation": deviations[-1],
-    }
-
-
-def _product_ball_average(u, space, r):
-    grid, vals = u.grid, u.values
-    # integral of the piecewise-linear interpolant against y^a over [0, r]
-    lo, hi = grid._cells_below(r)
-    k = len(lo)
-    w = grid.weight_integral(lo, hi)
-    m1 = grid.weight_first_moment(lo, hi)
-    slope = np.diff(vals[:, : k + 1], axis=1) / np.diff(grid.ys[: k + 1])
-    col_int = vals[:, :k] @ w + slope @ (m1 - lo * w)
-    ball = ball_mask(space, np.arange(space.n), r)
-    total, mass = (ball @ np.column_stack([space.mu * col_int, space.mu])).T
-    return total / (mass * grid.weight_integral(0.0, r))

@@ -11,7 +11,6 @@ compatible pairs are accepted.
 from __future__ import annotations
 
 import inspect
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
@@ -33,14 +32,11 @@ __all__ = [
     "build_space",
     "ball_mask",
     "ball_measure",
-    "doubling_stats",
     "fixture",
     "check_space_spec",
     "space_from_spec",
     "space_size",
     "interior_mask",
-    "space_to_json",
-    "space_from_json",
 ]
 
 _METRIC_TOL = 1e-12
@@ -102,17 +98,16 @@ def build_space(dist, mu, cond) -> Space:
     """Validate raw matrices and return an immutable Space.
 
     Raises MetricViolation (with the witness triple), NonpositiveMeasure, or
-    DisconnectedGraph when the corresponding invariant fails.
+    DisconnectedGraph when the corresponding invariant fails, and
+    InvalidParams for inputs that are not arrays of numbers of matching shapes.
     """
-    dist = np.asarray(dist, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    cond = np.asarray(cond, dtype=float)
+    try:
+        dist, mu, cond = (np.asarray(arr, dtype=float) for arr in (dist, mu, cond))
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
+        raise InvalidParams(f"dist, mu and cond must be arrays of numbers: {exc}") from None
 
-    n = len(mu)
-    if dist.shape != (n, n) or cond.shape != (n, n):
-        raise InvalidParams(
-            f"shape mismatch: dist {dist.shape}, cond {cond.shape}, mu length {n}"
-        )
+    if mu.ndim != 1 or dist.shape != (len(mu), len(mu)) or cond.shape != dist.shape:
+        raise InvalidParams(f"shape mismatch: dist {dist.shape}, cond {cond.shape}, mu {mu.shape}")
     for name, arr in (("dist", dist), ("mu", mu), ("cond", cond)):
         if not np.all(np.isfinite(arr)):
             raise InvalidParams(f"{name} contains non-finite entries")
@@ -264,37 +259,6 @@ def ball_measure(space: Space, x, r: float):
     broadcasts over an array of centres (a scalar centre gives a float)."""
     mass = np.where(ball_mask(space, x, r), space.mu, 0.0).sum(axis=-1)
     return float(mass) if mass.ndim == 0 else mass
-
-
-def doubling_stats(space: Space) -> dict:
-    """Volume-growth diagnostics: doubling constant and growth-exponent range.
-
-    Radii are sampled dyadically downward from the diameter.  C_D is the worst
-    observed ratio mu(B(x,2r))/mu(B(x,r)); b_l and b_u are the extreme
-    per-center least-squares slopes of log mu(B(x,r)) against log r.  Purely
-    diagnostic: nothing is enforced.
-    """
-    rmin = space.min_positive_distance()
-    radii = []
-    r = space.diameter
-    while r >= rmin / 2.0:
-        radii.append(r)
-        r /= 2.0
-    radii = np.array(radii[::-1])
-
-    centres = np.arange(space.n)
-    masses = np.stack([ball_measure(space, centres, r) for r in radii], axis=1)
-    # mu(B(x, 2r)): the column of the radius 2r, or the whole space beyond the diameter
-    j = np.searchsorted(radii, 2.0 * radii)
-    doubled = np.hstack([masses, np.full((space.n, 1), space.total_mass)])[:, j]
-    cd = float(np.max(doubled / masses))
-
-    fit = radii >= rmin
-    b_l = b_u = float("nan")
-    if fit.sum() >= 2:
-        slopes = np.polyfit(np.log(radii[fit]), np.log(masses[:, fit]).T, 1)[0]
-        b_l, b_u = float(slopes.min()), float(slopes.max())
-    return {"C_D": cd, "b_l": b_l, "b_u": b_u}
 
 
 def fixture(kind: str, **params) -> Space:
@@ -480,18 +444,3 @@ def interior_mask(space: Space, spec: dict) -> np.ndarray:
     if not mask.any() or mask.all():
         mask = np.arange(space.n) < max(1, space.n // 2)
     return mask
-
-
-def space_to_json(space: Space) -> str:
-    return json.dumps(
-        {
-            "n": space.n,
-            "dist": space.dist.tolist(),
-            "mu": space.mu.tolist(),
-            "cond": space.cond.tolist(),
-        }
-    )
-
-
-def space_from_json(text: str) -> Space:
-    return space_from_spec(json.loads(text))

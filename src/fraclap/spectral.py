@@ -5,8 +5,8 @@ is self-adjoint in l2(mu) and satisfies the duality
 sum_x v(x) Delta f(x) mu(x) = -E(v, f) against the conductance Dirichlet form
 E(f, g) = 1/2 sum_{x,y} c(x,y) (f(x)-f(y)) (g(x)-g(y)).
 
-Everything downstream (heat semigroup, fractional powers, subordinated
-semigroup) is a function of the spectral resolution computed here.
+Everything downstream (heat semigroup, fractional powers) is a function of
+the spectral resolution computed here.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .space import Space
 
 __all__ = [
     "SpectralDecomposition",
-    "KernelMatrix",
     "laplacian_apply",
     "graph_stiffness",
     "dirichlet_form",
@@ -40,16 +39,13 @@ __all__ = [
     "heat_kernel_series",
     "heat_kernel_log_bound",
     "frac_apply",
-    "frac_heat_kernel",
     "subordination_check",
     "inverse_gaussian_density",
-    "qt_scaling_report",
 ]
 
 _EIGENTOL = 1e-10  # zero clamp and validation bounds, relative to lambda_max
 _SERIES_TOL = 1e-16  # the series ends at a term bounded by this share of the sum
 _SERIES_MAX_BETA_T = 600.0
-_QT_TIMES = (0.01, 0.1, 1.0)
 
 
 @dataclass(frozen=True)
@@ -85,14 +81,6 @@ class SpectralDecomposition:
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         return self.phis @ coeffs
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    entries: np.ndarray
-
-    def row_mu_sums(self, space: Space) -> np.ndarray:
-        return self.entries @ space.mu
 
 
 def _check_vector(space: Space, f) -> np.ndarray:
@@ -214,17 +202,14 @@ def _validate_decomposition(space, lam, phi) -> float:
     return ortho_defect
 
 
-def _kernel_from_weights(dec, weights) -> KernelMatrix:
-    entries = _gram(dec.phis, weights)
-    entries.setflags(write=False)
-    return KernelMatrix(entries=entries)
-
-
-def heat_kernel(dec: SpectralDecomposition, t: float) -> KernelMatrix:
-    """p_t(x,z) = sum_k exp(-lambda_k t) phi_k(x) phi_k(z)."""
+def heat_kernel(dec: SpectralDecomposition, t: float) -> np.ndarray:
+    """p_t(x,z) = sum_k exp(-lambda_k t) phi_k(x) phi_k(z), as a read-only
+    n x n array."""
     if t <= 0:
         raise NonpositiveTime(f"t must be positive, got {t}")
-    return _kernel_from_weights(dec, np.exp(-dec.lambdas * t))
+    kernel = _gram(dec.phis, np.exp(-dec.lambdas * t))
+    kernel.setflags(write=False)
+    return kernel
 
 
 def heat_kernel_series(space: Space, t: float | Sequence[float]) -> np.ndarray | list[np.ndarray]:
@@ -405,15 +390,6 @@ def lambda_power(lambdas: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def frac_heat_kernel(dec: SpectralDecomposition, theta: float, t: float) -> KernelMatrix:
-    """Kernel of the subordinated semigroup exp(-t (-Delta)^theta)."""
-    check_theta(theta)
-    if t <= 0:
-        raise NonpositiveTime(f"t must be positive, got {t}")
-    weights = np.exp(-t * lambda_power(dec.lambdas, theta))
-    return _kernel_from_weights(dec, weights)
-
-
 def check_theta(theta: float) -> None:
     """Raise ThetaOutOfRange unless 0 < theta < 1."""
     if not 0 < theta < 1:
@@ -441,24 +417,3 @@ def subordination_check(dec: SpectralDecomposition, t: float) -> float:
     # bounded on the compactified interval, so no extrapolation is needed
     integrals = integrate_halfline(lambda s: inverse_gaussian_density(t, s) * np.exp(-lams * s))
     return float(np.max(np.abs(integrals - np.exp(-t * np.sqrt(lams)))))
-
-
-def qt_scaling_report(dec: SpectralDecomposition, theta: float) -> dict:
-    """Scaling diagnostic for the subordinated kernel against the jump-kernel
-    normalizations t / (d(x,y)^e mu(B(x, d(x,y)))) for e in {theta, 2 theta},
-    at t = 0.01, 0.1, 1.
-
-    Reports the max sampled ratio under both exponents; no bound is asserted
-    (the sharp exponent is left open upstream).
-    """
-    check_theta(theta)
-    space = dec.space
-    off = ~np.eye(space.n, dtype=bool)
-    ball = space.ball_masses
-    out = {"exp_theta": 0.0, "exp_2theta": 0.0}
-    for t in _QT_TIMES:
-        q = frac_heat_kernel(dec, theta, t).entries
-        for key, e in (("exp_theta", theta), ("exp_2theta", 2 * theta)):
-            ratios = q[off] * space.dist[off] ** e * ball[off] / t
-            out[key] = max(out[key], float(ratios.max()))
-    return out

@@ -437,6 +437,32 @@ def test_empty_theta_list_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
+_INLINE_K2 = {"dist": [[0, 1], [1, 0]], "mu": [1, 1], "cond": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "config, commands, named",
+    [
+        (base_config(theta=None), ("validate", "run"), "'theta'"),
+        (base_config(space={**_INLINE_K2, "dist": [[0, 1], [1]]}), ("run",), "dist"),
+        (base_config(space={**_INLINE_K2, "dist": "x"}), ("run",), "dist"),
+        (base_config(space={**_INLINE_K2, "mu": 5}), ("run",), "mu"),
+    ],
+    ids=["theta-null", "dist-ragged", "dist-string", "mu-scalar"],
+)
+def test_bad_config_values_exit_2_without_traceback(tmp_path, capsys, config, commands, named):
+    # each of these once ended in a TypeError or ValueError traceback
+    path = write_config(tmp_path, config)
+    argvs = {
+        "validate": ["validate", "--config", path],
+        "run": ["run", "--config", path, "--out", str(tmp_path / "out")],
+    }
+    for command in commands:
+        assert main(argvs[command]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and named in err
+
+
 @pytest.mark.parametrize(
     "mask, message",
     [
@@ -570,8 +596,8 @@ def test_heat_properties_semigroup_verdict_sees_orthogonality_defect(dumbbell55)
     assert metrics["markov_max_err"] <= 1e-10
     # the composed defect at t = 1 is of the same order, so the verdict
     # flags a semigroup law that does fail
-    k = spectral.heat_kernel(bad, 1.0).entries
-    half = spectral.heat_kernel(bad, 0.5).entries
+    k = spectral.heat_kernel(bad, 1.0)
+    half = spectral.heat_kernel(bad, 0.5)
     comp = (half * dumbbell55.mu[None, :]) @ half
     assert np.max(np.abs(comp - k)) / k.max() > 1e-10
 

@@ -618,17 +618,3 @@ def test_max_principle_random_problems(seed):
     )
     sol = solve_spectral(prob)
     assert maximum_principle_check(sol, prob)["passed"]
-
-
-def test_solution_json_export(p3_dec):
-    import json
-
-    from fraclap import solution_to_json
-
-    prob = p3_problem(p3_dec)
-    sol = solve_spectral(prob)
-    obj = json.loads(solution_to_json(sol, prob, diagnostics={"note": 1}))
-    assert obj["route"] == "spectral"
-    assert obj["omega"] == [False, True, False]
-    assert obj["u"][1] == pytest.approx(0.5)
-    assert set(obj) == {"route", "theta", "omega", "u", "energy", "residual", "diagnostics"}

@@ -8,7 +8,6 @@ from fraclap import (
     default_ymax,
     dtn_apply,
     dtn_constant,
-    extension_energy,
     extension_energy_constant,
     frac_apply,
     mode_energy_quadrature,
@@ -17,7 +16,6 @@ from fraclap import (
     mode_profile_quadrature,
     poisson_extend,
     profile_normalization_quadrature,
-    trace_averaging_diagnostic,
     vertical_modulus,
 )
 from fraclap.errors import (
@@ -26,7 +24,6 @@ from fraclap.errors import (
     GridThetaMismatch,
     InvalidParams,
     RadiusExceedsGrid,
-    TailNotConverged,
 )
 from fraclap import quadrature
 
@@ -245,30 +242,6 @@ def test_per_mode_energy_exact_case():
     assert mode_energy_quadrature(1.0, 0.5) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_extension_energy_k2(k2, k2_dec):
-    f = np.array([1.0, -1.0])
-    grid = build_grid(0.5, 13.0, 64)
-    u = poisson_extend(k2_dec, 0.5, f, grid)
-    res = extension_energy(u)
-    # single mode lam = 2, coefficient^2 = 2: energy = sqrt(2) * 2
-    assert abs(res.value - 2 * np.sqrt(2)) <= res.quadrature_tolerance
-    assert res.tail_bound <= 1e-8
-
-
-def test_extension_energy_constant_data_zero(p3, p3_dec):
-    grid = build_grid(0.5, 10.0, 16)
-    u = poisson_extend(p3_dec, 0.5, np.full(3, 9.0), grid)
-    res = extension_energy(u)
-    assert res.value == pytest.approx(0.0, abs=1e-14)
-
-
-def test_extension_energy_tail_guard(k2, k2_dec):
-    grid = build_grid(0.5, 0.5, 8)  # far too short for the slowest mode
-    u = poisson_extend(k2_dec, 0.5, np.array([1.0, -1.0]), grid)
-    with pytest.raises(TailNotConverged):
-        extension_energy(u)
-
-
 # -- vertical modulus
 
 
@@ -381,33 +354,6 @@ def test_trace_returns_boundary_exactly(path8, path8_dec):
     assert np.array_equal(u.boundary(), f)
 
 
-def test_trace_averages_converge_k2(k2, k2_dec):
-    u = poisson_extend(k2_dec, 0.5, np.array([1.0, -1.0]), build_grid(0.5, 13.0, 32))
-    diag = trace_averaging_diagnostic(u, k2)
-    devs = diag["max_deviation"]
-    assert devs[-1] < devs[0]
-    # analytic averaging of e^{-sqrt(2) y} over (0, r) misses 1 at first order
-    r_fin = diag["radii"][-1]
-    assert diag["finest_deviation"] <= np.sqrt(2) * r_fin
-
-
-def test_trace_constant_field(p3, p3_dec):
-    u = poisson_extend(p3_dec, 0.5, np.full(3, 1.5), build_grid(0.5, 10.0, 16))
-    diag = trace_averaging_diagnostic(u, p3)
-    assert diag["finest_deviation"] <= 1e-12
-
-
-def test_field_csv_rows(p3, p3_dec):
-    from fraclap import field_to_csv_rows
-
-    grid = build_grid(0.5, 10.0, 8)
-    u = poisson_extend(p3_dec, 0.5, np.array([1.0, 0.0, -1.0]), grid)
-    rows = field_to_csv_rows(u)
-    assert rows[0] == ("x_index", "y", "value")
-    assert len(rows) == 1 + 3 * 9
-    assert rows[1] == (0, 0.0, 1.0)
-
-
 # -- array code against the per-cell and per-centre loops it replaced
 
 
@@ -419,24 +365,6 @@ def clipped_cells_loop(grid, r):
             break
         cells.append((lo, hi))
     return cells
-
-
-def product_ball_average_loop(u, space, r):
-    grid, ys, vals = u.grid, u.grid.ys, u.values
-    col_int = np.zeros(space.n)
-    for j, (lo, hi) in enumerate(clipped_cells_loop(grid, r)):
-        w = grid.weight_integral(lo, hi)
-        m1 = grid.weight_first_moment(lo, hi)
-        slope = (vals[:, j + 1] - vals[:, j]) / (ys[j + 1] - ys[j])
-        col_int += vals[:, j] * w + slope * (m1 - ys[j] * w)
-    height = grid.weight_integral(0.0, r)
-    out = np.empty(space.n)
-    for x in range(space.n):
-        in_ball = space.dist[x] <= r
-        out[x] = float(space.mu[in_ball] @ col_int[in_ball]) / (
-            float(space.mu[in_ball].sum()) * height
-        )
-    return out
 
 
 def assert_rel_close(actual, expected, rel=1e-13):
@@ -472,20 +400,6 @@ def test_codim_scalar_centre_gives_floats(grid44):
     assert type(out["lhs"]) is float and type(out["rhs"]) is float
     both = codim_ball_check(grid44, grid, np.array([5, 6]), 1.5)
     assert both["lhs"][0] == out["lhs"] and both["rhs"][0] == out["rhs"]
-
-
-@pytest.mark.parametrize("name", ["path8", "grid44", "dumbbell55", "weighted_grid34"])
-def test_product_ball_average_matches_loop(name, request):
-    from fraclap import decompose
-    from fraclap.extension import _product_ball_average
-
-    sp = request.getfixturevalue(name)
-    dec = decompose(sp)
-    f = np.random.default_rng(4).standard_normal(sp.n)
-    for theta, layout in ((0.25, "geometric"), (0.75, "uniform")):
-        u = poisson_extend(dec, theta, f, build_grid(theta, 8.0, 16, layout=layout))
-        for r in (u.grid.ys[1], 0.7, u.grid.ys[9], 3.0):
-            assert_rel_close(_product_ball_average(u, sp, r), product_ball_average_loop(u, sp, r))
 
 
 def test_codim_check_rows_match_loop(grid44, weighted_grid34):

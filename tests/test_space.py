@@ -1,4 +1,3 @@
-import json
 from unittest import mock
 
 import numpy as np
@@ -12,12 +11,9 @@ from fraclap import (
     ball_measure,
     build_space,
     check_space_spec,
-    doubling_stats,
     fixture,
-    space_from_json,
     space_from_spec,
     space_size,
-    space_to_json,
 )
 from fraclap.errors import (
     DisconnectedGraph,
@@ -331,51 +327,6 @@ def test_negative_radius_rejected(k2):
         ball_measure(k2, 0, -0.1)
 
 
-# -- doubling diagnostics
-
-
-def test_doubling_k2(k2):
-    # two regimes: mass 1 below distance 1, mass 2 at and beyond
-    stats = doubling_stats(k2)
-    assert stats["C_D"] <= 2.0 + 1e-12
-
-
-def doubling_stats_loop(space):
-    """The per-centre, per-radius loop that doubling_stats replaced."""
-    radii = []
-    r = space.diameter
-    while r >= space.min_positive_distance() / 2.0:
-        radii.append(r)
-        r /= 2.0
-    radii = np.array(radii[::-1])
-    masses = np.array(
-        [[space.mu[space.dist[x] <= r].sum() for r in radii] for x in range(space.n)]
-    )
-    cd = 0.0
-    for i, r in enumerate(radii):
-        j = np.searchsorted(radii, 2.0 * r)
-        col2 = masses[:, j] if j < len(radii) else np.full(space.n, space.total_mass)
-        cd = max(cd, float(np.max(col2 / masses[:, i])))
-    fit = radii >= space.min_positive_distance()
-    logr = np.log(radii[fit])
-    slopes = [np.polyfit(logr, np.log(masses[x, fit]), 1)[0] for x in range(space.n)]
-    return {"C_D": cd, "b_l": min(slopes), "b_u": max(slopes)}
-
-
-def test_doubling_stats_matches_loop(path8, grid44, dumbbell55, weighted_grid34):
-    for sp in (path8, grid44, dumbbell55, weighted_grid34, fixture("path", n=32)):
-        stats, loop = doubling_stats(sp), doubling_stats_loop(sp)
-        assert stats["C_D"] == loop["C_D"]
-        for key in ("b_l", "b_u"):
-            assert stats[key] == pytest.approx(loop[key], rel=1e-13, abs=0.0)
-
-
-def test_doubling_path_growth_exponent_near_one():
-    stats = doubling_stats(fixture("path", n=32))
-    assert abs(stats["b_l"] - 1.0) <= 0.2
-    assert abs(stats["b_u"] - 1.0) <= 0.2
-
-
 # -- fixtures
 
 
@@ -472,17 +423,6 @@ def test_fixture_param_validation():
         fixture("dumbbell", clique=1)
 
 
-def test_space_json_round_trip(p3):
-    sp = space_from_json(space_to_json(p3))
-    assert np.array_equal(sp.dist, p3.dist)
-    assert np.array_equal(sp.cond, p3.cond)
-
-
-def test_space_json_fixture_descriptor():
-    sp = space_from_json(json.dumps({"fixture": {"kind": "path", "params": {"n": 3}}}))
-    assert sp.n == 3 and sp.dist[0, 2] == 2.0
-
-
 @pytest.mark.parametrize(
     "spec",
     [
@@ -549,7 +489,7 @@ def test_interior_mask_of_each_fixture_kind(kind, params, interior):
 
 
 def test_interior_mask_of_inline_space_is_max_degree_core(grid44):
-    spec = json.loads(space_to_json(grid44))
+    spec = {"dist": grid44.dist.tolist(), "mu": grid44.mu.tolist(), "cond": grid44.cond.tolist()}
     mask = interior_mask(grid44, spec)
     degrees = (grid44.cond > 0).sum(axis=1)
     assert np.array_equal(mask, degrees == 4) and mask.sum() == 4

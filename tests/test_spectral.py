@@ -11,12 +11,10 @@ from fraclap import (
     dirichlet_form,
     fixture,
     frac_apply,
-    frac_heat_kernel,
     heat_kernel,
     heat_kernel_log_bound,
     heat_kernel_series,
     laplacian_apply,
-    qt_scaling_report,
     subordination_check,
 )
 from fraclap import spectral
@@ -129,7 +127,7 @@ def test_decompose_matches_evr_on_degenerate_spectrum(nx, ny):
     assert np.any(np.diff(oracle.lambdas) <= 1e-12 * oracle.lambdas[-1])
     assert np.allclose(dec.lambdas, oracle.lambdas, rtol=0.0, atol=1e-12 * oracle.lambdas[-1])
     for t in (0.01, 0.5, 5.0):
-        assert _max_rel_err(heat_kernel(dec, t).entries, heat_kernel(oracle, t).entries) <= 1e-12
+        assert _max_rel_err(heat_kernel(dec, t), heat_kernel(oracle, t)) <= 1e-12
     for theta in (0.25, 0.75):
         got = stiffness_matrix(dec, theta).stiffness
         assert _max_rel_err(got, stiffness_matrix(oracle, theta).stiffness) <= 1e-12
@@ -210,8 +208,8 @@ def test_ground_mode_constant(path8_dec):
 def test_heat_kernel_k2_closed_form(k2, k2_dec):
     for t in (0.1, 1.0, 3.0):
         k = heat_kernel(k2_dec, t)
-        assert k.entries[0, 0] == pytest.approx((1 + np.exp(-2 * t)) / 2, abs=1e-14)
-        assert k.entries[0, 1] == pytest.approx((1 - np.exp(-2 * t)) / 2, abs=1e-14)
+        assert k[0, 0] == pytest.approx((1 + np.exp(-2 * t)) / 2, abs=1e-14)
+        assert k[0, 1] == pytest.approx((1 - np.exp(-2 * t)) / 2, abs=1e-14)
 
 
 def test_heat_kernel_markov(path8, grid44, dumbbell55):
@@ -219,32 +217,27 @@ def test_heat_kernel_markov(path8, grid44, dumbbell55):
         dec = decompose(sp)
         for t in (0.01, 0.1, 1.0, 10.0):
             k = heat_kernel(dec, t)
-            assert np.max(np.abs(k.row_mu_sums(sp) - 1.0)) <= 1e-10
+            assert np.max(np.abs(k @ sp.mu - 1.0)) <= 1e-10
 
 
 def test_heat_kernel_long_time_limit(path8, path8_dec):
     k = heat_kernel(path8_dec, 1e4)
-    assert np.allclose(k.entries, 1.0 / path8.total_mass, atol=1e-12)
+    assert np.allclose(k, 1.0 / path8.total_mass, atol=1e-12)
 
 
 def test_heat_kernel_symmetry_exact(grid44_dec):
     k = heat_kernel(grid44_dec, 0.3)
-    assert np.array_equal(k.entries, k.entries.T)
-
-
-def test_frac_heat_kernel_symmetry_exact(grid44_dec):
-    q = frac_heat_kernel(grid44_dec, 0.3, 0.7)
-    assert np.array_equal(q.entries, q.entries.T)
+    assert np.array_equal(k, k.T)
 
 
 @pytest.mark.parametrize("name", ["path8", "grid44", "dumbbell55"])
 def test_kernels_agree_with_general_product(name, request):
     dec = request.getfixturevalue(f"{name}_dec")
     for t in (0.1, 1.0, 10.0):
-        k = heat_kernel(dec, t).entries
+        k = heat_kernel(dec, t)
         assert rel_gap(k, gemm_symmetrized(dec.phis, np.exp(-t * dec.lambdas))) <= 1e-14
-        q = frac_heat_kernel(dec, 0.4, t).entries
         weights = np.exp(-t * spectral.lambda_power(dec.lambdas, 0.4))
+        q = spectral._gram(dec.phis, weights)
         assert rel_gap(q, gemm_symmetrized(dec.phis, weights)) <= 1e-14
     gram = spectral._gram(dec.phis.T, dec.space.mu)
     assert np.array_equal(gram, gram.T)
@@ -262,9 +255,9 @@ def test_gram_with_zero_weights():
 
 def test_heat_kernel_semigroup(dumbbell55, dumbbell55_dec):
     for t, s in ((0.1, 0.4), (1.0, 1.0)):
-        kt = heat_kernel(dumbbell55_dec, t).entries
-        ks = heat_kernel(dumbbell55_dec, s).entries
-        kts = heat_kernel(dumbbell55_dec, t + s).entries
+        kt = heat_kernel(dumbbell55_dec, t)
+        ks = heat_kernel(dumbbell55_dec, s)
+        kts = heat_kernel(dumbbell55_dec, t + s)
         comp = (kt * dumbbell55.mu[None, :]) @ ks.T
         assert np.max(np.abs(comp - kts)) <= 1e-10
 
@@ -293,8 +286,8 @@ def test_semigroup_defect_bounded_by_ortho_defect(semigroup_decs, name, log_t):
     # largest excess was -0.08 n eps), so c = 1 leaves that roundoff its room
     dec = semigroup_decs[name]
     t = 10.0**log_t
-    k = heat_kernel(dec, t).entries
-    half = heat_kernel(dec, t / 2.0).entries
+    k = heat_kernel(dec, t)
+    half = heat_kernel(dec, t / 2.0)
     comp = (half * dec.space.mu[None, :]) @ half
     assert dec.ortho_defect <= 1e-13
     bound = dec.ortho_defect + 1.0 * dec.n * np.finfo(float).eps
@@ -307,7 +300,7 @@ def test_heat_kernel_positivity_via_series(path8, grid44, dumbbell55):
     for sp in (path8, grid44, dumbbell55):
         dec = decompose(sp)
         for t in (0.01, 0.1, 1.0, 10.0):
-            spectral = heat_kernel(dec, t).entries
+            spectral = heat_kernel(dec, t)
             series = heat_kernel_series(sp, t)
             assert series.min() > 0.0
             assert np.max(np.abs(spectral - series)) <= 1e-12
@@ -320,7 +313,7 @@ def test_heat_kernel_series_far_entries_positive():
     series = heat_kernel_series(sp, 0.01)
     assert series.min() > 0.0
     assert series[0, -1] < 1e-200
-    spectral = heat_kernel(decompose(sp), 0.01).entries
+    spectral = heat_kernel(decompose(sp), 0.01)
     assert np.max(np.abs(spectral - series)) <= 1e-12
 
 
@@ -387,7 +380,7 @@ def test_heat_kernel_series_agrees_up_to_time_cap(path8, grid44, dumbbell55, wei
         ts = [bt / beta for bt in (0.01, 1.0, 10.0, 100.0, 300.0, 600.0)]
         dec = decompose(sp)
         for t, series in zip(ts, heat_kernel_series(sp, ts)):
-            spectral = heat_kernel(dec, t).entries
+            spectral = heat_kernel(dec, t)
             assert np.max(np.abs(series - spectral)) <= 1e-12 * spectral.max()
             assert series.min() > 0.0
 
@@ -449,7 +442,7 @@ def test_heat_kernel_log_bound_below_log_oracle(weighted_grid34):
         for t in (0.01, 1.0, 10.0):
             oracle = _log_kernel_oracle(sp, t)
             # the oracle is the kernel wherever the spectral sum resolves it
-            spectral = heat_kernel(dec, t).entries
+            spectral = heat_kernel(dec, t)
             assert np.max(np.abs(np.exp(oracle) - spectral)) <= 1e-12 * spectral.max(), name
             assert np.all(log_bound(t) <= oracle + 1e-12 * np.abs(oracle)), (name, t)
 
@@ -474,7 +467,7 @@ def test_heat_kernel_log_bound_below_spectral(
 ):
     sp = dict(zip(_BOUND_SPACES, (path8, grid44, dumbbell55, weighted_grid34)))[name]
     t = 10.0**log_t
-    k = heat_kernel(decompose(sp), t).entries
+    k = heat_kernel(decompose(sp), t)
     bound = np.exp(heat_kernel_log_bound(sp)(t))
     resolved = k >= 1e-8 * k.max()
     assert np.all(bound[resolved] <= k[resolved] + 1e-12 * k.max())
@@ -559,27 +552,6 @@ def test_frac_apply_theta_range(k2_dec):
             frac_apply(k2_dec, bad, np.zeros(2))
 
 
-# -- subordinated kernel
-
-
-def test_frac_heat_k2_closed_form(k2_dec):
-    for t in (0.2, 1.0):
-        q = frac_heat_kernel(k2_dec, 0.5, t)
-        assert q.entries[0, 1] == pytest.approx((1 - np.exp(-np.sqrt(2) * t)) / 2, abs=1e-14)
-
-
-def test_frac_heat_small_time_identity(path8, path8_dec):
-    f = random_vector(path8, 11)
-    q = frac_heat_kernel(path8_dec, 0.6, 1e-9).entries
-    assert np.max(np.abs((q * path8.mu[None, :]) @ f - f)) <= 1e-6
-
-
-def test_frac_heat_markov(grid44, grid44_dec):
-    for t in (0.1, 1.0):
-        q = frac_heat_kernel(grid44_dec, 0.4, t)
-        assert np.max(np.abs(q.row_mu_sums(grid44) - 1.0)) <= 1e-10
-
-
 # -- subordination identity
 
 
@@ -629,18 +601,3 @@ def test_subordination_check_one_quadrature_per_time(monkeypatch, grid44_dec, du
 def test_subordination_rejects_nonpositive_time(k2_dec):
     with pytest.raises(NonpositiveTime):
         subordination_check(k2_dec, 0.0)
-
-
-# -- jump-kernel scaling diagnostic
-
-
-def test_qt_scaling_report_finite(path8_dec):
-    rep = qt_scaling_report(path8_dec, 0.5)
-    assert 0 < rep["exp_theta"] < np.inf
-    assert 0 < rep["exp_2theta"] < np.inf
-
-
-def test_qt_scaling_stable_under_refinement():
-    # the normalized ratio should not blow up as the path grows
-    reps = [qt_scaling_report(decompose(fixture("path", n=n)), 0.5) for n in (16, 32)]
-    assert reps[1]["exp_2theta"] <= 4.0 * reps[0]["exp_2theta"]
