@@ -48,7 +48,6 @@ from .space import (
     check_space_spec,
     fixture,
     space_from_spec,
-    space_size,
 )
 from .spectral import (
     SpectralDecomposition,

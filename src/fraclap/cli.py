@@ -58,7 +58,7 @@ from .extension import (
     poisson_extend,
     vertical_modulus,
 )
-from .space import ball_mask, check_space_spec, interior_mask, space_from_spec, space_size
+from .space import Space, ball_mask, check_space_spec, interior_mask, space_from_spec
 from .spectral import (
     check_theta,
     decompose,
@@ -139,7 +139,7 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
         for key, value in params.items():
             if key == "omega_mask":
                 if value is not None:
-                    _check_omega_mask(value, space_spec, where)
+                    _check_omega_mask(value, where)
                 continue
             _check_param(value, allowed[key], f"{where}: {key!r}")
             if key in _GRID_SIZE_PARAMS and min(np.atleast_1d(value)) < MIN_GRID_NODES:
@@ -199,16 +199,29 @@ def _positive(value, integer):
     return value > 0 and (isinstance(value, int) or bool(np.isfinite(value)))
 
 
-def _check_omega_mask(mask, space_spec, where):
-    """ConfigParseError unless `mask` is a list of booleans, one per point."""
+def _check_omega_mask(mask, where):
+    """ConfigParseError unless `mask` is a list of booleans; `_set_up` checks
+    that it has one per point."""
     if not isinstance(mask, list) or not all(isinstance(x, bool) for x in mask):
         raise ConfigParseError(f"{where}: omega_mask must be a list of booleans")
+
+
+def _set_up(config: dict) -> Space:
+    """Build the space of a normalized config and check each omega_mask
+    against its size: what `run` does before it writes anything, and all that
+    `validate` adds to `load_config`.  ConfigParseError if either fails."""
     try:
-        n = space_size(space_spec)
-    except InvalidParams as exc:
-        raise ConfigParseError(f"{where}: space: {exc}") from None
-    if len(mask) != n:
-        raise ConfigParseError(f"{where}: omega_mask has {len(mask)} entries, space has {n} points")
+        space = space_from_spec(config["space"])
+    except FraclapError as exc:
+        raise ConfigParseError(f"space: {exc}") from None
+    for i, exp in enumerate(config["experiments"]):
+        mask = exp["params"].get("omega_mask")
+        if mask is not None and len(mask) != space.n:
+            raise ConfigParseError(
+                f"experiments[{i}] ({exp['kind']}): omega_mask has {len(mask)} entries, "
+                f"space has {space.n} points"
+            )
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +263,9 @@ def _exp_heat_properties(ctx, params):
         min_entry, min_bound = min(min_entry, float(k.min())), min(min_bound, b_min)
         rows.append((t, m_err, float(k.min()), b_min, b_err))
         if params["export_kernels"]:
-            tables[f"heat_kernel_t{t}.csv"] = [("x", "z", "p_t")] + [
-                (x, z, float(k[x, z]))
-                for x in range(space.n)
-                for z in range(space.n)
-            ]
+            points = np.arange(space.n)
+            xs, zs = np.repeat(points, space.n).tolist(), np.tile(points, space.n).tolist()
+            tables[f"heat_kernel_t{t}.csv"] = [("x", "z", "p_t"), *zip(xs, zs, k.ravel().tolist())]
     # max|K_{t/2} M K_{t/2} - K_t| / max K_t at every t > 0 is at most the
     # decomposition's orthogonality defect (SpectralDecomposition)
     semigroup = dec.ortho_defect
@@ -409,7 +420,7 @@ def _exp_modulus_check(ctx, params):
         vals = []
         for m in ms:
             grid = build_grid(theta, h, m, layout="uniform")
-            out = vertical_modulus(space, subset, h, theta, grid)
+            out = vertical_modulus(space, subset, h, grid)
             vals.append(out["numeric"])
             lo = out["exact"]
             hi = space.total_mass / ((1.0 + a) * h ** (1.0 - a))
@@ -493,8 +504,8 @@ _KINDS = {
 
 
 def run(config: dict, out_dir: str, threads: int = 1) -> dict:
+    space = _set_up(config)
     os.makedirs(out_dir, exist_ok=True)
-    space = space_from_spec(config["space"])
     dec = decompose(space)
     forms = _SharedForms(dec)
 
@@ -629,7 +640,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.command == "run" and args.seed is not None:
+        if args.command == "validate":
+            _set_up(config)
+        elif args.seed is not None:
             config["seed"] = _check_seed(args.seed, "--seed")
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -654,7 +667,8 @@ def main(argv=None) -> int:
     try:
         report = run(config, args.out, threads=threads)
     except FraclapError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+        stage = "config error" if isinstance(exc, ConfigParseError) else "run failed"
+        print(f"{stage}: {exc}", file=sys.stderr)
         return 2
     failed = report["summary"]["n_failed"]
     for rec in report["experiments"]:

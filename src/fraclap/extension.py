@@ -331,10 +331,9 @@ def mode_energy_quadrature(lam: float, theta: float) -> float:
 # exact product-space identities
 
 
-def vertical_modulus(
-    space: Space, subset, h: float, theta: float, grid: HalfSpaceGrid
-) -> dict:
-    """2-modulus of the family of vertical segments {x} x [0, h], x in subset.
+def vertical_modulus(space: Space, subset, h: float, grid: HalfSpaceGrid) -> dict:
+    """2-modulus of the family of vertical segments {x} x [0, h], x in subset,
+    for the weight y^a of the grid (a = 1 - 2 theta).
 
     exact: mu(A) (1-a) / h^(1-a), the variational optimum with density
     proportional to t^(-a) along each column.  numeric: the optimum of the
@@ -344,7 +343,6 @@ def vertical_modulus(
     approaches the exact one from above under uniform refinement and always
     lies within the bracket [(1-a), 1/(1+a)] * mu(A)/h^(1-a).
     """
-    check_theta(theta)
     if h <= 0:
         raise InvalidParams(f"column height must be positive, got {h}")
     mask = _subset_mask(space, subset)

@@ -35,7 +35,6 @@ __all__ = [
     "fixture",
     "check_space_spec",
     "space_from_spec",
-    "space_size",
     "interior_mask",
 ]
 
@@ -359,30 +358,25 @@ def _max_degree_core(space: Space, **_) -> np.ndarray:
 
 
 class _Fixture(NamedTuple):
-    """A fixture kind: its builder, and two rules that take the builder's
-    arguments (defaults filled in)."""
+    """A fixture kind: its builder, and its interior rule, which takes the
+    space and the builder's arguments (defaults filled in)."""
 
     build: Callable[..., Space]
-    size: Callable[..., int]  # number of points, without building
     interior: Callable[..., np.ndarray]  # interior_mask before its fallback
 
 
 _FIXTURES = {
-    "path": _Fixture(_fixture_path, lambda n: n, _max_degree_core),
+    "path": _Fixture(_fixture_path, _max_degree_core),
     "grid2d": _Fixture(
         _fixture_grid2d,
-        lambda nx, ny: nx * (nx if ny is None else ny),
         lambda space, **_: _degrees(space) == 4,  # the lattice rim peeled off
     ),
     "dumbbell": _Fixture(
         _fixture_dumbbell,
-        lambda clique, bridge: 2 * clique + bridge,
         # the first clique's vertices off the bridge
         lambda space, clique, bridge: np.arange(space.n) < clique - 1,
     ),
-    "random_geometric": _Fixture(
-        _fixture_random_geometric, lambda n, radius, seed: n, _max_degree_core
-    ),
+    "random_geometric": _Fixture(_fixture_random_geometric, _max_degree_core),
 }
 
 
@@ -405,10 +399,9 @@ def _parse_space_spec(spec):
 
 
 def check_space_spec(spec) -> None:
-    """Check a space descriptor without building the space; InvalidParams for
-    a malformed one.  A descriptor is either
-    {"fixture": {"kind": ..., "params": {...}}} or inline matrices
-    {"dist": ..., "mu": ..., "cond": ...}."""
+    """Check a descriptor's form without building the space (`space_from_spec`
+    checks the matrices); InvalidParams for a malformed one.  A descriptor is
+    {"fixture": {"kind": ..., "params": {...}}} or {"dist": ..., "mu": ..., "cond": ...}."""
     _parse_space_spec(spec)
 
 
@@ -418,16 +411,6 @@ def space_from_spec(spec) -> Space:
     if kind:
         return fixture(kind, **args)
     return build_space(spec["dist"], spec["mu"], spec["cond"])
-
-
-def space_size(spec) -> int:
-    """Number of points of the space a descriptor names, without building it."""
-    kind, args = _parse_space_spec(spec)
-    if kind:
-        return _FIXTURES[kind].size(**args)
-    if not isinstance(spec["mu"], list):
-        raise InvalidParams(f"inline mu must be a list, got {spec['mu']!r}")
-    return len(spec["mu"])
 
 
 def interior_mask(space: Space, spec: dict) -> np.ndarray:

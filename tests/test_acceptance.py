@@ -294,7 +294,7 @@ def test_criterion_9_modulus_formula(fixtures):
             vals = []
             for m in (2048, 4096, 8192, 16384):
                 grid = build_grid(theta, h, m, layout="uniform")
-                out = vertical_modulus(sp, subset, h, theta, grid)
+                out = vertical_modulus(sp, subset, h, grid)
                 vals.append(out["numeric"])
                 lower = mass * (1 - a) / h ** (1 - a)
                 upper = mass / ((1 + a) * h ** (1 - a))

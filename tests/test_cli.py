@@ -438,29 +438,45 @@ def test_empty_theta_list_is_config_error(tmp_path, capsys):
 
 
 _INLINE_K2 = {"dist": [[0, 1], [1, 0]], "mu": [1, 1], "cond": [[0, 1], [1, 0]]}
+_INLINE_P3 = {
+    "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+    "mu": [1, 1, 1],
+    "cond": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+}
 
 
 @pytest.mark.parametrize(
-    "config, commands, named",
+    "config, named",
     [
-        (base_config(theta=None), ("validate", "run"), "'theta'"),
-        (base_config(space={**_INLINE_K2, "dist": [[0, 1], [1]]}), ("run",), "dist"),
-        (base_config(space={**_INLINE_K2, "dist": "x"}), ("run",), "dist"),
-        (base_config(space={**_INLINE_K2, "mu": 5}), ("run",), "mu"),
+        (base_config(theta=None), "'theta'"),
+        (base_config(space={**_INLINE_K2, "dist": [[0, 1], [1]]}), "dist"),
+        (base_config(space={**_INLINE_K2, "dist": "x"}), "dist"),
+        (base_config(space={**_INLINE_K2, "mu": 5}), "mu"),
+        (base_config(space={**_INLINE_K2, "cond": [[0, 0], [0, 0]]}), "2 components"),
+        (
+            base_config(space={**_INLINE_P3, "dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}),
+            "witness triple 0,1,2",
+        ),
     ],
-    ids=["theta-null", "dist-ragged", "dist-string", "mu-scalar"],
+    ids=[
+        "theta-null",
+        "dist-ragged",
+        "dist-string",
+        "mu-scalar",
+        "cond-disconnected",
+        "dist-triangle",
+    ],
 )
-def test_bad_config_values_exit_2_without_traceback(tmp_path, capsys, config, commands, named):
-    # each of these once ended in a TypeError or ValueError traceback
+def test_bad_config_values_exit_2_without_traceback(tmp_path, capsys, config, named):
+    # each of these once ended in a TypeError or ValueError traceback, or
+    # passed `validate` and then failed `run`; both now reject it alike
     path = write_config(tmp_path, config)
-    argvs = {
-        "validate": ["validate", "--config", path],
-        "run": ["run", "--config", path, "--out", str(tmp_path / "out")],
-    }
-    for command in commands:
-        assert main(argvs[command]) == 2
+    out = tmp_path / "out"
+    for argv in (["validate", "--config", path], ["run", "--config", path, "--out", str(out)]):
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err and named in err
+        assert err.startswith("config error") and "Traceback" not in err and named in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -479,6 +495,10 @@ def test_bad_omega_mask_is_config_error(tmp_path, capsys, mask, message):
     path = write_config(tmp_path, cfg)
     assert main(["validate", "--config", path]) == 2
     assert message in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 

@@ -253,9 +253,7 @@ def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request, monkey
     b = op.rhs_scaled(prob.f)
     with monkeypatch.context() as budget:
         budget.setattr(dirichlet, "_CG_MAX_ITER", 100_000)
-        x, _, plain_iterations = _conjugate_gradient(
-            op.apply_scaled, b, np.zeros_like(b), lambda r: r
-        )
+        x, _, plain_iterations = _conjugate_gradient(op.apply_scaled, b, lambda r: r)
     plain, _ = op.unpack(x / op.scale, prob.f)
     sol = solve_extension(prob, grid)
     assert sol.iterations < plain_iterations
@@ -425,13 +423,6 @@ def test_uniqueness_single_point_complement(grid44_dec):
     assert uniqueness_check(prob)["lambda_min"] > 0
 
 
-def test_uniqueness_perturbed_restart(p3_dec):
-    grid = build_grid(0.5, default_ymax(p3_dec), 16)
-    rep = uniqueness_check(p3_problem(p3_dec), grid=grid)
-    assert rep["passed"]
-    assert rep["trace_agreement"] <= 1e-8
-
-
 def test_checks_read_the_problems_decomposition(p3_dec, monkeypatch):
     # uniqueness_check and residual_check take the spectral data from the
     # problem's form instead of decomposing its space again
@@ -447,7 +438,7 @@ def test_checks_read_the_problems_decomposition(p3_dec, monkeypatch):
     monkeypatch.setattr(spectral, "decompose", counting)
     monkeypatch.setattr(dirichlet, "decompose", counting, raising=False)
     prob = p3_problem(p3_dec)
-    rep = uniqueness_check(prob, grid=build_grid(0.5, default_ymax(p3_dec), 16))
+    rep = uniqueness_check(prob)
     assert rep["passed"]
     assert residual_check(solve_spectral(prob), prob) <= 1e-12
     assert calls == []

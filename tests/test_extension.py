@@ -247,7 +247,7 @@ def test_per_mode_energy_exact_case():
 
 def test_modulus_unweighted_uniform_grid_exact(p3):
     grid = build_grid(0.5, 2.0, 16, layout="uniform")
-    out = vertical_modulus(p3, np.ones(3, dtype=bool), 1.0, 0.5, grid)
+    out = vertical_modulus(p3, np.ones(3, dtype=bool), 1.0, grid)
     assert out["numeric"] == pytest.approx(3.0, rel=1e-12)
     assert out["exact"] == pytest.approx(3.0, rel=1e-12)
 
@@ -255,7 +255,7 @@ def test_modulus_unweighted_uniform_grid_exact(p3):
 def test_modulus_quarter_power_closed_form(k2):
     # a = 1/2, mu(A) = 1 column, h = 1: exact = (1 - a) = 1/2
     grid = build_grid(0.25, 1.0, 4096, layout="uniform")
-    out = vertical_modulus(k2, [0], 1.0, 0.25, grid)
+    out = vertical_modulus(k2, [0], 1.0, grid)
     assert out["exact"] == pytest.approx(0.5, abs=1e-14)
     assert out["numeric"] >= out["exact"]
 
@@ -264,7 +264,7 @@ def test_modulus_closed_form_column_identity(p3):
     # the numeric value IS mu(A) / sum(dy^2 / w): recompute independently
     theta = 0.75
     grid = build_grid(theta, 1.0, 64, layout="uniform")
-    out = vertical_modulus(p3, [0, 2], 1.0, theta, grid)
+    out = vertical_modulus(p3, [0, 2], 1.0, grid)
     resistance = float(np.sum(np.diff(grid.ys) ** 2 / grid.cellweights))
     assert out["numeric"] == pytest.approx(2.0 / resistance, rel=1e-14)
 
@@ -275,7 +275,7 @@ def test_modulus_refinement_limit(p3, theta, a):
     vals = []
     for m in (2048, 4096, 8192, 16384):
         grid = build_grid(theta, h, m, layout="uniform")
-        vals.append(vertical_modulus(p3, np.ones(3, dtype=bool), h, theta, grid)["numeric"])
+        vals.append(vertical_modulus(p3, np.ones(3, dtype=bool), h, grid)["numeric"])
     exact = 3.0 * (1 - a) / h ** (1 - a)
     upper = 3.0 / ((1 + a) * h ** (1 - a))
     # within the bracket at every resolution, and extrapolating to the optimum
@@ -298,13 +298,13 @@ def _richardson(vals, exponents):
 def test_modulus_empty_subset(p3):
     grid = build_grid(0.5, 1.0, 16, layout="uniform")
     with pytest.raises(EmptySubset):
-        vertical_modulus(p3, np.zeros(3, dtype=bool), 1.0, 0.5, grid)
+        vertical_modulus(p3, np.zeros(3, dtype=bool), 1.0, grid)
 
 
 def test_modulus_height_exceeding_grid(p3):
     grid = build_grid(0.5, 1.0, 16, layout="uniform")
     with pytest.raises(RadiusExceedsGrid):
-        vertical_modulus(p3, [0], 2.0, 0.5, grid)
+        vertical_modulus(p3, [0], 2.0, grid)
 
 
 # -- co-dimension identity
@@ -385,7 +385,7 @@ def test_cell_sums_match_loops(path8, grid44, dumbbell55, weighted_grid34, theta
             out = codim_ball_check(sp, grid, np.arange(sp.n), r)
             mass = np.array([sp.mu[sp.dist[x] <= r].sum() for x in range(sp.n)])
             assert_rel_close(out["lhs"], mass * height)
-            numeric = vertical_modulus(sp, np.ones(sp.n, dtype=bool), r, theta, grid)["numeric"]
+            numeric = vertical_modulus(sp, np.ones(sp.n, dtype=bool), r, grid)["numeric"]
             assert numeric == pytest.approx(sp.total_mass / resistance, rel=1e-13, abs=0.0)
     centroids = [
         grid.weight_first_moment(lo, hi) / w

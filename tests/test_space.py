@@ -13,7 +13,6 @@ from fraclap import (
     check_space_spec,
     fixture,
     space_from_spec,
-    space_size,
 )
 from fraclap.errors import (
     DisconnectedGraph,
@@ -450,29 +449,6 @@ def test_space_immutable(p3):
 
 
 @pytest.mark.parametrize(
-    "space, n",
-    [
-        ({"fixture": {"kind": "path", "params": {"n": 5}}}, 5),
-        ({"fixture": {"kind": "grid2d", "params": {"nx": 3, "ny": 4}}}, 12),
-        ({"fixture": {"kind": "grid2d", "params": {"nx": 3}}}, 9),
-        ({"fixture": {"kind": "dumbbell", "params": {"clique": 3, "bridge": 2}}}, 8),
-        (
-            {"fixture": {"kind": "random_geometric", "params": {"n": 30, "radius": 0.5, "seed": 1}}},
-            30,
-        ),
-    ],
-)
-def test_space_size_matches_built_space(space, n):
-    # the size a config's omega_mask is checked against, without building
-    assert space_size(space) == space_from_spec(space).n == n
-
-
-def test_space_size_rejects_non_integer_params():
-    with pytest.raises(InvalidParams):
-        space_size({"fixture": {"kind": "grid2d", "params": {"nx": "4"}}})
-
-
-@pytest.mark.parametrize(
     "kind, params, interior",
     [
         ("path", {"n": 6}, [False, True, True, True, True, False]),
@@ -514,7 +490,7 @@ def test_interior_mask_of_inline_space_is_max_degree_core(grid44):
 )
 def test_fixture_param_out_of_range_rejected(kind, params):
     spec = {"fixture": {"kind": kind, "params": params}}
-    for check in (check_space_spec, space_size, space_from_spec):
+    for check in (check_space_spec, space_from_spec):
         with pytest.raises(InvalidParams, match="must be"):
             check(spec)
 
