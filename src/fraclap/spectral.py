@@ -27,7 +27,7 @@ from .errors import (
     ThetaOutOfRange,
 )
 from .quadrature import integrate_halfline
-from .space import Space
+from .space import Space, _hop_counts
 
 __all__ = [
     "SpectralDecomposition",
@@ -96,8 +96,9 @@ def laplacian_apply(space: Space, f) -> np.ndarray:
 
 def _laplacian(space: Space, f: np.ndarray) -> np.ndarray:
     """Delta f for a vector f, or for every column of an n x k array f, built
-    from `cond` and `mu` alone (no stiffness matrix)."""
-    out = space.cond @ f
+    from the conductance edges (`Space.graph`) and `mu` alone (no stiffness
+    matrix): O(|E| k) for the edge sums."""
+    out = space.graph @ f
     rows = out.T  # a view, so the updates below act on out in place
     rows -= space.cond.sum(axis=1) * f.T
     rows /= space.mu
@@ -261,78 +262,6 @@ def heat_kernel_series(space: Space, t: float | Sequence[float]) -> np.ndarray |
     return acc / space.mu[None, :]
 
 
-def _hop_counts(edges: np.ndarray) -> np.ndarray:
-    """Hop distances of the connected graph whose edges are the n x n boolean
-    `edges` or their transposes, as an n x n table of the least unsigned type
-    that holds n - 1.
-
-    One breadth-first sweep runs from every source at once (multi-source BFS,
-    Then et al., PVLDB 8(4), 2014).  Each point holds the set of sources that
-    have reached it as ceil(n/64) 64-bit words.  A level gathers the
-    neighbours' frontier words and ORs them into each row, one neighbour slot
-    at a time, then keeps the sources not yet seen.  A pair's hop count is
-    the level that first reaches it, so bit plane b of the table holds the
-    pairs first reached on the runs of levels whose bit b is set.  Each run
-    adds the unseen set before it XOR the unseen set at its end, so a plane
-    costs one XOR at each level where its bit changes, and the planes are
-    unpacked into the table once, at the end.
-
-    The cost is O(diam |E| n/64) word operations plus one numpy call per
-    neighbour slot and level.  On grids and random geometric graphs that is
-    5 to 12 times faster than n Dijkstra searches.  A long path
-    (diam = n - 1) is the worst case: at n = 1600 the searches are 4 to 5
-    times faster, and the sweep takes about half of one dense eigensolve
-    (one thread each).
-    """
-    # an edge can be one way, as `cond` is symmetric only to 1e-12
-    union = edges | edges.T
-    n = len(union)
-    if n == 1:
-        return np.zeros((1, 1), np.uint8)
-    cols = np.flatnonzero(union)
-    del union
-    starts = np.searchsorted(cols, np.arange(n + 1) * n)
-    cols %= n
-    # rows are held in falling order of degree, so the rows with a k-th
-    # neighbour are a prefix and slot k is one gather and one OR; every
-    # point has a neighbour on a connected space, so slot 0 writes every row
-    deg = np.diff(starts)
-    order = np.argsort(-deg)
-    src = np.arange(n)
-    rank = np.empty(n, np.intp)
-    rank[order] = src
-    slots = [rank[cols[starts[order[: np.count_nonzero(deg > k)]] + k]] for k in range(deg.max())]
-    del cols
-    frontier = np.zeros((n, -(-n // 64)), "<u8")
-    frontier[rank, src // 64] = np.left_shift(np.uint64(1), (src % 64).astype(np.uint64))
-    unseen = ~frontier
-    unseen[:, -1] &= np.uint64(2**64 - 1) >> np.uint64(-n % 64)  # no padding bits
-    nxt, planes = np.empty_like(frontier), []
-    for level in range(1, n):  # at most n - 1 hops
-        np.take(frontier, slots[0], axis=0, out=nxt)
-        for slot in slots[1:]:
-            nxt[: len(slot)] |= frontier[slot]
-        nxt &= unseen
-        # the pairs first reached at levels a..c are unseen(a - 1) ^ unseen(c)
-        for bit in range(((level - 1) ^ level).bit_length()):
-            if bit == len(planes):
-                planes.append(np.zeros_like(nxt))
-            planes[bit] ^= unseen
-        unseen ^= nxt
-        if not unseen.any():
-            break
-        frontier, nxt = nxt, frontier
-    del slots, frontier, nxt, unseen
-    table = np.zeros((n, n), np.min_scalar_type(n))
-    while planes:
-        table <<= 1
-        # [rank] puts the rows back in point order
-        table |= np.unpackbits(
-            planes.pop()[rank].view(np.uint8), axis=1, count=n, bitorder="little"
-        )
-    return table
-
-
 def heat_kernel_log_bound(space: Space) -> Callable[[float], np.ndarray]:
     """Lower bound on log k_t(x, z) from one shortest-hop walk, for any t > 0.
 
@@ -348,15 +277,16 @@ def heat_kernel_log_bound(space: Space) -> Callable[[float], np.ndarray]:
     spaces, with no underflow and no cap on beta t.  Returns a function of t
     giving the n x n array of log bounds, built from `cond` and `mu` alone.
     """
-    edges = space.cond > 0
+    graph = space.graph
     beta = float((space.cond.sum(axis=1) / space.mu).max())
     # every q is at most 1.  The row minima are divided after the reduction:
     # division by a positive number is monotone, so this is the least
-    # c(x, y) / (beta mu(x)).  A one-point space has no edges and beta = 0,
-    # and inf / 0 is inf with no floating-point flag.
-    row_min = np.min(space.cond, axis=1, where=edges, initial=np.inf)
-    log_q_min = np.log(np.min(row_min / space.mu / beta, initial=1.0))
-    hops = _hop_counts(edges)
+    # c(x, y) / (beta mu(x)).  A one-point space has no edges, so the minimum
+    # is the initial 1 and nothing is divided by its beta = 0.
+    stored = np.diff(graph.indptr) > 0  # empty if all of a point's edges run into it
+    row_min = np.minimum.reduceat(graph.data, graph.indptr[:-1][stored])
+    log_q_min = np.log(np.min(row_min / space.mu[stored] / beta, initial=1.0))
+    hops = _hop_counts(graph)
     j = np.arange(int(hops.max()) + 1)
 
     def log_bound(t: float) -> np.ndarray:

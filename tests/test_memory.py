@@ -33,7 +33,7 @@ from fraclap import (
 )
 from fraclap.cli import _KINDS, _exp_heat_properties
 from fraclap.dirichlet import _ModePreconditioner, _ProductGridOperator
-from fraclap.spectral import _hop_counts
+from fraclap.space import _hop_counts
 
 N = 300
 BOUND_BYTES = 32 * N * N * 8
@@ -86,9 +86,10 @@ def test_heat_properties_peak_allocation():
 
 
 def test_heat_kernel_log_bound_peak_allocation():
-    # q_min is a masked minimum over each row of cond, so the peak is the
-    # edge mask and the hop pass: about 8.5 n^2 bytes on the dumbbell, where
-    # the edge index arrays and their |E|-length float temporaries took 15.65
+    # q_min is a minimum over each row of the CSR copy, so the peak is the
+    # hop pass: about 5.2 n^2 bytes on the dumbbell, where a dense edge mask
+    # took 8.5 and the edge index arrays with their |E|-length float
+    # temporaries took 15.65
     sp = fixture("dumbbell", clique=190, bridge=20)
     assert peak_bytes(heat_kernel_log_bound, sp) <= 9 * 400 * 400
 
@@ -98,12 +99,14 @@ def test_hop_counts_peak_allocation():
     # 2-byte hop table and one unpacked bit plane: about 3.7 n^2 bytes at
     # n=400, where scipy's shortest-path pass took 10 (an n^2 float64 table
     # and its cast).  Both cliques of the dumbbell hold most of its edges:
-    # its neighbour lists take about 7.5 n^2 bytes, where one gather of every
-    # edge's frontier words per level would take |E| n/8 (about 25 n^2)
+    # its neighbour lists, read from the CSR structure, take about 5.1 n^2
+    # bytes, where a dense edge mask and its transpose took 7.5 and one
+    # gather of every edge's frontier words per level would take |E| n/8
+    # (about 25 n^2)
     sp = fixture("random_geometric", n=400, radius=0.15, seed=3)
-    assert peak_bytes(_hop_counts, sp.cond > 0) <= 4 * 400 * 400
+    assert peak_bytes(_hop_counts, sp.graph) <= 4 * 400 * 400
     sp = fixture("dumbbell", clique=190, bridge=20)
-    assert peak_bytes(_hop_counts, sp.cond > 0) <= 8 * 400 * 400
+    assert peak_bytes(_hop_counts, sp.graph) <= 8 * 400 * 400
 
 
 def test_stiffness_matrix_peak_allocation():
@@ -121,11 +124,12 @@ def test_decompose_peak_allocation():
 
 
 def test_metric_certificate_peak_allocation():
-    # grid2d's metric is certified by Dijkstra over its edges: about 2.3 n^2
-    # doubles for all of build_space (the path metric and its gap to dist),
-    # where the Floyd-Warshall route takes 3.1, so a silent fallback fails too
+    # grid2d's metric is certified by its hop table: about 2.2 n^2 doubles
+    # for all of build_space (the path metric and its gap to dist), where
+    # Dijkstra over its edges took 2.3 and the Floyd-Warshall route takes
+    # 3.1, so a silent fallback fails too
     sp = grid300()
-    assert peak_bytes(build_space, sp.dist, sp.mu, sp.cond) <= 3 * N * N * 8
+    assert peak_bytes(build_space, sp.dist, sp.mu, sp.cond) <= 2.5 * N * N * 8
 
 
 def test_euclidean_certificate_peak_allocation():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import floyd_warshall, shortest_path
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components, floyd_warshall, shortest_path
 
 from fraclap import (
     ball_mask,
@@ -88,6 +89,28 @@ def test_nonzero_diagonal_rejected():
         build_space([[1, 1], [1, 0]], [1, 1], [[0, 1], [1, 0]])
 
 
+def test_conductance_checks_and_their_order():
+    dist, mu = [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [1, 1, 1]
+    path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+    one_way = path.copy()
+    one_way[0, 2] = 1e-13  # symmetric within 1e-12
+    assert build_space(dist, mu, one_way).graph.nnz == 5
+    for bad in (1e-11, -1e-13):
+        cond = path.copy()
+        cond[0, 2] = bad
+        with pytest.raises(InvalidParams, match="symmetric and nonnegative"):
+            build_space(dist, mu, cond)
+    with pytest.raises(InvalidParams, match="zero diagonal"):
+        build_space(dist, mu, path + np.eye(3))
+    # the metric is checked first, and connectivity last
+    with pytest.raises(MetricViolation):
+        build_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]], mu, -path)
+    negative_edge_and_isolated_point = np.zeros((3, 3))
+    negative_edge_and_isolated_point[0, 1] = negative_edge_and_isolated_point[1, 0] = -1.0
+    with pytest.raises(InvalidParams):
+        build_space(dist, mu, negative_edge_and_isolated_point)
+
+
 def test_zero_offdiagonal_distance_rejected():
     dist = [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
     cond = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -133,16 +156,31 @@ _CERTIFICATE_BASES = {
     "random_geometric_1e3": lambda: _scaled_metric(
         1e3, "random_geometric", n=12, radius=0.5, seed=5
     ),
+    # one edge length l, inexact in binary or far from 1: the hop route
+    "grid2d_0.1": lambda: _scaled_metric(0.1, "grid2d", nx=3, ny=4),
+    "dumbbell_1e3": lambda: _scaled_metric(1e3, "dumbbell", clique=4, bridge=2),
+    "path_1e-6": lambda: _scaled_metric(1e-6, "path", n=7),
     "euclidean_3d": _points_3d_metric,
     "weighted_grid": _weighted_grid_metric,
     "several_hop_slack": _several_hop_slack,
 }
 
 
+def _graph(cond):
+    """The CSR copy of `cond` and its connectivity, as `build_space` hands
+    them to the metric checks."""
+    graph = csr_array(np.asarray(cond, dtype=float))
+    return graph, connected_components(graph, directed=False)[0] == 1
+
+
+def _edge_path_certified(dist, cond):
+    return _is_edge_path_metric(dist, *_graph(cond))
+
+
 def _metric_verdict(dist, cond):
     """None if `_check_metric` accepts, else its MetricViolation message."""
     try:
-        _check_metric(dist, cond)
+        _check_metric(dist, *_graph(cond))
     except MetricViolation as exc:
         return str(exc)
     return None
@@ -170,20 +208,20 @@ def test_certificate_and_floyd_warshall_agree(base, perturb, factor, sign, data)
         mock.patch("fraclap.space._is_euclidean_metric", return_value=False),
     ):
         assert _metric_verdict(dist, cond) == with_certificate
-    if _is_edge_path_metric(dist, cond) or _is_euclidean_metric(dist):
+    if _edge_path_certified(dist, cond) or _is_euclidean_metric(dist):
         assert with_certificate is None
 
 
 def test_certificate_decides_graph_metrics_only():
     for base in ("path", "grid2d", "dumbbell", "weighted_grid"):
-        assert _is_edge_path_metric(*_CERTIFICATE_BASES[base]())
+        assert _edge_path_certified(*_CERTIFICATE_BASES[base]())
     for base in ("random_geometric", "euclidean_3d", "several_hop_slack"):
-        assert not _is_edge_path_metric(*_CERTIFICATE_BASES[base]())
+        assert not _edge_path_certified(*_CERTIFICATE_BASES[base]())
     # a distance from point 0 moved by a tenth of the tolerance stays certified
     for sign in (-1.0, 1.0):
         dist, cond = _CERTIFICATE_BASES["grid2d"]()
         dist[0, -1] = dist[-1, 0] = dist[0, -1] + sign * 0.1 * _METRIC_TOL * (1.0 + dist[0, -1])
-        assert _is_edge_path_metric(dist, cond)
+        assert _edge_path_certified(dist, cond)
 
 
 def test_euclidean_certificate_decides_embedded_points_only():
@@ -214,6 +252,46 @@ def test_random_geometric_certified_at_rank_two():
         assert embed.call_args.args[0].shape == (400, 2)
 
 
+def _one_way(base):
+    """A base whose edge (1, 2) is stored one way, with conductance 1e-13."""
+    dist, cond = _CERTIFICATE_BASES[base]()
+    cond = np.array(cond)
+    cond[1, 2], cond[2, 1] = 1e-13, 0.0
+    return dist, cond
+
+
+def _shortest_path_verdict(dist, cond):
+    """The edge-path certificate by its definition: `dist` within
+    _METRIC_TOL/4 of the undirected shortest paths over its own lengths on
+    the edges of `cond`, every point reachable."""
+    paths = shortest_path(np.where(np.asarray(cond) != 0, dist, 0.0), directed=False)
+    gap = np.abs(dist - paths)
+    return bool(np.all(np.isfinite(paths)) and np.all(gap <= _METRIC_TOL / 4 * (1.0 + paths)))
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(_CERTIFICATE_BASES) + ["one_way_path", "one_way_weighted_grid", "one_point"],
+)
+def test_edge_path_certificate_matches_shortest_paths(case):
+    # the hop route (one edge length) and Dijkstra (weighted edges) against
+    # scipy's shortest paths, as given and with one pair moved inside and
+    # outside the certificate's tolerance
+    if case == "one_point":
+        dist, cond = np.zeros((1, 1)), np.zeros((1, 1))
+    elif case.startswith("one_way_"):
+        dist, cond = _one_way(case.removeprefix("one_way_"))
+    else:
+        dist, cond = _CERTIFICATE_BASES[case]()
+    assert _edge_path_certified(dist, cond) == _shortest_path_verdict(dist, cond)
+    for factor in ((-0.1, 0.1, 2.0) if len(dist) > 1 else ()):
+        moved = dist.copy()
+        moved[0, -1] = moved[-1, 0] = dist[0, -1] + factor * _METRIC_TOL * (1.0 + dist[0, -1])
+        assert _edge_path_certified(moved, cond) == _shortest_path_verdict(moved, cond)
+    if case.startswith("one_way_") or case == "one_point":
+        assert _edge_path_certified(dist, cond)
+
+
 def test_certificate_rejects_unreachable_points():
     # point 2 has no edge: a violating metric is reported as such, before
     # the graph is found disconnected
@@ -237,10 +315,15 @@ def test_floyd_warshall_only_where_the_certificate_cannot_decide(monkeypatch):
 
     monkeypatch.setattr("fraclap.space.floyd_warshall", counting("fw", floyd_warshall))
     monkeypatch.setattr("fraclap.space.shortest_path", counting("dijkstra", shortest_path))
+    # one edge length: the hop table decides, with no shortest-path solve
     fixture("path", n=50)
     fixture("grid2d", nx=12, ny=9)
     fixture("dumbbell", clique=40)  # dense: 39 edges per point
-    assert "fw" not in [name for name, _ in calls]
+    assert calls == []
+    # weighted edges: one Dijkstra pass
+    dist, cond = _weighted_grid_metric()
+    build_space(dist, np.ones(len(dist)), cond)
+    assert calls == [("dijkstra", 20)]
     calls.clear()
     # Euclidean, no path metric: the screen from point 0 rejects it before
     # any shortest-path solve, and the embedding certifies it

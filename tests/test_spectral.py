@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
 
 from fraclap import (
@@ -28,6 +29,7 @@ from fraclap.errors import (
     ThetaOutOfRange,
 )
 from fraclap.quadrature import integrate_halfline
+from fraclap.space import _hop_counts
 from fraclap.spectral import _fix_signs, inverse_gaussian_density, spectral_power_apply
 
 from conftest import gemm_symmetrized, random_vector, rel_gap
@@ -514,7 +516,7 @@ def test_hop_counts_equal_undirected_shortest_path(n, span, n_chords, seed):
     edges[parent[both], child[both]] = True
     a, b = rng.integers(0, n, size=(2, n_chords))
     edges[a[a != b], b[a != b]] = True
-    hops = spectral._hop_counts(edges)
+    hops = _hop_counts(csr_array(edges))
     assert hops.dtype == np.min_scalar_type(n)
     assert np.array_equal(hops, shortest_path(edges, unweighted=True, directed=False))
 
