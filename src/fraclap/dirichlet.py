@@ -9,11 +9,12 @@ Two independent routes produce the solution:
   * extension -- minimize the weighted Dirichlet energy of a field on the
     product grid X x {y_0..y_m} with the data pinned on the boundary row
     over the complement and a natural (zero-flux) condition over Omega,
-    then read off the boundary row.  The operator is matrix-free and the
-    conjugate gradient stops on its own residual, so the operator and the
-    stop test share no linear algebra with the spectral route; the
-    preconditioner reads the eigenpairs only to choose the search
-    directions, which moves the path to the minimizer, not the minimizer.
+    then read off the boundary row.  The operator walks the conductance
+    edges (O(|E| m) per application, no n x n matrix) and the conjugate
+    gradient stops on its own residual, so the operator and the stop test
+    share no linear algebra with the spectral route; the preconditioner
+    reads the eigenpairs only to choose the search directions, which moves
+    the path to the minimizer, not the minimizer.
 
 Agreement of the two traces under grid refinement is the computable face of
 the equivalence between energy minimizers and harmonic-extension traces.
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .extension import HalfSpaceGrid
 from .space import Space, ball_mask
-from .spectral import SpectralDecomposition, _gram, graph_stiffness
+from .spectral import SpectralDecomposition, _gram, _stiffness_apply
 
 __all__ = [
     "DirichletProblem",
@@ -134,7 +135,9 @@ def solve_spectral_batch(problems: Sequence[DirichletProblem]) -> list[Solution]
     cdx = np.flatnonzero(~omega)
     u = np.stack([p.f for p in problems], axis=1)  # one column per problem
     try:
-        factor = cho_factor(k[np.ix_(idx, idx)], overwrite_a=True)
+        # K_OO is exactly symmetric (`_gram`), so its transpose is the same
+        # matrix in the Fortran order LAPACK factors in place
+        factor = cho_factor(k[np.ix_(idx, idx)].T, overwrite_a=True)
     except LinAlgError as exc:
         raise SingularSystem(f"constrained stiffness block not positive definite: {exc}")
     u[idx] = cho_solve(factor, -k[np.ix_(idx, cdx)] @ u[cdx], overwrite_b=True)
@@ -163,6 +166,11 @@ class _ProductGridOperator:
     grids, which is numerically singular in double precision, while in the
     telescoped basis those stiffnesses sit on the diagonal and symmetric
     scaling handles them exactly.
+
+    E_X is applied to all m centroid rows at once by the sparse stiffness
+    product (`spectral._stiffness_apply`), so the energy and the gradient
+    cost O(|E| m); the scaling reads only the diagonal of the graph
+    stiffness, deg - diag(cond).
     """
 
     def __init__(self, space: Space, grid: HalfSpaceGrid, omega: np.ndarray):
@@ -176,8 +184,7 @@ class _ProductGridOperator:
         self.w = w
         self.cv = w / dy**2
         self.s = (grid.cell_centroids() - ys[:-1]) / dy
-        self.stiff = graph_stiffness(space)
-        gdiag = np.diag(self.stiff)
+        gdiag = space.graph.sum(axis=1) - np.diagonal(space.cond)  # the diagonal of S
         wsuffix = np.concatenate([np.cumsum(w[::-1])[::-1][1:], [0.0]])
         diag_t = 2.0 * w.sum() * gdiag
         diag_v = 2.0 * self.cv[None, :] * space.mu[:, None] + 2.0 * gdiag[:, None] * (
@@ -195,12 +202,13 @@ class _ProductGridOperator:
     def energy(self, t, v):
         vert = float(np.sum(self.cv[None, :] * self.space.mu[:, None] * v * v))
         rows = self.rows_interp(t, v)
-        horiz = float(np.sum(self.w * np.einsum("xj,xj->j", rows, self.stiff @ rows)))
+        stiff_rows = _stiffness_apply(self.space, rows)
+        horiz = float(np.sum(self.w * np.einsum("xj,xj->j", rows, stiff_rows)))
         return vert + horiz
 
     def gradient(self, t, v):
         rows = self.rows_interp(t, v)
-        h = 2.0 * self.w[None, :] * (self.stiff @ rows)
+        h = 2.0 * self.w[None, :] * _stiffness_apply(self.space, rows)
         grad_t = h.sum(axis=1)
         suffix = np.cumsum(h[:, ::-1], axis=1)[:, ::-1]
         grad_v = 2.0 * self.cv[None, :] * self.space.mu[:, None] * v
@@ -243,7 +251,9 @@ class _ModePreconditioner:
     C^-1/2 B C^-1/2 = Q diag(vartheta) Q^T inverts every G_k in the telescoped
     basis, which keeps the scaling that basis exists for.  Eliminating nu leaves
     the boundary Schur complement S = M Phi diag(sigma) Phi^T M; pinning the
-    complement keeps its Omega block, factored once.  The eigenpairs only steer
+    complement keeps its Omega block, factored once in place.  M Phi is never
+    stored: an application multiplies by Phi and scales by mu, O(n^2 m) for
+    the mode transforms of the m vertical rows.  The eigenpairs only steer
     the search directions: the operator and the stop test never read them.
     """
 
@@ -259,16 +269,16 @@ class _ModePreconditioner:
         # sigma_k is a Schur complement of a positive semidefinite block, so it
         # is >= 0; a value that rounds below 0 is clipped, as it only steers CG
         sigma = np.maximum(2.0 * self.lam * (op.w.sum() - self.g_solved @ self.rw), 0.0)
-        # the Omega rows of M Phi go in as a temporary, built before the full
-        # M Phi; `_gram` frees them once scaled, so one |Omega| x n factor
-        # lives beside S
+        # the Omega rows of M Phi go in as a temporary that `_gram` frees once
+        # scaled; S is exactly symmetric, so its transpose is the same matrix
+        # in the Fortran order LAPACK factors in place
         try:
             self.s_factor = cho_factor(
-                _gram(op.space.mu[op.omega, None] * dec.phis[op.omega], sigma), overwrite_a=True
+                _gram(op.space.mu[op.omega, None] * dec.phis[op.omega], sigma).T,
+                overwrite_a=True,
             )
         except LinAlgError as exc:
             raise SingularSystem(f"boundary Schur complement not positive definite: {exc}")
-        self.m_phi = op.space.mu[:, None] * dec.phis
 
     def solve_modes(self, rhs):
         """G_k^-1 rhs_k for every mode k (row k of the n x m array `rhs`)."""
@@ -281,10 +291,11 @@ class _ModePreconditioner:
         op = self.op
         r_t, r_v = op.unpack(r_scaled * op.scale, np.zeros(op.n))
         y = self.solve_modes(self.phis.T @ r_v)
-        coupling = self.m_phi @ (2.0 * self.lam * (y @ self.rw))
+        mu = op.space.mu
+        coupling = mu * (self.phis @ (2.0 * self.lam * (y @ self.rw)))
         t = np.zeros(op.n)
         t[op.omega] = cho_solve(self.s_factor, (r_t - coupling)[op.omega])
-        tau = self.m_phi.T @ t
+        tau = self.phis.T @ (mu * t)
         v = self.phis @ (y - tau[:, None] * self.g_solved)
         return op.pack(t, v) * op.scale
 
@@ -292,32 +303,34 @@ class _ModePreconditioner:
 def _conjugate_gradient(apply, b, precondition):
     """Preconditioned conjugate gradient for apply(x) = b from x = 0, stopping
     once ||r|| <= _CG_REL_TOL ||b||; `precondition` maps a residual to a search
-    direction (the identity gives plain CG).  Returns (x, ||r||/||b||,
+    direction (the identity gives plain CG).  Each iteration makes one
+    `apply` and one `precondition` call.  Returns (x, ||r||/||b||,
     iterations)."""
     x = np.zeros_like(b)
     r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = float(r @ z)
+    p = np.zeros_like(b)
+    rz = 0.0
     rnorm = float(np.sqrt(r @ r))
     bnorm = float(np.sqrt(b @ b))
     if bnorm == 0.0:
         bnorm = 1.0
     iterations = 0
+    # the stop test reads the residual before it is preconditioned, so the
+    # residual that passes is never handed to `precondition`
     while rnorm > _CG_REL_TOL * bnorm:
         if iterations >= _CG_MAX_ITER:
             raise IterationBudgetExceeded(
                 f"conjugate gradient: {iterations} iterations, residual "
                 f"{rnorm / bnorm:.3e} > {_CG_REL_TOL:.1e}"
             )
+        z = precondition(r)
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz if iterations else 0.0) * p
+        rz = rz_next
         ap = apply(p)
         alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
-        z = precondition(r)
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
         rnorm = float(np.sqrt(r @ r))
         iterations += 1
     return x, rnorm / bnorm, iterations

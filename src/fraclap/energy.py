@@ -87,7 +87,11 @@ def _besov_stiffness(space: Space, theta: float) -> np.ndarray:
 
 
 def frac_energy(dec: SpectralDecomposition, theta: float, f) -> float:
-    return frac_bilinear(dec, theta, f, f)
+    """E_theta(f, f) = sum_k lambda_k^theta <f, phi_k>_mu^2 (`frac_bilinear`
+    with h = f), from one set of coefficients."""
+    check_theta(theta)
+    coeffs = dec.coefficients(f)
+    return float(np.sum(lambda_power(dec.lambdas, theta) * coeffs * coeffs))
 
 
 def frac_bilinear(dec: SpectralDecomposition, theta: float, f, h) -> float:

@@ -462,7 +462,9 @@ def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
 
 
 def _degrees(space: Space) -> np.ndarray:
-    return (space.cond > 0).sum(axis=1)
+    """Neighbour counts: the stored entries per row of `Space.graph`, which
+    holds the positive conductances (`build_space` rejects negative ones)."""
+    return np.diff(space.graph.indptr)
 
 
 def _max_degree_core(space: Space, **_) -> np.ndarray:

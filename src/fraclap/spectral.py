@@ -95,13 +95,22 @@ def laplacian_apply(space: Space, f) -> np.ndarray:
 
 
 def _laplacian(space: Space, f: np.ndarray) -> np.ndarray:
-    """Delta f for a vector f, or for every column of an n x k array f, built
-    from the conductance edges (`Space.graph`) and `mu` alone (no stiffness
-    matrix): O(|E| k) for the edge sums."""
+    """Delta f for a vector f, or for every column of an n x k array f:
+    -(S f) / mu by the sparse stiffness product `_stiffness_apply`."""
+    out = _stiffness_apply(space, f)
+    rows = out.T  # a view, so the division acts on out in place
+    rows /= -space.mu
+    return out
+
+
+def _stiffness_apply(space: Space, f: np.ndarray) -> np.ndarray:
+    """S f = deg f - c f for the graph stiffness S (`graph_stiffness`), for a
+    vector f or every column of an n x k array f.  Both terms, the degrees
+    deg = sum_y c(., y) included, walk the conductance edges (`Space.graph`)
+    alone: O(|E| k), with no n x n array."""
     out = space.graph @ f
-    rows = out.T  # a view, so the updates below act on out in place
-    rows -= space.cond.sum(axis=1) * f.T
-    rows /= space.mu
+    rows = out.T  # a view, so the subtraction writes into out
+    np.subtract(space.graph.sum(axis=1) * f.T, rows, out=rows)
     return out
 
 

@@ -260,6 +260,26 @@ def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request, monkey
     assert np.max(np.abs(sol.u - plain)) <= 1e-6 * prob.data_oscillation
 
 
+@pytest.mark.parametrize("theta", [0.25, 0.75])
+@pytest.mark.parametrize("name", ["path8", "grid44"])
+def test_extension_preconditions_once_per_iteration(name, theta, request, monkeypatch):
+    # the residual that passes the stop test is never preconditioned
+    space, dec = request.getfixturevalue(name), request.getfixturevalue(f"{name}_dec")
+    calls = []
+
+    class CountingPreconditioner(dirichlet._ModePreconditioner):
+        def __call__(self, r_scaled):
+            calls.append(1)
+            return super().__call__(r_scaled)
+
+    monkeypatch.setattr(dirichlet, "_ModePreconditioner", CountingPreconditioner)
+    f = np.random.default_rng(0).standard_normal(space.n)
+    prob = DirichletProblem(stiffness_matrix(dec, theta), omega=_interior(space), f=f)
+    sol = solve_extension(prob, build_grid(theta, default_ymax(dec), 32))
+    assert sol.iterations >= 1
+    assert len(calls) == sol.iterations
+
+
 @pytest.mark.parametrize(
     "nx, m", [(4, 32), (20, 32), (4, 128)], ids=["grid4-m32", "grid20-m32", "grid4-m128"]
 )

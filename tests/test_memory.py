@@ -6,8 +6,9 @@ geometric checks run over every centre at once, where the easy mistake is a
 (centre, point, radius) tensor: with 6 to 12 radii at n=300 it stays under
 32 n^2 doubles, so they are held to 4 n^2 (they take about 1.2 n^2).  The
 validation of graph and Euclidean metrics, the ball-mass table, the hop
-table, the mode preconditioner, the fractional stiffness, the comparability
-family, the heat series and the walk bound have their own, tighter bounds.
+table, the mode preconditioner, the extension solve, the batched spectral
+solve, the fractional stiffness, the comparability family, the heat series
+and the walk bound have their own, tighter bounds.
 """
 
 import tracemalloc
@@ -28,7 +29,9 @@ from fraclap import (
     heat_kernel_log_bound,
     heat_kernel_series,
     holder_estimate,
+    solve_extension,
     solve_spectral,
+    solve_spectral_batch,
     stiffness_matrix,
 )
 from fraclap.cli import _KINDS, _exp_heat_properties
@@ -145,15 +148,40 @@ def test_euclidean_certificate_peak_allocation():
 
 
 def test_mode_preconditioner_peak_allocation():
-    # the Omega rows of M Phi are built before the full M Phi and freed once
-    # scaled by sqrt(sigma) for the Gram product: about 1.95 n^2 doubles,
-    # where keeping them beside the sigma-scaled copy took 2.4, and holding
-    # M Phi, its row copy, the scaled copy and their product at once took 3.4
+    # the Omega rows of M Phi are freed once scaled by sqrt(sigma) for the
+    # Gram product, and S is factored in place: about 1.90 n^2 doubles, where
+    # keeping a full M Phi and copying S into Fortran order took 1.94, keeping
+    # the rows beside the sigma-scaled copy took 2.4, and holding M Phi, its
+    # row copy, the scaled copy and their product at once took 3.4
     sp = grid300()
     dec = decompose(sp)
     omega = (sp.cond > 0).sum(axis=1) == 4
     op = _ProductGridOperator(sp, build_grid(0.25, default_ymax(dec), 32), omega)
     assert peak_bytes(_ModePreconditioner, op, dec) <= 2.1 * N * N * 8
+
+
+def test_extension_solve_peak_allocation():
+    # the operator walks the graph's edges, so the preconditioner's set-up
+    # (about 1.9 n^2) is most of the peak: about 2.24 n^2 doubles at m=32,
+    # where a dense copy of the graph stiffness and a stored M Phi took 4.24
+    sp = grid300()
+    dec = decompose(sp)
+    omega = (sp.cond > 0).sum(axis=1) == 4
+    f = np.random.default_rng(0).standard_normal(N)
+    prob = DirichletProblem(stiffness_matrix(dec, 0.25), omega=omega, f=f)
+    grid = build_grid(0.25, default_ymax(dec), 32)
+    assert peak_bytes(solve_extension, prob, grid) <= 2.5 * N * N * 8
+
+
+def test_spectral_batch_peak_allocation():
+    # the K_OO block factored in place and the n x 20 solutions: about
+    # 1.04 n^2 doubles, where copying the block into Fortran order took 1.29
+    sp = grid300()
+    form = stiffness_matrix(decompose(sp), 0.25)
+    omega = (sp.cond > 0).sum(axis=1) == 4
+    rng = np.random.default_rng(0)
+    probs = [DirichletProblem(form, omega=omega, f=rng.standard_normal(N)) for _ in range(20)]
+    assert peak_bytes(solve_spectral_batch, probs) <= 1.15 * N * N * 8
 
 
 def test_comparability_report_peak_allocation():

@@ -23,7 +23,9 @@ from fraclap.errors import (
 )
 from fraclap.space import (
     _METRIC_TOL,
+    _FIXTURES,
     _check_metric,
+    _degrees,
     _euclidean_distances,
     _is_edge_path_metric,
     _is_euclidean_metric,
@@ -545,6 +547,20 @@ def test_space_immutable(p3):
 def test_interior_mask_of_each_fixture_kind(kind, params, interior):
     spec = {"fixture": {"kind": kind, "params": params}}
     assert interior_mask(space_from_spec(spec), spec).tolist() == interior
+
+
+def test_degrees_count_positive_conductances(weighted_grid34):
+    # one small space of every fixture kind, and an inline weighted one
+    params = {
+        "path": {"n": 7},
+        "grid2d": {"nx": 4, "ny": 3},
+        "dumbbell": {"clique": 4, "bridge": 2},
+        "random_geometric": {"n": 40, "radius": 0.3, "seed": 5},
+    }
+    assert set(params) == set(_FIXTURES)
+    spaces = [fixture(kind, **kw) for kind, kw in params.items()] + [weighted_grid34]
+    for space in spaces:
+        assert np.array_equal(_degrees(space), (space.cond > 0).sum(axis=1))
 
 
 def test_interior_mask_of_inline_space_is_max_degree_core(grid44):

@@ -52,6 +52,29 @@ def test_laplacian_kills_constants(path8, grid44, dumbbell55):
         assert np.allclose(laplacian_apply(sp, np.full(sp.n, 3.7)), 0.0, atol=1e-12)
 
 
+def _weighted_inline_space():
+    """Inline 4x5 grid with random conductances and masses, so the stiffness
+    entries carry rounding."""
+    grid = fixture("grid2d", nx=4, ny=5)
+    rng = np.random.default_rng(11)
+    weights = np.triu(rng.uniform(0.1, 7.0, (grid.n, grid.n)), 1)
+    return build_space(grid.dist, rng.uniform(0.2, 5.0, grid.n), grid.cond * (weights + weights.T))
+
+
+@pytest.mark.parametrize("name", ["path8", "grid44", "dumbbell55", "rgg60", "weighted_inline"])
+def test_stiffness_apply_matches_dense_stiffness(name, request):
+    if name == "rgg60":
+        space = fixture("random_geometric", n=60, radius=0.3, seed=2)
+    elif name == "weighted_inline":
+        space = _weighted_inline_space()
+    else:
+        space = request.getfixturevalue(name)
+    dense = spectral.graph_stiffness(space)
+    rows = np.random.default_rng(0).standard_normal((space.n, 7))
+    assert rel_gap(spectral._stiffness_apply(space, rows), dense @ rows) <= 1e-14
+    assert rel_gap(spectral._stiffness_apply(space, rows[:, 0]), dense @ rows[:, 0]) <= 1e-14
+
+
 def test_laplacian_dimension_mismatch(p3):
     with pytest.raises(DimensionMismatch):
         laplacian_apply(p3, [1.0, 2.0])
