@@ -233,7 +233,7 @@ def _set_up(config: dict) -> Space:
 def _domain(ctx, params):
     """The params' omega_mask, else the space's interior mask."""
     if params["omega_mask"] is None:
-        return interior_mask(ctx["space"], ctx["space_spec"])
+        return ctx["interior"]
     return np.asarray(params["omega_mask"], dtype=bool)
 
 
@@ -508,6 +508,7 @@ def run(config: dict, out_dir: str, threads: int = 1) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     dec = decompose(space)
     forms = _SharedForms(dec)
+    interior = interior_mask(space, config["space"])
 
     jobs = []
     index = 0
@@ -521,7 +522,7 @@ def run(config: dict, out_dir: str, threads: int = 1) -> dict:
                 "theta": theta,
                 "seed": config["seed"],
                 "index": index,
-                "space_spec": config["space"],
+                "interior": interior,
             }
             jobs.append((index, exp["kind"], exp["params"], ctx))
             forms.jobs_left[theta] += 1
@@ -550,7 +551,7 @@ def run(config: dict, out_dir: str, threads: int = 1) -> dict:
                 "kind": kind,
                 "theta": theta,
                 "params": params,
-                "metrics": _jsonable(metrics),
+                "metrics": metrics,
                 "passed": passed,
             }
         )
@@ -576,7 +577,9 @@ def run(config: dict, out_dir: str, threads: int = 1) -> dict:
         },
     }
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        # np.float64 is a float and json writes it as one; other numpy
+        # scalars and arrays reach `default`
+        json.dump(report, fh, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
         fh.write("\n")
     return report
 
@@ -600,18 +603,6 @@ class _SharedForms:
             self.jobs_left[theta] -= 1
             if not self.jobs_left[theta]:
                 self.forms.pop(theta, None)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def _write_csv(path, rows):

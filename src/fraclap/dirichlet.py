@@ -11,7 +11,8 @@ Two independent routes produce the solution:
     over the complement and a natural (zero-flux) condition over Omega,
     then read off the boundary row.  The operator walks the conductance
     edges (O(|E| m) per application, no n x n matrix) and the conjugate
-    gradient stops on its own residual, so the operator and the stop test
+    gradient (scipy's `cg`) stops on its own residual, which the solve then
+    rechecks against the operator, so the operator and the stop tests
     share no linear algebra with the spectral route; the preconditioner
     reads the eigenpairs only to choose the search directions, which moves
     the path to the minimizer, not the minimizer.
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .energy import FracEnergyForm, frac_energy
 from .errors import (
@@ -56,7 +58,8 @@ __all__ = [
 ]
 
 # the conjugate gradient's budget, read when it is called: it stops once
-# ||r|| <= _CG_REL_TOL ||b||, and raises after _CG_MAX_ITER iterations
+# ||r|| < _CG_REL_TOL ||b|| or after _CG_MAX_ITER iterations, and the solve
+# raises unless the true residual is then at most _CG_REL_TOL ||b||
 _CG_REL_TOL = 1e-11
 _CG_MAX_ITER = 100
 
@@ -106,10 +109,9 @@ class DirichletProblem:
 @dataclass(frozen=True)
 class Solution:
     u: np.ndarray
-    route: str
     residual: float
     energy: float
-    iterations: int = 0  # conjugate-gradient iterations; 0 for a direct solve
+    iterations: int  # conjugate-gradient iterations; 0 for a direct solve
 
 
 def solve_spectral(problem: DirichletProblem) -> Solution:
@@ -145,7 +147,7 @@ def solve_spectral_batch(problems: Sequence[DirichletProblem]) -> list[Solution]
     residuals = np.max(np.abs(ku[idx]), axis=0)
     energies = np.einsum("xs,xs->s", u, ku)
     return [
-        Solution(u=col, route="spectral", residual=float(r), energy=float(e))
+        Solution(u=col, residual=float(r), energy=float(e), iterations=0)
         for col, r, e in zip(u.T.copy(), residuals, energies)
     ]
 
@@ -170,7 +172,7 @@ class _ProductGridOperator:
     E_X is applied to all m centroid rows at once by the sparse stiffness
     product (`spectral._stiffness_apply`), so the energy and the gradient
     cost O(|E| m); the scaling reads only the diagonal of the graph
-    stiffness, deg - diag(cond).
+    stiffness, deg - diag(cond), from the sparse `Space.graph`.
     """
 
     def __init__(self, space: Space, grid: HalfSpaceGrid, omega: np.ndarray):
@@ -184,7 +186,7 @@ class _ProductGridOperator:
         self.w = w
         self.cv = w / dy**2
         self.s = (grid.cell_centroids() - ys[:-1]) / dy
-        gdiag = space.graph.sum(axis=1) - np.diagonal(space.cond)  # the diagonal of S
+        gdiag = space.graph.sum(axis=1) - space.graph.diagonal()  # the diagonal of S
         wsuffix = np.concatenate([np.cumsum(w[::-1])[::-1][1:], [0.0]])
         diag_t = 2.0 * w.sum() * gdiag
         diag_v = 2.0 * self.cv[None, :] * space.mu[:, None] + 2.0 * gdiag[:, None] * (
@@ -300,42 +302,6 @@ class _ModePreconditioner:
         return op.pack(t, v) * op.scale
 
 
-def _conjugate_gradient(apply, b, precondition):
-    """Preconditioned conjugate gradient for apply(x) = b from x = 0, stopping
-    once ||r|| <= _CG_REL_TOL ||b||; `precondition` maps a residual to a search
-    direction (the identity gives plain CG).  Each iteration makes one
-    `apply` and one `precondition` call.  Returns (x, ||r||/||b||,
-    iterations)."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = np.zeros_like(b)
-    rz = 0.0
-    rnorm = float(np.sqrt(r @ r))
-    bnorm = float(np.sqrt(b @ b))
-    if bnorm == 0.0:
-        bnorm = 1.0
-    iterations = 0
-    # the stop test reads the residual before it is preconditioned, so the
-    # residual that passes is never handed to `precondition`
-    while rnorm > _CG_REL_TOL * bnorm:
-        if iterations >= _CG_MAX_ITER:
-            raise IterationBudgetExceeded(
-                f"conjugate gradient: {iterations} iterations, residual "
-                f"{rnorm / bnorm:.3e} > {_CG_REL_TOL:.1e}"
-            )
-        z = precondition(r)
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz if iterations else 0.0) * p
-        rz = rz_next
-        ap = apply(p)
-        alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        rnorm = float(np.sqrt(r @ r))
-        iterations += 1
-    return x, rnorm / bnorm, iterations
-
-
 def solve_extension(problem: DirichletProblem, grid: HalfSpaceGrid) -> Solution:
     """Minimize the discrete weighted product-grid energy and return the
     trace.  The boundary row is pinned to the data over the complement and
@@ -343,19 +309,39 @@ def solve_extension(problem: DirichletProblem, grid: HalfSpaceGrid) -> Solution:
     symmetry of the full-space problem); the top row is free, which is
     harmless once the grid is tall enough for the slowest mode to die out.
 
-    The decomposition of the problem's form preconditions the conjugate
-    gradient and gives the fractional energy of the trace.
+    The decomposition of the problem's form preconditions scipy's conjugate
+    gradient (`cg`: one operator and one preconditioner application per
+    iteration) and gives the fractional energy of the trace.  The reported
+    residual is the true ||b - A x|| / ||b|| of the scaled system, rechecked
+    after the loop: IterationBudgetExceeded when it is above _CG_REL_TOL.
     """
     grid.check_theta_matches(problem.theta)
     dec = problem.form.dec
     op = _ProductGridOperator(problem.space, grid, problem.omega)
     b = op.rhs_scaled(problem.f)
-    precondition = _ModePreconditioner(op, dec)
-    x, residual, iterations = _conjugate_gradient(op.apply_scaled, b, precondition)
+    shape = (len(b), len(b))
+    steps = []  # cg hands the callback its iterate once per iteration
+    x, _ = cg(
+        LinearOperator(shape, matvec=op.apply_scaled, dtype=float),
+        b,
+        rtol=_CG_REL_TOL,
+        atol=0.0,
+        maxiter=_CG_MAX_ITER,
+        M=LinearOperator(shape, matvec=_ModePreconditioner(op, dec), dtype=float),
+        callback=steps.append,
+    )
+    iterations = len(steps)
+    # scipy returns info = maxiter once the budget is spent, even when the
+    # last iteration converged, so the budget is judged on the true residual
+    residual = float(np.linalg.norm(b - op.apply_scaled(x)) / (np.linalg.norm(b) or 1.0))
+    if residual > _CG_REL_TOL:
+        raise IterationBudgetExceeded(
+            f"conjugate gradient: {iterations} iterations, residual "
+            f"{residual:.3e} > {_CG_REL_TOL:.1e}"
+        )
     t, _ = op.unpack(x / op.scale, problem.f)
     return Solution(
         u=t,
-        route="extension",
         residual=residual,
         energy=frac_energy(dec, problem.theta, t),
         iterations=iterations,

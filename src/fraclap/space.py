@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, floyd_warshall, shortest_path
+from scipy.spatial.distance import cdist
 
 from .errors import (
     DisconnectedGraph,
@@ -313,7 +314,8 @@ def _is_euclidean_metric(dist) -> bool:
     R^r, r <= _EMBEDDING_RANK (Schoenberg).  The points come from `dist`
     alone, as in landmark MDS: a pivoted Cholesky of the Gram matrix relative
     to point 0, G_ij = (d(0,i)^2 + d(0,j)^2 - d(i,j)^2) / 2, built one pivot
-    column at a time.  D satisfies the triangle inequality up to rounding, so
+    column at a time, and D is the points' `scipy.spatial.distance.cdist`
+    matrix.  D satisfies the triangle inequality up to rounding, so
     the chaining argument of `_is_edge_path_metric` applies: True implies the
     Floyd-Warshall screen or the per-pivot scan accepts, and False decides
     nothing.
@@ -337,26 +339,14 @@ def _is_euclidean_metric(dist) -> bool:
         coords[:, rank] = gram / np.sqrt(residual[p])
         residual -= coords[:, rank] ** 2
         rank += 1
-    embedded = _euclidean_distances(coords[:, :rank])
+    # cdist takes each pair's coordinate differences, so close pairs keep
+    # their accuracy: |x|^2 + |y|^2 - 2 x.y would lose sqrt(eps) on them
+    embedded = cdist(coords[:, :rank], coords[:, :rank])
     gap = dist - embedded
     np.abs(gap, out=gap)
     embedded += 1.0
     embedded *= _METRIC_TOL / 4
     return bool(np.all(gap <= embedded))
-
-
-def _euclidean_distances(points) -> np.ndarray:
-    """Distance matrix of the rows of `points` (n x r), summed one coordinate
-    at a time: |x|^2 + |y|^2 - 2 x.y would lose sqrt(eps) on close pairs, and
-    an (n, n, r) difference tensor would take r n^2 memory."""
-    n = len(points)
-    dist = np.zeros((n, n))
-    step = np.empty((n, n))
-    for x in points.T:
-        np.subtract.outer(x, x, out=step)
-        np.square(step, out=step)
-        dist += step
-    return np.sqrt(dist, out=dist)
 
 
 def ball_mask(space: Space, x, r: float) -> np.ndarray:
@@ -456,7 +446,8 @@ def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
 def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
     """Points in the unit square, edges within `radius`, Euclidean metric."""
     rng = np.random.default_rng(seed)
-    dist = _euclidean_distances(rng.random((n, 2)))
+    points = rng.random((n, 2))
+    dist = cdist(points, points)
     cond = ((dist <= radius) & ~np.eye(n, dtype=bool)).astype(float)
     return build_space(dist, np.ones(n), cond)
 

@@ -125,7 +125,7 @@ def dirichlet_form(space: Space, f, g) -> float:
     """E(f, g) = 1/2 sum_{x,y} c(x,y)(f(x)-f(y))(g(x)-g(y))."""
     f = _check_vector(space, f)
     g = _check_vector(space, g)
-    return float(f @ (graph_stiffness(space) @ g))
+    return float(f @ _stiffness_apply(space, g))
 
 
 def decompose(space: Space) -> SpectralDecomposition:
@@ -287,7 +287,7 @@ def heat_kernel_log_bound(space: Space) -> Callable[[float], np.ndarray]:
     giving the n x n array of log bounds, built from `cond` and `mu` alone.
     """
     graph = space.graph
-    beta = float((space.cond.sum(axis=1) / space.mu).max())
+    beta = float((space.graph.sum(axis=1) / space.mu).max())
     # every q is at most 1.  The row minima are divided after the reduction:
     # division by a positive number is monotone, so this is the least
     # c(x, y) / (beta mu(x)).  A one-point space has no edges, so the minimum

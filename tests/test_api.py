@@ -100,4 +100,4 @@ def test_settable_parameter_count():
     # the error budgets of the quadrature and of the conjugate gradient are
     # module constants, not options; a new knob has to replace an old one
     found = _settable_parameters()
-    assert len(found) <= 8, found
+    assert len(found) <= 7, found

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator, cg
 
 from fraclap import (
     DirichletProblem,
@@ -22,7 +23,7 @@ from fraclap import (
     uniqueness_check,
 )
 from fraclap import dirichlet
-from fraclap.dirichlet import _conjugate_gradient, _ProductGridOperator
+from fraclap.dirichlet import _ProductGridOperator
 from fraclap.errors import (
     BallNotCompactlyInside,
     GridThetaMismatch,
@@ -227,6 +228,35 @@ def test_extension_iteration_budget(p3_dec, monkeypatch):
         solve_extension(prob, grid)
 
 
+def test_extension_converging_on_the_last_budgeted_iteration_returns(
+    grid44, grid44_dec, monkeypatch
+):
+    # scipy's cg reports info = maxiter once the budget is spent, even when
+    # the last iteration converged, so the solve judges the true residual
+    f = np.random.default_rng(0).standard_normal(grid44.n)
+    prob = DirichletProblem(stiffness_matrix(grid44_dec, 0.25), omega=_interior(grid44), f=f)
+    grid = build_grid(0.25, default_ymax(grid44_dec), 32)
+    iterations = solve_extension(prob, grid).iterations
+    assert iterations >= 1
+    solved = []
+
+    def spy(*args, **kwargs):
+        x, info = cg(*args, **kwargs)
+        solved.append((x, info))
+        return x, info
+
+    monkeypatch.setattr(dirichlet, "cg", spy)
+    monkeypatch.setattr(dirichlet, "_CG_MAX_ITER", iterations)
+    sol = solve_extension(prob, grid)
+    [(x, info)] = solved
+    assert info == iterations and sol.iterations == iterations
+    op = _ProductGridOperator(grid44, grid, prob.omega)
+    b = op.rhs_scaled(prob.f)
+    true_residual = np.linalg.norm(b - op.apply_scaled(x)) / np.linalg.norm(b)
+    assert sol.residual <= dirichlet._CG_REL_TOL
+    assert abs(sol.residual - true_residual) <= 1e-15
+
+
 def test_extension_grid_mismatch(p3_dec):
     prob = p3_problem(p3_dec, theta=0.25)
     with pytest.raises(GridThetaMismatch):
@@ -242,7 +272,7 @@ def _interior(space):
 @pytest.mark.parametrize("m", [32, 128])
 @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("name", ["path8", "grid44"])
-def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request, monkeypatch):
+def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request):
     # plain CG (identity preconditioner) on the same scaled system reaches
     # the same trace, so the preconditioner changes only the path
     space, dec = request.getfixturevalue(name), request.getfixturevalue(f"{name}_dec")
@@ -251,9 +281,17 @@ def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request, monkey
     grid = build_grid(theta, default_ymax(dec), m)
     op = _ProductGridOperator(space, grid, prob.omega)
     b = op.rhs_scaled(prob.f)
-    with monkeypatch.context() as budget:
-        budget.setattr(dirichlet, "_CG_MAX_ITER", 100_000)
-        x, _, plain_iterations = _conjugate_gradient(op.apply_scaled, b, lambda r: r)
+    steps = []
+    x, info = cg(
+        LinearOperator((len(b), len(b)), matvec=op.apply_scaled, dtype=float),
+        b,
+        rtol=dirichlet._CG_REL_TOL,
+        atol=0.0,
+        maxiter=100_000,
+        callback=steps.append,
+    )
+    assert info == 0
+    plain_iterations = len(steps)
     plain, _ = op.unpack(x / op.scale, prob.f)
     sol = solve_extension(prob, grid)
     assert sol.iterations < plain_iterations
@@ -327,7 +365,7 @@ def test_residual_check_spectral(p3_dec):
 def test_residual_positive_without_solving(p3_dec):
     prob = p3_problem(p3_dec)
     unsolved = solve_spectral(prob)
-    fake = type(unsolved)(u=prob.f.copy(), route="none", residual=0.0, energy=0.0)
+    fake = type(unsolved)(u=prob.f.copy(), residual=0.0, energy=0.0, iterations=0)
     assert residual_check(fake, prob) > 0.01
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, floyd_warshall, shortest_path
+from scipy.spatial.distance import cdist
 
 from fraclap import (
     ball_mask,
@@ -26,7 +27,6 @@ from fraclap.space import (
     _FIXTURES,
     _check_metric,
     _degrees,
-    _euclidean_distances,
     _is_edge_path_metric,
     _is_euclidean_metric,
     interior_mask,
@@ -143,7 +143,8 @@ def _scaled_metric(scale, kind, **params):
 
 def _points_3d_metric():
     # points of the unit cube joined in a chain, so no path metric of its edges
-    dist = _euclidean_distances(np.random.default_rng(5).random((10, 3)))
+    points = np.random.default_rng(5).random((10, 3))
+    dist = cdist(points, points)
     return dist, np.eye(10, k=1) + np.eye(10, k=-1)
 
 
@@ -247,9 +248,7 @@ def test_random_geometric_certified_at_rank_two():
     # third pivot allowed is not spent on rounding noise
     for seed in range(20):
         dist = fixture("random_geometric", n=400, radius=0.15, seed=seed).dist
-        with mock.patch(
-            "fraclap.space._euclidean_distances", wraps=_euclidean_distances
-        ) as embed:
+        with mock.patch("fraclap.space.cdist", wraps=cdist) as embed:
             assert _is_euclidean_metric(dist)
         assert embed.call_args.args[0].shape == (400, 2)
 
