@@ -18,11 +18,12 @@ from fraclap import (
     build_grid,
     decompose,
     default_ymax,
-    fixture,
     solve_extension,
     solve_spectral,
+    space_from_spec,
     stiffness_matrix,
 )
+from fraclap.space import interior_mask
 
 
 def refined_grid(theta, ymax, level, m0=16):
@@ -42,9 +43,10 @@ def main():
     ap.add_argument("--out", default="route_agreement.csv")
     args = ap.parse_args()
 
-    space = fixture("grid2d", nx=args.nx)
+    spec = {"fixture": {"kind": "grid2d", "params": {"nx": args.nx}}}
+    space = space_from_spec(spec)
     dec = decompose(space)
-    omega = (space.cond > 0).sum(axis=1) == 4
+    omega = interior_mask(space, spec)
     f = np.random.default_rng(args.seed).standard_normal(space.n)
     ymax = default_ymax(dec)
 

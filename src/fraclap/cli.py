@@ -207,20 +207,21 @@ def _check_omega_mask(mask, where):
 
 
 def _set_up(config: dict) -> Space:
-    """Build the space of a normalized config and check each omega_mask
-    against its size: what `run` does before it writes anything, and all that
-    `validate` adds to `load_config`.  ConfigParseError if either fails."""
+    """Build the space of a normalized config and check each omega_mask on
+    it, one entry per point and neither side empty: what `run` does before
+    it writes anything, and all that `validate` adds to `load_config`.
+    ConfigParseError if either fails."""
     try:
         space = space_from_spec(config["space"])
     except FraclapError as exc:
         raise ConfigParseError(f"space: {exc}") from None
     for i, exp in enumerate(config["experiments"]):
         mask = exp["params"].get("omega_mask")
+        where = f"experiments[{i}] ({exp['kind']}): omega_mask"
         if mask is not None and len(mask) != space.n:
-            raise ConfigParseError(
-                f"experiments[{i}] ({exp['kind']}): omega_mask has {len(mask)} entries, "
-                f"space has {space.n} points"
-            )
+            raise ConfigParseError(f"{where} has {len(mask)} entries, space has {space.n} points")
+        if mask is not None and (all(mask) or not any(mask)):
+            raise ConfigParseError(f"{where} leaves the domain or its complement empty")
     return space
 
 

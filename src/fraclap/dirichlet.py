@@ -172,7 +172,7 @@ class _ProductGridOperator:
     E_X is applied to all m centroid rows at once by the sparse stiffness
     product (`spectral._stiffness_apply`), so the energy and the gradient
     cost O(|E| m); the scaling reads only the diagonal of the graph
-    stiffness, deg - diag(cond), from the sparse `Space.graph`.
+    stiffness, the weighted degrees `Space.degrees`.
     """
 
     def __init__(self, space: Space, grid: HalfSpaceGrid, omega: np.ndarray):
@@ -186,7 +186,7 @@ class _ProductGridOperator:
         self.w = w
         self.cv = w / dy**2
         self.s = (grid.cell_centroids() - ys[:-1]) / dy
-        gdiag = space.graph.sum(axis=1) - space.graph.diagonal()  # the diagonal of S
+        gdiag = space.degrees  # the diagonal of S
         wsuffix = np.concatenate([np.cumsum(w[::-1])[::-1][1:], [0.0]])
         diag_t = 2.0 * w.sum() * gdiag
         diag_v = 2.0 * self.cv[None, :] * space.mu[:, None] + 2.0 * gdiag[:, None] * (

@@ -48,11 +48,13 @@ _EMBEDDING_STOP = 1e-13
 
 @dataclass(frozen=True)
 class Space:
-    """Validated finite metric measure space; immutable after construction."""
+    """Validated finite metric measure space; immutable after construction.
+    `graph`, its one copy of the conductances, is a read-only CSR array with
+    one stored entry per edge (a one-way edge one way)."""
 
     dist: np.ndarray
     mu: np.ndarray
-    cond: np.ndarray
+    graph: csr_array
 
     @property
     def n(self) -> int:
@@ -69,6 +71,13 @@ class Space:
     def min_positive_distance(self) -> float:
         off = self.dist[~np.eye(self.n, dtype=bool)]
         return float(off.min())
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Read-only weighted degrees sum_y c(., y), the stiffness diagonal."""
+        degrees = self.graph.sum(axis=1)
+        degrees.setflags(write=False)
+        return degrees
 
     @cached_property
     def ball_masses(self) -> np.ndarray:
@@ -92,21 +101,6 @@ class Space:
         np.put_along_axis(table, order, mass, axis=1)
         table.setflags(write=False)
         return table
-
-    @cached_property
-    def graph(self) -> csr_array:
-        """Read-only CSR copy of `cond`, one stored entry per conductance edge
-        (a one-way edge is stored one way).  `build_space` fills it with the
-        copy it validated the space on, so the kernels that walk the edges
-        (the Laplacian, the hop table) never scan all n^2 entries."""
-        return _read_only_csr(self.cond)
-
-
-def _read_only_csr(cond) -> csr_array:
-    graph = csr_array(cond)
-    for arr in (graph.data, graph.indices, graph.indptr):
-        arr.setflags(write=False)
-    return graph
 
 
 def build_space(dist, mu, cond) -> Space:
@@ -133,30 +127,30 @@ def build_space(dist, mu, cond) -> Space:
     # the metric certificate's hop route needs a connected graph, so the
     # components are counted first; a disconnected graph is still reported
     # after the metric and conductance checks
-    graph = _read_only_csr(cond)
+    graph = csr_array(cond)
+    for arr in (graph.data, graph.indices, graph.indptr):
+        arr.setflags(write=False)
     ncomp, _ = connected_components(graph, directed=False)
     _check_metric(dist, graph, ncomp == 1)
 
     if np.any(graph.data < 0) or np.any(np.abs((graph - graph.T).data) > _METRIC_TOL):
         raise InvalidParams("cond must be symmetric and nonnegative")
-    if np.any(np.diag(cond) != 0):
+    if np.any(graph.diagonal() != 0):
         raise InvalidParams("cond must have zero diagonal")
     if ncomp != 1:
         raise DisconnectedGraph(f"conductance graph has {ncomp} components")
 
-    for arr in (dist, mu, cond):
+    for arr in (dist, mu):
         arr.setflags(write=False)
-    space = Space(dist=dist, mu=mu, cond=cond)
-    vars(space)["graph"] = graph  # the cached property, filled
-    return space
+    return Space(dist=dist, mu=mu, graph=graph)
 
 
 def _check_metric(dist, graph, connected):
     """Raise MetricViolation, with a witness triple for the triangle
     inequality, unless `dist` is a metric within _METRIC_TOL.  `graph` (the
-    CSR copy of `cond`) and `connected` (whether its undirected graph is
-    connected) only feed the edge-path certificate: the verdict and the
-    witness do not depend on them."""
+    conductances, as in `Space.graph`) and `connected` (whether its
+    undirected graph is connected) only feed the edge-path certificate: the
+    verdict and the witness do not depend on them."""
     n = dist.shape[0]
     if np.any(np.diag(dist) != 0):
         raise MetricViolation("nonzero diagonal in distance matrix")
@@ -256,7 +250,7 @@ def _hop_counts(graph) -> np.ndarray:
     n = graph.shape[0]
     if n == 1:
         return np.zeros((1, 1), np.uint8)
-    # an edge can be one way, as `cond` is symmetric only to 1e-12, so the
+    # an edge can be one way, as conductances are symmetric only to 1e-12, so the
     # reversed edges join in unless they are the same (sorted) structure
     edges = csr_array((np.ones(graph.nnz, bool), graph.indices, graph.indptr), shape=(n, n))
     reverse = edges.T.tocsr()
@@ -452,17 +446,17 @@ def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
     return build_space(dist, np.ones(n), cond)
 
 
-def _degrees(space: Space) -> np.ndarray:
+def _neighbour_counts(space: Space) -> np.ndarray:
     """Neighbour counts: the stored entries per row of `Space.graph`, which
     holds the positive conductances (`build_space` rejects negative ones)."""
     return np.diff(space.graph.indptr)
 
 
 def _max_degree_core(space: Space, **_) -> np.ndarray:
-    """The points of largest degree: a path's interior points, and the
+    """The points with the most neighbours: a path's interior points, and the
     interior rule of spaces without their own."""
-    degrees = _degrees(space)
-    return degrees == degrees.max()
+    counts = _neighbour_counts(space)
+    return counts == counts.max()
 
 
 class _Fixture(NamedTuple):
@@ -477,7 +471,7 @@ _FIXTURES = {
     "path": _Fixture(_fixture_path, _max_degree_core),
     "grid2d": _Fixture(
         _fixture_grid2d,
-        lambda space, **_: _degrees(space) == 4,  # the lattice rim peeled off
+        lambda space, **_: _neighbour_counts(space) == 4,  # the lattice rim peeled off
     ),
     "dumbbell": _Fixture(
         _fixture_dumbbell,

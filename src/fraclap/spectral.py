@@ -105,20 +105,25 @@ def _laplacian(space: Space, f: np.ndarray) -> np.ndarray:
 
 def _stiffness_apply(space: Space, f: np.ndarray) -> np.ndarray:
     """S f = deg f - c f for the graph stiffness S (`graph_stiffness`), for a
-    vector f or every column of an n x k array f.  Both terms, the degrees
-    deg = sum_y c(., y) included, walk the conductance edges (`Space.graph`)
-    alone: O(|E| k), with no n x n array."""
+    vector f or every column of an n x k array f: one product over the
+    conductance edges (`Space.graph`) and the cached degrees deg =
+    `Space.degrees`, O(|E| k) with no n x n array."""
     out = space.graph @ f
     rows = out.T  # a view, so the subtraction writes into out
-    np.subtract(space.graph.sum(axis=1) * f.T, rows, out=rows)
+    np.subtract(space.degrees * f.T, rows, out=rows)
     return out
 
 
 def graph_stiffness(space: Space) -> np.ndarray:
     """Stiffness matrix diag(sum_y c(., y)) - c of the Dirichlet form E, so
-    that E(f, g) = f^T S g and -Delta = diag(mu)^-1 S.  Built afresh per call
-    (n^2 doubles), never cached on the space."""
-    return np.diag(space.cond.sum(axis=1)) - space.cond
+    that E(f, g) = f^T S g and -Delta = diag(mu)^-1 S: `Space.graph`
+    densified, negated, with `Space.degrees` on the diagonal.  Built afresh
+    per call (n^2 doubles), never cached on the space."""
+    stiffness = space.graph.toarray()
+    # 0 - c, not -c: entries of -0.0 change the eigensolver's output bits
+    np.subtract(0.0, stiffness, out=stiffness)
+    stiffness[np.diag_indices(space.n)] += space.degrees
+    return stiffness
 
 
 def dirichlet_form(space: Space, f, g) -> float:
@@ -134,7 +139,7 @@ def decompose(space: Space) -> SpectralDecomposition:
     Solved as a symmetric problem after the similarity transform by
     diag(sqrt(mu)).  Eigenvalues within `1e-10 * lambda_max` of zero
     are clamped to zero so the constant mode is exact; the tolerance is
-    relative, so the result does not depend on the units of `cond` or `mu`.
+    relative, so the result does not depend on the units of c or `mu`.
     A connected space has exactly one zero eigenvalue, and anything else
     raises EigensolverNoConvergence.
     """
@@ -223,8 +228,8 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> np.ndarray:
 
 
 def heat_kernel_series(space: Space, t: float | Sequence[float]) -> np.ndarray | list[np.ndarray]:
-    """Heat kernel entries k(x, z) by the uniformization series, built from
-    `cond` and `mu` alone: the tests' independent oracle for `heat_kernel`.
+    """Heat kernel entries k(x, z) by the uniformization series, from the
+    densified `Space.graph` and `mu` alone: the tests' oracle for `heat_kernel`.
 
     With Delta = beta (Q - I) for a row-stochastic, entrywise-nonnegative Q,
     exp(t Delta) = exp(-beta t) sum_j (beta t)^j / j! Q^j.  For x = beta t
@@ -240,7 +245,7 @@ def heat_kernel_series(space: Space, t: float | Sequence[float]) -> np.ndarray |
         return [heat_kernel_series(space, s) for s in t]
     if not t > 0:
         raise NonpositiveTime(f"t must be positive, got {t}")
-    degrees = space.cond.sum(axis=1) / space.mu
+    degrees = space.degrees / space.mu
     beta = float(degrees.max())
     x = beta * t
     # agreement with the spectral kernel is verified up to here; the
@@ -255,7 +260,7 @@ def heat_kernel_series(space: Space, t: float | Sequence[float]) -> np.ndarray |
     while x / 2**k > 0.5 or (space.n - 1) / 2**k > 16:
         k += 1
     h, min_terms = x / 2**k, -(-(space.n - 1) // 2**k)
-    q = space.cond / (beta * space.mu[:, None])
+    q = space.graph.toarray() / (beta * space.mu[:, None])
     np.fill_diagonal(q, 1.0 - degrees / beta)
     term = np.eye(space.n)
     acc = term.copy()
@@ -284,10 +289,10 @@ def heat_kernel_log_bound(space: Space) -> Callable[[float], np.ndarray]:
     The hops come from one bit-parallel breadth-first sweep (`_hop_counts`),
     then each t is a lookup in a table indexed by j: finite on connected
     spaces, with no underflow and no cap on beta t.  Returns a function of t
-    giving the n x n array of log bounds, built from `cond` and `mu` alone.
+    giving the n x n array of log bounds, from `Space.graph` and `mu` alone.
     """
     graph = space.graph
-    beta = float((space.graph.sum(axis=1) / space.mu).max())
+    beta = float((space.degrees / space.mu).max())
     # every q is at most 1.  The row minima are divided after the reduction:
     # division by a positive number is monotone, so this is the least
     # c(x, y) / (beta mu(x)).  A one-point space has no edges, so the minimum

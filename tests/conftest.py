@@ -35,7 +35,7 @@ def weighted_grid34():
     multiples of 1/4, so every sum of them is exact in any order."""
     grid = fixture("grid2d", nx=3, ny=4)
     mu = (1.0 + np.arange(12) % 5) / 4.0
-    return build_space(grid.dist, mu, 2.5 * grid.cond)
+    return build_space(grid.dist, mu, 2.5 * grid.graph.toarray())
 
 
 @pytest.fixture(scope="session")

@@ -37,6 +37,7 @@ from fraclap import (
 )
 from fraclap.cli import main as cli_main
 from fraclap.extension import codim_ball_check
+from fraclap.space import interior_mask
 
 THETAS = (0.25, 0.5, 0.75)
 
@@ -65,7 +66,7 @@ def interior(name, sp):
     if name == "path8":
         mask[1:-1] = True
     elif name == "grid44":
-        mask[(sp.cond > 0).sum(axis=1) == 4] = True
+        mask = interior_mask(sp, {"fixture": {"kind": "grid2d", "params": {"nx": 4}}})
     else:  # dumbbell: one clique minus its bridge vertex
         mask[:4] = True
     return mask

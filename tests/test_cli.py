@@ -379,7 +379,7 @@ def test_modulus_check_verdict_unit_free(tmp_path):
     for s in (1e-6, 1.0, 1e6):
         inline = {"dist": space.dist.tolist(), "mu": (s * space.mu).tolist()}
         cfg = base_config(
-            space={**inline, "cond": space.cond.tolist()},
+            space={**inline, "cond": space.graph.toarray().tolist()},
             theta=0.25,
             experiments=[{"kind": "modulus_check", "params": {}}],
         )
@@ -485,8 +485,11 @@ def test_bad_config_values_exit_2_without_traceback(tmp_path, capsys, config, na
         ([True, True, False, False], "4 entries, space has 8 points"),
         ([0, 1, 1, 1, 1, 1, 1, 0], "list of booleans"),
         ("interior", "list of booleans"),
+        # `validate` once passed these, and `run` then failed on the domain
+        ([True] * 8, "experiments[0] (dirichlet_routes): omega_mask leaves the domain or"),
+        ([False] * 8, "experiments[0] (dirichlet_routes): omega_mask leaves the domain or"),
     ],
-    ids=["short", "integers", "string"],
+    ids=["short", "integers", "string", "all_true", "all_false"],
 )
 def test_bad_omega_mask_is_config_error(tmp_path, capsys, mask, message):
     cfg = base_config(
@@ -593,7 +596,7 @@ def test_heat_properties_unit_free(path8, grid44, name, log_s):
     s = 10.0**log_s
     sp = {"path8": path8, "grid44": grid44}[name]
     ref_metrics, ref_passed = _heat_properties(sp)
-    metrics, passed = _heat_properties(build_space(sp.dist, s * sp.mu, s * sp.cond))
+    metrics, passed = _heat_properties(build_space(sp.dist, s * sp.mu, s * sp.graph.toarray()))
     assert passed is ref_passed is True
     for key in _DIMENSIONLESS:
         assert abs(metrics[key] - ref_metrics[key]) <= 1e-13, key

@@ -31,6 +31,7 @@ from fraclap.errors import (
     InvalidParams,
     IterationBudgetExceeded,
 )
+from fraclap.space import _neighbour_counts
 
 from conftest import random_vector
 
@@ -51,8 +52,13 @@ def path8_problem(path8_dec, theta=0.75):
     return DirichletProblem(stiffness_matrix(path8_dec, theta), omega=omega, f=f)
 
 
+def grid_interior(sp):
+    """grid2d's interior: the lattice rim peeled off."""
+    return _neighbour_counts(sp) == 4
+
+
 def interior_grid_problem(grid44_dec, f, theta=0.5):
-    omega = (grid44_dec.space.cond > 0).sum(axis=1) == 4
+    omega = grid_interior(grid44_dec.space)
     return DirichletProblem(stiffness_matrix(grid44_dec, theta), omega=omega, f=f)
 
 
@@ -265,8 +271,8 @@ def test_extension_grid_mismatch(p3_dec):
 
 def _interior(space):
     """Path endpoints or lattice rim peeled off."""
-    degrees = (space.cond > 0).sum(axis=1)
-    return degrees == degrees.max()
+    counts = _neighbour_counts(space)
+    return counts == counts.max()
 
 
 @pytest.mark.parametrize("m", [32, 128])
@@ -384,7 +390,7 @@ def test_residual_decreases_under_grid_refinement(path8_dec):
 
 def test_max_principle_batch_grid(grid44, grid44_dec):
     form = stiffness_matrix(grid44_dec, 0.5)
-    omega = (grid44.cond > 0).sum(axis=1) == 4
+    omega = grid_interior(grid44)
     for seed in range(100):
         f = np.random.default_rng(seed).standard_normal(16)
         prob = DirichletProblem(form, omega=omega, f=f)
@@ -508,15 +514,14 @@ def test_checks_read_the_problems_decomposition(p3_dec, monkeypatch):
 def grid8_problem(theta=0.5, seed=0):
     sp = fixture("grid2d", nx=8)
     # interior 6x6, nonnegative data
-    degrees = (sp.cond > 0).sum(axis=1)
-    omega = degrees == 4
+    omega = grid_interior(sp)
     f = np.abs(np.random.default_rng(seed).standard_normal(sp.n))
     return sp, DirichletProblem(stiffness_matrix(decompose(sp), theta), omega=omega, f=f)
 
 
 def test_harnack_constant_solution_quotient_one():
     sp = fixture("grid2d", nx=8)
-    omega = (sp.cond > 0).sum(axis=1) == 4
+    omega = grid_interior(sp)
     prob = DirichletProblem(stiffness_matrix(decompose(sp), 0.5), omega=omega, f=np.ones(sp.n))
     sol = solve_spectral(prob)
     center = int(np.argmin(sp.dist.max(axis=1)))  # deepest node
@@ -544,8 +549,7 @@ def test_harnack_ball_not_inside(p3_dec):
 
 def test_holder_estimate_grid16():
     sp = fixture("grid2d", nx=16)
-    degrees = (sp.cond > 0).sum(axis=1)
-    omega = degrees == 4
+    omega = grid_interior(sp)
     f = np.random.default_rng(3).standard_normal(sp.n)
     prob = DirichletProblem(stiffness_matrix(decompose(sp), 0.5), omega=omega, f=f)
     sol = solve_spectral(prob)

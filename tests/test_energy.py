@@ -237,7 +237,8 @@ def test_comparability_rejects_misshapen_family(p3, p3_dec):
 def test_besov_stiffness_quadratic_form_is_the_double_sum(weighted_grid34):
     # unequal masses, and a random_geometric space without ties
     rgg = fixture("random_geometric", n=30, radius=0.4, seed=2)
-    rgg = build_space(rgg.dist, np.random.default_rng(2).uniform(0.2, 3.0, 30), rgg.cond)
+    mu = np.random.default_rng(2).uniform(0.2, 3.0, 30)
+    rgg = build_space(rgg.dist, mu, rgg.graph.toarray())
     for sp in (weighted_grid34, rgg):
         for theta in (0.25, 0.5, 0.75):
             b = _besov_stiffness(sp, theta)

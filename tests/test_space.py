@@ -26,7 +26,7 @@ from fraclap.space import (
     _METRIC_TOL,
     _FIXTURES,
     _check_metric,
-    _degrees,
+    _neighbour_counts,
     _is_edge_path_metric,
     _is_euclidean_metric,
     interior_mask,
@@ -126,14 +126,14 @@ def test_zero_offdiagonal_distance_rejected():
 def _weighted_grid_metric():
     # edge lengths in [0.5, 2) on a 4x5 grid; the metric is their
     # Floyd-Warshall closure, so it is a path metric up to rounding
-    cond = fixture("grid2d", nx=4, ny=5).cond
+    cond = fixture("grid2d", nx=4, ny=5).graph.toarray()
     lengths = np.triu(cond * np.random.default_rng(3).uniform(0.5, 2.0, cond.shape), 1)
     return floyd_warshall(lengths + lengths.T), cond
 
 
 def _fixture_metric(kind, **params):
     sp = fixture(kind, **params)
-    return np.array(sp.dist), np.array(sp.cond)
+    return np.array(sp.dist), sp.graph.toarray()
 
 
 def _scaled_metric(scale, kind, **params):
@@ -399,7 +399,8 @@ def test_ball_measure_all_centres_matches_loop(path8, grid44, dumbbell55, weight
             assert ball_mask(sp, centres, r).shape == (sp.n, sp.n)
     # generic masses: the same sums up to their order
     sp = fixture("random_geometric", n=40, radius=0.4, seed=3)
-    sp = build_space(sp.dist, np.random.default_rng(3).uniform(0.1, 3.0, 40), sp.cond)
+    mu = np.random.default_rng(3).uniform(0.1, 3.0, 40)
+    sp = build_space(sp.dist, mu, sp.graph.toarray())
     for r in (0.1, 0.3, 0.7):
         loop = np.array([sp.mu[sp.dist[x] <= r].sum() for x in range(sp.n)])
         np.testing.assert_allclose(ball_measure(sp, np.arange(sp.n), r), loop, rtol=1e-14)
@@ -415,12 +416,13 @@ def test_negative_radius_rejected(k2):
 
 def test_path_fixture_metric(p3):
     assert p3.dist[0, 2] == 2.0
-    assert p3.cond[0, 1] == 1.0 and p3.cond[0, 2] == 0.0
+    cond = p3.graph.toarray()
+    assert cond[0, 1] == 1.0 and cond[0, 2] == 0.0
 
 
 def test_grid_fixture_shape(grid44):
     assert grid44.n == 16
-    degrees = (grid44.cond > 0).sum(axis=1)
+    degrees = (grid44.graph.toarray() > 0).sum(axis=1)
     assert degrees.max() <= 4
     # Manhattan metric between opposite corners
     assert grid44.dist[0, 15] == 6.0
@@ -428,7 +430,7 @@ def test_grid_fixture_shape(grid44):
 
 def test_dumbbell_fixture(dumbbell55):
     assert dumbbell55.n == 10
-    degrees = (dumbbell55.cond > 0).sum(axis=1)
+    degrees = (dumbbell55.graph.toarray() > 0).sum(axis=1)
     # bridge endpoints have clique degree + 1
     assert sorted(degrees)[-2:] == [5, 5]
     assert dumbbell55.dist[0, 9] == 3.0
@@ -451,7 +453,7 @@ def test_dumbbell_fixture(dumbbell55):
 def test_fixture_metric_is_hop_metric_of_its_graph(kind, params):
     # the closed-form metrics against unit-length shortest paths of `cond`
     sp = fixture(kind, **params)
-    assert np.array_equal(sp.dist, shortest_path(sp.cond > 0, unweighted=True))
+    assert np.array_equal(sp.dist, shortest_path(sp.graph.toarray() > 0, unweighted=True))
 
 
 def test_fixture_conductances_match_loops():
@@ -464,7 +466,7 @@ def test_fixture_conductances_match_loops():
                     cond[i * ny + j, (i + 1) * ny + j] = cond[(i + 1) * ny + j, i * ny + j] = 1
                 if j + 1 < ny:
                     cond[i * ny + j, i * ny + j + 1] = cond[i * ny + j + 1, i * ny + j] = 1
-        assert np.array_equal(fixture("grid2d", nx=nx, ny=ny).cond, cond)
+        assert np.array_equal(fixture("grid2d", nx=nx, ny=ny).graph.toarray(), cond)
     for clique, bridge in ((2, 0), (5, 5), (4, 1)):
         n = 2 * clique + bridge
         cond = np.zeros((n, n))
@@ -476,7 +478,8 @@ def test_fixture_conductances_match_loops():
         chain = [clique - 1, *range(clique, clique + bridge), clique + bridge]
         for u, v in zip(chain[:-1], chain[1:]):
             cond[u, v] = cond[v, u] = 1.0
-        assert np.array_equal(fixture("dumbbell", clique=clique, bridge=bridge).cond, cond)
+        built = fixture("dumbbell", clique=clique, bridge=bridge)
+        assert np.array_equal(built.graph.toarray(), cond)
 
 
 def test_random_geometric_metric_matches_difference_tensor():
@@ -493,7 +496,7 @@ def test_random_geometric_deterministic():
     a = fixture("random_geometric", n=20, radius=0.4, seed=7)
     b = fixture("random_geometric", n=20, radius=0.4, seed=7)
     assert np.array_equal(a.dist, b.dist)
-    assert np.array_equal(a.cond, b.cond)
+    assert np.array_equal(a.graph.toarray(), b.graph.toarray())
     assert np.array_equal(a.mu, b.mu)
 
 
@@ -528,8 +531,11 @@ def test_fixture_rejects_unknown_param():
 
 
 def test_space_immutable(p3):
-    with pytest.raises(ValueError):
-        p3.mu[0] = 5.0
+    graph = p3.graph
+    for arr in (p3.dist, p3.mu, graph.data, graph.indices, graph.indptr, p3.degrees):
+        with pytest.raises(ValueError):
+            arr[0] = 5
+    assert p3.degrees is p3.degrees
 
 
 @pytest.mark.parametrize(
@@ -559,13 +565,14 @@ def test_degrees_count_positive_conductances(weighted_grid34):
     assert set(params) == set(_FIXTURES)
     spaces = [fixture(kind, **kw) for kind, kw in params.items()] + [weighted_grid34]
     for space in spaces:
-        assert np.array_equal(_degrees(space), (space.cond > 0).sum(axis=1))
+        assert np.array_equal(_neighbour_counts(space), (space.graph.toarray() > 0).sum(axis=1))
 
 
 def test_interior_mask_of_inline_space_is_max_degree_core(grid44):
-    spec = {"dist": grid44.dist.tolist(), "mu": grid44.mu.tolist(), "cond": grid44.cond.tolist()}
+    cond = grid44.graph.toarray()
+    spec = {"dist": grid44.dist.tolist(), "mu": grid44.mu.tolist(), "cond": cond.tolist()}
     mask = interior_mask(grid44, spec)
-    degrees = (grid44.cond > 0).sum(axis=1)
+    degrees = (cond > 0).sum(axis=1)
     assert np.array_equal(mask, degrees == 4) and mask.sum() == 4
 
 

@@ -58,7 +58,8 @@ def _weighted_inline_space():
     grid = fixture("grid2d", nx=4, ny=5)
     rng = np.random.default_rng(11)
     weights = np.triu(rng.uniform(0.1, 7.0, (grid.n, grid.n)), 1)
-    return build_space(grid.dist, rng.uniform(0.2, 5.0, grid.n), grid.cond * (weights + weights.T))
+    cond = grid.graph.toarray() * (weights + weights.T)
+    return build_space(grid.dist, rng.uniform(0.2, 5.0, grid.n), cond)
 
 
 @pytest.mark.parametrize("name", ["path8", "grid44", "dumbbell55", "rgg60", "weighted_inline"])
@@ -70,6 +71,8 @@ def test_stiffness_apply_matches_dense_stiffness(name, request):
     else:
         space = request.getfixturevalue(name)
     dense = spectral.graph_stiffness(space)
+    cond = space.graph.toarray()  # the weighted degrees summed densely
+    assert rel_gap(dense, np.diag(cond.sum(axis=1)) - cond) <= 1e-15
     rows = np.random.default_rng(0).standard_normal((space.n, 7))
     assert rel_gap(spectral._stiffness_apply(space, rows), dense @ rows) <= 1e-14
     assert rel_gap(spectral._stiffness_apply(space, rows[:, 0]), dense @ rows[:, 0]) <= 1e-14
@@ -102,7 +105,8 @@ def test_decompose_k2(k2_dec):
 
 def test_decompose_p3_characteristic_polynomial_oracle(p3, p3_dec):
     # roots of det(L - lambda I) computed independently of the eigensolver
-    stiff = np.diag(p3.cond.sum(axis=1)) - p3.cond
+    cond = p3.graph.toarray()
+    stiff = np.diag(cond.sum(axis=1)) - cond
     coeffs = np.poly(stiff)  # characteristic polynomial coefficients
     roots = sorted(np.roots(coeffs).real)
     assert np.allclose(roots, [0.0, 1.0, 3.0], atol=1e-10)
@@ -129,7 +133,8 @@ def _evr_decomposition(space):
     """The MRRR eigensolver's decomposition, built here as an oracle for the
     divide-and-conquer one `decompose` uses."""
     sqrt_mu = np.sqrt(space.mu)
-    stiff = np.diag(space.cond.sum(axis=1)) - space.cond
+    cond = space.graph.toarray()
+    stiff = np.diag(cond.sum(axis=1)) - cond
     lambdas, vecs = eigh(stiff / np.outer(sqrt_mu, sqrt_mu), driver="evr")
     lambdas[0] = 0.0
     phis = vecs / sqrt_mu[:, None]
@@ -184,7 +189,7 @@ def test_fix_signs_matches_reference_loop(path8_dec, grid44_dec, dumbbell55_dec,
 
 def _scaled_path(n, c, mu_factor=1.0):
     p = fixture("path", n=n)
-    return build_space(p.dist, p.mu * mu_factor, p.cond * c)
+    return build_space(p.dist, p.mu * mu_factor, p.graph.toarray() * c)
 
 
 @pytest.mark.parametrize(
@@ -205,7 +210,7 @@ def test_decompose_rejects_second_zero_eigenvalue():
     # two pairs joined by a bridge 1e-13 of the other conductances: lambda_1
     # sits below the relative clamp, so a second eigenvalue would be zeroed
     p = fixture("path", n=4)
-    cond = p.cond.copy()
+    cond = p.graph.toarray()
     cond[1, 2] = cond[2, 1] = 1e-13
     with pytest.raises(EigensolverNoConvergence, match="2 eigenvalues"):
         decompose(build_space(p.dist, p.mu, cond))
@@ -391,7 +396,7 @@ def test_heat_kernel_series_unit_free(s, path8, grid44, weighted_grid34):
     # Delta is unchanged by (mu, cond) -> s (mu, cond), and kernel entries
     # are densities against mu, so they scale like 1/s
     for sp in (path8, grid44, weighted_grid34):
-        scaled = build_space(sp.dist, s * sp.mu, s * sp.cond)
+        scaled = build_space(sp.dist, s * sp.mu, s * sp.graph.toarray())
         ts = [0.05, 1.0, 4.0]
         for ref, kernel in zip(heat_kernel_series(sp, ts), heat_kernel_series(scaled, ts)):
             assert _max_rel_diff(kernel * s, ref) <= 1e-13
@@ -401,7 +406,7 @@ def test_heat_kernel_series_agrees_up_to_time_cap(path8, grid44, dumbbell55, wei
     # evidence for the beta*t cap of 600: every fixture kind, up to the cap
     rgg = fixture("random_geometric", n=40, radius=0.3, seed=0)
     for sp in (path8, grid44, dumbbell55, rgg, weighted_grid34):
-        beta = float(np.max(sp.cond.sum(axis=1) / sp.mu))
+        beta = float(np.max(sp.graph.toarray().sum(axis=1) / sp.mu))
         ts = [bt / beta for bt in (0.01, 1.0, 10.0, 100.0, 300.0, 600.0)]
         dec = decompose(sp)
         for t, series in zip(ts, heat_kernel_series(sp, ts)):
@@ -424,9 +429,10 @@ def _log_kernel_oracle(sp, t):
     sum runs until every entry is reached and the tail past term j, at most
     e^-x x^(j+1) / (j+1)! / (1 - x / (j + 2)), is below e^-40 of the least
     entry."""
-    degrees = sp.cond.sum(axis=1) / sp.mu
+    cond = sp.graph.toarray()
+    degrees = cond.sum(axis=1) / sp.mu
     beta = degrees.max()
-    q = sp.cond / (beta * sp.mu[:, None])
+    q = cond / (beta * sp.mu[:, None])
     np.fill_diagonal(q, 1.0 - degrees / beta)
     with np.errstate(divide="ignore"):
         log_q = np.log(q)
@@ -502,7 +508,7 @@ def test_heat_kernel_log_bound_hops_with_one_way_conductance(monkeypatch):
     # cond need only be symmetric within 1e-12, so the 1e-13 chord 0 -> 5
     # runs one way; its hop counts are still those of the undirected graph
     path = fixture("path", n=6)
-    cond = path.cond.copy()
+    cond = path.graph.toarray()
     cond[0, 5] = 1e-13
     sp = build_space(path.dist, path.mu, cond)
     real, tables = spectral._hop_counts, []
