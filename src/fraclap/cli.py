@@ -24,11 +24,8 @@ import datetime
 import json
 import os
 import sys
-import threading
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -508,7 +505,6 @@ def run(config: dict, out_dir: str, threads: int = 1) -> dict:
     space = _set_up(config)
     os.makedirs(out_dir, exist_ok=True)
     dec = decompose(space)
-    forms = _SharedForms(dec)
     interior = interior_mask(space, config["space"])
 
     jobs = []
@@ -519,14 +515,14 @@ def run(config: dict, out_dir: str, threads: int = 1) -> dict:
             ctx = {
                 "space": space,
                 "dec": dec,
-                "form": partial(forms.get, theta),
+                # each job builds its own form, O(n): it holds no matrix
+                "form": lambda theta=theta: stiffness_matrix(dec, theta),
                 "theta": theta,
                 "seed": config["seed"],
                 "index": index,
                 "interior": interior,
             }
             jobs.append((index, exp["kind"], exp["params"], ctx))
-            forms.jobs_left[theta] += 1
             index += 1
 
     def execute(job):
@@ -534,7 +530,6 @@ def run(config: dict, out_dir: str, threads: int = 1) -> dict:
         start = time.perf_counter()
         runner, _, defaults = _KINDS[kind]
         metrics, passed, tables = runner(ctx, {**defaults, **params})
-        forms.job_done(ctx["theta"])
         wall = time.perf_counter() - start
         return idx, kind, ctx["theta"], params, metrics, passed, tables, wall
 
@@ -583,27 +578,6 @@ def run(config: dict, out_dir: str, threads: int = 1) -> dict:
         json.dump(report, fh, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
         fh.write("\n")
     return report
-
-
-class _SharedForms:
-    """One energy form per theta, built by the first job that asks (so it
-    counts in that job's wall time) and dropped once the `jobs_left[theta]`
-    jobs at that theta are done; the lock keeps it to one build per theta."""
-
-    def __init__(self, dec):
-        self.dec, self.jobs_left, self.forms, self.lock = dec, Counter(), {}, threading.Lock()
-
-    def get(self, theta):
-        with self.lock:
-            if theta not in self.forms:
-                self.forms[theta] = stiffness_matrix(self.dec, theta)
-            return self.forms[theta]
-
-    def job_done(self, theta):
-        with self.lock:
-            self.jobs_left[theta] -= 1
-            if not self.jobs_left[theta]:
-                self.forms.pop(theta, None)
 
 
 def _write_csv(path, rows):

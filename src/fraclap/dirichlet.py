@@ -3,9 +3,10 @@ data f imposed on the complement.
 
 Two independent routes produce the solution:
 
-  * spectral  -- assemble the fractional stiffness matrix and solve the
-    Schur system K_OO u_O = -K_Oc f_c directly; this IS the Euler-Lagrange
-    condition, so no iteration error enters.
+  * spectral  -- solve the Euler-Lagrange system K_OO u_O = -K_Oc f_c of
+    the fractional stiffness K = M Phi diag(lambda^theta) Phi^T M directly,
+    on the smaller of the domain and its complement (`_pinned_solver`), so
+    no iteration error enters and no n x n matrix is formed.
   * extension -- minimize the weighted Dirichlet energy of a field on the
     product grid X x {y_0..y_m} with the data pinned on the boundary row
     over the complement and a natural (zero-flux) condition over Omega,
@@ -123,33 +124,121 @@ def solve_spectral_batch(problems: Sequence[DirichletProblem]) -> list[Solution]
     """`solve_spectral` for problems that share one energy form and one
     domain and differ only in their data, solutions in input order.
 
-    K_OO is factored once and every data column goes through one
-    multi-right-hand-side solve; one product K U gives every residual and
-    energy.
+    One pinned solver (`_pinned_solver`, weights lambda^theta) takes every
+    data column at once; one set of modal coefficients Phi^T M U gives every
+    residual max |(K u)_O| and every energy sum_k lambda_k^theta c_k^2.
     """
     if not problems:
         raise InvalidParams("a batch needs at least one problem")
     form, omega = problems[0].form, problems[0].omega
     if any(p.form is not form or not np.array_equal(p.omega, omega) for p in problems):
         raise InvalidParams("a batch must share one energy form and one domain")
-    k = form.stiffness
-    idx = np.flatnonzero(omega)
-    cdx = np.flatnonzero(~omega)
+    dec, mu = form.dec, form.dec.space.mu
     u = np.stack([p.f for p in problems], axis=1)  # one column per problem
-    try:
-        # K_OO is exactly symmetric (`_gram`), so its transpose is the same
-        # matrix in the Fortran order LAPACK factors in place
-        factor = cho_factor(k[np.ix_(idx, idx)].T, overwrite_a=True)
-    except LinAlgError as exc:
-        raise SingularSystem(f"constrained stiffness block not positive definite: {exc}")
-    u[idx] = cho_solve(factor, -k[np.ix_(idx, cdx)] @ u[cdx], overwrite_b=True)
-    ku = k @ u
-    residuals = np.max(np.abs(ku[idx]), axis=0)
-    energies = np.einsum("xs,xs->s", u, ku)
+    u[omega] = 0.0  # no source on the domain: (K u)_O = 0
+    u = _pinned_solver(dec, form.weights, omega)(u)
+    coeffs = dec.phis.T @ (mu[:, None] * u)
+    weighted = form.weights[:, None] * coeffs
+    residuals = np.max(np.abs(mu[omega, None] * (dec.phis @ weighted)[omega]), axis=0)
+    energies = np.einsum("ks,ks->s", coeffs, weighted)
     return [
         Solution(u=col, residual=float(r), energy=float(e), iterations=0)
         for col, r, e in zip(u.T.copy(), residuals, energies)
     ]
+
+
+# ---------------------------------------------------------------------------
+# pinned solves of modal forms
+
+
+def _pinned_solver(dec: SpectralDecomposition, w: np.ndarray, omega: np.ndarray):
+    """Solver of the pinned problem of the modal form A = M Phi diag(w) Phi^T M
+    on `dec`: called on an n-vector b, or on n x k columns of them, it
+    returns x with x_c = b_c on the complement c of the domain O and
+    (A x)_O = b_O, that is A_OO x_O = b_O - A_Oc b_c.
+
+    w_0 belongs to the constant mode and must be 0, as lambda_0^theta and
+    sigma_0 are; every other w_k must be positive (SingularSystem
+    otherwise).  Only the smaller side is factored: the capacitance matrix
+    of the complement when |c| < |O| (`_ComplementSide`), else the domain
+    block (`_DomainSide`).
+    """
+    if np.any(w[1:] <= 0):
+        raise SingularSystem(f"modal weight {w[1:].min():.3e} <= 0 off the constant mode")
+    side = _ComplementSide if np.count_nonzero(~omega) < np.count_nonzero(omega) else _DomainSide
+    return side(dec, w, omega)
+
+
+class _ComplementSide:
+    """Capacitance-matrix solve (Buzbee, Dorr, George and Golub, SIAM J.
+    Numer. Anal. 8, 1971).  H = Phi diag(w+^-1) Phi^T, with w+^-1 = 0 on the
+    constant mode, satisfies A H y = y for every y with 1^T y = 0, and A 1 = 0.
+    So x = H (E_O b_O + E_c nu) + alpha 1 solves the pinned problem when
+
+        C nu + alpha 1 = b_c - (H E_O b_O)_c,    1^T nu = -1^T b_O,
+
+    with the capacitance matrix C = Phi_c diag(w+^-1) Phi_c^T, positive
+    definite whenever the domain is nonempty.  C = R R^T for the complement
+    rows R = Phi_c diag(w+^-1/2), scaled in place, is factored once in
+    O(|c|^2 n + |c|^3).  A batch of k takes one solve with C and O(n^2 k)
+    for the mode transforms, whose domain entries are read as rows of full
+    products.
+    """
+
+    def __init__(self, dec: SpectralDecomposition, w: np.ndarray, omega: np.ndarray):
+        self.phis, self.omega = dec.phis, omega
+        self.scale = np.zeros_like(w)  # w+^-1/2
+        self.scale[1:] = w[1:] ** -0.5
+        self.root = dec.phis[~omega]
+        self.root *= self.scale
+        try:
+            # numpy hands R R^T to syrk (`_gram`), so C is exactly symmetric
+            # and its transpose is C in the Fortran order LAPACK factors in place
+            self.factor = cho_factor((self.root @ self.root.T).T, overwrite_a=True)
+        except LinAlgError as exc:
+            raise SingularSystem(f"capacitance matrix not positive definite: {exc}")
+        self.ones_solved = cho_solve(self.factor, np.ones(len(self.root)))
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        b2 = b.reshape(len(b), -1)
+        source = np.where(self.omega[:, None], b2, 0.0)  # E_O b_O
+        half = self.scale[:, None] * (self.phis.T @ source)  # H E_O b_O = Phi w+^-1/2 half
+        nu = cho_solve(self.factor, b2[~self.omega] - self.root @ half)
+        alpha = (nu.sum(axis=0) + source.sum(axis=0)) / self.ones_solved.sum()
+        nu -= np.outer(self.ones_solved, alpha)
+        half += self.root.T @ nu
+        x = self.phis @ (self.scale[:, None] * half)
+        x += alpha
+        x[~self.omega] = b2[~self.omega]
+        return x.reshape(b.shape)
+
+
+class _DomainSide:
+    """Direct solve on the domain: A_OO = B_O B_O^T for the domain rows B_O of
+    B = M Phi diag(w^1/2), formed by syrk (`_gram`) and factored in place,
+    O(|O|^2 n + |O|^3).  The data term A_Oc b_c is the domain rows of A b~,
+    with b~ = b on c and 0 on O, by the mode transforms: O(n^2 k) for k
+    columns."""
+
+    def __init__(self, dec: SpectralDecomposition, w: np.ndarray, omega: np.ndarray):
+        self.phis, self.mu, self.w, self.omega = dec.phis, dec.space.mu, w, omega
+        try:
+            # the domain rows of M Phi go in as a temporary that `_gram` frees
+            # once scaled; A_OO is exactly symmetric, so its transpose is the
+            # same matrix in the Fortran order LAPACK factors in place
+            self.factor = cho_factor(
+                _gram(self.mu[omega, None] * dec.phis[omega], w).T, overwrite_a=True
+            )
+        except LinAlgError as exc:
+            raise SingularSystem(f"domain block not positive definite: {exc}")
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        b2 = b.reshape(len(b), -1)
+        mu = self.mu[:, None]
+        x = np.where(self.omega[:, None], 0.0, b2)  # b~
+        coupled = mu * (self.phis @ (self.w[:, None] * (self.phis.T @ (mu * x))))
+        x[self.omega] = cho_solve(self.factor, b2[self.omega] - coupled[self.omega])
+        return x.reshape(b.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +341,13 @@ class _ModePreconditioner:
     centroid rows (ones below the diagonal, s_j on it).  One m x m eigenproblem
     C^-1/2 B C^-1/2 = Q diag(vartheta) Q^T inverts every G_k in the telescoped
     basis, which keeps the scaling that basis exists for.  Eliminating nu leaves
-    the boundary Schur complement S = M Phi diag(sigma) Phi^T M; pinning the
-    complement keeps its Omega block, factored once in place.  M Phi is never
-    stored: an application multiplies by Phi and scales by mu, O(n^2 m) for
-    the mode transforms of the m vertical rows.  The eigenpairs only steer
-    the search directions: the operator and the stop test never read them.
+    the boundary Schur complement S = M Phi diag(sigma) Phi^T M, a modal form;
+    pinning t to 0 on the complement is its pinned problem, solved on the
+    smaller of Omega and the complement (`_pinned_solver`, set up once).
+    M Phi is never stored: an application multiplies by Phi and scales by
+    mu, O(n^2 m) for the mode transforms of the m vertical rows.  The
+    eigenpairs only steer the search directions: the operator and the stop
+    test never read them.
     """
 
     def __init__(self, op: _ProductGridOperator, dec: SpectralDecomposition):
@@ -268,19 +359,11 @@ class _ModePreconditioner:
         self.denom = 1.0 + self.lam[:, None] * vartheta[None, :]
         # G_k^-1 g_k, and sigma_k = 2 lam_k sum(w) - g_k . G_k^-1 g_k (0 at lam = 0)
         self.g_solved = self.solve_modes(2.0 * self.lam[:, None] * self.rw[None, :])
-        # sigma_k is a Schur complement of a positive semidefinite block, so it
-        # is >= 0; a value that rounds below 0 is clipped, as it only steers CG
-        sigma = np.maximum(2.0 * self.lam * (op.w.sum() - self.g_solved @ self.rw), 0.0)
-        # the Omega rows of M Phi go in as a temporary that `_gram` frees once
-        # scaled; S is exactly symmetric, so its transpose is the same matrix
-        # in the Fortran order LAPACK factors in place
-        try:
-            self.s_factor = cho_factor(
-                _gram(op.space.mu[op.omega, None] * dec.phis[op.omega], sigma).T,
-                overwrite_a=True,
-            )
-        except LinAlgError as exc:
-            raise SingularSystem(f"boundary Schur complement not positive definite: {exc}")
+        # sigma_k is the Schur complement of G_k in mode k's block, which is
+        # positive definite for lam_k > 0, so sigma_k > 0 there (SingularSystem
+        # if it rounds to <= 0) and exactly 0 on the constant mode
+        sigma = 2.0 * self.lam * (op.w.sum() - self.g_solved @ self.rw)
+        self.pinned = _pinned_solver(dec, sigma, op.omega)
 
     def solve_modes(self, rhs):
         """G_k^-1 rhs_k for every mode k (row k of the n x m array `rhs`)."""
@@ -295,8 +378,7 @@ class _ModePreconditioner:
         y = self.solve_modes(self.phis.T @ r_v)
         mu = op.space.mu
         coupling = mu * (self.phis @ (2.0 * self.lam * (y @ self.rw)))
-        t = np.zeros(op.n)
-        t[op.omega] = cho_solve(self.s_factor, (r_t - coupling)[op.omega])
+        t = self.pinned(np.where(op.omega, r_t - coupling, 0.0))
         tau = self.phis.T @ (mu * t)
         v = self.phis @ (y - tau[:, None] * self.g_solved)
         return op.pack(t, v) * op.scale

@@ -1,5 +1,6 @@
-"""Nonlocal energies: the Besov double sum, the spectral fractional form,
-its stiffness-matrix realization, and the comparability of the two.
+"""Nonlocal energies: the Besov double sum, the spectral fractional form
+(applied through the eigenpairs, its stiffness matrix built on request),
+and the comparability of the two.
 
 The Besov denominator uses the exponent 2*theta on the distance (the scaling
 under which the two energies are comparable) together with closed balls, so
@@ -10,6 +11,7 @@ double sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,22 +31,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FracEnergyForm:
-    """Fractional stiffness operator K with f^T K h = E_theta(f, h), together
-    with the decomposition it was built from (`stiffness_matrix`).
+    """The energy form E_theta(f, h) = f^T K h of one exponent on one
+    decomposition (`stiffness_matrix`), applied through the eigenpairs.
 
-    K = M Phi diag(lambda^theta) Phi^T M for M = diag(mu); symmetric positive
-    semidefinite with the constants as nullspace.
+    K = M Phi diag(lambda^theta) Phi^T M for M = diag(mu) is symmetric
+    positive semidefinite with the constants as nullspace.  `apply` and
+    `energy` go through the modal coefficients Phi^T M f, O(n^2) per vector,
+    so a form holds no n x n array; `stiffness` builds K only when read.
     """
 
     dec: SpectralDecomposition
     theta: float
-    stiffness: np.ndarray
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """lambda_k^theta, the form's diagonal in the modal basis (read-only)."""
+        weights = lambda_power(self.dec.lambdas, self.theta)
+        weights.setflags(write=False)
+        return weights
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.stiffness @ f
+        """K f for a vector f or every column of an n x k array f."""
+        mu, phis = self.dec.space.mu, self.dec.phis
+        coeffs = phis.T @ (mu * f.T).T
+        kf = phis @ (self.weights * coeffs.T).T
+        return (mu * kf.T).T
 
     def energy(self, f: np.ndarray) -> float:
-        return float(f @ (self.stiffness @ f))
+        return frac_energy(self.dec, self.theta, f)
+
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        """K as a read-only n x n array, the Gram product of
+        M Phi Lambda^(theta/2), so exactly symmetric."""
+        k = _gram(self.dec.space.mu[:, None] * self.dec.phis, self.weights)
+        k.setflags(write=False)
+        return k
 
 
 def besov_energy(space: Space, theta: float, f) -> float:
@@ -102,12 +124,9 @@ def frac_bilinear(dec: SpectralDecomposition, theta: float, f, h) -> float:
 
 
 def stiffness_matrix(dec: SpectralDecomposition, theta: float) -> FracEnergyForm:
-    """The form of E_theta, with K the Gram product of M Phi Lambda^(theta/2),
-    so K is exactly symmetric."""
+    """The form of E_theta on `dec`; O(n), as it builds no matrix."""
     check_theta(theta)
-    k = _gram(dec.space.mu[:, None] * dec.phis, lambda_power(dec.lambdas, theta))
-    k.setflags(write=False)
-    return FracEnergyForm(dec=dec, theta=theta, stiffness=k)
+    return FracEnergyForm(dec=dec, theta=theta)
 
 
 def comparability_report(dec: SpectralDecomposition, theta: float, family) -> dict:

@@ -23,7 +23,6 @@ The rule depends on what the integrand returns:
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 
 from .errors import QuadratureNoConvergence
 
@@ -62,6 +61,10 @@ def integrate_halfline(f) -> float | np.ndarray:
     Raises QuadratureNoConvergence when the rule gives up with an error
     estimate more than ten times over budget.
     """
+    # imported on first use: scipy.integrate loads scipy.optimize and
+    # scipy.spatial with it, about 14 MiB that runs without quadrature never need
+    from scipy.integrate import quad, quad_vec
+
     transformed = _compactified(f)
     # the rims evaluate to inf/nan by design; those values are zeroed
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, floyd_warshall, shortest_path
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DisconnectedGraph,
@@ -154,7 +153,9 @@ def _check_metric(dist, graph, connected):
     n = dist.shape[0]
     if np.any(np.diag(dist) != 0):
         raise MetricViolation("nonzero diagonal in distance matrix")
-    if np.any(np.abs(dist - dist.T) > _METRIC_TOL):
+    # exact symmetry needs one comparison pass; the tolerance test, with its
+    # two n x n temporaries, only runs when that fails
+    if not np.array_equal(dist, dist.T) and np.any(np.abs(dist - dist.T) > _METRIC_TOL):
         raise MetricViolation("distance matrix not symmetric")
     if n > 1 and dist[~np.eye(n, dtype=bool)].min() <= 0:
         raise MetricViolation("distinct points at nonpositive distance")
@@ -333,6 +334,10 @@ def _is_euclidean_metric(dist) -> bool:
         coords[:, rank] = gram / np.sqrt(residual[p])
         residual -= coords[:, rank] ** 2
         rank += 1
+    # imported on first use: scipy.spatial costs every import of the package
+    # about 2.4 MiB, and spaces with a certified edge-path metric never need it
+    from scipy.spatial.distance import cdist
+
     # cdist takes each pair's coordinate differences, so close pairs keep
     # their accuracy: |x|^2 + |y|^2 - 2 x.y would lose sqrt(eps) on them
     embedded = cdist(coords[:, :rank], coords[:, :rank])
@@ -410,11 +415,17 @@ def _fixture_path(n: int) -> Space:
 
 def _fixture_grid2d(nx: int, ny: int | None = None) -> Space:
     ny = nx if ny is None else ny
-    # point (i, j) is i * ny + j; the hop metric is |i - i'| + |j - j'|
-    cond = np.kron(_path_adjacency(nx), np.eye(ny)) + np.kron(np.eye(nx), _path_adjacency(ny))
-    i, j = np.divmod(np.arange(nx * ny, dtype=float), ny)
-    dist = np.abs(i[:, None] - i[None, :]) + np.abs(j[:, None] - j[None, :])
-    return build_space(dist, np.ones(nx * ny), cond)
+    n = nx * ny
+    # point (i, j) is i * ny + j; the hop metric |i - i'| + |j - j'| is one
+    # broadcast sum of the two coordinate tables, and the unit conductances
+    # are scattered onto the lattice edges, so no n x n temporary is made
+    di, dj = (np.abs(np.subtract.outer(k, k)) for k in map(np.arange, (float(nx), float(ny))))
+    dist = (di[:, None, :, None] + dj[None, :, None, :]).reshape(n, n)
+    cond = np.zeros((n, n))
+    points = np.arange(n).reshape(nx, ny)
+    for a, b in ((points[:, :-1], points[:, 1:]), (points[:-1], points[1:])):
+        cond[a, b] = cond[b, a] = 1.0
+    return build_space(dist, np.ones(n), cond)
 
 
 def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
@@ -439,6 +450,10 @@ def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
 
 def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
     """Points in the unit square, edges within `radius`, Euclidean metric."""
+    # imported on first use, as in the Euclidean certificate: only the
+    # random_geometric fixture and that certificate need scipy.spatial
+    from scipy.spatial.distance import cdist
+
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
     dist = cdist(points, points)

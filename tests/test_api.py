@@ -4,7 +4,10 @@ number of settable parameters does not grow."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,20 @@ def test_cli_builds_fixtures_through_fixture(tmp_path, monkeypatch):
     config = cli.normalize_config({"space": {"fixture": {"kind": "path", "params": {"n": 4}}}})
     cli.run(config, str(tmp_path / "out"))
     assert calls == ["path"]
+
+
+def test_cli_import_leaves_quadrature_and_optimize_unloaded():
+    # scipy.integrate, which loads scipy.optimize, is imported on first use,
+    # so `import fraclap.cli` in a fresh interpreter loads neither
+    src = str(Path(fraclap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, fraclap.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def _is_dataclass(decorator):

@@ -1,7 +1,5 @@
 import json
 import os
-import sys
-import time
 
 import numpy as np
 import pytest
@@ -245,52 +243,32 @@ def test_max_principle_batch_decomposes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-_DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
+def test_pinned_solves_factor_the_smaller_side(tmp_path, monkeypatch):
+    # no kind forms the n x n fractional stiffness, and each pinned solve
+    # factors one matrix, of order min(|Omega|, |c|): 76 for the interior of
+    # grid2d nx=20 (324 points, 76 on the rim).  Per theta those are the
+    # spectral solve and the extension preconditioner of dirichlet_routes,
+    # the batch of max_principle_batch and the solve of harnack_scan
+    import fraclap.dirichlet as dirichlet
+    from fraclap.energy import FracEnergyForm
 
+    def unread(form):
+        raise AssertionError("a run read FracEnergyForm.stiffness")
 
-def _count_form_builds(monkeypatch, delay=0.0):
-    """The theta of every stiffness_matrix call the runner makes from now on."""
-    import fraclap.cli as cli
+    monkeypatch.setattr(FracEnergyForm, "stiffness", property(unread))
+    real, orders = dirichlet.cho_factor, []
 
-    real, calls = cli.stiffness_matrix, []
+    def counting(a, **kwargs):
+        orders.append(a.shape)
+        return real(a, **kwargs)
 
-    def counting(dec, theta):
-        calls.append(theta)
-        time.sleep(delay)
-        return real(dec, theta)
-
-    monkeypatch.setattr(cli, "stiffness_matrix", counting)
-    return calls
-
-
-def test_one_energy_form_per_theta(tmp_path, monkeypatch):
-    calls = _count_form_builds(monkeypatch)
-    with open(_DEFAULT_CONFIG) as fh:
-        experiments = json.load(fh)["experiments"]
-    cfg = normalize_config(base_config(theta=[0.25, 0.75], experiments=experiments))
-    run(cfg, str(tmp_path / "out"))
-    # dirichlet_routes, max_principle_batch and harnack_scan share each form
-    assert sorted(calls) == [0.25, 0.75]
-
-
-def test_one_energy_form_per_theta_under_threads(tmp_path, monkeypatch):
-    # more threads than cores, a short switch interval and a slow build: a
-    # lost update of the job count would drop a form early, and an unlocked
-    # check would build one twice, either way a second call for that theta
-    calls = _count_form_builds(monkeypatch, delay=0.02)
-    experiments = [
-        {"kind": kind, "params": {"n_seeds": 2} if kind == "max_principle_batch" else {}}
-        for kind in ("max_principle_batch", "harnack_scan", "energy_comparability") * 4
-    ]
-    cfg = normalize_config(base_config(theta=[0.25, 0.5, 0.75], experiments=experiments))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        report = run(cfg, str(tmp_path / "out"), threads=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert report["summary"]["n_experiments"] == 36
-    assert sorted(calls) == [0.25, 0.5, 0.75]
+    monkeypatch.setattr(dirichlet, "cho_factor", counting)
+    kinds = ("dirichlet_routes", "max_principle_batch", "harnack_scan")
+    space = {"fixture": {"kind": "grid2d", "params": {"nx": 20}}}
+    cfg = base_config(space=space, theta=[0.25, 0.75], experiments=[{"kind": k} for k in kinds])
+    report = run(normalize_config(cfg), str(tmp_path / "out"))
+    assert report["summary"]["n_failed"] == 0
+    assert orders == [(76, 76)] * 8
 
 
 @pytest.mark.parametrize(

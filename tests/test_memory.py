@@ -138,11 +138,12 @@ def test_hop_counts_peak_allocation():
 
 
 def test_stiffness_matrix_peak_allocation():
-    # the Gram product of M Phi Lambda^(theta/2): its scaled root and K, about
-    # 2.06 n^2 doubles at n=400 (numpy's 64 KiB broadcast buffer is 0.05 of
-    # that), where the general product and its symmetrization took 3.05
+    # a form builds K only when its `stiffness` is read: the Gram product of
+    # M Phi Lambda^(theta/2), its scaled root and K, about 2.06 n^2 doubles at
+    # n=400 (numpy's 64 KiB broadcast buffer is 0.05 of that), where the
+    # general product and its symmetrization took 3.05
     dec = decompose(fixture("grid2d", nx=20))
-    assert peak_bytes(stiffness_matrix, dec, 0.5) <= 2.1 * 400 * 400 * 8
+    assert peak_bytes(lambda: stiffness_matrix(dec, 0.5).stiffness) <= 2.1 * 400 * 400 * 8
 
 
 def test_decompose_peak_allocation():
@@ -173,40 +174,45 @@ def test_euclidean_certificate_peak_allocation():
 
 
 def test_mode_preconditioner_peak_allocation():
-    # the Omega rows of M Phi are freed once scaled by sqrt(sigma) for the
-    # Gram product, and S is factored in place: about 1.90 n^2 doubles, where
-    # keeping a full M Phi and copying S into Fortran order took 1.94, keeping
-    # the rows beside the sigma-scaled copy took 2.4, and holding M Phi, its
-    # row copy, the scaled copy and their product at once took 3.4
+    # the pinned Schur step factors the capacitance matrix of the 66-point
+    # complement, from its rows of Phi scaled in place: about 0.65 n^2
+    # doubles, where factoring the 234-point Omega block of S took 1.90,
+    # keeping a full M Phi and copying S into Fortran order took 1.94, and
+    # holding M Phi, its row copy, the scaled copy and their product at once
+    # took 3.4
     sp = grid300()
     dec = decompose(sp)
     omega = grid_interior(sp)
     op = _ProductGridOperator(sp, build_grid(0.25, default_ymax(dec), 32), omega)
-    assert peak_bytes(_ModePreconditioner, op, dec) <= 2.1 * N * N * 8
+    assert peak_bytes(_ModePreconditioner, op, dec) <= 0.75 * N * N * 8
 
 
 def test_extension_solve_peak_allocation():
-    # the operator walks the graph's edges, so the preconditioner's set-up
-    # (about 1.9 n^2) is most of the peak: about 2.24 n^2 doubles at m=32,
-    # where a dense copy of the graph stiffness and a stored M Phi took 4.24
+    # the operator walks the graph's edges and the preconditioner's set-up
+    # takes about 0.65 n^2, so the conjugate gradient's vectors of n m + |Omega|
+    # entries are most of the peak: about 1.91 n^2 doubles at m=32, where
+    # factoring the Omega block of S took 2.24, and a dense copy of the graph
+    # stiffness and a stored M Phi took 4.24
     sp = grid300()
     dec = decompose(sp)
     omega = grid_interior(sp)
     f = np.random.default_rng(0).standard_normal(N)
     prob = DirichletProblem(stiffness_matrix(dec, 0.25), omega=omega, f=f)
     grid = build_grid(0.25, default_ymax(dec), 32)
-    assert peak_bytes(solve_extension, prob, grid) <= 2.5 * N * N * 8
+    assert peak_bytes(solve_extension, prob, grid) <= 2.1 * N * N * 8
 
 
 def test_spectral_batch_peak_allocation():
-    # the K_OO block factored in place and the n x 20 solutions: about
-    # 1.04 n^2 doubles, where copying the block into Fortran order took 1.29
+    # the capacitance matrix of the 66-point complement (its scaled rows of
+    # Phi and their Gram product) and the n x 20 solutions and modal
+    # coefficients: about 0.63 n^2 doubles, where factoring the 234-point
+    # K_OO block in place took 1.04 and copying it into Fortran order 1.29
     sp = grid300()
     form = stiffness_matrix(decompose(sp), 0.25)
     omega = grid_interior(sp)
     rng = np.random.default_rng(0)
     probs = [DirichletProblem(form, omega=omega, f=rng.standard_normal(N)) for _ in range(20)]
-    assert peak_bytes(solve_spectral_batch, probs) <= 1.15 * N * N * 8
+    assert peak_bytes(solve_spectral_batch, probs) <= 0.7 * N * N * 8
 
 
 def test_comparability_report_peak_allocation():

@@ -248,7 +248,9 @@ def test_random_geometric_certified_at_rank_two():
     # third pivot allowed is not spent on rounding noise
     for seed in range(20):
         dist = fixture("random_geometric", n=400, radius=0.15, seed=seed).dist
-        with mock.patch("fraclap.space.cdist", wraps=cdist) as embed:
+        # space.py imports cdist when the certificate runs, so the patch on
+        # its home module reaches it
+        with mock.patch("scipy.spatial.distance.cdist", wraps=cdist) as embed:
             assert _is_euclidean_metric(dist)
         assert embed.call_args.args[0].shape == (400, 2)
 
