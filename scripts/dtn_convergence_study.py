@@ -43,7 +43,7 @@ def main():
         y1s, errs = [], []
         for m in args.ms:
             grid = build_grid(theta, ymax, m)
-            err = float(np.max(np.abs(dtn_apply(poisson_extend(dec, theta, f, grid)) - target)))
+            err = float(np.max(np.abs(dtn_apply(poisson_extend(dec, f, grid)) - target)))
             y1s.append(grid.ys[1])
             errs.append(err)
             rows.append((theta, m, grid.ys[1], err))

@@ -18,8 +18,6 @@ from .energy import (
     FracEnergyForm,
     besov_energy,
     comparability_report,
-    frac_bilinear,
-    frac_energy,
     stiffness_matrix,
 )
 from .errors import FraclapError

@@ -308,7 +308,7 @@ def _exp_dtn_convergence(ctx, params):
     y1s, errs = [], []
     for m in ms:
         grid = build_grid(theta, ymax, m)
-        u = poisson_extend(dec, theta, f, grid)
+        u = poisson_extend(dec, f, grid)
         err = float(np.max(np.abs(dtn_apply(u) - target)))
         y1s.append(grid.ys[1])
         errs.append(err)
@@ -538,7 +538,6 @@ def run(config: dict, out_dir: str, threads: int = 1) -> dict:
             outcomes = list(pool.map(execute, jobs))
     else:
         outcomes = [execute(job) for job in jobs]
-    outcomes.sort(key=lambda o: o[0])
 
     records, wall_times = [], {}
     for idx, kind, theta, params, metrics, passed, tables, wall in outcomes:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .energy import FracEnergyForm, frac_energy
+from .energy import FracEnergyForm
 from .errors import (
     BallNotCompactlyInside,
     InsufficientScales,
@@ -125,22 +125,19 @@ def solve_spectral_batch(problems: Sequence[DirichletProblem]) -> list[Solution]
     domain and differ only in their data, solutions in input order.
 
     One pinned solver (`_pinned_solver`, weights lambda^theta) takes every
-    data column at once; one set of modal coefficients Phi^T M U gives every
-    residual max |(K u)_O| and every energy sum_k lambda_k^theta c_k^2.
+    data column at once; the form applied to the solution columns U gives
+    every residual max |(K u)_O| and every energy E_theta(u, u).
     """
     if not problems:
         raise InvalidParams("a batch needs at least one problem")
     form, omega = problems[0].form, problems[0].omega
     if any(p.form is not form or not np.array_equal(p.omega, omega) for p in problems):
         raise InvalidParams("a batch must share one energy form and one domain")
-    dec, mu = form.dec, form.dec.space.mu
     u = np.stack([p.f for p in problems], axis=1)  # one column per problem
     u[omega] = 0.0  # no source on the domain: (K u)_O = 0
-    u = _pinned_solver(dec, form.weights, omega)(u)
-    coeffs = dec.phis.T @ (mu[:, None] * u)
-    weighted = form.weights[:, None] * coeffs
-    residuals = np.max(np.abs(mu[omega, None] * (dec.phis @ weighted)[omega]), axis=0)
-    energies = np.einsum("ks,ks->s", coeffs, weighted)
+    u = _pinned_solver(form.dec, form.weights, omega)(u)
+    residuals = np.max(np.abs(form.apply(u)[omega]), axis=0)
+    energies = form.energy(u)
     return [
         Solution(u=col, residual=float(r), energy=float(e), iterations=0)
         for col, r, e in zip(u.T.copy(), residuals, energies)
@@ -221,22 +218,22 @@ class _DomainSide:
     columns."""
 
     def __init__(self, dec: SpectralDecomposition, w: np.ndarray, omega: np.ndarray):
-        self.phis, self.mu, self.w, self.omega = dec.phis, dec.space.mu, w, omega
+        self.dec, self.w, self.omega = dec, w, omega
         try:
             # the domain rows of M Phi go in as a temporary that `_gram` frees
             # once scaled; A_OO is exactly symmetric, so its transpose is the
             # same matrix in the Fortran order LAPACK factors in place
             self.factor = cho_factor(
-                _gram(self.mu[omega, None] * dec.phis[omega], w).T, overwrite_a=True
+                _gram(dec.space.mu[omega, None] * dec.phis[omega], w).T, overwrite_a=True
             )
         except LinAlgError as exc:
             raise SingularSystem(f"domain block not positive definite: {exc}")
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         b2 = b.reshape(len(b), -1)
-        mu = self.mu[:, None]
         x = np.where(self.omega[:, None], 0.0, b2)  # b~
-        coupled = mu * (self.phis @ (self.w[:, None] * (self.phis.T @ (mu * x))))
+        weighted = self.w[:, None] * self.dec.coefficients(x)
+        coupled = self.dec.space.mu[:, None] * (self.dec.phis @ weighted)  # A b~
         x[self.omega] = cho_solve(self.factor, b2[self.omega] - coupled[self.omega])
         return x.reshape(b.shape)
 
@@ -351,7 +348,7 @@ class _ModePreconditioner:
     """
 
     def __init__(self, op: _ProductGridOperator, dec: SpectralDecomposition):
-        self.op, self.lam, self.phis = op, dec.lambdas, dec.phis
+        self.op, self.dec, self.lam, self.phis = op, dec, dec.lambdas, dec.phis
         r = np.tril(np.ones((op.m, op.m)), -1) + np.diag(op.s)
         self.rw = r.T @ op.w
         self.cinv = 1.0 / np.sqrt(op.cv)
@@ -379,7 +376,7 @@ class _ModePreconditioner:
         mu = op.space.mu
         coupling = mu * (self.phis @ (2.0 * self.lam * (y @ self.rw)))
         t = self.pinned(np.where(op.omega, r_t - coupling, 0.0))
-        tau = self.phis.T @ (mu * t)
+        tau = self.dec.coefficients(t)
         v = self.phis @ (y - tau[:, None] * self.g_solved)
         return op.pack(t, v) * op.scale
 
@@ -398,7 +395,6 @@ def solve_extension(problem: DirichletProblem, grid: HalfSpaceGrid) -> Solution:
     after the loop: IterationBudgetExceeded when it is above _CG_REL_TOL.
     """
     grid.check_theta_matches(problem.theta)
-    dec = problem.form.dec
     op = _ProductGridOperator(problem.space, grid, problem.omega)
     b = op.rhs_scaled(problem.f)
     shape = (len(b), len(b))
@@ -409,7 +405,7 @@ def solve_extension(problem: DirichletProblem, grid: HalfSpaceGrid) -> Solution:
         rtol=_CG_REL_TOL,
         atol=0.0,
         maxiter=_CG_MAX_ITER,
-        M=LinearOperator(shape, matvec=_ModePreconditioner(op, dec), dtype=float),
+        M=LinearOperator(shape, matvec=_ModePreconditioner(op, problem.form.dec), dtype=float),
         callback=steps.append,
     )
     iterations = len(steps)
@@ -425,7 +421,7 @@ def solve_extension(problem: DirichletProblem, grid: HalfSpaceGrid) -> Solution:
     return Solution(
         u=t,
         residual=residual,
-        energy=frac_energy(dec, problem.theta, t),
+        energy=problem.form.energy(t),
         iterations=iterations,
     )
 

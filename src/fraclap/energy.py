@@ -1,6 +1,10 @@
 """Nonlocal energies: the Besov double sum, the spectral fractional form
-(applied through the eigenpairs, its stiffness matrix built on request),
 and the comparability of the two.
+
+`FracEnergyForm` is the one evaluator of the spectral form: its `weights`
+(lambda^theta), `apply` (K f) and `energy` (E_theta(f, f)) go through the
+modal coefficients `SpectralDecomposition.coefficients` (Phi^T M f), and
+its stiffness matrix K is built only on request.
 
 The Besov denominator uses the exponent 2*theta on the distance (the scaling
 under which the two energies are comparable) together with closed balls, so
@@ -22,8 +26,6 @@ from .spectral import SpectralDecomposition, _gram, check_theta, lambda_power
 __all__ = [
     "FracEnergyForm",
     "besov_energy",
-    "frac_energy",
-    "frac_bilinear",
     "stiffness_matrix",
     "comparability_report",
 ]
@@ -50,15 +52,18 @@ class FracEnergyForm:
         weights.setflags(write=False)
         return weights
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
+    def apply(self, f) -> np.ndarray:
         """K f for a vector f or every column of an n x k array f."""
-        mu, phis = self.dec.space.mu, self.dec.phis
-        coeffs = phis.T @ (mu * f.T).T
-        kf = phis @ (self.weights * coeffs.T).T
-        return (mu * kf.T).T
+        coeffs = self.dec.coefficients(f)
+        kf = self.dec.phis @ (self.weights * coeffs.T).T
+        return (self.dec.space.mu * kf.T).T
 
-    def energy(self, f: np.ndarray) -> float:
-        return frac_energy(self.dec, self.theta, f)
+    def energy(self, f) -> float | np.ndarray:
+        """E_theta(f, f) = sum_k lambda_k^theta <f, phi_k>_mu^2: a float for a
+        vector f, one value per column of an n x k array f."""
+        coeffs = self.dec.coefficients(f)
+        energy = np.einsum("k...,k...->...", coeffs, (self.weights * coeffs.T).T)
+        return float(energy) if energy.ndim == 0 else energy
 
     @cached_property
     def stiffness(self) -> np.ndarray:
@@ -108,21 +113,6 @@ def _besov_stiffness(space: Space, theta: float) -> np.ndarray:
     return b
 
 
-def frac_energy(dec: SpectralDecomposition, theta: float, f) -> float:
-    """E_theta(f, f) = sum_k lambda_k^theta <f, phi_k>_mu^2 (`frac_bilinear`
-    with h = f), from one set of coefficients."""
-    check_theta(theta)
-    coeffs = dec.coefficients(f)
-    return float(np.sum(lambda_power(dec.lambdas, theta) * coeffs * coeffs))
-
-
-def frac_bilinear(dec: SpectralDecomposition, theta: float, f, h) -> float:
-    """E_theta(f, h) = sum_k lambda_k^theta <f, phi_k>_mu <h, phi_k>_mu."""
-    check_theta(theta)
-    weights = lambda_power(dec.lambdas, theta)
-    return float(np.sum(weights * dec.coefficients(f) * dec.coefficients(h)))
-
-
 def stiffness_matrix(dec: SpectralDecomposition, theta: float) -> FracEnergyForm:
     """The form of E_theta on `dec`; O(n), as it builds no matrix."""
     check_theta(theta)
@@ -134,12 +124,12 @@ def comparability_report(dec: SpectralDecomposition, theta: float, family) -> di
     (a list of them, or an (F, n) array of F members), both energies on the
     decomposition's space.
 
-    One Besov stiffness matrix (`_besov_stiffness`) and one coefficient
-    product Phi^T M F^T give the energies of the whole family.  Both energies
-    vanish exactly on constants, so constant members are rejected rather than
-    producing 0/0.
+    One Besov stiffness matrix (`_besov_stiffness`) and one application of
+    the form's `energy` to the columns F^T give the energies of the whole
+    family.  Both energies vanish exactly on constants, so constant members
+    are rejected rather than producing 0/0.
     """
-    check_theta(theta)
+    form = stiffness_matrix(dec, theta)
     space = dec.space
     shape_msg = f"family must be F vectors of length {space.n}"
     try:
@@ -153,8 +143,7 @@ def comparability_report(dec: SpectralDecomposition, theta: float, family) -> di
     if np.any(np.ptp(family, axis=1) == 0):
         raise ConstantFunctionInFamily("family contains a constant vector")
     besov = np.einsum("fz,fz->f", family, family @ _besov_stiffness(space, theta))
-    coeffs = dec.phis.T @ (space.mu[:, None] * family.T)
-    ratios = besov / (lambda_power(dec.lambdas, theta) @ coeffs**2)
+    ratios = besov / form.energy(family.T)
     return {
         "theta": theta,
         "n": space.n,

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .quadrature import integrate_halfline
 from .space import Space, ball_measure
-from .spectral import SpectralDecomposition, check_theta
+from .spectral import SpectralDecomposition, _check_vector, check_theta
 
 __all__ = [
     "HalfSpaceGrid",
@@ -249,29 +249,22 @@ class ExtensionField:
 
     values: np.ndarray
     grid: HalfSpaceGrid
-    theta: float
 
     def boundary(self) -> np.ndarray:
         return self.values[:, 0]
 
 
-def poisson_extend(
-    dec: SpectralDecomposition,
-    theta: float,
-    f,
-    grid: HalfSpaceGrid,
-) -> ExtensionField:
+def poisson_extend(dec: SpectralDecomposition, f, grid: HalfSpaceGrid) -> ExtensionField:
     """Extend boundary data into the weighted half-space mode by mode:
-    u(x, y_j) = sum_k <f, phi_k>_mu g_{lambda_k}(y_j) phi_k(x)."""
-    check_theta(theta)
-    grid.check_theta_matches(theta)
-    f = np.asarray(f, dtype=float)
+    u(x, y_j) = sum_k <f, phi_k>_mu g_{lambda_k}(y_j) phi_k(x), with the
+    exponent theta the grid was built for (`HalfSpaceGrid.theta`)."""
+    f = _check_vector(dec.space, f)
     coeffs = dec.coefficients(f)
-    profiles = _profile_table(dec.lambdas, theta, grid.ys)
+    profiles = _profile_table(dec.lambdas, grid.theta, grid.ys)
     values = dec.phis @ (coeffs[:, None] * profiles)
     values[:, 0] = f  # boundary row carries the data exactly
     values.setflags(write=False)
-    return ExtensionField(values=values, grid=grid, theta=theta)
+    return ExtensionField(values=values, grid=grid)
 
 
 def _profile_table(lambdas, theta, ys):
@@ -290,23 +283,23 @@ def dtn_apply(u: ExtensionField) -> np.ndarray:
     at second order in y_1; at theta = 1/2 this reduces to the classic
     one-sided three-point derivative.
     """
-    grid = u.grid
+    grid, theta = u.grid, u.grid.theta
     y1, y2 = grid.ys[1], grid.ys[2]
     if y1 <= 0 or y2 <= y1:
         raise DegenerateFirstCell(f"need 0 < y_1 < y_2, got {y1}, {y2}")
-    tt = 2.0 * u.theta
+    tt = 2.0 * theta
     # below this scale the boundary-layer variation B y^(2 theta) drowns in
     # double-precision roundoff of the stored rows and the quotient is noise
     if y1**tt < 1e-13:
         raise DegenerateFirstCell(
-            f"first cell y_1={y1:.3e} unresolvable at theta={u.theta}; use a coarser ratio or smaller m"
+            f"first cell y_1={y1:.3e} unresolvable at theta={theta}; use a coarser ratio or smaller m"
         )
     det = y1**tt * y2**2 - y2**tt * y1**2
     if det == 0:
         raise DegenerateFirstCell("singular two-node extraction")
     d0, d1, d2 = u.values[:, 0], u.values[:, 1], u.values[:, 2]
     b = ((d1 - d0) * y2**2 - (d2 - d0) * y1**2) / det
-    return -dtn_constant(u.theta) * tt * b
+    return -dtn_constant(theta) * tt * b
 
 
 # ---------------------------------------------------------------------------

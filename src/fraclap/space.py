@@ -108,9 +108,15 @@ def build_space(dist, mu, cond) -> Space:
     Raises MetricViolation (with the witness triple), NonpositiveMeasure, or
     DisconnectedGraph when the corresponding invariant fails, and
     InvalidParams for inputs that are not arrays of numbers of matching shapes.
+
+    `dist` and `mu` are held read-only: a writeable one is copied, so later
+    edits of the caller's array do not reach the space, and a read-only
+    float64 one (as the fixtures hand over) is held uncopied.  Only the CSR
+    copy of `cond` is kept.
     """
     try:
-        dist, mu, cond = (np.asarray(arr, dtype=float) for arr in (dist, mu, cond))
+        dist, mu = (_read_only_input(arr) for arr in (dist, mu))
+        cond = np.asarray(cond, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
         raise InvalidParams(f"dist, mu and cond must be arrays of numbers: {exc}") from None
 
@@ -142,6 +148,14 @@ def build_space(dist, mu, cond) -> Space:
     for arr in (dist, mu):
         arr.setflags(write=False)
     return Space(dist=dist, mu=mu, graph=graph)
+
+
+def _read_only_input(arr) -> np.ndarray:
+    """`arr` itself if it is a read-only float64 array, else a float copy
+    that no other reference can change."""
+    if isinstance(arr, np.ndarray) and arr.dtype == np.float64 and not arr.flags.writeable:
+        return arr
+    return np.array(arr, dtype=float)
 
 
 def _check_metric(dist, graph, connected):
@@ -402,6 +416,16 @@ def _fixture_args(kind, params) -> dict:
     return bound.arguments
 
 
+def _unit_mass_space(dist: np.ndarray, cond: np.ndarray) -> Space:
+    """`build_space` on a fixture's own `dist` and `cond` with unit masses.
+    `dist` and the masses are frozen first, so `build_space` holds them
+    rather than copying them."""
+    mu = np.ones(len(dist))
+    for arr in (dist, mu):
+        arr.setflags(write=False)
+    return build_space(dist, mu, cond)
+
+
 def _path_adjacency(n: int) -> np.ndarray:
     """Unit conductances between consecutive points of a path on n points."""
     return np.eye(n, k=1) + np.eye(n, k=-1)
@@ -410,7 +434,7 @@ def _path_adjacency(n: int) -> np.ndarray:
 def _fixture_path(n: int) -> Space:
     ii = np.arange(n)
     dist = np.abs(ii[:, None] - ii[None, :]).astype(float)
-    return build_space(dist, np.ones(n), _path_adjacency(n))
+    return _unit_mass_space(dist, _path_adjacency(n))
 
 
 def _fixture_grid2d(nx: int, ny: int | None = None) -> Space:
@@ -425,7 +449,7 @@ def _fixture_grid2d(nx: int, ny: int | None = None) -> Space:
     points = np.arange(n).reshape(nx, ny)
     for a, b in ((points[:, :-1], points[:, 1:]), (points[:-1], points[1:])):
         cond[a, b] = cond[b, a] = 1.0
-    return build_space(dist, np.ones(n), cond)
+    return _unit_mass_space(dist, cond)
 
 
 def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
@@ -445,7 +469,7 @@ def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
     dist = np.abs(p[:, None] - p[None, :]) + off[:, None] + off[None, :]
     dist[off[:, None] & off[None, :] & same_end] = 1
     np.fill_diagonal(dist, 0.0)
-    return build_space(dist, np.ones(n), cond)
+    return _unit_mass_space(dist, cond)
 
 
 def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
@@ -458,7 +482,7 @@ def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
     points = rng.random((n, 2))
     dist = cdist(points, points)
     cond = ((dist <= radius) & ~np.eye(n, dtype=bool)).astype(float)
-    return build_space(dist, np.ones(n), cond)
+    return _unit_mass_space(dist, cond)
 
 
 def _neighbour_counts(space: Space) -> np.ndarray:

@@ -11,7 +11,7 @@ the spectral resolution computed here.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,6 @@ from scipy.special import gammaln, xlogy
 from .errors import (
     DimensionMismatch,
     EigensolverNoConvergence,
-    InvalidParams,
     NonpositiveTime,
     SeriesTimeTooLarge,
     ThetaOutOfRange,
@@ -74,13 +73,15 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.space.n
 
-    def coefficients(self, f: np.ndarray) -> np.ndarray:
-        """mu-weighted spectral coefficients <f, phi_k>_mu."""
-        f = _check_vector(self.space, f)
-        return self.phis.T @ (self.space.mu * f)
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.phis @ coeffs
+    def coefficients(self, f) -> np.ndarray:
+        """mu-weighted spectral coefficients <f, phi_k>_mu, that is Phi^T M f,
+        for a vector f or every column of an n x k array f."""
+        f = np.asarray(f, dtype=float)
+        if f.ndim not in (1, 2) or len(f) != self.n:
+            raise DimensionMismatch(
+                f"expected a vector or columns of length {self.n}, got shape {f.shape}"
+            )
+        return self.phis.T @ (self.space.mu * f.T).T
 
 
 def _check_vector(space: Space, f) -> np.ndarray:
@@ -227,7 +228,7 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> np.ndarray:
     return kernel
 
 
-def heat_kernel_series(space: Space, t: float | Sequence[float]) -> np.ndarray | list[np.ndarray]:
+def heat_kernel_series(space: Space, t: float) -> np.ndarray:
     """Heat kernel entries k(x, z) by the uniformization series, from the
     densified `Space.graph` and `mu` alone: the tests' oracle for `heat_kernel`.
 
@@ -236,13 +237,8 @@ def heat_kernel_series(space: Space, t: float | Sequence[float]) -> np.ndarray |
     and the least k >= 0 with h = x / 2^k <= 1/2 and (n - 1) / 2^k <= 16, a
     plain Taylor sum of exp(h (Q - I)) is squared k times.  The sum keeps at
     least ceil((n - 1) / 2^k) terms, past the hop diameter, and stops at the
-    first term below 1e-16 of its largest entry.  `t` is one time, or a
-    sequence of times for a list of kernels in input order.
+    first term below 1e-16 of its largest entry.  One time per call.
     """
-    if np.ndim(t) != 0:
-        if not len(t):
-            raise InvalidParams("the series route needs at least one time")
-        return [heat_kernel_series(space, s) for s in t]
     if not t > 0:
         raise NonpositiveTime(f"t must be positive, got {t}")
     degrees = space.degrees / space.mu
@@ -321,9 +317,9 @@ def frac_apply(dec: SpectralDecomposition, theta: float, f) -> np.ndarray:
 
 
 def spectral_power_apply(dec: SpectralDecomposition, p: float, f) -> np.ndarray:
-    """(-Delta)^p f for any p >= 0, without the public range check."""
-    coeffs = dec.coefficients(f)
-    return dec.synthesize(lambda_power(dec.lambdas, p) * coeffs)
+    """(-Delta)^p f for a vector f and any p >= 0, without the public range check."""
+    coeffs = dec.coefficients(_check_vector(dec.space, f))
+    return dec.phis @ (lambda_power(dec.lambdas, p) * coeffs)
 
 
 def lambda_power(lambdas: np.ndarray, p: float) -> np.ndarray:

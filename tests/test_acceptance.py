@@ -21,7 +21,6 @@ from fraclap import (
     extension_energy_constant,
     fixture,
     frac_apply,
-    frac_energy,
     heat_kernel,
     heat_kernel_series,
     maximum_principle_check,
@@ -162,7 +161,7 @@ def test_criterion_5_dtn_convergence(fixtures):
         y1s, errs = [], []
         for m in (8, 10, 12, 14, 16):  # four successive geometric refinements
             grid = build_grid(theta, ymax, m)
-            u = poisson_extend(dec, theta, f, grid)
+            u = poisson_extend(dec, f, grid)
             y1s.append(grid.ys[1])
             errs.append(np.max(np.abs(dtn_apply(u) - target)))
         assert all(a > b for a, b in zip(errs, errs[1:])), "errors must decrease"
@@ -249,7 +248,7 @@ def test_criterion_7_existence_uniqueness_minimality(fixtures):
                 for _ in range(100):
                     h = sol.u.copy()
                     h[omega] += rng.standard_normal(int(omega.sum()))
-                    gap = frac_energy(dec, theta, h) - sol.energy
+                    gap = form.energy(h) - sol.energy
                     worst_violation = max(worst_violation, -gap / scale)
                 res_scale = np.linalg.norm(form.stiffness) * max(np.linalg.norm(sol.u), 1e-30)
                 worst_residual = max(worst_residual, sol.residual / res_scale)

@@ -113,6 +113,23 @@ def _settable_parameters():
     return found
 
 
+def _package_exports():
+    """The names fraclap/__init__ re-exports from its modules."""
+    tree = ast.parse(Path(fraclap.__file__).read_text())
+    return [
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def test_public_name_count():
+    # a new public name has to replace an old one
+    exports = _package_exports()
+    assert len(exports) == 48, exports
+
+
 def test_settable_parameter_count():
     # the error budgets of the quadrature and of the conjugate gradient are
     # module constants, not options; a new knob has to replace an old one

@@ -10,7 +10,6 @@ from fraclap import (
     decompose,
     default_ymax,
     fixture,
-    frac_energy,
     harnack_quotient,
     holder_estimate,
     maximum_principle_check,
@@ -120,7 +119,7 @@ def test_p3_against_scalar_minimization_oracle(p3_dec):
 
     def energy_at(t):
         u = np.array([0.0, t, 1.0])
-        return frac_energy(p3_dec, 0.5, u)
+        return stiffness_matrix(p3_dec, 0.5).energy(u)
 
     lo, hi = -2.0, 3.0
     for _ in range(12):
@@ -176,7 +175,7 @@ def test_energy_minimality_against_competitors(grid44_dec):
     for _ in range(100):
         h = sol.u.copy()
         h[prob.omega] += rng.standard_normal(int(prob.omega.sum()))
-        gap = frac_energy(grid44_dec, 0.5, h) - sol.energy
+        gap = prob.form.energy(h) - sol.energy
         assert gap >= -1e-12 * max(1.0, sol.energy)
 
 

@@ -10,8 +10,6 @@ from fraclap import (
     comparability_report,
     decompose,
     fixture,
-    frac_bilinear,
-    frac_energy,
     stiffness_matrix,
 )
 from fraclap.energy import _besov_stiffness
@@ -88,12 +86,13 @@ def test_besov_matches_enumeration_oracle_with_ties(grid44, theta):
 def test_frac_energy_k2(k2_dec):
     f = np.array([1.0, -1.0])
     for theta in (0.25, 0.5, 0.75):
-        assert frac_energy(k2_dec, theta, f) == pytest.approx(2.0**theta * 2.0, abs=1e-12)
+        energy = stiffness_matrix(k2_dec, theta).energy(f)
+        assert energy == pytest.approx(2.0**theta * 2.0, abs=1e-12)
 
 
 def test_frac_bilinear_constant_in_nullspace(path8, path8_dec):
     f = random_vector(path8, 3)
-    assert frac_bilinear(path8_dec, 0.5, f, np.ones(8)) == pytest.approx(0.0, abs=1e-12)
+    assert f @ stiffness_matrix(path8_dec, 0.5).apply(np.ones(8)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_frac_energy_matches_half_power_norm(path8, path8_dec):
@@ -101,15 +100,16 @@ def test_frac_energy_matches_half_power_norm(path8, path8_dec):
     f = random_vector(path8, 4)
     for theta in (0.25, 0.5, 0.75):
         half = spectral_power_apply(path8_dec, theta / 2.0, f)
-        assert frac_energy(path8_dec, theta, f) == pytest.approx(
+        assert stiffness_matrix(path8_dec, theta).energy(f) == pytest.approx(
             float(np.sum(half**2 * path8.mu)), abs=1e-10
         )
 
 
 def test_frac_energy_zero_iff_constant(grid44_dec):
     f = random_vector(grid44_dec.space, 9)
-    assert frac_energy(grid44_dec, 0.5, f) > 0
-    assert frac_energy(grid44_dec, 0.5, np.full(16, -2.0)) == pytest.approx(0.0, abs=1e-12)
+    form = stiffness_matrix(grid44_dec, 0.5)
+    assert form.energy(f) > 0
+    assert form.energy(np.full(16, -2.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 @given(c=st.floats(-5, 5).filter(lambda c: abs(c) > 1e-3), theta=st.floats(0.1, 0.9))
@@ -118,8 +118,8 @@ def test_quadratic_homogeneity(c, theta):
     sp = fixture("path", n=5)
     dec = decompose(sp)
     f = random_vector(sp, 17)
-    assert frac_energy(dec, theta, c * f) == pytest.approx(
-        c * c * frac_energy(dec, theta, f), rel=1e-10
+    assert stiffness_matrix(dec, theta).energy(c * f) == pytest.approx(
+        c * c * stiffness_matrix(dec, theta).energy(f), rel=1e-10
     )
     assert besov_energy(sp, theta, c * f) == pytest.approx(
         c * c * besov_energy(sp, theta, f), rel=1e-10
@@ -134,6 +134,20 @@ def test_stiffness_k2_hand_assembly(k2_dec):
     expected = np.sqrt(2) / 2 * np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert np.allclose(form.stiffness, expected, atol=1e-12)
     assert form.energy(np.array([1.0, -1.0])) == pytest.approx(2 * np.sqrt(2), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["path8", "grid44", "dumbbell55"])
+def test_form_on_columns_matches_vectors(name, request):
+    # apply and energy on an n x k array equal their results column by column
+    dec = request.getfixturevalue(f"{name}_dec")
+    form = stiffness_matrix(dec, 0.4)
+    cols = np.random.default_rng(2).standard_normal((dec.n, 4))
+    applied, energies = form.apply(cols), form.energy(cols)
+    assert applied.shape == cols.shape and energies.shape == (4,)
+    for j in range(4):
+        assert rel_gap(applied[:, j], form.apply(cols[:, j])) <= 1e-14
+        assert energies[j] == pytest.approx(form.energy(cols[:, j]), rel=1e-14)
+    assert isinstance(form.energy(cols[:, 0]), float)
 
 
 def test_stiffness_annihilates_constants(grid44_dec):
@@ -164,13 +178,16 @@ def test_stiffness_rediagonalization_oracle(path8, path8_dec):
 
 
 def test_stiffness_agrees_with_bilinear(path8, path8_dec):
+    # f^T K h three ways: the modal apply, the dense stiffness, and the
+    # polarization of the energy
     rng = np.random.default_rng(0)
     form = stiffness_matrix(path8_dec, 0.5)
     for _ in range(10):
         f, h = rng.standard_normal(8), rng.standard_normal(8)
-        assert float(f @ form.apply(h)) == pytest.approx(
-            frac_bilinear(path8_dec, 0.5, f, h), abs=1e-10
-        )
+        bilinear = float(f @ form.apply(h))
+        assert bilinear == pytest.approx(float(f @ form.stiffness @ h), abs=1e-10)
+        polarized = (form.energy(f + h) - form.energy(f - h)) / 4.0
+        assert bilinear == pytest.approx(polarized, abs=1e-10)
 
 
 # -- truncation (Markov) property
@@ -187,8 +204,8 @@ def test_truncation_in_the_limit(path8_dec, seed, cap, theta):
     # energies, each of which a unit contraction f -> min(f, cap) never
     # increases, so neither does E_theta
     f = np.random.default_rng(seed).standard_normal(8)
-    ef = frac_energy(path8_dec, theta, f)
-    eg = frac_energy(path8_dec, theta, np.minimum(f, cap))
+    ef = stiffness_matrix(path8_dec, theta).energy(f)
+    eg = stiffness_matrix(path8_dec, theta).energy(np.minimum(f, cap))
     assert eg <= ef + 1e-12 * ef
 
 
@@ -250,14 +267,13 @@ def test_besov_stiffness_quadratic_form_is_the_double_sum(weighted_grid34):
 
 
 def test_comparability_matches_per_member_energies(grid44_dec, dumbbell55_dec):
-    # the per-member loop over besov_energy and frac_energy that the one
-    # stiffness matrix and one coefficient product replaced
+    # the per-member loop over besov_energy and the form's energy that the
+    # one stiffness matrix and one energy of the family's columns replaced
     for dec in (grid44_dec, dumbbell55_dec):
         family = np.random.default_rng(4).standard_normal((12, dec.space.n))
         for theta in (0.25, 0.75):
-            ratios = [
-                besov_energy(dec.space, theta, f) / frac_energy(dec, theta, f) for f in family
-            ]
+            form = stiffness_matrix(dec, theta)
+            ratios = [besov_energy(dec.space, theta, f) / form.energy(f) for f in family]
             rep = comparability_report(dec, theta, family)
             assert rep == comparability_report(dec, theta, list(family))
             assert rep["ratio_min"] == pytest.approx(min(ratios), rel=1e-13)
@@ -269,4 +285,6 @@ def test_theta_range_checks(p3, p3_dec):
     with pytest.raises(ThetaOutOfRange):
         besov_energy(p3, 1.0, np.zeros(3))
     with pytest.raises(ThetaOutOfRange):
-        frac_energy(p3_dec, 0.0, np.zeros(3))
+        stiffness_matrix(p3_dec, 0.0).energy(np.zeros(3))
+    with pytest.raises(ThetaOutOfRange):
+        comparability_report(p3_dec, 1.0, [np.array([1.0, 0.0, 0.0])])

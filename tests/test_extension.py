@@ -21,7 +21,6 @@ from fraclap import (
 from fraclap.errors import (
     DegenerateFirstCell,
     EmptySubset,
-    GridThetaMismatch,
     InvalidParams,
     RadiusExceedsGrid,
 )
@@ -137,13 +136,13 @@ def test_profile_monotone_and_bounded():
 
 def test_extend_constant_stays_constant(p3, p3_dec):
     grid = build_grid(0.5, 10.0, 16)
-    u = poisson_extend(p3_dec, 0.5, np.full(3, 2.5), grid)
+    u = poisson_extend(p3_dec, np.full(3, 2.5), grid)
     assert np.allclose(u.values, 2.5, atol=1e-12)
 
 
 def test_extend_k2_single_mode_profile(k2, k2_dec):
     grid = build_grid(0.5, 13.0, 32)
-    u = poisson_extend(k2_dec, 0.5, np.array([1.0, -1.0]), grid)
+    u = poisson_extend(k2_dec, np.array([1.0, -1.0]), grid)
     for j in (0, 5, 20, 32):
         y = grid.ys[j]
         assert u.values[0, j] == pytest.approx(np.exp(-np.sqrt(2) * y), abs=1e-9)
@@ -153,15 +152,21 @@ def test_extend_k2_single_mode_profile(k2, k2_dec):
 def test_extend_boundary_row_exact(path8, path8_dec):
     f = np.random.default_rng(1).standard_normal(8)
     grid = build_grid(0.3, 20.0, 16)
-    u = poisson_extend(path8_dec, 0.3, f, grid)
+    u = poisson_extend(path8_dec, f, grid)
     assert np.array_equal(u.values[:, 0], f)
     assert np.array_equal(u.boundary(), f)
 
 
-def test_extend_grid_theta_mismatch(p3_dec):
-    grid = build_grid(0.5, 10.0, 16)
-    with pytest.raises(GridThetaMismatch):
-        poisson_extend(p3_dec, 0.25, np.zeros(3), grid)
+def test_extend_reads_theta_from_grid(path8_dec):
+    # the exponent of the profiles is the one the grid was built for
+    f = np.random.default_rng(2).standard_normal(8)
+    coeffs = path8_dec.coefficients(f)
+    for theta in (0.25, 0.75):
+        grid = build_grid(theta, 10.0, 16)
+        u = poisson_extend(path8_dec, f, grid)
+        for j in (1, 8, 16):
+            profiles = mode_profile(path8_dec.lambdas, theta, grid.ys[j])
+            assert np.allclose(u.values[:, j], path8_dec.phis @ (coeffs * profiles), atol=1e-13)
 
 
 def test_extend_first_row_l2_convergence(path8, path8_dec):
@@ -170,7 +175,7 @@ def test_extend_first_row_l2_convergence(path8, path8_dec):
     errs = []
     for m in (8, 12, 16):
         grid = build_grid(0.5, 10.0, m)
-        u = poisson_extend(path8_dec, 0.5, f, grid)
+        u = poisson_extend(path8_dec, f, grid)
         errs.append(np.sqrt(np.sum((u.values[:, 1] - f) ** 2 * path8.mu)))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 1e-3 * np.sqrt(np.sum(f**2 * path8.mu))
@@ -194,13 +199,13 @@ def test_dtn_constant_values():
 def test_dtn_k2_analytic_limit(k2_dec):
     f = np.array([1.0, -1.0])
     grid = build_grid(0.5, 13.0, 24)
-    u = poisson_extend(k2_dec, 0.5, f, grid)
+    u = poisson_extend(k2_dec, f, grid)
     assert np.allclose(dtn_apply(u), np.sqrt(2) * f, atol=1e-6)
 
 
 def test_dtn_constant_data_gives_zero(p3_dec):
     grid = build_grid(0.5, 10.0, 16)
-    u = poisson_extend(p3_dec, 0.5, np.full(3, 4.0), grid)
+    u = poisson_extend(p3_dec, np.full(3, 4.0), grid)
     # roundoff in the spectral synthesis is amplified by the boundary quotient
     assert np.allclose(dtn_apply(u), 0.0, atol=1e-10 * 4.0)
 
@@ -213,7 +218,7 @@ def test_dtn_converges_with_order_at_least_one(path8, path8_dec, theta):
     y1s, errs = [], []
     for m in (8, 10, 12, 14):
         grid = build_grid(theta, ymax, m)
-        u = poisson_extend(path8_dec, theta, f, grid)
+        u = poisson_extend(path8_dec, f, grid)
         y1s.append(grid.ys[1])
         errs.append(np.max(np.abs(dtn_apply(u) - target)))
     slope = np.polyfit(np.log(y1s), np.log(errs), 1)[0]
@@ -222,7 +227,7 @@ def test_dtn_converges_with_order_at_least_one(path8, path8_dec, theta):
 
 def test_dtn_rejects_unresolvable_first_cell(k2_dec):
     grid = build_grid(0.25, 13.0, 128)  # y_1 ~ 1e-36: below double resolution
-    u = poisson_extend(k2_dec, 0.25, np.array([1.0, -1.0]), grid)
+    u = poisson_extend(k2_dec, np.array([1.0, -1.0]), grid)
     with pytest.raises(DegenerateFirstCell):
         dtn_apply(u)
 
@@ -350,7 +355,7 @@ def test_codim_radius_guard(k2):
 def test_trace_returns_boundary_exactly(path8, path8_dec):
     f = np.random.default_rng(9).standard_normal(8)
     grid = build_grid(0.5, 10.0, 16)
-    u = poisson_extend(path8_dec, 0.5, f, grid)
+    u = poisson_extend(path8_dec, f, grid)
     assert np.array_equal(u.boundary(), f)
 
 

@@ -540,6 +540,28 @@ def test_space_immutable(p3):
     assert p3.degrees is p3.degrees
 
 
+def test_build_space_copies_writeable_input():
+    # the caller's arrays stay writeable, and editing them later does not
+    # change the space
+    dist = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+    mu = np.ones(4)
+    cond = np.eye(4, k=1) + np.eye(4, k=-1)
+    sp = build_space(dist, mu, cond)
+    assert all(arr.flags.writeable for arr in (dist, mu, cond))
+    assert not np.shares_memory(sp.dist, dist) and not np.shares_memory(sp.mu, mu)
+    dist[0, 3] = dist[3, 0] = 9.0
+    mu[0] = 7.0
+    cond[0, 1] = cond[1, 0] = 5.0
+    assert sp.dist[0, 3] == 3.0 and sp.mu[0] == 1.0 and sp.graph[0, 1] == 1.0
+    assert not sp.dist.flags.writeable and not sp.mu.flags.writeable
+
+
+def test_build_space_holds_read_only_input(grid44):
+    # read-only float64 arrays, as the fixtures hand over, are not copied
+    sp = build_space(grid44.dist, grid44.mu, grid44.graph.toarray())
+    assert sp.dist is grid44.dist and sp.mu is grid44.mu
+
+
 @pytest.mark.parametrize(
     "kind, params, interior",
     [
