@@ -55,7 +55,14 @@ from .extension import (
     poisson_extend,
     vertical_modulus,
 )
-from .space import Space, ball_mask, check_space_spec, interior_mask, space_from_spec
+from .space import (
+    Space,
+    _row_blocks,
+    ball_mask,
+    check_space_spec,
+    interior_mask,
+    space_from_spec,
+)
 from .spectral import (
     check_theta,
     decompose,
@@ -254,7 +261,8 @@ def _exp_heat_properties(ctx, params):
         b_min = float((rel.min() + np.log(space.total_mass * kmax)) / np.log(10.0))
         resolvable = rel >= np.log(1e-10)
         gap = np.exp(rel, out=rel)
-        gap -= k / kmax
+        for block in _row_blocks(space.n):
+            gap[block] -= k[block] / kmax
         b_err = float(np.max(gap, where=resolvable, initial=-1.0))
         del rel, gap, resolvable
         markov, excess = max(markov, m_err), max(excess, b_err)
@@ -264,6 +272,7 @@ def _exp_heat_properties(ctx, params):
             points = np.arange(space.n)
             xs, zs = np.repeat(points, space.n).tolist(), np.tile(points, space.n).tolist()
             tables[f"heat_kernel_t{t}.csv"] = [("x", "z", "p_t"), *zip(xs, zs, k.ravel().tolist())]
+        del k  # freed before the next kernel is built
     # max|K_{t/2} M K_{t/2} - K_t| / max K_t at every t > 0 is at most the
     # decomposition's orthogonality defect (SpectralDecomposition)
     semigroup = dec.ortho_defect

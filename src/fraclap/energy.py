@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstantFunctionInFamily, InvalidParams
-from .space import Space
+from .space import Space, _row_blocks
 from .spectral import SpectralDecomposition, _gram, check_theta, lambda_power
 
 __all__ = [
@@ -98,7 +98,10 @@ def _besov_stiffness(space: Space, theta: float) -> np.ndarray:
     With A = W o (mu mu^T) and W_zw = 1/(d(z,w)^{2 theta} mu(B(z, d(z,w))))
     off the diagonal (0 on it), the double sum of A_zw (f_z - f_w)^2 is
     f^T (diag(A 1 + A^T 1) - (A + A^T)) f.  Built from `dist`, `mu` and the
-    ball-mass table alone, never from eigenpairs.
+    ball-mass table alone, never from eigenpairs.  B is written over A: the
+    row and column sums are taken first, then each pair of mirrored row
+    blocks (`_row_blocks`) takes -(A + A^T), so no second n x n array is
+    made.
     """
     a = space.dist ** (2 * theta)
     a *= space.ball_masses
@@ -107,10 +110,17 @@ def _besov_stiffness(space: Space, theta: float) -> np.ndarray:
     np.fill_diagonal(a, 0.0)
     a *= space.mu[:, None]
     a *= space.mu[None, :]
-    b = a + a.T
-    np.negative(b, out=b)
-    np.fill_diagonal(b, a.sum(axis=1) + a.sum(axis=0))
-    return b
+    diagonal = a.sum(axis=1) + a.sum(axis=0)
+    blocks = list(_row_blocks(space.n))
+    for i, rows in enumerate(blocks):
+        for cols in blocks[i:]:
+            # float addition commutes, so both mirrored blocks are exact
+            pair = a[rows, cols] + a[cols, rows].T
+            np.negative(pair, out=pair)
+            a[rows, cols] = pair
+            a[cols, rows] = pair.T
+    np.fill_diagonal(a, diagonal)
+    return a
 
 
 def stiffness_matrix(dec: SpectralDecomposition, theta: float) -> FracEnergyForm:

@@ -43,6 +43,23 @@ _METRIC_TOL = 1e-12
 # pivoting once the residual Gram diagonal is below this fraction of max d(0,.)^2
 _EMBEDDING_RANK = 3
 _EMBEDDING_STOP = 1e-13
+# n x n work is done this many rows at a time, so a layer's transient
+# arrays take O(_ROW_BLOCK n) memory beside the n x n arrays it returns
+_ROW_BLOCK = 64
+
+
+def _row_blocks(n: int):
+    """Slices of at most _ROW_BLOCK consecutive rows, covering range(n)."""
+    return (slice(start, min(start + _ROW_BLOCK, n)) for start in range(0, n, _ROW_BLOCK))
+
+
+def _min_off_diagonal(dist: np.ndarray) -> float:
+    """Least entry of the n x n `dist` off its diagonal, read through a view:
+    cut into rows of n + 1, the entries after the first are those between
+    consecutive diagonal entries.  Order K ravels a C- or F-ordered array
+    uncopied (the off-diagonal entries of the transpose are the same)."""
+    n = len(dist)
+    return float(np.ravel(dist, order="K")[1:].reshape(n - 1, n + 1)[:, :-1].min())
 
 
 @dataclass(frozen=True)
@@ -68,8 +85,7 @@ class Space:
         return float(self.dist.max())
 
     def min_positive_distance(self) -> float:
-        off = self.dist[~np.eye(self.n, dtype=bool)]
-        return float(off.min())
+        return _min_off_diagonal(self.dist)
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -82,22 +98,25 @@ class Space:
     def ball_masses(self) -> np.ndarray:
         """Read-only table with [z, w] = mu(B(z, d(z, w))) for the closed ball.
 
-        Built once per space in O(n^2 log n) time and O(n^2) memory: each row
-        of `dist` is sorted and `mu` is summed cumulatively in that order.
-        Points tied at distance d(z, w) count as inside the ball, so every
-        sorted position reads the cumulative mass at the last position of its
-        run of equal distances.
+        Built once per space in O(n^2 log n) time: each row of `dist` is
+        sorted and `mu` is summed cumulatively in that order.  Points tied at
+        distance d(z, w) count as inside the ball, so every sorted position
+        reads the cumulative mass at the last position of its run of equal
+        distances.  The rows are done one block (`_row_blocks`) at a time,
+        straight into the table, so the work arrays take O(_ROW_BLOCK n)
+        memory beside the table's n^2 doubles.
         """
-        order = np.argsort(self.dist, axis=1)
-        sorted_dist = np.take_along_axis(self.dist, order, axis=1)
-        mass = np.cumsum(self.mu[order], axis=1)
-        # inside a run of ties only the last position keeps its mass; a
-        # reversed running minimum then hands that mass to the whole run
-        mass[:, :-1][sorted_dist[:, :-1] == sorted_dist[:, 1:]] = np.inf
-        del sorted_dist
-        np.minimum.accumulate(mass[:, ::-1], axis=1, out=mass[:, ::-1])
         table = np.empty((self.n, self.n))
-        np.put_along_axis(table, order, mass, axis=1)
+        for rows in _row_blocks(self.n):
+            order = np.argsort(self.dist[rows], axis=1)
+            sorted_dist = np.take_along_axis(self.dist[rows], order, axis=1)
+            mass = np.cumsum(self.mu[order], axis=1)
+            # inside a run of ties only the last position keeps its mass; a
+            # reversed running minimum then hands that mass to the whole run
+            mass[:, :-1][sorted_dist[:, :-1] == sorted_dist[:, 1:]] = np.inf
+            del sorted_dist
+            np.minimum.accumulate(mass[:, ::-1], axis=1, out=mass[:, ::-1])
+            np.put_along_axis(table[rows], order, mass, axis=1)
         table.setflags(write=False)
         return table
 
@@ -171,7 +190,7 @@ def _check_metric(dist, graph, connected):
     # two n x n temporaries, only runs when that fails
     if not np.array_equal(dist, dist.T) and np.any(np.abs(dist - dist.T) > _METRIC_TOL):
         raise MetricViolation("distance matrix not symmetric")
-    if n > 1 and dist[~np.eye(n, dtype=bool)].min() <= 0:
+    if n > 1 and _min_off_diagonal(dist) <= 0:
         raise MetricViolation("distinct points at nonpositive distance")
     if _is_edge_path_metric(dist, graph, connected) or _is_euclidean_metric(dist):
         return
@@ -206,7 +225,8 @@ def _is_edge_path_metric(dist, graph, connected) -> bool:
 
     When every edge has the same length l (exact equality), D is l times the
     hop table of `_hop_counts`, in O(diam |E| n/64) word operations.
-    Weighted edges take n sparse Dijkstra searches, O(n |E| log n).  An
+    Weighted edges take n sparse Dijkstra searches, O(n |E| log n), run from
+    one row block of sources at a time, so D is never held whole.  An
     unreachable point has D = inf, which no finite distance matches, so a
     disconnected graph (`connected` False) is never certified.
     """
@@ -227,15 +247,31 @@ def _is_edge_path_metric(dist, graph, connected) -> bool:
     if not reached[1:].all():
         return False
     if lengths.size and np.all(lengths == lengths[0]):
-        paths = lengths[0] * _hop_counts(graph)
-    else:
-        weighted = csr_array((lengths, (rows, cols)), shape=(n, n))
-        paths = shortest_path(weighted, method="D", directed=False)
-    gap = dist - paths
-    np.abs(gap, out=gap)
-    paths += 1.0
-    paths *= _METRIC_TOL / 4
-    return bool(np.all(gap <= paths) and np.all(np.isfinite(paths)))
+        hops = _hop_counts(graph)
+        return _within_certificate_tol(dist, lambda block: lengths[0] * hops[block])
+    weighted = csr_array((lengths, (rows, cols)), shape=(n, n))
+    return _within_certificate_tol(
+        dist,
+        lambda block: shortest_path(
+            weighted, method="D", directed=False, indices=np.arange(n)[block]
+        ),
+    )
+
+
+def _within_certificate_tol(dist, metric_rows) -> bool:
+    """True when |dist - D| <= _METRIC_TOL/4 (1 + D) with D finite, where
+    `metric_rows(block)` returns a new float array of the rows of D in the
+    slice `block`.  One row block (`_row_blocks`) is compared at a time, and
+    the first block that fails decides."""
+    for block in _row_blocks(dist.shape[0]):
+        metric = metric_rows(block)
+        gap = dist[block] - metric
+        np.abs(gap, out=gap)
+        metric += 1.0
+        metric *= _METRIC_TOL / 4
+        if not (np.all(gap <= metric) and np.all(np.isfinite(metric))):
+            return False
+    return True
 
 
 def _hop_counts(graph) -> np.ndarray:
@@ -324,10 +360,10 @@ def _is_euclidean_metric(dist) -> bool:
     alone, as in landmark MDS: a pivoted Cholesky of the Gram matrix relative
     to point 0, G_ij = (d(0,i)^2 + d(0,j)^2 - d(i,j)^2) / 2, built one pivot
     column at a time, and D is the points' `scipy.spatial.distance.cdist`
-    matrix.  D satisfies the triangle inequality up to rounding, so
-    the chaining argument of `_is_edge_path_metric` applies: True implies the
-    Floyd-Warshall screen or the per-pivot scan accepts, and False decides
-    nothing.
+    matrix, made one row block at a time.  D satisfies the triangle
+    inequality up to rounding, so the chaining argument of
+    `_is_edge_path_metric` applies: True implies the Floyd-Warshall screen or
+    the per-pivot scan accepts, and False decides nothing.
     """
     n = dist.shape[0]
     if n == 0:
@@ -354,12 +390,8 @@ def _is_euclidean_metric(dist) -> bool:
 
     # cdist takes each pair's coordinate differences, so close pairs keep
     # their accuracy: |x|^2 + |y|^2 - 2 x.y would lose sqrt(eps) on them
-    embedded = cdist(coords[:, :rank], coords[:, :rank])
-    gap = dist - embedded
-    np.abs(gap, out=gap)
-    embedded += 1.0
-    embedded *= _METRIC_TOL / 4
-    return bool(np.all(gap <= embedded))
+    points = coords[:, :rank]
+    return _within_certificate_tol(dist, lambda block: cdist(points[block], points))
 
 
 def ball_mask(space: Space, x, r: float) -> np.ndarray:
@@ -481,7 +513,8 @@ def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
     dist = cdist(points, points)
-    cond = ((dist <= radius) & ~np.eye(n, dtype=bool)).astype(float)
+    cond = (dist <= radius).astype(float)
+    np.fill_diagonal(cond, 0.0)
     return _unit_mass_space(dist, cond)
 
 

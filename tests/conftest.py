@@ -39,6 +39,20 @@ def weighted_grid34():
 
 
 @pytest.fixture(scope="session")
+def grid12():
+    """grid2d 12x12: its 144 points span three row blocks of the dense
+    layers (`space._ROW_BLOCK`)."""
+    return fixture("grid2d", nx=12)
+
+
+@pytest.fixture(scope="session")
+def weighted_grid12(grid12):
+    """grid12 with unequal masses, multiples of 1/4 as in weighted_grid34."""
+    mu = (1.0 + np.arange(grid12.n) % 5) / 4.0
+    return build_space(grid12.dist, mu, grid12.graph.toarray())
+
+
+@pytest.fixture(scope="session")
 def k2_dec(k2):
     return decompose(k2)
 

@@ -251,12 +251,13 @@ def test_comparability_rejects_misshapen_family(p3, p3_dec):
         comparability_report(p3_dec, 0.5, [np.arange(3.0), np.arange(4.0)])
 
 
-def test_besov_stiffness_quadratic_form_is_the_double_sum(weighted_grid34):
-    # unequal masses, and a random_geometric space without ties
+def test_besov_stiffness_quadratic_form_is_the_double_sum(weighted_grid34, weighted_grid12):
+    # unequal masses, a random_geometric space without ties, and a grid
+    # whose mirrored row blocks B is written over block pair by block pair
     rgg = fixture("random_geometric", n=30, radius=0.4, seed=2)
     mu = np.random.default_rng(2).uniform(0.2, 3.0, 30)
     rgg = build_space(rgg.dist, mu, rgg.graph.toarray())
-    for sp in (weighted_grid34, rgg):
+    for sp in (weighted_grid34, rgg, weighted_grid12):
         for theta in (0.25, 0.5, 0.75):
             b = _besov_stiffness(sp, theta)
             assert np.array_equal(b, b.T)

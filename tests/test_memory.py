@@ -16,6 +16,9 @@ import tracemalloc
 
 import numpy as np
 
+# subordination_check imports scipy.integrate on first use; loaded here, once,
+# so no traced call measures that import
+import scipy.integrate  # noqa: F401
 from fraclap import (
     DirichletProblem,
     Space,
@@ -82,9 +85,11 @@ def test_space_retains_one_dense_array():
 
 
 def test_fixture_hands_its_arrays_over_uncopied():
-    # grid2d at n=300 peaks at about 4.25 n^2 doubles; copying its dist in
-    # build_space, as a writeable input would be, adds one n^2 more
-    assert peak_bytes(grid300) <= 4.6 * N * N * 8
+    # grid2d at n=300 peaks at about 3.07 n^2 doubles (its dist and cond,
+    # and the certificate's row blocks), where comparing the whole hop
+    # metric with dist took 4.21; copying its dist in build_space, as a
+    # writeable input would be, adds one n^2 more
+    assert peak_bytes(grid300) <= 3.5 * N * N * 8
 
 
 def test_besov_energy_peak_allocation():
@@ -95,11 +100,12 @@ def test_besov_energy_peak_allocation():
 
 
 def test_ball_masses_peak_allocation():
-    # the table takes four n^2 work arrays at its peak; the tie-run rule must
-    # not add to the per-row lookup it replaced, which took the same four
+    # the table and one row block's sort order, sorted distances, masses and
+    # tie mask: about 2.07 n^2 doubles at n=300 (a block of 64 rows is 0.21
+    # n^2), where sorting every row at once took 4.0
     sp = fixture("random_geometric", n=N, radius=0.15, seed=0)
     fresh = Space(sp.dist, sp.mu, sp.graph)
-    assert peak_bytes(lambda: fresh.ball_masses) <= 4.5 * N * N * 8
+    assert peak_bytes(lambda: fresh.ball_masses) <= 2.5 * N * N * 8
 
 
 def test_heat_kernel_series_peak_allocation():
@@ -108,13 +114,15 @@ def test_heat_kernel_series_peak_allocation():
 
 
 def test_heat_properties_peak_allocation():
-    # one spectral kernel per t, the walk bound's work arrays and its 2-byte
-    # hop table: about 3.38 n^2 doubles, where composing two half-time
-    # kernels per t took 4.38 and one series call per t took 7.05
+    # one spectral kernel per t, freed before the next, the walk bound's
+    # log table, its mask and its 2-byte hop table, and one row block of
+    # K_t / max K_t: about 2.54 n^2 doubles, where the whole K_t / max K_t
+    # took 3.38, composing two half-time kernels per t 4.38 and one series
+    # call per t 7.05
     sp = fixture("random_geometric", n=400, radius=0.15, seed=3)
     ctx = {"space": sp, "dec": decompose(sp)}
     params = {**_KINDS["heat_properties"].defaults, "ts": [0.1, 1.0, 4.0]}
-    assert peak_bytes(_exp_heat_properties, ctx, params) <= 3.5 * 400 * 400 * 8
+    assert peak_bytes(_exp_heat_properties, ctx, params) <= 2.75 * 400 * 400 * 8
 
 
 def test_heat_kernel_log_bound_peak_allocation():
@@ -157,24 +165,27 @@ def test_decompose_peak_allocation():
 
 
 def test_metric_certificate_peak_allocation():
-    # grid2d's metric is certified by its hop table: about 2.2 n^2 doubles
-    # for all of build_space (the path metric and its gap to dist), where
-    # Dijkstra over its edges took 2.3 and the Floyd-Warshall route takes
+    # grid2d's metric is certified by its 2-byte hop table, compared with
+    # dist one row block at a time: about 1.05 n^2 doubles for all of
+    # build_space, where the whole path metric and its gap to dist took
+    # 2.19, Dijkstra over its edges 2.3, and the Floyd-Warshall route takes
     # 3.1, so a silent fallback fails too
     sp = grid300()
-    assert peak_bytes(build_space, sp.dist, sp.mu, sp.graph.toarray()) <= 2.5 * N * N * 8
+    assert peak_bytes(build_space, sp.dist, sp.mu, sp.graph.toarray()) <= 1.5 * N * N * 8
 
 
 def test_euclidean_certificate_peak_allocation():
-    # random_geometric's metric is certified by its planar embedding: about
-    # 2.2 n^2 doubles for all of build_space (the embedded distances and
-    # their gap to dist), where the Floyd-Warshall route takes 3.1
+    # random_geometric's metric is certified by its planar embedding, its
+    # distances compared with dist one row block at a time: about 0.76 n^2
+    # doubles for all of build_space, where the whole embedded matrix and
+    # its gap to dist took 2.24 and the Floyd-Warshall route takes 3.1
     sp = fixture("random_geometric", n=N, radius=0.15, seed=0)
-    assert peak_bytes(build_space, sp.dist, sp.mu, sp.graph.toarray()) <= 3 * N * N * 8
-    # the fixture sums one coordinate at a time: about 4.2 n^2, where the
-    # (n, n, 2) difference tensor took 7.1
+    assert peak_bytes(build_space, sp.dist, sp.mu, sp.graph.toarray()) <= 1 * N * N * 8
+    # the fixture's dist and cond and that check: about 2.77 n^2, where
+    # three n^2 boolean masks and the whole embedded matrix took 4.26 and the
+    # (n, n, 2) difference tensor 7.1
     build = peak_bytes(lambda: fixture("random_geometric", n=N, radius=0.15, seed=0))
-    assert build <= 5 * N * N * 8
+    assert build <= 3.25 * N * N * 8
 
 
 def test_mode_preconditioner_peak_allocation():
@@ -220,14 +231,19 @@ def test_spectral_batch_peak_allocation():
 
 
 def test_comparability_report_peak_allocation():
-    # with the ball-mass table built, the family's energies take the Besov
-    # stiffness matrix and its one work array: about 2.1 n^2 doubles, where
-    # the per-member double sums took 4.1
+    # the first call builds the ball-mass table: about 3.07 n^2 doubles (the
+    # table, one row block of its work arrays, then the Besov stiffness
+    # matrix), where the whole-matrix table took 4.0 and B = A + A^T beside
+    # A 5.0
     sp = fixture("random_geometric", n=N, radius=0.15, seed=0)
     dec = decompose(sp)
     family = np.random.default_rng(0).standard_normal((10, N))
-    sp.ball_masses
-    assert peak_bytes(comparability_report, dec, 0.5, family) <= 3 * N * N * 8
+    assert peak_bytes(comparability_report, dec, 0.5, family) <= 3.5 * N * N * 8
+    # with the table built, the family's energies take the Besov stiffness
+    # matrix, written over its one work array, and one mirrored pair of row
+    # blocks: about 1.19 n^2, where a second array for A + A^T took 2.09 and
+    # the per-member double sums 4.1
+    assert peak_bytes(comparability_report, dec, 0.5, family) <= 1.5 * N * N * 8
 
 
 def test_geometric_checks_peak_allocation():

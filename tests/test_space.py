@@ -25,10 +25,12 @@ from fraclap.errors import (
 from fraclap.space import (
     _METRIC_TOL,
     _FIXTURES,
+    _ROW_BLOCK,
     _check_metric,
     _neighbour_counts,
     _is_edge_path_metric,
     _is_euclidean_metric,
+    _min_off_diagonal,
     interior_mask,
 )
 
@@ -120,13 +122,24 @@ def test_zero_offdiagonal_distance_rejected():
         build_space(dist, [1, 1, 1], cond)
 
 
+def test_min_off_diagonal_reads_every_off_diagonal_entry():
+    # the least entry in each off-diagonal position in turn, below a
+    # diagonal that must not be read, in C and in Fortran order
+    for n in (2, 3, 5):
+        for i, k in zip(*np.nonzero(~np.eye(n, dtype=bool))):
+            dist = np.full((n, n), 2.0)
+            np.fill_diagonal(dist, -1.0)
+            dist[i, k] = 1.0
+            assert _min_off_diagonal(dist) == _min_off_diagonal(np.asfortranarray(dist)) == 1.0
+
+
 # -- shortest-path certificate of the triangle inequality
 
 
-def _weighted_grid_metric():
-    # edge lengths in [0.5, 2) on a 4x5 grid; the metric is their
+def _weighted_grid_metric(nx=4, ny=5):
+    # edge lengths in [0.5, 2) on an nx x ny grid; the metric is their
     # Floyd-Warshall closure, so it is a path metric up to rounding
-    cond = fixture("grid2d", nx=4, ny=5).graph.toarray()
+    cond = fixture("grid2d", nx=nx, ny=ny).graph.toarray()
     lengths = np.triu(cond * np.random.default_rng(3).uniform(0.5, 2.0, cond.shape), 1)
     return floyd_warshall(lengths + lengths.T), cond
 
@@ -252,7 +265,28 @@ def test_random_geometric_certified_at_rank_two():
         # its home module reaches it
         with mock.patch("scipy.spatial.distance.cdist", wraps=cdist) as embed:
             assert _is_euclidean_metric(dist)
-        assert embed.call_args.args[0].shape == (400, 2)
+        assert {call.args[0].shape[1] for call in embed.call_args_list} == {2}
+
+
+@pytest.mark.parametrize("place", ["first", "last"])
+@pytest.mark.parametrize("route", ["hops", "dijkstra", "euclidean"])
+def test_certificates_reject_a_pair_moved_in_the_first_or_last_row_block(route, place):
+    # the certificates compare one row block at a time: a pair moved far
+    # outside the tolerance is found in the first block and in the last
+    if route == "euclidean":
+        dist = np.array(fixture("random_geometric", n=150, radius=0.2, seed=1).dist)
+        certified = _is_euclidean_metric
+    else:
+        dist, cond = _fixture_metric("grid2d", nx=12) if route == "hops" else (
+            _weighted_grid_metric(12, 12)
+        )
+        certified = lambda d: _edge_path_certified(d, cond)  # noqa: E731
+    n = len(dist)
+    assert n > 2 * _ROW_BLOCK and certified(dist)
+    # two hops apart on the grids, so no edge's length changes
+    i, k = (1, 3) if place == "first" else (n - 3, n - 1)
+    dist[i, k] = dist[k, i] = dist[i, k] * (1.0 + 1e-9)
+    assert not certified(dist)
 
 
 def _one_way(base):
@@ -368,10 +402,14 @@ def test_ball_measure_monotone_in_radius(seed, x):
     assert all(a <= b for a, b in zip(masses, masses[1:]))
 
 
-def test_ball_masses_match_direct_enumeration(path8, grid44, dumbbell55):
+def test_ball_masses_match_direct_enumeration(
+    path8, grid44, dumbbell55, grid12, weighted_grid12
+):
     # tie-heavy fixtures: many points share each distance, and all of them
-    # belong to the closed ball
-    for sp in (path8, grid44, dumbbell55):
+    # belong to the closed ball.  The 12x12 grids span several row blocks,
+    # one of them with unequal masses (multiples of 1/4, so sums are exact)
+    assert grid12.n > 2 * _ROW_BLOCK
+    for sp in (path8, grid44, dumbbell55, grid12, weighted_grid12):
         direct = np.array(
             [[sp.mu[sp.dist[z] <= sp.dist[z, w]].sum() for w in range(sp.n)]
              for z in range(sp.n)]
