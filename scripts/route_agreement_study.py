@@ -2,10 +2,11 @@
 """Cross-validation of the two Dirichlet solver routes.
 
 Solves the same nonlocal Dirichlet problem by direct energy minimization
-(dense Schur solve of the fractional stiffness system) and by conjugate
-gradient on the weighted product-grid extension problem, then reports the
-sup-norm gap between the traces under product-grid refinement.  Emits a
-plot-ready CSV (theta, level, h_max, gap, gap_over_osc).
+(`solve_spectral`: the pinned solve of the Euler-Lagrange system through the
+eigenpairs, factoring only the smaller of the domain and its complement) and
+by conjugate gradient on the weighted product-grid extension problem, then
+reports the sup-norm gap between the traces under product-grid refinement.
+Emits a plot-ready CSV (theta, level, h_max, gap, gap_over_osc).
 """
 
 import argparse

@@ -54,16 +54,25 @@ class FracEnergyForm:
 
     def apply(self, f) -> np.ndarray:
         """K f for a vector f or every column of an n x k array f."""
-        coeffs = self.dec.coefficients(f)
-        kf = self.dec.phis @ (self.weights * coeffs.T).T
-        return (self.dec.space.mu * kf.T).T
+        return self._apply_with_energy(f)[0]
 
     def energy(self, f) -> float | np.ndarray:
         """E_theta(f, f) = sum_k lambda_k^theta <f, phi_k>_mu^2: a float for a
         vector f, one value per column of an n x k array f."""
-        coeffs = self.dec.coefficients(f)
-        energy = np.einsum("k...,k...->...", coeffs, (self.weights * coeffs.T).T)
+        energy = self._modal_energy(self.dec.coefficients(f))
         return float(energy) if energy.ndim == 0 else energy
+
+    def _apply_with_energy(self, f) -> tuple[np.ndarray, np.ndarray]:
+        """K f and the energies E_theta(f, f) as an array, from one set of
+        modal coefficients of the vector f or of the columns of f."""
+        coeffs = self.dec.coefficients(f)
+        kf = self.dec.phis @ (self.weights * coeffs.T).T
+        return (self.dec.space.mu * kf.T).T, self._modal_energy(coeffs)
+
+    def _modal_energy(self, coeffs) -> np.ndarray:
+        """sum_k lambda_k^theta c_k^2 for the modal coefficients c of a vector
+        or of each column."""
+        return np.einsum("k...,k...->...", coeffs, (self.weights * coeffs.T).T)
 
     @cached_property
     def stiffness(self) -> np.ndarray:

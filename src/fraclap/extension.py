@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma, kve
 
 from .errors import (
     DegenerateFirstCell,
@@ -59,6 +58,10 @@ def dtn_constant(theta: float) -> float:
     relating the weighted normal derivative to the fractional Laplacian:
     -d_theta * y^a du/dy -> (-Delta)^theta f as y -> 0."""
     check_theta(theta)
+    # imported on first use, as in `spectral.heat_kernel_log_bound`: only
+    # that bound and the special functions of this module need scipy.special
+    from scipy.special import gamma
+
     return 2.0 ** (2.0 * theta - 1.0) * gamma(theta) / gamma(1.0 - theta)
 
 
@@ -186,6 +189,9 @@ def mode_profile(lam, theta: float, y):
     lam, y = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(y, dtype=float))
     if np.any(lam < 0) or np.any(y < 0):
         raise InvalidParams("mode_profile needs lam >= 0 and y >= 0")
+    # imported on first use, as in `dtn_constant`
+    from scipy.special import gamma, kve
+
     g = np.ones(lam.shape)
     pos = (y != 0.0) & (lam != 0.0)
     z = np.sqrt(lam[pos]) * y[pos]
@@ -202,6 +208,9 @@ def mode_profile_derivative(lam, theta: float, y):
     pos = lam != 0.0
     if np.any(y[pos] <= 0):
         raise InvalidParams("profile derivative needs y > 0")
+    # imported on first use, as in `dtn_constant`
+    from scipy.special import gamma, kve
+
     dg = np.zeros(lam.shape)
     root = np.sqrt(lam[pos])
     z = root * y[pos]

@@ -17,7 +17,7 @@ from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import connected_components, floyd_warshall, shortest_path
 
 from .errors import (
@@ -65,8 +65,9 @@ def _min_off_diagonal(dist: np.ndarray) -> float:
 @dataclass(frozen=True)
 class Space:
     """Validated finite metric measure space; immutable after construction.
-    `graph`, its one copy of the conductances, is a read-only CSR array with
-    one stored entry per edge (a one-way edge one way)."""
+    `graph`, its one copy of the conductances, is a read-only CSR array in
+    canonical form (sorted indices, no duplicate entries, no explicit zeros),
+    with one stored entry per edge (a one-way edge one way)."""
 
     dist: np.ndarray
     mu: np.ndarray
@@ -130,18 +131,23 @@ def build_space(dist, mu, cond) -> Space:
 
     `dist` and `mu` are held read-only: a writeable one is copied, so later
     edits of the caller's array do not reach the space, and a read-only
-    float64 one (as the fixtures hand over) is held uncopied.  Only the CSR
-    copy of `cond` is kept.
+    float64 one (as the fixtures hand over) is held uncopied.  `cond` is a
+    scipy sparse array or matrix, or a dense array (as inline specs give);
+    it is held as the CSR `Space.graph`, by the same rule (`_read_only_graph`),
+    and every conductance check reads that graph's stored entries.
     """
     try:
         dist, mu = (_read_only_input(arr) for arr in (dist, mu))
-        cond = np.asarray(cond, dtype=float)
+        if not issparse(cond):
+            cond = np.asarray(cond, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
         raise InvalidParams(f"dist, mu and cond must be arrays of numbers: {exc}") from None
 
     if mu.ndim != 1 or dist.shape != (len(mu), len(mu)) or cond.shape != dist.shape:
         raise InvalidParams(f"shape mismatch: dist {dist.shape}, cond {cond.shape}, mu {mu.shape}")
-    for name, arr in (("dist", dist), ("mu", mu), ("cond", cond)):
+    graph = _read_only_graph(cond)
+    del cond  # a dense array made from nested lists is freed here
+    for name, arr in (("dist", dist), ("mu", mu), ("cond", graph.data)):
         if not np.all(np.isfinite(arr)):
             raise InvalidParams(f"{name} contains non-finite entries")
 
@@ -151,13 +157,10 @@ def build_space(dist, mu, cond) -> Space:
     # the metric certificate's hop route needs a connected graph, so the
     # components are counted first; a disconnected graph is still reported
     # after the metric and conductance checks
-    graph = csr_array(cond)
-    for arr in (graph.data, graph.indices, graph.indptr):
-        arr.setflags(write=False)
     ncomp, _ = connected_components(graph, directed=False)
     _check_metric(dist, graph, ncomp == 1)
 
-    if np.any(graph.data < 0) or np.any(np.abs((graph - graph.T).data) > _METRIC_TOL):
+    if np.any(graph.data < 0) or not _is_symmetric(graph):
         raise InvalidParams("cond must be symmetric and nonnegative")
     if np.any(graph.diagonal() != 0):
         raise InvalidParams("cond must have zero diagonal")
@@ -175,6 +178,37 @@ def _read_only_input(arr) -> np.ndarray:
     if isinstance(arr, np.ndarray) and arr.dtype == np.float64 and not arr.flags.writeable:
         return arr
     return np.array(arr, dtype=float)
+
+
+def _read_only_graph(cond) -> csr_array:
+    """`cond` itself if it is a read-only canonical float64 CSR array (as the
+    fixtures hand over), else a canonical CSR copy of the sparse or dense
+    `cond` (sorted indices, duplicates summed, zeros dropped), frozen."""
+    if (
+        isinstance(cond, csr_array)
+        and cond.dtype == np.float64
+        and not any(arr.flags.writeable for arr in (cond.data, cond.indices, cond.indptr))
+        and cond.has_canonical_format
+        and np.all(cond.data != 0)
+    ):
+        return cond
+    graph = csr_array(cond, dtype=float, copy=True)
+    graph.sum_duplicates()
+    graph.eliminate_zeros()
+    for arr in (graph.data, graph.indices, graph.indptr):
+        arr.setflags(write=False)
+    return graph
+
+
+def _is_symmetric(graph) -> bool:
+    """Whether the CSR `graph` equals its transpose within _METRIC_TOL,
+    entry by entry.  An exactly symmetric graph is recognised from the
+    canonical arrays of its transpose, without the 2 |E| entries that the
+    difference's CSR sum allocates."""
+    reverse = graph.T.tocsr()
+    arrays = (graph.indptr, graph.indices, graph.data)
+    exact = all(map(np.array_equal, arrays, (reverse.indptr, reverse.indices, reverse.data)))
+    return exact or not np.any(np.abs((graph - reverse).data) > _METRIC_TOL)
 
 
 def _check_metric(dist, graph, connected):
@@ -233,23 +267,32 @@ def _is_edge_path_metric(dist, graph, connected) -> bool:
     n = dist.shape[0]
     if not connected:
         return False
-    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
     cols = graph.indices
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(graph.indptr))
     # A screen from point 0 without a shortest-path solve: in a path metric
     # every other point v is reached through a neighbour u, d(0,v) = d(0,u) +
     # d(u,v).  Any metric the certificate accepts passes it, and one that is no
-    # path metric of its edges (points of the plane, say) fails at once.
+    # path metric of its edges (points of the plane, say) fails at once.  The
+    # |E|-long sums are formed in place, as d(0,u) + d(u,v) - d(0,v) and
+    # (1 + d(0,v)) _METRIC_TOL.
     lengths = dist[rows, cols]
-    detour = dist[0, rows] + lengths - dist[0, cols]
-    through = detour <= _METRIC_TOL * (1.0 + dist[0, cols])
+    detour = dist[0, rows]
+    del rows
+    detour += lengths
+    bound = dist[0, cols]
+    detour -= bound
+    bound += 1.0
+    bound *= _METRIC_TOL
     reached = np.zeros(n, dtype=bool)
-    reached[cols[through]] = True
+    reached[cols[detour <= bound]] = True
+    del detour, bound
     if not reached[1:].all():
         return False
     if lengths.size and np.all(lengths == lengths[0]):
         hops = _hop_counts(graph)
         return _within_certificate_tol(dist, lambda block: lengths[0] * hops[block])
-    weighted = csr_array((lengths, (rows, cols)), shape=(n, n))
+    # the edge lengths on the graph's own (canonical) structure
+    weighted = csr_array((lengths, cols, graph.indptr), shape=(n, n))
     return _within_certificate_tol(
         dist,
         lambda block: shortest_path(
@@ -448,60 +491,71 @@ def _fixture_args(kind, params) -> dict:
     return bound.arguments
 
 
-def _unit_mass_space(dist: np.ndarray, cond: np.ndarray) -> Space:
-    """`build_space` on a fixture's own `dist` and `cond` with unit masses.
-    `dist` and the masses are frozen first, so `build_space` holds them
-    rather than copying them."""
+def _unit_graph(n: int, edges) -> csr_array:
+    """Unit conductances on `edges`, a list of pairs (a, b) of index arrays
+    that put an edge between a[k] and b[k], each edge listed once: a frozen
+    canonical CSR array (the COO conversion sorts each row), made with no
+    n x n array."""
+    # a fixture's dist holds n^2 doubles, so point indices fit in 32 bits,
+    # the index type a CSR conversion of a dense array picks
+    a, b = (np.concatenate([np.ravel(end) for end in ends]) for ends in zip(*edges))
+    rows, cols = np.concatenate([a, b]).astype(np.int32), np.concatenate([b, a]).astype(np.int32)
+    graph = csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    for arr in (graph.data, graph.indices, graph.indptr):
+        arr.setflags(write=False)
+    return graph
+
+
+def _unit_mass_space(dist: np.ndarray, graph: csr_array) -> Space:
+    """`build_space` on a fixture's own `dist` and frozen `graph`
+    (`_unit_graph`) with unit masses.  `dist` and the masses are frozen
+    first, so `build_space` holds every array rather than copying it."""
     mu = np.ones(len(dist))
     for arr in (dist, mu):
         arr.setflags(write=False)
-    return build_space(dist, mu, cond)
-
-
-def _path_adjacency(n: int) -> np.ndarray:
-    """Unit conductances between consecutive points of a path on n points."""
-    return np.eye(n, k=1) + np.eye(n, k=-1)
+    return build_space(dist, mu, graph)
 
 
 def _fixture_path(n: int) -> Space:
-    ii = np.arange(n)
-    dist = np.abs(ii[:, None] - ii[None, :]).astype(float)
-    return _unit_mass_space(dist, _path_adjacency(n))
+    """A path on n points: the n x 1 lattice."""
+    return _fixture_grid2d(n, 1)
 
 
 def _fixture_grid2d(nx: int, ny: int | None = None) -> Space:
     ny = nx if ny is None else ny
     n = nx * ny
     # point (i, j) is i * ny + j; the hop metric |i - i'| + |j - j'| is one
-    # broadcast sum of the two coordinate tables, and the unit conductances
-    # are scattered onto the lattice edges, so no n x n temporary is made
+    # broadcast sum of the two coordinate tables, so no n x n temporary is made
     di, dj = (np.abs(np.subtract.outer(k, k)) for k in map(np.arange, (float(nx), float(ny))))
     dist = (di[:, None, :, None] + dj[None, :, None, :]).reshape(n, n)
-    cond = np.zeros((n, n))
+    del di, dj  # di has n^2 entries on a path (ny = 1)
     points = np.arange(n).reshape(nx, ny)
-    for a, b in ((points[:, :-1], points[:, 1:]), (points[:-1], points[1:])):
-        cond[a, b] = cond[b, a] = 1.0
-    return _unit_mass_space(dist, cond)
+    graph = _unit_graph(n, [(points[:, :-1], points[:, 1:]), (points[:-1], points[1:])])
+    return _unit_mass_space(dist, graph)
 
 
 def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
     """Two complete graphs on `clique` vertices joined by a path with
     `bridge` intermediate vertices (bridge=0 joins them by a single edge)."""
     n = 2 * clique + bridge
-    cond = np.zeros((n, n))
-    cond[:clique, :clique] = cond[-clique:, -clique:] = 1.0 - np.eye(clique)
+    i, j = np.triu_indices(clique, 1)
     chain = np.arange(clique - 1, clique + bridge + 1)
-    cond[chain[:-1], chain[1:]] = cond[chain[1:], chain[:-1]] = 1.0
+    far = clique + bridge  # the second clique's first vertex
+    graph = _unit_graph(n, [(i, j), (i + far, j + far), (chain[:-1], chain[1:])])
+    del i, j
     # hop metric: a vertex off the chain is one hop from the chain end p of
-    # its clique, and two of them in the same clique are one hop apart
+    # its clique, and two of them in the same clique are one hop apart; the
+    # sums are formed in place, in one n x n array
     k = np.arange(n, dtype=float)
     p = np.clip(k, clique - 1, clique + bridge)
     off = p != k
-    same_end = p[:, None] == p[None, :]
-    dist = np.abs(p[:, None] - p[None, :]) + off[:, None] + off[None, :]
-    dist[off[:, None] & off[None, :] & same_end] = 1
+    dist = np.subtract.outer(p, p)
+    np.abs(dist, out=dist)
+    dist += off[:, None]
+    dist += off[None, :]
+    dist[: clique - 1, : clique - 1] = dist[1 - clique :, 1 - clique :] = 1
     np.fill_diagonal(dist, 0.0)
-    return _unit_mass_space(dist, cond)
+    return _unit_mass_space(dist, graph)
 
 
 def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
@@ -513,9 +567,13 @@ def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
     dist = cdist(points, points)
-    cond = (dist <= radius).astype(float)
-    np.fill_diagonal(cond, 0.0)
-    return _unit_mass_space(dist, cond)
+    # cdist squares each coordinate difference, so dist is exactly symmetric
+    # and the pairs above the diagonal list every edge once
+    a, b = np.nonzero(dist <= radius)
+    above = a < b
+    graph = _unit_graph(n, [(a[above], b[above])])
+    del a, b, above
+    return _unit_mass_space(dist, graph)
 
 
 def _neighbour_counts(space: Space) -> np.ndarray:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.special import gammaln, xlogy
 
 from .errors import (
     DimensionMismatch,
@@ -26,7 +25,7 @@ from .errors import (
     ThetaOutOfRange,
 )
 from .quadrature import integrate_halfline
-from .space import Space, _hop_counts
+from .space import Space, _hop_counts, _row_blocks
 
 __all__ = [
     "SpectralDecomposition",
@@ -206,10 +205,17 @@ def _validate_decomposition(space, lam, phi) -> float:
     ortho_defect = float(np.linalg.norm(gram))
     del gram
     # eigen-residual |Delta phi_k + lambda_k phi_k| relative to max |phi|,
-    # which scales like mu^(-1/2)
-    resid = _laplacian(space, phi)
-    resid += phi * lam[None, :]
-    resid = np.max(np.abs(resid)) / np.max(np.abs(phi))
+    # which scales like mu^(-1/2).  Phi is Fortran-ordered, so a block of its
+    # columns is contiguous: each block is copied into C order once, as the
+    # sparse product reads it, and its residual is formed in that order
+    worst = largest = 0.0
+    for cols in _row_blocks(space.n):
+        block = np.ascontiguousarray(phi[:, cols])
+        resid = _laplacian(space, block)
+        resid += block * lam[cols]
+        worst = max(worst, np.max(np.abs(resid)))
+        largest = max(largest, np.max(np.abs(block)))
+    resid = worst / largest
     scale = float(lam.max())
     if ortho_err > 100 * _EIGENTOL or resid > 100 * _EIGENTOL * scale:
         raise EigensolverNoConvergence(
@@ -287,6 +293,10 @@ def heat_kernel_log_bound(space: Space) -> Callable[[float], np.ndarray]:
     spaces, with no underflow and no cap on beta t.  Returns a function of t
     giving the n x n array of log bounds, from `Space.graph` and `mu` alone.
     """
+    # imported on first use: scipy.special costs every import of the package
+    # about 3.6 MiB, and runs that evaluate no special function never need it
+    from scipy.special import gammaln, xlogy
+
     graph = space.graph
     beta = float((space.degrees / space.mu).max())
     # every q is at most 1.  The row minima are divided after the reduction:

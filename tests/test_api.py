@@ -4,6 +4,7 @@ number of settable parameters does not grow."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -73,18 +74,42 @@ def test_cli_builds_fixtures_through_fixture(tmp_path, monkeypatch):
     assert calls == ["path"]
 
 
-def test_cli_import_leaves_quadrature_and_optimize_unloaded():
-    # scipy.integrate, which loads scipy.optimize, is imported on first use,
-    # so `import fraclap.cli` in a fresh interpreter loads neither
+def _loaded_after(code, modules):
+    """The modules of `modules` that a fresh interpreter running `code` has
+    loaded at its end, with this checkout's package on its path."""
     src = str(Path(fraclap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = (
-        "import sys, fraclap.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-    )
+    code += f"; import sys; print(sorted(m for m in {modules!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_quadrature_and_optimize_unloaded():
+    # scipy.integrate, which loads scipy.optimize, and scipy.special are
+    # imported on first use, so `import fraclap.cli` loads none of them
+    modules = ("scipy.integrate", "scipy.optimize", "scipy.special")
+    assert _loaded_after("import fraclap.cli", modules) == "[]"
+
+
+def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
+    # both Dirichlet routes and the batched spectral solves on a grid
+    # evaluate no special function, no quadrature and no Euclidean
+    # distance, so a run of them loads none of the modules for those
+    config = {
+        "space": {"fixture": {"kind": "grid2d", "params": {"nx": 4}}},
+        "theta": [0.25, 0.75],
+        "experiments": [
+            {"kind": "dirichlet_routes", "params": {}},
+            {"kind": "max_principle_batch", "params": {}},
+        ],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    code = f"from fraclap.cli import main; assert main({argv!r}) == 0"
+    modules = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.special")
+    assert _loaded_after(code, modules) == "[]"
 
 
 def _is_dataclass(decorator):

@@ -5,19 +5,21 @@ temporary (216 MB of doubles, or 27 MB even as booleans) breaks it.  The
 geometric checks run over every centre at once, where the easy mistake is a
 (centre, point, radius) tensor: with 6 to 12 radii at n=300 it stays under
 32 n^2 doubles, so they are held to 4 n^2 (they take about 1.2 n^2).  The
-memory a built space retains, the validation of graph and Euclidean
-metrics, the ball-mass table, the hop table, the mode preconditioner, the
-extension solve, the batched spectral solve, the fractional stiffness, the
-comparability family, the heat series and the walk bound have their own,
-tighter bounds.
+memory a built space retains, each fixture's build, the validation of graph
+and Euclidean metrics, the ball-mass table, the hop table, the mode
+preconditioner, the extension solve, the batched spectral solve, the
+fractional stiffness, the comparability family, the heat series and the
+walk bound have their own, tighter bounds.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
-# subordination_check imports scipy.integrate on first use; loaded here, once,
-# so no traced call measures that import
+# subordination_check imports scipy.integrate on first use, and the walk
+# bound scipy.special (which scipy.integrate loads); both are loaded here,
+# once, so no traced call measures those imports
 import scipy.integrate  # noqa: F401
 from fraclap import (
     DirichletProblem,
@@ -85,11 +87,30 @@ def test_space_retains_one_dense_array():
 
 
 def test_fixture_hands_its_arrays_over_uncopied():
-    # grid2d at n=300 peaks at about 3.07 n^2 doubles (its dist and cond,
-    # and the certificate's row blocks), where comparing the whole hop
-    # metric with dist took 4.21; copying its dist in build_space, as a
-    # writeable input would be, adds one n^2 more
-    assert peak_bytes(grid300) <= 3.5 * N * N * 8
+    # grid2d at n=300 peaks at about 2.03 n^2 doubles (2.06 on the process's
+    # first build): its dist, and the certificate's hop table and row
+    # blocks.  A dense n x n cond beside dist took 3.07, and comparing the
+    # whole hop metric with dist 4.21; copying its dist in build_space, as a
+    # writeable input would be, adds one n^2 more.  The margin is 0.2 n^2.
+    assert peak_bytes(grid300) <= 2.25 * N * N * 8
+
+
+@pytest.mark.parametrize(
+    "kind, params, bound",
+    [
+        # dist, then the certificate's 2-byte hop table and row blocks: about
+        # 2.02 n^2 doubles (2.05 first), where the np.eye pair of a dense
+        # cond and an integer dist with its cast took 3.03
+        ("path", {"n": N}, 2.25),
+        # dist, the cliques' 38920 CSR entries (0.65 n^2) and the edge-path
+        # screen's |E|-long sums: about 3.09 n^2 (3.12 first), where a dense
+        # cond, the n x n masks of the metric, and the CSR sum of the
+        # symmetry check took 5.13; a copy of the graph adds 0.65
+        ("dumbbell", {"clique": 140, "bridge": 20}, 3.5),
+    ],
+)
+def test_fixture_build_peak_allocation(kind, params, bound):
+    assert peak_bytes(lambda: fixture(kind, **params)) <= bound * N * N * 8
 
 
 def test_besov_energy_peak_allocation():
@@ -181,11 +202,12 @@ def test_euclidean_certificate_peak_allocation():
     # its gap to dist took 2.24 and the Floyd-Warshall route takes 3.1
     sp = fixture("random_geometric", n=N, radius=0.15, seed=0)
     assert peak_bytes(build_space, sp.dist, sp.mu, sp.graph.toarray()) <= 1 * N * N * 8
-    # the fixture's dist and cond and that check: about 2.77 n^2, where
-    # three n^2 boolean masks and the whole embedded matrix took 4.26 and the
-    # (n, n, 2) difference tensor 7.1
+    # the fixture's dist and that check: about 1.77 n^2 (1.80 on the
+    # process's first build), where a dense n x n cond beside dist took
+    # 2.77, three n^2 boolean masks and the whole embedded matrix 4.26, and
+    # the (n, n, 2) difference tensor 7.1
     build = peak_bytes(lambda: fixture("random_geometric", n=N, radius=0.15, seed=0))
-    assert build <= 3.25 * N * N * 8
+    assert build <= 2 * N * N * 8
 
 
 def test_mode_preconditioner_peak_allocation():

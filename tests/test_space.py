@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array, csr_matrix
 from scipy.sparse.csgraph import connected_components, floyd_warshall, shortest_path
 from scipy.spatial.distance import cdist
 
@@ -13,6 +13,7 @@ from fraclap import (
     ball_measure,
     build_space,
     check_space_spec,
+    decompose,
     fixture,
     space_from_spec,
 )
@@ -522,6 +523,75 @@ def test_fixture_conductances_match_loops():
         assert np.array_equal(built.graph.toarray(), cond)
 
 
+def _dense_conductances(kind, params, dist):
+    """The n x n conductances of fixture `kind`, built densely as the fixtures
+    once did: an np.eye pair for a path, the lattice edges scattered into
+    zeros, two clique blocks and the chain, and dist <= radius with the
+    diagonal cleared."""
+    n = len(dist)
+    if kind == "path":
+        return np.eye(n, k=1) + np.eye(n, k=-1)
+    cond = np.zeros((n, n))
+    if kind == "grid2d":
+        points = np.arange(n).reshape(params["nx"], params.get("ny") or params["nx"])
+        for a, b in ((points[:, :-1], points[:, 1:]), (points[:-1], points[1:])):
+            cond[a, b] = cond[b, a] = 1.0
+    elif kind == "dumbbell":
+        clique, bridge = params["clique"], params.get("bridge", 0)
+        cond[:clique, :clique] = cond[-clique:, -clique:] = 1.0 - np.eye(clique)
+        chain = np.arange(clique - 1, clique + bridge + 1)
+        cond[chain[:-1], chain[1:]] = cond[chain[1:], chain[:-1]] = 1.0
+    else:
+        cond = (dist <= params["radius"]).astype(float)
+        np.fill_diagonal(cond, 0.0)
+    return cond
+
+
+_FIXTURE_CASES = [
+    ("path", {"n": 2}),
+    ("path", {"n": 9}),
+    ("grid2d", {"nx": 2}),
+    ("grid2d", {"nx": 3, "ny": 7}),
+    ("grid2d", {"nx": 20}),
+    ("dumbbell", {"clique": 2}),
+    ("dumbbell", {"clique": 5, "bridge": 5}),
+    ("dumbbell", {"clique": 140, "bridge": 20}),
+    ("random_geometric", {"n": 50, "radius": 0.3, "seed": 7}),
+    ("random_geometric", {"n": 400, "radius": 0.15, "seed": 3}),
+]
+
+
+@pytest.mark.parametrize("kind, params", _FIXTURE_CASES)
+def test_fixture_graph_is_csr_of_its_dense_conductances(kind, params):
+    # the CSR arrays the fixture builds from its edge lists are those of the
+    # dense conductances' CSR conversion, index types included
+    sp = fixture(kind, **params)
+    dense = csr_array(_dense_conductances(kind, params, sp.dist))
+    assert sp.graph.has_canonical_format
+    for built, converted in (
+        (sp.graph.indptr, dense.indptr),
+        (sp.graph.indices, dense.indices),
+        (sp.graph.data, dense.data),
+    ):
+        assert built.dtype == converted.dtype
+        assert np.array_equal(built, converted)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("grid2d", {"nx": 20}), ("random_geometric", {"n": 400, "radius": 0.15, "seed": 3})],
+)
+def test_fixture_spectrum_is_that_of_its_dense_conductances(kind, params):
+    # the benchmark's two spaces: the eigenpairs of a fixture are bit for bit
+    # those of the same space built from its dense conductances
+    sp = fixture(kind, **params)
+    dec = decompose(sp)
+    dense = decompose(build_space(sp.dist, sp.mu, _dense_conductances(kind, params, sp.dist)))
+    assert np.array_equal(dec.lambdas, dense.lambdas)
+    assert np.array_equal(dec.phis, dense.phis)
+    assert dec.ortho_defect == dense.ortho_defect
+
+
 def test_random_geometric_metric_matches_difference_tensor():
     # the (n, n, 2) difference tensor the fixture summed before: the same
     # two-term sum, so the same bits
@@ -595,9 +665,58 @@ def test_build_space_copies_writeable_input():
 
 
 def test_build_space_holds_read_only_input(grid44):
-    # read-only float64 arrays, as the fixtures hand over, are not copied
+    # read-only float64 arrays and a read-only canonical CSR graph, as the
+    # fixtures hand over, are not copied
     sp = build_space(grid44.dist, grid44.mu, grid44.graph.toarray())
     assert sp.dist is grid44.dist and sp.mu is grid44.mu
+    assert build_space(grid44.dist, grid44.mu, grid44.graph).graph is grid44.graph
+
+
+def _path4():
+    dist = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+    return dist, np.ones(4), csr_array(np.eye(4, k=1) + np.eye(4, k=-1))
+
+
+def test_build_space_canonicalizes_sparse_conductances():
+    # row 0 splits its edge into two duplicates around an explicit zero, and
+    # rows 1 and 2 list their neighbours in falling order; in CSR, COO and
+    # matrix form, each is held as the canonical CSR array of the path
+    dist, mu, path = _path4()
+    indices = np.array([1, 3, 1, 2, 0, 3, 1, 2])
+    data = np.array([0.25, 0.0, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0])
+    unsorted = csr_array((data, indices, np.array([0, 3, 5, 7, 8])), shape=(4, 4))
+    assert not unsorted.has_canonical_format
+    for cond in (unsorted, coo_array(unsorted), csr_matrix(unsorted)):
+        graph = build_space(dist, mu, cond).graph
+        assert isinstance(graph, csr_array) and graph.has_canonical_format
+        assert np.array_equal(graph.indptr, path.indptr)
+        assert np.array_equal(graph.indices, path.indices)
+        assert np.array_equal(graph.data, path.data)
+        assert not any(arr.flags.writeable for arr in (graph.data, graph.indices, graph.indptr))
+
+
+def test_build_space_copies_a_writeable_sparse_graph():
+    dist, mu, path = _path4()
+    sp = build_space(dist, mu, path)
+    assert sp.graph is not path and not np.shares_memory(sp.graph.data, path.data)
+    path.data[:] = 5.0
+    assert np.all(sp.graph.data == 1.0)
+
+
+def test_build_space_checks_sparse_conductances():
+    dist, mu, path = _path4()
+    bad = path.copy()
+    bad.data[0] = np.nan
+    with pytest.raises(InvalidParams, match="cond contains non-finite"):
+        build_space(dist, mu, bad)
+    with pytest.raises(InvalidParams, match="shape mismatch"):
+        build_space(dist, mu, csr_array((3, 3)))
+    one_way = path.tolil()
+    one_way[0, 1] = 2.0
+    with pytest.raises(InvalidParams, match="symmetric"):
+        build_space(dist, mu, one_way)
+    with pytest.raises(DisconnectedGraph):
+        build_space(dist, mu, csr_array((4, 4)))
 
 
 @pytest.mark.parametrize(
