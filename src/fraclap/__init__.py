@@ -33,9 +33,7 @@ from .extension import (
     mode_energy_quadrature,
     mode_profile,
     mode_profile_derivative,
-    mode_profile_quadrature,
     poisson_extend,
-    profile_normalization_quadrature,
     vertical_modulus,
 )
 from .space import (
@@ -50,13 +48,11 @@ from .space import (
 from .spectral import (
     SpectralDecomposition,
     decompose,
-    dirichlet_form,
     frac_apply,
     graph_stiffness,
     heat_kernel,
     heat_kernel_log_bound,
     heat_kernel_series,
-    laplacian_apply,
     subordination_check,
 )
 

@@ -15,7 +15,6 @@ ones plus boundary terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,8 +37,6 @@ __all__ = [
     "extension_energy_constant",
     "mode_profile",
     "mode_profile_derivative",
-    "mode_profile_quadrature",
-    "profile_normalization_quadrature",
     "poisson_extend",
     "dtn_apply",
     "mode_energy_quadrature",
@@ -175,9 +172,9 @@ def default_ymax(dec: SpectralDecomposition) -> float:
 #     g_lam(y) = 2^(1-theta)/Gamma(theta) * z^theta K_theta(z),  z = sqrt(lam) y,
 #
 # which is the production evaluation (stable from z ~ 1e-100 up to the decay
-# floor).  The quadrature route below is kept as the independent oracle; the
-# consistency of the two normalizations (so that g(0) = 1) is verified
-# numerically in the test suite rather than assumed.
+# floor).  The test suite keeps the quadrature route as the independent
+# oracle (tests/oracles.py), and verifies the consistency of the two
+# normalizations (so that g(0) = 1) numerically rather than assuming it.
 
 
 def mode_profile(lam, theta: float, y):
@@ -217,34 +214,6 @@ def mode_profile_derivative(lam, theta: float, y):
     scaled = z**theta * kve(1.0 - theta, z)
     dg[pos] = -(2.0 ** (1.0 - theta)) / gamma(theta) * root * scaled * np.exp(-z)
     return float(dg) if dg.ndim == 0 else dg
-
-
-@lru_cache(maxsize=None)
-def profile_normalization_quadrature(a: float) -> float:
-    """1/C_a = integral over (0, inf) of tau^((a-3)/2) exp(-1/(4 tau)) dtau by
-    adaptive quadrature (closed form: 4^theta Gamma(theta))."""
-    return integrate_halfline(lambda tau: tau ** ((a - 3.0) / 2.0) * np.exp(-1.0 / (4.0 * tau)))
-
-
-def mode_profile_quadrature(lam: float, theta: float, y: float) -> float:
-    """Profile by adaptive quadrature of the kernel integral, rescaled by
-    s = y^2 sigma so the integrand keeps unit scale:
-
-        g_lam(y) = C_a * integral sigma^((a-3)/2) e^{-1/(4 sigma)}
-                                  e^{-lam y^2 sigma} d sigma.
-
-    Independent oracle for `mode_profile`; accurate while lam y^2 is not many
-    orders below one.
-    """
-    check_theta(theta)
-    if lam < 0 or y < 0:
-        raise InvalidParams("mode_profile needs lam >= 0 and y >= 0")
-    if y == 0.0 or lam == 0.0:
-        return 1.0
-    a = 1.0 - 2.0 * theta
-    c = lam * y * y
-    val = integrate_halfline(lambda s: s ** ((a - 3.0) / 2.0) * np.exp(-1.0 / (4.0 * s) - c * s))
-    return val / profile_normalization_quadrature(a)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,7 @@ from .space import Space, _hop_counts, _row_blocks
 
 __all__ = [
     "SpectralDecomposition",
-    "laplacian_apply",
     "graph_stiffness",
-    "dirichlet_form",
     "decompose",
     "heat_kernel",
     "heat_kernel_series",
@@ -90,10 +88,6 @@ def _check_vector(space: Space, f) -> np.ndarray:
     return f
 
 
-def laplacian_apply(space: Space, f) -> np.ndarray:
-    return _laplacian(space, _check_vector(space, f))
-
-
 def _laplacian(space: Space, f: np.ndarray) -> np.ndarray:
     """Delta f for a vector f, or for every column of an n x k array f:
     -(S f) / mu by the sparse stiffness product `_stiffness_apply`."""
@@ -124,13 +118,6 @@ def graph_stiffness(space: Space) -> np.ndarray:
     np.subtract(0.0, stiffness, out=stiffness)
     stiffness[np.diag_indices(space.n)] += space.degrees
     return stiffness
-
-
-def dirichlet_form(space: Space, f, g) -> float:
-    """E(f, g) = 1/2 sum_{x,y} c(x,y)(f(x)-f(y))(g(x)-g(y))."""
-    f = _check_vector(space, f)
-    g = _check_vector(space, g)
-    return float(f @ _stiffness_apply(space, g))
 
 
 def decompose(space: Space) -> SpectralDecomposition:
@@ -364,6 +351,8 @@ def subordination_check(dec: SpectralDecomposition, t: float) -> float:
         raise NonpositiveTime(f"t must be positive, got {t}")
     lams = np.unique(dec.lambdas)
     # one vector-valued quadrature over all eigenvalues; the integrands are
-    # bounded on the compactified interval, so no extrapolation is needed
+    # bounded on the compactified interval, so no extrapolation is needed.
+    # s arrives as a column of one panel's nodes, so each call gives a
+    # nodes x eigenvalues array
     integrals = integrate_halfline(lambda s: inverse_gaussian_density(t, s) * np.exp(-lams * s))
     return float(np.max(np.abs(integrals - np.exp(-t * np.sqrt(lams)))))

@@ -112,6 +112,24 @@ def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
     assert _loaded_after(code, modules) == "[]"
 
 
+def test_heat_properties_run_leaves_quadrature_and_optimize_unloaded(tmp_path):
+    # the subordination check integrates its family of eigenvalues with a
+    # numpy rule, so only scalar quadratures load scipy.integrate (and with
+    # it scipy.optimize)
+    config = {
+        "space": {
+            "fixture": {"kind": "random_geometric", "params": {"n": 40, "radius": 0.4, "seed": 0}}
+        },
+        "theta": [0.5],
+        "experiments": [{"kind": "heat_properties", "params": {"ts": [0.1, 1.0]}}],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    code = f"from fraclap.cli import main; assert main({argv!r}) == 0"
+    assert _loaded_after(code, ("scipy.integrate", "scipy.optimize")) == "[]"
+
+
 def _is_dataclass(decorator):
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
     return getattr(target, "id", None) == "dataclass"
@@ -152,7 +170,7 @@ def _package_exports():
 def test_public_name_count():
     # a new public name has to replace an old one
     exports = _package_exports()
-    assert len(exports) == 48, exports
+    assert len(exports) == 44, exports
 
 
 def test_settable_parameter_count():

@@ -13,9 +13,7 @@ from fraclap import (
     mode_energy_quadrature,
     mode_profile,
     mode_profile_derivative,
-    mode_profile_quadrature,
     poisson_extend,
-    profile_normalization_quadrature,
     vertical_modulus,
 )
 from fraclap.errors import (
@@ -25,6 +23,8 @@ from fraclap.errors import (
     RadiusExceedsGrid,
 )
 from fraclap import quadrature
+
+from oracles import mode_profile_quadrature, profile_normalization_quadrature
 
 
 # -- grid

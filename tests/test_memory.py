@@ -8,8 +8,8 @@ geometric checks run over every centre at once, where the easy mistake is a
 memory a built space retains, each fixture's build, the validation of graph
 and Euclidean metrics, the ball-mass table, the hop table, the mode
 preconditioner, the extension solve, the batched spectral solve, the
-fractional stiffness, the comparability family, the heat series and the
-walk bound have their own, tighter bounds.
+fractional stiffness, the comparability family, the heat series, the
+subordination check and the walk bound have their own, tighter bounds.
 """
 
 import tracemalloc
@@ -17,10 +17,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-# subordination_check imports scipy.integrate on first use, and the walk
-# bound scipy.special (which scipy.integrate loads); both are loaded here,
-# once, so no traced call measures those imports
-import scipy.integrate  # noqa: F401
+# the walk bound imports scipy.special on first use; it is loaded here,
+# once, so no traced call measures that import
+import scipy.special  # noqa: F401
 from fraclap import (
     DirichletProblem,
     Space,
@@ -39,6 +38,7 @@ from fraclap import (
     solve_spectral,
     solve_spectral_batch,
     stiffness_matrix,
+    subordination_check,
 )
 from fraclap.cli import _KINDS, _exp_heat_properties
 from fraclap.dirichlet import _ModePreconditioner, _ProductGridOperator
@@ -144,6 +144,16 @@ def test_heat_properties_peak_allocation():
     ctx = {"space": sp, "dec": decompose(sp)}
     params = {**_KINDS["heat_properties"].defaults, "ts": [0.1, 1.0, 4.0]}
     assert peak_bytes(_exp_heat_properties, ctx, params) <= 2.75 * 400 * 400 * 8
+
+
+def test_subordination_check_peak_allocation():
+    # the family rule hands the integrand one panel's 12 nodes per call, so
+    # the peak is a few 12 x n arrays and the open panels' values: about
+    # 0.15 n^2 doubles at n=400, where one call on a first pass's 144 nodes
+    # takes 0.78 (quad_vec's one node per call took 0.11)
+    dec = decompose(fixture("random_geometric", n=400, radius=0.15, seed=3))
+    for t in (0.1, 1.0):
+        assert peak_bytes(subordination_check, dec, t) <= 0.5 * 400 * 400 * 8
 
 
 def test_heat_kernel_log_bound_peak_allocation():

@@ -9,13 +9,11 @@ from scipy.sparse.csgraph import shortest_path
 from fraclap import (
     build_space,
     decompose,
-    dirichlet_form,
     fixture,
     frac_apply,
     heat_kernel,
     heat_kernel_log_bound,
     heat_kernel_series,
-    laplacian_apply,
     subordination_check,
 )
 from fraclap import spectral
@@ -32,6 +30,7 @@ from fraclap.space import _hop_counts
 from fraclap.spectral import _fix_signs, inverse_gaussian_density, spectral_power_apply
 
 from conftest import gemm_symmetrized, random_vector, rel_gap
+from oracles import dirichlet_form, laplacian_apply
 
 
 # -- Laplacian
@@ -615,6 +614,16 @@ def test_subordination_check_one_quadrature_per_time(monkeypatch, grid44_dec, du
             )
             assert got <= 1e-6
             assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_subordination_check_roundoff_on_benchmark_space(seed):
+    # the space of the kernels-rgg400 benchmark: the family rule meets the
+    # closed form to 2 ulp of 1 at the CLI's two times (measured worst over
+    # seeds 0-199: 2.2e-16)
+    dec = decompose(fixture("random_geometric", n=400, radius=0.15, seed=seed))
+    for t in (0.1, 1.0):
+        assert subordination_check(dec, t) <= 4.5e-16
 
 
 def test_subordination_rejects_nonpositive_time(k2_dec):
