@@ -180,8 +180,8 @@ _GRID_SIZE_PARAMS = ("m", "ms")
 
 def _check_param(value, default, where):
     """ConfigParseError unless `value` fits the param's default: a bool for a
-    bool; a finite positive number for a number or for null (which also takes
-    null); a nonempty list of them for a list; integers where the default's are."""
+    bool; a finite positive number for a number; a nonempty list of them for a
+    list; integers where the default's are."""
     integer = isinstance(default[0] if isinstance(default, list) else default, int)
     noun = "positive integer" if integer else "finite positive number"
     if isinstance(default, bool):
@@ -189,8 +189,6 @@ def _check_param(value, default, where):
     elif isinstance(default, list):
         ok = isinstance(value, list) and value and all(_positive(v, integer) for v in value)
         want = f"a nonempty list of {noun}s"
-    elif default is None:
-        ok, want = value is None or _positive(value, False), f"null or a {noun}"
     else:
         ok, want = _positive(value, integer), f"a {noun}"
     if not ok:
@@ -284,7 +282,7 @@ def _exp_heat_properties(ctx, params):
         "min_log10_bound": min_bound,
         "bound_max_excess": excess,
         "subordination_err": float(
-            max(subordination_check(dec, t) for t in params["subordination_ts"])
+            max(subordination_check(dec, t) for t in (0.1, 1.0))
         ),
     }
     passed = bool(passed and metrics["subordination_err"] <= 1e-6)
@@ -308,7 +306,7 @@ def _exp_energy_comparability(ctx, params):
 def _exp_dtn_convergence(ctx, params):
     space, dec, theta = ctx["space"], ctx["dec"], ctx["theta"]
     ms = params["ms"]
-    ymax = params["ymax"] or default_ymax(dec)
+    ymax = default_ymax(dec)
     rng = np.random.default_rng([ctx["seed"], ctx["index"]])
     f = rng.standard_normal(space.n)
     target = frac_apply(dec, theta, f)
@@ -330,19 +328,17 @@ def _exp_dtn_convergence(ctx, params):
 
 def _exp_energy_identity(ctx, params):
     theta = ctx["theta"]
-    lams = params["lams"]
-    tol = params["tol"]
     worst = 0.0
     rows = [("lam", "quadrature", "expected", "err")]
     const = extension_energy_constant(theta)
-    for lam in lams:
+    for lam in (0.5, 1.0, 2.0):
         q = mode_energy_quadrature(lam, theta)
         expected = const * lam**theta
         err = abs(q - expected)
         worst = max(worst, err)
         rows.append((lam, q, expected, err))
     metrics = {"max_err": worst, "constant": const, "dtn_constant": dtn_constant(theta)}
-    return metrics, bool(worst <= tol), {"energy_identity.csv": rows}
+    return metrics, bool(worst <= 1e-4), {"energy_identity.csv": rows}
 
 
 def _exp_dirichlet_routes(ctx, params):
@@ -415,15 +411,13 @@ def _exp_harnack_scan(ctx, params):
 
 def _exp_modulus_check(ctx, params):
     space, theta = ctx["space"], ctx["theta"]
-    hs = params["hs"]
     ms = params["ms"]
-    tol = params["tol"]
     a = 1.0 - 2.0 * theta
     worst = 0.0
     bracket_ok = True
     rows = [("h", "extrapolated", "exact", "err")]
     subset = np.ones(space.n, dtype=bool)
-    for h in hs:
+    for h in (0.5, 1.0, 2.0):
         vals = []
         for m in ms:
             grid = build_grid(theta, h, m, layout="uniform")
@@ -441,7 +435,7 @@ def _exp_modulus_check(ctx, params):
         worst = max(worst, err / space.total_mass)
         rows.append((h, limit, exact, err))
     metrics = {"max_err_per_mass": worst, "bracket_ok": bracket_ok, "a": a}
-    return metrics, bool(worst <= tol and bracket_ok), {"modulus_check.csv": rows}
+    return metrics, bool(worst <= 1e-7 and bracket_ok), {"modulus_check.csv": rows}
 
 
 def _richardson(values, exponents):
@@ -459,8 +453,8 @@ def _richardson(values, exponents):
 
 def _exp_codim_check(ctx, params):
     space, theta = ctx["space"], ctx["theta"]
-    rs = params["rs"]
-    grid = build_grid(theta, max(rs), params["m"])
+    rs = [0.25, 0.5, 1.0]
+    grid = build_grid(theta, max(rs), 64)
     outs = [codim_ball_check(space, grid, np.arange(space.n), r) for r in rs]
     # (x, r) tables, flattened centre-major like the rows
     lhs, rhs = (np.stack([out[side] for out in outs], axis=1).ravel() for side in ("lhs", "rhs"))
@@ -468,7 +462,7 @@ def _exp_codim_check(ctx, params):
     xs = np.repeat(np.arange(space.n), len(rs)).tolist()
     rows = [("x", "r", "lhs", "rhs"), *zip(xs, rs * space.n, lhs.tolist(), rhs.tolist())]
     metrics = {"max_rel_err": worst}
-    return metrics, bool(worst <= params["tol"]), {"codim_check.csv": rows}
+    return metrics, bool(worst <= 1e-12), {"codim_check.csv": rows}
 
 
 class _Kind(NamedTuple):
@@ -479,30 +473,18 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     "heat_properties": _Kind(
-        _exp_heat_properties,
-        True,
-        {"ts": [0.01, 0.1, 1.0, 10.0], "subordination_ts": [0.1, 1.0], "export_kernels": False},
+        _exp_heat_properties, True, {"ts": [0.01, 0.1, 1.0, 10.0], "export_kernels": False}
     ),
     "energy_comparability": _Kind(_exp_energy_comparability, False, {"family_size": 100}),
-    "dtn_convergence": _Kind(
-        _exp_dtn_convergence, False, {"ms": [8, 10, 12, 14, 16], "ymax": None}
-    ),
-    "energy_identity": _Kind(
-        _exp_energy_identity, False, {"lams": [0.5, 1.0, 2.0], "tol": 1e-4}
-    ),
+    "dtn_convergence": _Kind(_exp_dtn_convergence, False, {"ms": [8, 10, 12, 14, 16]}),
+    "energy_identity": _Kind(_exp_energy_identity, False, {}),
     "dirichlet_routes": _Kind(_exp_dirichlet_routes, False, {"m": 32, "omega_mask": None}),
     "max_principle_batch": _Kind(
         _exp_max_principle_batch, False, {"n_seeds": 100, "omega_mask": None}
     ),
     "harnack_scan": _Kind(_exp_harnack_scan, False, {"omega_mask": None, "radius": 1.0}),
-    "modulus_check": _Kind(
-        _exp_modulus_check,
-        False,
-        {"hs": [0.5, 1.0, 2.0], "ms": [2048, 4096, 8192, 16384], "tol": 1e-7},
-    ),
-    "codim_check": _Kind(
-        _exp_codim_check, False, {"rs": [0.25, 0.5, 1.0], "tol": 1e-12, "m": 64}
-    ),
+    "modulus_check": _Kind(_exp_modulus_check, False, {"ms": [2048, 4096, 8192, 16384]}),
+    "codim_check": _Kind(_exp_codim_check, False, {}),
 }
 
 

@@ -228,9 +228,6 @@ class ExtensionField:
     values: np.ndarray
     grid: HalfSpaceGrid
 
-    def boundary(self) -> np.ndarray:
-        return self.values[:, 0]
-
 
 def poisson_extend(dec: SpectralDecomposition, f, grid: HalfSpaceGrid) -> ExtensionField:
     """Extend boundary data into the weighted half-space mode by mode:

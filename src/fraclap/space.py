@@ -215,7 +215,7 @@ def _check_metric(dist, graph, connected):
     """Raise MetricViolation, with a witness triple for the triangle
     inequality, unless `dist` is a metric within _METRIC_TOL.  `graph` (the
     conductances, as in `Space.graph`) and `connected` (whether its
-    undirected graph is connected) only feed the edge-path certificate: the
+    undirected graph is connected) only feed the edge-path certificates: the
     verdict and the witness do not depend on them."""
     n = dist.shape[0]
     if np.any(np.diag(dist) != 0):
@@ -226,7 +226,17 @@ def _check_metric(dist, graph, connected):
         raise MetricViolation("distance matrix not symmetric")
     if n > 1 and _min_off_diagonal(dist) <= 0:
         raise MetricViolation("distinct points at nonpositive distance")
-    if _is_edge_path_metric(dist, graph, connected) or _is_euclidean_metric(dist):
+    # The certificates, cheapest first: the hop table when every edge has one
+    # length, an embedding in R^r, then Dijkstra over weighted edges.  Each
+    # is sound, so the first that accepts decides.
+    lengths = _edge_lengths(dist, graph) if connected else None
+    if lengths is not None and lengths.size and np.all(lengths == lengths[0]):
+        unit, lengths = lengths[0], None  # freed before the hop table is built
+        if _is_hop_metric(dist, graph, unit):
+            return
+    if _is_euclidean_metric(dist):
+        return
+    if lengths is not None and _is_edge_path_metric(dist, graph, lengths):
         return
     # Otherwise the dense triangle check.  Floyd-Warshall's shortest paths
     # are never longer than any two-hop detour d(i,j) + d(j,k) (rounding is
@@ -247,52 +257,30 @@ def _check_metric(dist, graph, connected):
             )
 
 
-def _is_edge_path_metric(dist, graph, connected) -> bool:
-    """Certificate for the triangle inequality: True when `dist` equals,
-    within _METRIC_TOL/4, the shortest-path metric D of its own restriction
-    to the edges of `graph`, each edge walked both ways.  D satisfies the
-    triangle inequality, and chaining |dist - D| <= t (1 + D) through D(i,k)
-    <= D(i,j) + D(j,k) bounds every d(i,k) - d(i,j) - d(j,k) by 3t (1 +
-    slack) plus rounding, inside the triangle tolerance 4t (1 + slack); so
-    True implies the Floyd-Warshall screen or the per-pivot scan accepts.
-    False decides nothing: the caller falls back to those checks.
+def _edge_lengths(dist, graph) -> np.ndarray:
+    """`dist` on the stored entries of the CSR `graph`, in their order."""
+    counts = np.diff(graph.indptr)
+    rows = np.repeat(np.arange(len(counts), dtype=graph.indices.dtype), counts)
+    return dist[rows, graph.indices]
 
-    When every edge has the same length l (exact equality), D is l times the
-    hop table of `_hop_counts`, in O(diam |E| n/64) word operations.
-    Weighted edges take n sparse Dijkstra searches, O(n |E| log n), run from
-    one row block of sources at a time, so D is never held whole.  An
-    unreachable point has D = inf, which no finite distance matches, so a
-    disconnected graph (`connected` False) is never certified.
-    """
+
+def _is_hop_metric(dist, graph, unit) -> bool:
+    """Certificate for the triangle inequality: True when `dist` equals,
+    within _METRIC_TOL/4, `unit` times the hop metric of the connected
+    `graph` (`_hop_counts`), the shortest-path metric of its edges when
+    every edge has length `unit`.  O(diam |E| n/64) word operations."""
+    hops = _hop_counts(graph)
+    return _within_certificate_tol(dist, lambda block: unit * hops[block])
+
+
+def _is_edge_path_metric(dist, graph, lengths) -> bool:
+    """Certificate for the triangle inequality: True when `dist` equals,
+    within _METRIC_TOL/4, the shortest-path metric D of the connected
+    `graph` with edge lengths `lengths` (`_edge_lengths`), each edge walked
+    both ways.  n sparse Dijkstra searches, O(n |E| log n), run from one row
+    block of sources at a time, so D is never held whole."""
     n = dist.shape[0]
-    if not connected:
-        return False
-    cols = graph.indices
-    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(graph.indptr))
-    # A screen from point 0 without a shortest-path solve: in a path metric
-    # every other point v is reached through a neighbour u, d(0,v) = d(0,u) +
-    # d(u,v).  Any metric the certificate accepts passes it, and one that is no
-    # path metric of its edges (points of the plane, say) fails at once.  The
-    # |E|-long sums are formed in place, as d(0,u) + d(u,v) - d(0,v) and
-    # (1 + d(0,v)) _METRIC_TOL.
-    lengths = dist[rows, cols]
-    detour = dist[0, rows]
-    del rows
-    detour += lengths
-    bound = dist[0, cols]
-    detour -= bound
-    bound += 1.0
-    bound *= _METRIC_TOL
-    reached = np.zeros(n, dtype=bool)
-    reached[cols[detour <= bound]] = True
-    del detour, bound
-    if not reached[1:].all():
-        return False
-    if lengths.size and np.all(lengths == lengths[0]):
-        hops = _hop_counts(graph)
-        return _within_certificate_tol(dist, lambda block: lengths[0] * hops[block])
-    # the edge lengths on the graph's own (canonical) structure
-    weighted = csr_array((lengths, cols, graph.indptr), shape=(n, n))
+    weighted = csr_array((lengths, graph.indices, graph.indptr), shape=(n, n))
     return _within_certificate_tol(
         dist,
         lambda block: shortest_path(
@@ -305,7 +293,15 @@ def _within_certificate_tol(dist, metric_rows) -> bool:
     """True when |dist - D| <= _METRIC_TOL/4 (1 + D) with D finite, where
     `metric_rows(block)` returns a new float array of the rows of D in the
     slice `block`.  One row block (`_row_blocks`) is compared at a time, and
-    the first block that fails decides."""
+    the first block that fails decides.
+
+    When D satisfies the triangle inequality (up to rounding), True certifies
+    `dist`: chaining |dist - D| <= t (1 + D) through D(i,k) <= D(i,j) +
+    D(j,k) bounds every d(i,k) - d(i,j) - d(j,k) by 3t (1 + slack) plus
+    rounding, inside the triangle tolerance 4t (1 + slack); so True implies
+    the Floyd-Warshall screen or the per-pivot scan accepts.  False decides
+    nothing: the caller falls back to those checks.
+    """
     for block in _row_blocks(dist.shape[0]):
         metric = metric_rows(block)
         gap = dist[block] - metric
@@ -404,9 +400,7 @@ def _is_euclidean_metric(dist) -> bool:
     to point 0, G_ij = (d(0,i)^2 + d(0,j)^2 - d(i,j)^2) / 2, built one pivot
     column at a time, and D is the points' `scipy.spatial.distance.cdist`
     matrix, made one row block at a time.  D satisfies the triangle
-    inequality up to rounding, so the chaining argument of
-    `_is_edge_path_metric` applies: True implies the Floyd-Warshall screen or
-    the per-pivot scan accepts, and False decides nothing.
+    inequality up to rounding, so `_within_certificate_tol` applies.
     """
     n = dist.shape[0]
     if n == 0:

