@@ -8,8 +8,9 @@ A config names a space (inline matrices or a fixture descriptor), one or more
 exponent values, and a list of experiments.  Running writes `report.json`
 plus per-experiment CSV tables under the output directory.  It exits 0 iff
 every assertive experiment passed, 1 if one failed, and 2 on a bad config,
-on a `--seed` that is not a nonnegative integer, or on a thread count
-(`--threads`, else FRACLAP_THREADS, else 1) that is not a positive integer.
+on a `--seed` that is not a nonnegative integer, or on a `--threads` count
+(default 1) that is not a positive integer.  A config key the runner does
+not read, at any level, is a bad config.
 Reports are reproducible byte-for-byte for a fixed config and seed once the
 `metadata` field (timestamps and wall times) is dropped; all numeric work is
 single-threaded per experiment, so `--threads` only changes scheduling,
@@ -57,6 +58,7 @@ from .extension import (
 )
 from .space import (
     Space,
+    _check_keys,
     _row_blocks,
     ball_mask,
     check_space_spec,
@@ -93,6 +95,7 @@ def load_config(path: str) -> dict:
 def normalize_config(raw: dict, origin: str = "<config>") -> dict:
     if not isinstance(raw, dict):
         raise ConfigParseError(f"{origin}: top level must be an object")
+    _check_keys(raw, ("space", "theta", "experiments", "seed"), origin, ConfigParseError)
 
     space_spec = raw.get("space")
     if space_spec is None:
@@ -126,6 +129,7 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
     for i, exp in enumerate(experiments):
         if not isinstance(exp, dict) or "kind" not in exp:
             raise ConfigParseError(f"{origin}: experiments[{i}] needs a 'kind' field")
+        _check_keys(exp, ("kind", "params"), f"{origin}: experiments[{i}]", ConfigParseError)
         kind = exp["kind"]
         if not isinstance(kind, str) or kind not in _KINDS:
             raise ConfigParseError(
@@ -137,9 +141,7 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
             raise ConfigParseError(f"{origin}: experiments[{i}].params must be an object")
         where = f"{origin}: experiments[{i}] ({kind})"
         allowed = _KINDS[kind].defaults
-        unknown = sorted(set(params) - set(allowed))
-        if unknown:
-            raise ConfigParseError(f"{where}: unknown params {unknown}; allowed: {sorted(allowed)}")
+        _check_keys(params, allowed, f"{where}: params", ConfigParseError)
         for key, value in params.items():
             if key == "omega_mask":
                 if value is not None:
@@ -162,7 +164,6 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
         "theta": [float(t) for t in thetas],
         "experiments": normalized_experiments,
         "seed": seed,
-        "output": raw.get("output"),
     }
 
 
@@ -549,7 +550,7 @@ def run(config: dict, out_dir: str, threads: int = 1) -> dict:
     failed = [r for r in records if r["passed"] is False]
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": {k: v for k, v in config.items() if k != "output"},
+        "config": config,
         "experiments": records,
         "summary": {
             "n_experiments": len(records),
@@ -587,7 +588,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute the experiments in a config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--threads", default=None)
+    p_run.add_argument("--threads", default="1")
     p_run.add_argument("--seed", type=int, default=None)
 
     p_val = sub.add_parser("validate", help="check a config without executing")
@@ -609,15 +610,13 @@ def main(argv=None) -> int:
         print(json.dumps(config, indent=2, sort_keys=True))
         return 0
 
-    source, raw = "--threads", args.threads
-    if raw is None:
-        source, raw = "FRACLAP_THREADS", os.environ.get("FRACLAP_THREADS", "1")
     try:
-        threads = int(raw)
+        threads = int(args.threads)
     except ValueError:
         threads = 0
     if threads < 1:
-        print(f"run failed: {source} must be a positive integer, got {raw!r}", file=sys.stderr)
+        message = f"--threads must be a positive integer, got {args.threads!r}"
+        print(f"run failed: {message}", file=sys.stderr)
         return 2
 
     try:

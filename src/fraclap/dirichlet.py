@@ -263,7 +263,6 @@ class _ProductGridOperator:
 
     def __init__(self, space: Space, grid: HalfSpaceGrid, omega: np.ndarray):
         self.space = space
-        self.grid = grid
         self.omega = omega
         self.n = space.n
         self.m = grid.m

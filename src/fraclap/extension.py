@@ -15,6 +15,7 @@ ones plus boundary terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,10 +78,21 @@ class HalfSpaceGrid:
     sum w_j = Ymax^(1+a)/(1+a) up to roundoff)."""
 
     theta: float
-    a: float
     ys: np.ndarray
-    cellweights: np.ndarray
-    Ymax: float
+
+    @property
+    def a(self) -> float:
+        return 1.0 - 2.0 * self.theta
+
+    @property
+    def Ymax(self) -> float:
+        return float(self.ys[-1])
+
+    @cached_property
+    def cellweights(self) -> np.ndarray:
+        w = self.weight_integral(self.ys[:-1], self.ys[1:])
+        w.setflags(write=False)
+        return w
 
     @property
     def m(self) -> int:
@@ -97,11 +109,9 @@ class HalfSpaceGrid:
         return (hi**e - lo**e) / e
 
     def check_theta_matches(self, theta: float) -> None:
-        """Raise GridThetaMismatch unless the grid weight y^a has a = 1 - 2 theta."""
-        if abs(self.a - (1.0 - 2.0 * theta)) > 1e-12:
-            raise GridThetaMismatch(
-                f"grid built for a={self.a}, but theta={theta} needs a={1 - 2 * theta}"
-            )
+        """Raise GridThetaMismatch unless the grid was built for `theta`."""
+        if abs(self.theta - theta) > 1e-12:
+            raise GridThetaMismatch(f"grid built for theta={self.theta}, got theta={theta}")
 
     def _cells_below(self, r: float):
         """The cells of [0, r] as arrays (lo, hi): every cell that starts
@@ -140,13 +150,8 @@ def build_grid(
         ys = np.linspace(0.0, Ymax, m + 1)
     else:
         raise InvalidParams(f"unknown layout {layout!r}")
-    a = 1.0 - 2.0 * theta
-    e = 1.0 + a
-    pw = ys**e
-    w = (pw[1:] - pw[:-1]) / e
     ys.setflags(write=False)
-    w.setflags(write=False)
-    return HalfSpaceGrid(theta=theta, a=a, ys=ys, cellweights=w, Ymax=float(Ymax))
+    return HalfSpaceGrid(theta=theta, ys=ys)
 
 
 def default_ymax(dec: SpectralDecomposition) -> float:

@@ -606,6 +606,13 @@ _FIXTURES = {
 }
 
 
+def _check_keys(obj: dict, allowed, where: str, error: type) -> None:
+    """`error` naming the keys of `obj` outside `allowed`, and those allowed."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise error(f"{where}: unknown keys {unknown}; allowed: {sorted(allowed)}")
+
+
 def _parse_space_spec(spec):
     """(kind, builder arguments) for a fixture descriptor, (None, None) for
     inline matrices; InvalidParams for a malformed descriptor (see
@@ -613,14 +620,17 @@ def _parse_space_spec(spec):
     if not isinstance(spec, dict):
         raise InvalidParams(f"space descriptor must be an object, got {spec!r}")
     if "fixture" in spec:
+        _check_keys(spec, ("fixture",), "fixture space", InvalidParams)
         fx = spec["fixture"]
         if not isinstance(fx, dict):
             raise InvalidParams(f"fixture descriptor must be an object, got {fx!r}")
+        _check_keys(fx, ("kind", "params"), "fixture descriptor", InvalidParams)
         return fx.get("kind"), _fixture_args(fx.get("kind"), fx.get("params", {}))
     if not {"dist", "mu", "cond"} <= set(spec):
         raise InvalidParams(
             "inline space needs fields 'dist', 'mu', 'cond' (or use a 'fixture' descriptor)"
         )
+    _check_keys(spec, ("dist", "mu", "cond"), "inline space", InvalidParams)
     return None, None
 
 

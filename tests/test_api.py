@@ -189,6 +189,14 @@ def test_config_parameter_count():
     assert sum(len(kind.defaults) for kind in _KINDS.values()) == 11
 
 
+def test_readme_scripts_list_matches_scripts():
+    # README's Scripts section lists each script under scripts/, no other
+    root = Path(fraclap.__file__).resolve().parents[2]
+    section = (root / "README.md").read_text().split("\n## Scripts\n")[1].split("\n## ")[0]
+    listed = re.findall(r"^- `(scripts/[\w.]+)`", section, re.MULTILINE)
+    assert sorted(listed) == sorted(f"scripts/{path.name}" for path in root.glob("scripts/*.py"))
+
+
 def test_readme_kinds_table_matches_kinds():
     # each row of README's kinds table names its kind's params with their
     # defaults as JSON, or "none"

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from fraclap import build_space, decompose, fixture, spectral
 from fraclap.cli import _KINDS, _exp_heat_properties, load_config, main, normalize_config, run
 from fraclap.errors import ConfigParseError
 from fraclap.extension import MIN_GRID_NODES
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -151,16 +156,11 @@ def test_threads_change_scheduling_not_results(tmp_path):
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
-@pytest.mark.parametrize("source", ["--threads", "FRACLAP_THREADS"])
-def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, source, raw):
+@pytest.mark.parametrize("source", ["--threads"])  # the one way to set the count
+def test_bad_thread_count_exits_2(tmp_path, capsys, source, raw):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
-    argv = ["run", "--config", path, "--out", str(out)]
-    if source == "--threads":
-        argv += ["--threads", raw]
-    else:
-        monkeypatch.setenv("FRACLAP_THREADS", raw)
-    assert main(argv) == 2
+    assert main(["run", "--config", path, "--out", str(out), source, raw]) == 2
     err = capsys.readouterr().err
     assert f"{source} must be a positive integer, got {raw!r}" in err
     assert not out.exists()
@@ -381,6 +381,57 @@ def test_unknown_experiment_param_named(tmp_path):
         load_config(write_config(tmp_path, cfg))
     assert "famly_size" in str(err.value)
     assert "family_size" in str(err.value)  # the allowed keys are listed
+
+
+@pytest.mark.parametrize(
+    "overrides, key, allowed",
+    [
+        ({"experiment": []}, "experiment", ["experiments", "seed", "space", "theta"]),
+        ({"experiments": [{"kind": "energy_identity", "param": {}}]}, "param", ["kind", "params"]),
+        ({"space": {"fixture": {"kind": "path", "prams": {"n": 8}}}}, "prams", ["kind", "params"]),
+        (
+            {"space": {"fixture": {"kind": "path", "params": {"n": 2}}, "dist": [[0, 1], [1, 0]]}},
+            "dist",
+            ["fixture"],
+        ),
+        (
+            {"space": {"dist": [[0, 1], [1, 0]], "mu": [1, 1], "cond": [[0, 1], [1, 0]], "n": 2}},
+            "n",
+            ["cond", "dist", "mu"],
+        ),
+    ],
+    ids=["top", "experiment", "fixture", "space", "inline space"],
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, overrides, key, allowed):
+    # a misspelled key would otherwise drop silently: a misspelled
+    # `experiments` ran nothing and exited 0
+    path = write_config(tmp_path, base_config(**overrides))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", path]) == 2
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"unknown keys [{key!r}]; allowed: {allowed}") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.name)
+def test_bundled_config_validates(path, capsys):
+    assert main(["validate", "--config", str(path)]) == 0
+
+
+def test_dtn_convergence_writes_its_table(tmp_path):
+    ms = [8, 10, 12]
+    cfg = base_config(
+        space={"fixture": {"kind": "path", "params": {"n": 4}}},
+        experiments=[{"kind": "dtn_convergence", "params": {"ms": ms}}],
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    with open(out / "00_dtn_convergence.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["m", "y1", "max_err"]
+    assert [int(row[0]) for row in rows[1:]] == ms
+    assert all(len(row) == 3 for row in rows)
 
 
 def test_dirichlet_routes_constant_complement_data(tmp_path):

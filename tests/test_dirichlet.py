@@ -29,6 +29,7 @@ from fraclap.errors import (
     InsufficientScales,
     InvalidParams,
     IterationBudgetExceeded,
+    NegativeSolution,
     SingularSystem,
 )
 from fraclap.space import _neighbour_counts
@@ -619,6 +620,16 @@ def test_harnack_scan_grid8():
         if prob.omega[sp.dist[x] <= 2.0].all():
             quotients.append(harnack_quotient(sol, prob, int(x), 1.0))
     assert quotients and all(1.0 <= q < np.inf for q in quotients)
+
+
+def test_harnack_negative_solution_rejected():
+    # nonpositive data gives a nonpositive solution (maximum principle)
+    sp, prob = grid8_problem()
+    prob = DirichletProblem(prob.form, prob.omega, -prob.f)
+    sol = solve_spectral(prob)
+    center = int(np.argmin(sp.dist.max(axis=1)))
+    with pytest.raises(NegativeSolution, match="< 0"):
+        harnack_quotient(sol, prob, center, 1.0)
 
 
 def test_harnack_ball_not_inside(p3_dec):

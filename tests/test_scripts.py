@@ -34,12 +34,6 @@ def run_script(name, args, out, monkeypatch):
             ["theta", "level", "h_max", "gap", "gap_over_osc"],
             2 * 2,
         ),
-        (
-            "dtn_convergence_study",
-            ["--n", "4", "--thetas", "0.5", "--ms", "8", "10", "12"],
-            ["theta", "m", "y1", "max_err"],
-            3,
-        ),
     ],
 )
 def test_script_writes_its_table(name, args, header, n_rows, tmp_path, monkeypatch):
