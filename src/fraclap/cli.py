@@ -95,7 +95,15 @@ def load_config(path: str) -> dict:
 def normalize_config(raw: dict, origin: str = "<config>") -> dict:
     if not isinstance(raw, dict):
         raise ConfigParseError(f"{origin}: top level must be an object")
-    _check_keys(raw, ("space", "theta", "experiments", "seed"), origin, ConfigParseError)
+    keys = ("schema_version", "space", "theta", "experiments", "seed")
+    _check_keys(raw, keys, origin, ConfigParseError)
+    # a normalized config (validate's printout, a report's `config`) names
+    # the schema it was written in
+    version = raw.get("schema_version", SCHEMA_VERSION)
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ConfigParseError(
+            f"{origin}: schema_version {version!r} is not this runner's {SCHEMA_VERSION}"
+        )
 
     space_spec = raw.get("space")
     if space_spec is None:

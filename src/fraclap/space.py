@@ -289,6 +289,32 @@ def _is_edge_path_metric(dist, graph, lengths) -> bool:
     )
 
 
+def _euclidean_rows(points: np.ndarray, rows: slice) -> np.ndarray:
+    """Euclidean distances from the points `points[rows]` to every point of
+    `points`, one coordinate per column, as a new len(rows) x n block.  Each
+    pair's squared coordinate differences are summed in coordinate order, the
+    order scipy's pairwise-distance kernel sums them in, so the blocks equal
+    its distances bit for bit and those of one point set are exactly
+    symmetric.  Differences keep close pairs accurate: |x|^2 + |y|^2 - 2 x.y
+    would lose sqrt(eps) on them.  The first coordinate's squares go straight
+    into the block, so the work takes one more block at most."""
+    block = points[rows]
+    # one contiguous row per coordinate: each difference block starts as a
+    # plain broadcast copy of it (the differences' sign leaves their squares)
+    coords = points.T.copy()
+    out = np.empty((len(block), len(points)))
+    out[...] = coords[0]
+    out -= block[:, :1]
+    np.square(out, out=out)
+    term = np.empty_like(out)
+    for k in range(1, len(coords)):
+        term[...] = coords[k]
+        term -= block[:, k : k + 1]
+        np.square(term, out=term)
+        out += term
+    return np.sqrt(out, out=out)
+
+
 def _within_certificate_tol(dist, metric_rows) -> bool:
     """True when |dist - D| <= _METRIC_TOL/4 (1 + D) with D finite, where
     `metric_rows(block)` returns a new float array of the rows of D in the
@@ -310,6 +336,8 @@ def _within_certificate_tol(dist, metric_rows) -> bool:
         metric *= _METRIC_TOL / 4
         if not (np.all(gap <= metric) and np.all(np.isfinite(metric))):
             return False
+        # the next block's rows are made without this block's beside them
+        del gap, metric
     return True
 
 
@@ -398,8 +426,8 @@ def _is_euclidean_metric(dist) -> bool:
     R^r, r <= _EMBEDDING_RANK (Schoenberg).  The points come from `dist`
     alone, as in landmark MDS: a pivoted Cholesky of the Gram matrix relative
     to point 0, G_ij = (d(0,i)^2 + d(0,j)^2 - d(i,j)^2) / 2, built one pivot
-    column at a time, and D is the points' `scipy.spatial.distance.cdist`
-    matrix, made one row block at a time.  D satisfies the triangle
+    column at a time, and D is the points' distance matrix, made one row
+    block at a time (`_euclidean_rows`).  D satisfies the triangle
     inequality up to rounding, so `_within_certificate_tol` applies.
     """
     n = dist.shape[0]
@@ -421,14 +449,9 @@ def _is_euclidean_metric(dist) -> bool:
         coords[:, rank] = gram / np.sqrt(residual[p])
         residual -= coords[:, rank] ** 2
         rank += 1
-    # imported on first use: scipy.spatial costs every import of the package
-    # about 2.4 MiB, and spaces with a certified edge-path metric never need it
-    from scipy.spatial.distance import cdist
-
-    # cdist takes each pair's coordinate differences, so close pairs keep
-    # their accuracy: |x|^2 + |y|^2 - 2 x.y would lose sqrt(eps) on them
-    points = coords[:, :rank]
-    return _within_certificate_tol(dist, lambda block: cdist(points[block], points))
+    # rank 0 is the one-point space, whose point is the zero column
+    points = coords[:, : max(rank, 1)]
+    return _within_certificate_tol(dist, lambda block: _euclidean_rows(points, block))
 
 
 def ball_mask(space: Space, x, r: float) -> np.ndarray:
@@ -554,19 +577,19 @@ def _fixture_dumbbell(clique: int, bridge: int = 0) -> Space:
 
 def _fixture_random_geometric(n: int, radius: float, seed: int) -> Space:
     """Points in the unit square, edges within `radius`, Euclidean metric."""
-    # imported on first use, as in the Euclidean certificate: only the
-    # random_geometric fixture and that certificate need scipy.spatial
-    from scipy.spatial.distance import cdist
-
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
-    dist = cdist(points, points)
-    # cdist squares each coordinate difference, so dist is exactly symmetric
-    # and the pairs above the diagonal list every edge once
-    a, b = np.nonzero(dist <= radius)
-    above = a < b
-    graph = _unit_graph(n, [(a[above], b[above])])
-    del a, b, above
+    dist = np.empty((n, n))
+    edges = []
+    for rows in _row_blocks(n):
+        dist[rows] = _euclidean_rows(points, rows)
+        # dist is exactly symmetric, so the pairs above the diagonal list
+        # every edge once: each block is scanned from its diagonal on
+        a, b = np.nonzero(dist[rows, rows.start :] <= radius)
+        above = a < b
+        edges.append((a[above] + rows.start, b[above] + rows.start))
+    graph = _unit_graph(n, edges)
+    del a, b, above, edges
     return _unit_mass_space(dist, graph)
 
 

@@ -11,6 +11,7 @@ the spectral resolution computed here.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -280,10 +281,6 @@ def heat_kernel_log_bound(space: Space) -> Callable[[float], np.ndarray]:
     spaces, with no underflow and no cap on beta t.  Returns a function of t
     giving the n x n array of log bounds, from `Space.graph` and `mu` alone.
     """
-    # imported on first use: scipy.special costs every import of the package
-    # about 3.6 MiB, and runs that evaluate no special function never need it
-    from scipy.special import gammaln, xlogy
-
     graph = space.graph
     beta = float((space.degrees / space.mu).max())
     # every q is at most 1.  The row minima are divided after the reduction:
@@ -295,12 +292,16 @@ def heat_kernel_log_bound(space: Space) -> Callable[[float], np.ndarray]:
     log_q_min = np.log(np.min(row_min / space.mu[stored] / beta, initial=1.0))
     hops = _hop_counts(graph)
     j = np.arange(int(hops.max()) + 1)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(len(j))])
 
     def log_bound(t: float) -> np.ndarray:
         if not t > 0:
             raise NonpositiveTime(f"t must be positive, got {t}")
         x = beta * t
-        out = (xlogy(j, x) + j * log_q_min - gammaln(j + 1) - x)[hops]
+        # j log x with the rule 0 log 0 = 0: a one-point space (beta = 0)
+        # has only the walk of j = 0 hops
+        steps = j * math.log(x) if x > 0 else np.where(j > 0, -np.inf, 0.0)
+        out = (steps + j * log_q_min - log_factorial - x)[hops]
         out -= np.log(space.mu)
         return out
 

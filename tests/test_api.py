@@ -113,22 +113,66 @@ def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
     assert _loaded_after(code, modules) == "[]"
 
 
-def test_heat_properties_run_leaves_quadrature_and_optimize_unloaded(tmp_path):
-    # the subordination check integrates its family of eigenvalues with a
-    # numpy rule, so only scalar quadratures load scipy.integrate (and with
-    # it scipy.optimize)
+def test_random_geometric_run_leaves_spatial_special_and_quadrature_unloaded(tmp_path):
+    # the Euclidean distances are summed in numpy, the walk bound takes log j!
+    # from math.lgamma, and the subordination check integrates its family of
+    # eigenvalues with a numpy rule: a run of the kernel and energy kinds on
+    # a random_geometric space loads none of the modules for those
     config = {
         "space": {
             "fixture": {"kind": "random_geometric", "params": {"n": 40, "radius": 0.4, "seed": 0}}
         },
         "theta": [0.5],
-        "experiments": [{"kind": "heat_properties", "params": {"ts": [0.1, 1.0]}}],
+        "experiments": [
+            {"kind": "heat_properties", "params": {"ts": [0.1, 1.0]}},
+            {"kind": "energy_comparability", "params": {"family_size": 5}},
+            {"kind": "max_principle_batch", "params": {"n_seeds": 3}},
+        ],
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
     code = f"from fraclap.cli import main; assert main({argv!r}) == 0"
-    assert _loaded_after(code, ("scipy.integrate", "scipy.optimize")) == "[]"
+    modules = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.special")
+    assert _loaded_after(code, modules) == "[]"
+
+
+# the scipy modules the package imports at module level, which every
+# `import fraclap` loads; any other is imported on first use, in the
+# function that needs it
+_MODULE_LEVEL_SCIPY = (
+    "scipy.linalg",
+    "scipy.sparse",
+    "scipy.sparse.csgraph",
+    "scipy.sparse.linalg",
+)
+
+
+def _module_level_imports(tree):
+    """The absolute modules `tree` imports outside its function bodies, the
+    imports that run when the module is."""
+    nodes, found = list(tree.body), []
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+        nodes.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_module_level_scipy_imports_are_the_linear_algebra_ones():
+    scipy = [
+        (path.name, module)
+        for path in sorted(Path(fraclap.__file__).parent.glob("*.py"))
+        for module in _module_level_imports(ast.parse(path.read_text()))
+        if module.split(".")[0] == "scipy"
+    ]
+    assert scipy
+    assert [(name, m) for name, m in scipy if m not in _MODULE_LEVEL_SCIPY] == []
 
 
 def _is_dataclass(decorator):

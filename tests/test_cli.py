@@ -386,7 +386,11 @@ def test_unknown_experiment_param_named(tmp_path):
 @pytest.mark.parametrize(
     "overrides, key, allowed",
     [
-        ({"experiment": []}, "experiment", ["experiments", "seed", "space", "theta"]),
+        (
+            {"experiment": []},
+            "experiment",
+            ["experiments", "schema_version", "seed", "space", "theta"],
+        ),
         ({"experiments": [{"kind": "energy_identity", "param": {}}]}, "param", ["kind", "params"]),
         ({"space": {"fixture": {"kind": "path", "prams": {"n": 8}}}}, "prams", ["kind", "params"]),
         (
@@ -417,6 +421,42 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, overrides, key, al
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.name)
 def test_bundled_config_validates(path, capsys):
     assert main(["validate", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.name)
+def test_normalized_config_runs_again(path, tmp_path, capsys):
+    # validate's printout and a report's `config` carry schema_version; fed
+    # back, each is the same config and gives the same report
+    def normalized(config_path):
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("OK\n")
+        return json.loads(out[len("OK\n") :])
+
+    def report(config_path, out):
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        obj = json.loads((out / "report.json").read_text())
+        del obj["metadata"]
+        return obj
+
+    printout = normalized(path)
+    assert printout["schema_version"] == 1
+    again = write_config(tmp_path, printout, "printout.json")
+    assert normalized(again) == printout
+    original = report(path, tmp_path / "original")
+    assert report(again, tmp_path / "again") == original
+    assert normalized(write_config(tmp_path, original["config"], "report.json")) == printout
+
+
+@pytest.mark.parametrize("version", [2, 0, "1", True, None])
+def test_other_schema_version_is_config_error(tmp_path, capsys, version):
+    path = write_config(tmp_path, base_config(schema_version=version))
+    assert main(["validate", "--config", path]) == 2
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"schema_version {version!r} is not this runner's 1") == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_dtn_convergence_writes_its_table(tmp_path):

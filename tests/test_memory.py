@@ -17,8 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-# the walk bound imports scipy.special on first use; it is loaded here,
-# once, so no traced call measures that import
+# the extension's profiles and constants import scipy.special on first use;
+# it is loaded here, once, so no traced call measures that import
 import scipy.special  # noqa: F401
 from fraclap import (
     DirichletProblem,
@@ -207,15 +207,17 @@ def test_metric_certificate_peak_allocation():
 
 def test_euclidean_certificate_peak_allocation():
     # random_geometric's metric is certified by its planar embedding, its
-    # distances compared with dist one row block at a time: about 0.76 n^2
-    # doubles for all of build_space, where the whole embedded matrix and
-    # its gap to dist took 2.24 and the Floyd-Warshall route takes 3.1
+    # distances made and compared with dist one row block at a time: about
+    # 0.79 n^2 doubles for all of build_space (0.80 on the process's first
+    # build), where each block made beside the previous block's two arrays
+    # took 0.82, the whole embedded matrix and its gap to dist 2.24, and the
+    # Floyd-Warshall route takes 3.1
     sp = fixture("random_geometric", n=N, radius=0.15, seed=0)
     assert peak_bytes(build_space, sp.dist, sp.mu, sp.graph.toarray()) <= 1 * N * N * 8
-    # the fixture's dist and that check: about 1.77 n^2 (1.80 on the
-    # process's first build), where a dense n x n cond beside dist took
-    # 2.77, three n^2 boolean masks and the whole embedded matrix 4.26, and
-    # the (n, n, 2) difference tensor 7.1
+    # the fixture's dist, made and scanned for edges one row block at a
+    # time, and that check: about 1.80 n^2, where an n^2 edge mask took
+    # 1.83, a dense n x n cond beside dist 2.77, three n^2 boolean masks and
+    # the whole embedded matrix 4.26, and the (n, n, 2) difference tensor 7.1
     build = peak_bytes(lambda: fixture("random_geometric", n=N, radius=0.15, seed=0))
     assert build <= 2 * N * N * 8
 

@@ -29,7 +29,9 @@ from fraclap.space import (
     _ROW_BLOCK,
     _check_metric,
     _edge_lengths,
+    _euclidean_rows,
     _neighbour_counts,
+    _row_blocks,
     _is_edge_path_metric,
     _is_euclidean_metric,
     _is_hop_metric,
@@ -157,9 +159,13 @@ def _scaled_metric(scale, kind, **params):
     return scale * dist, cond
 
 
+def _points_3d():
+    return np.random.default_rng(5).random((10, 3))
+
+
 def _points_3d_metric():
     # points of the unit cube joined in a chain, so no path metric of its edges
-    points = np.random.default_rng(5).random((10, 3))
+    points = _points_3d()
     dist = cdist(points, points)
     return dist, np.eye(10, k=1) + np.eye(10, k=-1)
 
@@ -273,11 +279,47 @@ def test_random_geometric_certified_at_rank_two():
     # third pivot allowed is not spent on rounding noise
     for seed in range(20):
         dist = fixture("random_geometric", n=400, radius=0.15, seed=seed).dist
-        # space.py imports cdist when the certificate runs, so the patch on
-        # its home module reaches it
-        with mock.patch("scipy.spatial.distance.cdist", wraps=cdist) as embed:
+        # the certificate measures its embedding through the module's name
+        with mock.patch("fraclap.space._euclidean_rows", wraps=_euclidean_rows) as embed:
             assert _is_euclidean_metric(dist)
         assert {call.args[0].shape[1] for call in embed.call_args_list} == {2}
+
+
+def test_euclidean_rows_equal_cdist_on_random_geometric_points():
+    # the random_geometric fixture's points at n=400, seeds 0-199: every row
+    # block equals cdist's bit for bit, so the fixture's dist, its edges and
+    # everything downstream are those cdist gave
+    for seed in range(200):
+        points = np.random.default_rng(seed).random((400, 2))
+        for rows in _row_blocks(400):
+            assert np.array_equal(_euclidean_rows(points, rows), cdist(points[rows], points)), seed
+
+
+def test_random_geometric_dist_is_cdist_of_its_points():
+    for seed in range(0, 200, 20):
+        points = np.random.default_rng(seed).random((400, 2))
+        dist = fixture("random_geometric", n=400, radius=0.15, seed=seed).dist
+        assert np.array_equal(dist, cdist(points, points)), seed
+
+
+def test_euclidean_rows_equal_cdist_in_three_dimensions():
+    points = _points_3d()
+    assert np.array_equal(_euclidean_rows(points, slice(0, 10)), cdist(points, points))
+    # the certificate's own embedding of those points: three coordinates,
+    # read from a strided view.  The certificate scales the blocks it gets
+    # in place, so copies are kept
+    calls = []
+
+    def recording(points, rows):
+        block = _euclidean_rows(points, rows)
+        calls.append((points, rows, block.copy()))
+        return block
+
+    with mock.patch("fraclap.space._euclidean_rows", side_effect=recording):
+        assert _is_euclidean_metric(_points_3d_metric()[0])
+    assert {points.shape[1] for points, _, _ in calls} == {3}
+    for points, rows, got in calls:
+        assert np.array_equal(got, cdist(points[rows], points))
 
 
 @pytest.mark.parametrize("place", ["first", "last"])

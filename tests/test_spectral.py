@@ -537,6 +537,39 @@ def test_hop_counts_equal_undirected_shortest_path(n, span, n_chords, seed):
     assert np.array_equal(hops, shortest_path(edges, unweighted=True, directed=False))
 
 
+def _log_bound_oracle(sp, t):
+    """The walk bound's formula, with log j! from scipy's gammaln and
+    j log(beta t) from its xlogy, and q_min and the hops from the dense
+    conductances: the terms in the order the library sums them, and the
+    sum of their magnitudes, the scale of its rounding."""
+    from scipy.special import gammaln, xlogy
+
+    cond = sp.graph.toarray()
+    beta = float((cond.sum(axis=1) / sp.mu).max())
+    q = cond / (beta * sp.mu[:, None]) if beta > 0 else cond
+    log_q_min = np.log(q[cond > 0].min(initial=1.0))
+    hops = shortest_path(cond > 0, unweighted=True, directed=False).astype(int)
+    terms = (xlogy(hops, beta * t), hops * log_q_min, -gammaln(hops + 1.0), -beta * t)
+    oracle = terms[0] + terms[1] + terms[2] + terms[3] - np.log(sp.mu)[None, :]
+    return oracle, sum(np.abs(term) for term in terms) + np.abs(np.log(sp.mu))[None, :]
+
+
+@pytest.mark.parametrize("name", ["path8", "grid44", "rgg400", "one_point"])
+def test_heat_kernel_log_bound_matches_gammaln_xlogy_formula(path8, grid44, name):
+    # log j! comes from math.lgamma, within a few ulps of gammaln, and
+    # j log(beta t) keeps xlogy's 0 log 0 = 0 on the one-point space
+    sp = {
+        "path8": lambda: path8,
+        "grid44": lambda: grid44,
+        "rgg400": lambda: fixture("random_geometric", n=400, radius=0.15, seed=3),
+        "one_point": lambda: build_space([[0.0]], [2.0], [[0.0]]),
+    }[name]()
+    log_bound = heat_kernel_log_bound(sp)
+    for t in (1e-3, 0.1, 1.0, 10.0, 400.0):
+        oracle, scale = _log_bound_oracle(sp, t)
+        assert np.all(np.abs(log_bound(t) - oracle) <= 4 * np.finfo(float).eps * scale), t
+
+
 def test_heat_kernel_log_bound_finite_past_series_cap(path8):
     # beta = 2 on the path: t = 1e4 is far past the series' beta*t cap
     log_bound = heat_kernel_log_bound(path8)
