@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .energy import FracEnergyForm
 from .errors import (
@@ -393,6 +392,10 @@ def solve_extension(problem: DirichletProblem, grid: HalfSpaceGrid) -> Solution:
     residual is the true ||b - A x|| / ||b|| of the scaled system, rechecked
     after the loop: IterationBudgetExceeded when it is above _CG_REL_TOL.
     """
+    # imported on first use: scipy.sparse.linalg costs every import of the
+    # package about 2 MiB, and only this route's conjugate gradient needs it
+    from scipy.sparse.linalg import LinearOperator, cg
+
     grid.check_theta_matches(problem.theta)
     op = _ProductGridOperator(problem.space, grid, problem.omega)
     b = op.rhs_scaled(problem.f)

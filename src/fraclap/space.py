@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array, issparse
-from scipy.sparse.csgraph import connected_components, floyd_warshall, shortest_path
 
 from .errors import (
     DisconnectedGraph,
@@ -157,7 +156,7 @@ def build_space(dist, mu, cond) -> Space:
     # the metric certificate's hop route needs a connected graph, so the
     # components are counted first; a disconnected graph is still reported
     # after the metric and conductance checks
-    ncomp, _ = connected_components(graph, directed=False)
+    ncomp = _component_count(graph)
     _check_metric(dist, graph, ncomp == 1)
 
     if np.any(graph.data < 0) or not _is_symmetric(graph):
@@ -243,6 +242,11 @@ def _check_metric(dist, graph, connected):
     # monotone), so a pass here rules out every violating triple.  A failure
     # may come from small slacks accumulated over several hops, which are
     # accepted: the per-pivot scan below decides and names the witness triple.
+    # imported on first use: scipy.sparse.csgraph, with the scipy.sparse.linalg
+    # it loads, costs every import of the package about 3.1 MiB, and only
+    # this screen and the edge-path certificate need it
+    from scipy.sparse.csgraph import floyd_warshall
+
     fw = floyd_warshall(dist)
     if np.all(dist - fw <= _METRIC_TOL * (1.0 + fw)):
         return
@@ -279,6 +283,9 @@ def _is_edge_path_metric(dist, graph, lengths) -> bool:
     `graph` with edge lengths `lengths` (`_edge_lengths`), each edge walked
     both ways.  n sparse Dijkstra searches, O(n |E| log n), run from one row
     block of sources at a time, so D is never held whole."""
+    # imported on first use, as in `_check_metric`
+    from scipy.sparse.csgraph import shortest_path
+
     n = dist.shape[0]
     weighted = csr_array((lengths, graph.indices, graph.indptr), shape=(n, n))
     return _within_certificate_tol(
@@ -339,6 +346,52 @@ def _within_certificate_tol(dist, metric_rows) -> bool:
         # the next block's rows are made without this block's beside them
         del gap, metric
     return True
+
+
+def _component_count(graph) -> int:
+    """Number of connected components of the graph whose edges are the
+    stored entries of the n x n sparse CSR `graph` and of its transpose.
+
+    Min-label hooking with pointer jumping (Shiloach and Vishkin, J.
+    Algorithms 3, 1982).  Each point's parent is a point of its component,
+    never larger than itself, and the roots (parent[x] = x) are the
+    components found so far, each a tree of parents.  A round reads, for
+    every point u, the least and the greatest root among the points its row
+    of `graph` stores.  A root greater than one its tree meets across an
+    entry (u, v) is hooked onto the smaller: r(u) onto a least r(v) below it,
+    and a greatest r(v) above r(u) onto r(u).  So an entry counts both ways
+    with no transposed copy.  Pointer jumping then makes every tree a star.
+    The rounds end when every entry joins two points of one tree.  Each
+    hook lowers a label, so they do end; grids, paths and the dumbbell hook
+    in one round, random geometric graphs in three or four.
+
+    Labels are int32 (a space holds n^2 doubles, so n fits), so a round's
+    one |E|-long array is the 4-byte gather of the neighbours' roots, and
+    the rest are n long.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    n = len(indptr) - 1
+    linked = np.flatnonzero(indptr[:-1] != indptr[1:])  # points with a stored entry
+    starts = indptr[linked]
+    parent = np.arange(n, dtype=np.int32)
+    while True:
+        seen = parent[indices]  # stars: each neighbour's parent is its root
+        low = np.minimum.reduceat(seen, starts)
+        high = np.maximum.reduceat(seen, starts)
+        del seen
+        roots = parent[linked]
+        down, up = low < roots, high > roots
+        if not (down.any() or up.any()):
+            return int(np.count_nonzero(parent == np.arange(n)))
+        # a root hooked from several entries takes the least root offered
+        np.minimum.at(
+            parent,
+            np.concatenate((roots[down], high[up])),
+            np.concatenate((low[down], roots[up])),
+        )
+        grand = parent[parent]
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand[grand]
 
 
 def _hop_counts(graph) -> np.ndarray:

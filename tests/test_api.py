@@ -96,7 +96,9 @@ def test_cli_import_leaves_quadrature_and_optimize_unloaded():
 def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
     # both Dirichlet routes and the batched spectral solves on a grid
     # evaluate no special function, no quadrature and no Euclidean
-    # distance, so a run of them loads none of the modules for those
+    # distance, and the grid's metric is certified by its hop table, so a
+    # run of them loads none of the modules for those (the extension
+    # route's conjugate gradient loads scipy.sparse.linalg)
     config = {
         "space": {"fixture": {"kind": "grid2d", "params": {"nx": 4}}},
         "theta": [0.25, 0.75],
@@ -109,15 +111,23 @@ def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
     path.write_text(json.dumps(config))
     argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
     code = f"from fraclap.cli import main; assert main({argv!r}) == 0"
-    modules = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.special")
+    modules = (
+        "scipy.integrate",
+        "scipy.optimize",
+        "scipy.sparse.csgraph",
+        "scipy.spatial",
+        "scipy.special",
+    )
     assert _loaded_after(code, modules) == "[]"
 
 
 def test_random_geometric_run_leaves_spatial_special_and_quadrature_unloaded(tmp_path):
     # the Euclidean distances are summed in numpy, the walk bound takes log j!
-    # from math.lgamma, and the subordination check integrates its family of
-    # eigenvalues with a numpy rule: a run of the kernel and energy kinds on
-    # a random_geometric space loads none of the modules for those
+    # from math.lgamma, the subordination check integrates its family of
+    # eigenvalues with a numpy rule, the components are counted in numpy and
+    # the metric is certified by its planar embedding: a run of the kernel
+    # and energy kinds on a random_geometric space loads none of the modules
+    # for those, nor the sparse solvers that only the extension route uses
     config = {
         "space": {
             "fixture": {"kind": "random_geometric", "params": {"n": 40, "radius": 0.4, "seed": 0}}
@@ -133,19 +143,21 @@ def test_random_geometric_run_leaves_spatial_special_and_quadrature_unloaded(tmp
     path.write_text(json.dumps(config))
     argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
     code = f"from fraclap.cli import main; assert main({argv!r}) == 0"
-    modules = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.special")
+    modules = (
+        "scipy.integrate",
+        "scipy.optimize",
+        "scipy.sparse.csgraph",
+        "scipy.sparse.linalg",
+        "scipy.spatial",
+        "scipy.special",
+    )
     assert _loaded_after(code, modules) == "[]"
 
 
 # the scipy modules the package imports at module level, which every
 # `import fraclap` loads; any other is imported on first use, in the
 # function that needs it
-_MODULE_LEVEL_SCIPY = (
-    "scipy.linalg",
-    "scipy.sparse",
-    "scipy.sparse.csgraph",
-    "scipy.sparse.linalg",
-)
+_MODULE_LEVEL_SCIPY = ("scipy.linalg", "scipy.sparse")
 
 
 def _module_level_imports(tree):

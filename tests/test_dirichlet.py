@@ -252,7 +252,8 @@ def test_extension_converging_on_the_last_budgeted_iteration_returns(
         solved.append((x, info))
         return x, info
 
-    monkeypatch.setattr(dirichlet, "cg", spy)
+    # solve_extension imports cg on first use, from the scipy module
+    monkeypatch.setattr("scipy.sparse.linalg.cg", spy)
     monkeypatch.setattr(dirichlet, "_CG_MAX_ITER", iterations)
     sol = solve_extension(prob, grid)
     [(x, info)] = solved

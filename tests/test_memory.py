@@ -5,9 +5,9 @@ temporary (216 MB of doubles, or 27 MB even as booleans) breaks it.  The
 geometric checks run over every centre at once, where the easy mistake is a
 (centre, point, radius) tensor: with 6 to 12 radii at n=300 it stays under
 32 n^2 doubles, so they are held to 4 n^2 (they take about 1.2 n^2).  The
-memory a built space retains, each fixture's build, the validation of graph
-and Euclidean metrics, the ball-mass table, the hop table, the mode
-preconditioner, the extension solve, the batched spectral solve, the
+memory a built space retains, each fixture's build, the component count,
+the validation of graph and Euclidean metrics, the ball-mass table, the hop
+table, the mode preconditioner, the extension solve, the batched spectral solve, the
 fractional stiffness, the comparability family, the heat series, the
 subordination check and the walk bound have their own, tighter bounds.
 """
@@ -17,8 +17,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-# the extension's profiles and constants import scipy.special on first use;
-# it is loaded here, once, so no traced call measures that import
+# the extension's profiles and constants import scipy.special on first use,
+# the extension solve scipy.sparse.linalg and the fallback metric checks
+# scipy.sparse.csgraph; they are loaded here, once, so no traced call
+# measures those imports
+import scipy.sparse.csgraph  # noqa: F401
+import scipy.sparse.linalg  # noqa: F401
 import scipy.special  # noqa: F401
 from fraclap import (
     DirichletProblem,
@@ -42,7 +46,7 @@ from fraclap import (
 )
 from fraclap.cli import _KINDS, _exp_heat_properties
 from fraclap.dirichlet import _ModePreconditioner, _ProductGridOperator
-from fraclap.space import _hop_counts, _neighbour_counts
+from fraclap.space import _component_count, _hop_counts, _neighbour_counts
 
 N = 300
 BOUND_BYTES = 32 * N * N * 8
@@ -103,9 +107,9 @@ def test_fixture_hands_its_arrays_over_uncopied():
         # cond and an integer dist with its cast took 3.03
         ("path", {"n": N}, 2.25),
         # dist, the cliques' 38920 CSR entries (0.65 n^2) and the metric
-        # check over them: about 2.65 n^2 (2.68 first), where a screen from
-        # point 0 with |E|-long sums took 3.09, and a dense cond, the n x n
-        # masks of the metric, and the CSR sum of the symmetry check 5.13
+        # check over them: about 2.50 n^2, where a screen from point 0 with
+        # |E|-long sums took 3.09, and a dense cond, the n x n masks of the
+        # metric, and the CSR sum of the symmetry check 5.13
         ("dumbbell", {"clique": 140, "bridge": 20}, 2.75),
     ],
 )
@@ -178,6 +182,16 @@ def test_hop_counts_peak_allocation():
     assert peak_bytes(_hop_counts, sp.graph) <= 4 * 400 * 400
     sp = fixture("dumbbell", clique=190, bridge=20)
     assert peak_bytes(_hop_counts, sp.graph) <= 8 * 400 * 400
+
+
+def test_component_count_peak_allocation():
+    # int32 labels, and one round's 4-byte gather of the neighbours' labels
+    # as its one |E|-long array: about 0.29 n^2 doubles (5.2 bytes per
+    # stored entry) on the dumbbell, whose cliques hold 71862 entries, where
+    # scipy's connected_components took 0.68, and an |E|-long intp array of
+    # row or column indices takes 0.45 on its own
+    sp = fixture("dumbbell", clique=190, bridge=20)
+    assert peak_bytes(_component_count, sp.graph) <= 0.4 * 400 * 400 * 8
 
 
 def test_stiffness_matrix_peak_allocation():

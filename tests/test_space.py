@@ -28,6 +28,7 @@ from fraclap.space import (
     _FIXTURES,
     _ROW_BLOCK,
     _check_metric,
+    _component_count,
     _edge_lengths,
     _euclidean_rows,
     _neighbour_counts,
@@ -404,8 +405,9 @@ def test_floyd_warshall_only_where_the_certificate_cannot_decide(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr("fraclap.space.floyd_warshall", counting("fw", floyd_warshall))
-    monkeypatch.setattr("fraclap.space.shortest_path", counting("dijkstra", shortest_path))
+    # the certificates import both on first use, from the scipy module
+    monkeypatch.setattr("scipy.sparse.csgraph.floyd_warshall", counting("fw", floyd_warshall))
+    monkeypatch.setattr("scipy.sparse.csgraph.shortest_path", counting("dijkstra", shortest_path))
     # one edge length: the hop table decides, with no shortest-path solve
     fixture("path", n=50)
     fixture("grid2d", nx=12, ny=9)
@@ -770,6 +772,118 @@ def test_build_space_checks_sparse_conductances():
         build_space(dist, mu, one_way)
     with pytest.raises(DisconnectedGraph):
         build_space(dist, mu, csr_array((4, 4)))
+
+
+def _csgraph_count(graph):
+    return connected_components(graph, directed=False)[0]
+
+
+def _edge_graph(n, rows, cols):
+    """Canonical CSR graph of unit entries at (rows[k], cols[k]), each stored
+    one way only unless the lists hold both ways."""
+    graph = csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    graph.sum_duplicates()
+    return graph
+
+
+@given(
+    n=st.integers(1, 40),
+    data=st.data(),
+    both_ways=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_component_count_matches_csgraph(n, data, both_ways):
+    # edges may be stored one way, may be loops, and may leave points isolated
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    rows, cols = (list(ends) for ends in zip(*pairs)) if pairs else ([], [])
+    if both_ways:
+        rows, cols = rows + cols, cols + rows
+    graph = _edge_graph(n, rows, cols)
+    assert _component_count(graph) == _csgraph_count(graph)
+
+
+def test_component_count_on_random_sparse_graphs():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(1, 300))
+        m = int(rng.integers(0, 2 * n))
+        rows, cols = rng.integers(0, n, size=(2, m))
+        graph = _edge_graph(n, rows, cols)
+        assert _component_count(graph) == _csgraph_count(graph)
+        symmetric = graph + graph.T
+        assert _component_count(symmetric) == _csgraph_count(symmetric)
+
+
+@pytest.mark.parametrize(
+    "n, rows, cols, count",
+    [
+        (1, [], [], 1),
+        (1, [0], [0], 1),  # a loop
+        (5, [], [], 5),  # isolated points only
+        (6, [0, 1, 2], [1, 2, 3], 3),  # a one-way path, two isolated points
+        (6, [5, 4, 3, 2, 1], [4, 3, 2, 1, 0], 1),  # one way, towards smaller labels
+        (6, [5, 5, 5, 5, 5], [0, 1, 2, 3, 4], 1),  # a one-way star from its largest point
+        (6, [0, 0, 0, 0, 0], [5, 4, 3, 2, 1], 1),  # and from its smallest
+        # 300 one-way pairs (2k, 2k + 1) and 100 isolated points
+        (700, np.arange(0, 600, 2), np.arange(1, 600, 2), 400),
+        # the same pairs stored from their larger point, labels interleaved
+        (700, np.arange(1, 600, 2)[::-1], np.arange(0, 600, 2)[::-1], 400),
+    ],
+)
+def test_component_count_cases(n, rows, cols, count):
+    graph = _edge_graph(n, np.asarray(rows, int), np.asarray(cols, int))
+    assert _csgraph_count(graph) == count
+    assert _component_count(graph) == count
+
+
+def test_component_count_on_fixtures():
+    for kind, params in [
+        ("path", {"n": 300}),
+        ("grid2d", {"nx": 12, "ny": 9}),
+        ("dumbbell", {"clique": 30, "bridge": 5}),
+        ("random_geometric", {"n": 200, "radius": 0.15, "seed": 0}),
+    ]:
+        assert _component_count(fixture(kind, **params).graph) == 1
+    # the points of a random geometric space, joined at a radius that leaves
+    # many components
+    sp = fixture("random_geometric", n=300, radius=0.15, seed=1)
+    rows, cols = np.nonzero(sp.dist <= 0.03)
+    graph = _edge_graph(sp.n, rows, cols)
+    assert _csgraph_count(graph) > 100
+    assert _component_count(graph) == _csgraph_count(graph)
+
+
+def test_disconnected_graph_reported_after_metric_and_conductance_checks():
+    # two triangles and a single point: three components
+    dist = np.full((7, 7), 2.0)
+    np.fill_diagonal(dist, 0.0)
+    cond = np.zeros((7, 7))
+    for a, b in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
+        dist[a, b] = dist[b, a] = 1.0
+        cond[a, b] = cond[b, a] = 1.0
+    mu = np.ones(7)
+    assert _csgraph_count(csr_array(cond)) == 3
+    with pytest.raises(DisconnectedGraph, match=r"^conductance graph has 3 components$"):
+        build_space(dist, mu, cond)
+    # an edge stored one way, symmetric within the tolerance, joins the
+    # triangles: two components
+    one_way = cond.copy()
+    one_way[2, 3] = 1e-13
+    with pytest.raises(DisconnectedGraph, match=r"^conductance graph has 2 components$"):
+        build_space(dist, mu, one_way)
+    # a metric violation, an asymmetric conductance or a loop is reported first
+    bad = dist.copy()
+    bad[0, 6] = bad[6, 0] = 5.0
+    with pytest.raises(MetricViolation, match="witness triple"):
+        build_space(bad, mu, cond)
+    asymmetric = cond.copy()
+    asymmetric[0, 1] = 2.0
+    with pytest.raises(InvalidParams, match="symmetric"):
+        build_space(dist, mu, asymmetric)
+    loop = cond.copy()
+    loop[6, 6] = 1.0
+    with pytest.raises(InvalidParams, match="zero diagonal"):
+        build_space(dist, mu, loop)
 
 
 @pytest.mark.parametrize(
