@@ -7,9 +7,9 @@ geometric checks run over every centre at once, where the easy mistake is a
 32 n^2 doubles, so they are held to 4 n^2 (they take about 1.2 n^2).  The
 memory a built space retains, each fixture's build, the component count,
 the validation of graph and Euclidean metrics, the ball-mass table, the hop
-table, the mode preconditioner, the extension solve, the batched spectral solve, the
-fractional stiffness, the comparability family, the heat series, the
-subordination check and the walk bound have their own, tighter bounds.
+table, the mode preconditioner, the extension solve, the batched spectral
+solve, the fractional stiffness, the comparability family, the heat series,
+the subordination check and the walk bound have their own, tighter bounds.
 """
 
 import tracemalloc
