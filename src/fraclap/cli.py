@@ -188,14 +188,12 @@ _GRID_SIZE_PARAMS = ("m", "ms")
 
 
 def _check_param(value, default, where):
-    """ConfigParseError unless `value` fits the param's default: a bool for a
-    bool; a finite positive number for a number; a nonempty list of them for a
-    list; integers where the default's are."""
+    """ConfigParseError unless `value` fits the param's default: a finite
+    positive number for a number; a nonempty list of them for a list;
+    integers where the default's are."""
     integer = isinstance(default[0] if isinstance(default, list) else default, int)
     noun = "positive integer" if integer else "finite positive number"
-    if isinstance(default, bool):
-        ok, want = isinstance(value, bool), "true or false"
-    elif isinstance(default, list):
+    if isinstance(default, list):
         ok = isinstance(value, list) and value and all(_positive(v, integer) for v in value)
         want = f"a nonempty list of {noun}s"
     else:
@@ -256,7 +254,6 @@ def _exp_heat_properties(ctx, params):
     min_entry = min_bound = float("inf")
     excess = -1.0  # (bound - k) / max k is never below -1
     rows = [("t", "markov_err", "min_entry", "min_log10_bound", "bound_excess")]
-    tables = {"heat_properties.csv": rows}
     for t in params["ts"]:
         k = heat_kernel(dec, t)
         kmax = k.max()
@@ -275,10 +272,6 @@ def _exp_heat_properties(ctx, params):
         markov, excess = max(markov, m_err), max(excess, b_err)
         min_entry, min_bound = min(min_entry, float(k.min())), min(min_bound, b_min)
         rows.append((t, m_err, float(k.min()), b_min, b_err))
-        if params["export_kernels"]:
-            points = np.arange(space.n)
-            xs, zs = np.repeat(points, space.n).tolist(), np.tile(points, space.n).tolist()
-            tables[f"heat_kernel_t{t}.csv"] = [("x", "z", "p_t"), *zip(xs, zs, k.ravel().tolist())]
         del k  # freed before the next kernel is built
     # max|K_{t/2} M K_{t/2} - K_t| / max K_t at every t > 0 is at most the
     # decomposition's orthogonality defect (SpectralDecomposition)
@@ -295,7 +288,7 @@ def _exp_heat_properties(ctx, params):
         ),
     }
     passed = bool(passed and metrics["subordination_err"] <= 1e-6)
-    return metrics, passed, tables
+    return metrics, passed, {"heat_properties.csv": rows}
 
 
 def _exp_energy_comparability(ctx, params):
@@ -481,9 +474,7 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "heat_properties": _Kind(
-        _exp_heat_properties, True, {"ts": [0.01, 0.1, 1.0, 10.0], "export_kernels": False}
-    ),
+    "heat_properties": _Kind(_exp_heat_properties, True, {"ts": [0.01, 0.1, 1.0, 10.0]}),
     "energy_comparability": _Kind(_exp_energy_comparability, False, {"family_size": 100}),
     "dtn_convergence": _Kind(_exp_dtn_convergence, False, {"ms": [8, 10, 12, 14, 16]}),
     "energy_identity": _Kind(_exp_energy_identity, False, {}),

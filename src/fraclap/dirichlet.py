@@ -11,8 +11,8 @@ Two independent routes produce the solution:
     product grid X x {y_0..y_m} with the data pinned on the boundary row
     over the complement and a natural (zero-flux) condition over Omega,
     then read off the boundary row.  The operator walks the conductance
-    edges (O(|E| m) per application, no n x n matrix) and the conjugate
-    gradient (scipy's `cg`) stops on its own residual, which the solve then
+    edges (O(|E| m) per application, no n x n matrix) and the preconditioned
+    conjugate gradient stops on its own residual, which the solve then
     rechecks against the operator, so the operator and the stop tests
     share no linear algebra with the spectral route; the preconditioner
     reads the eigenpairs only to choose the search directions, which moves
@@ -57,7 +57,7 @@ __all__ = [
     "uniqueness_check",
 ]
 
-# the conjugate gradient's budget, read when it is called: it stops once
+# the extension solve's CG budget, read on each solve: its loop stops once
 # ||r|| < _CG_REL_TOL ||b|| or after _CG_MAX_ITER iterations, and the solve
 # raises unless the true residual is then at most _CG_REL_TOL ||b||
 _CG_REL_TOL = 1e-11
@@ -386,34 +386,32 @@ def solve_extension(problem: DirichletProblem, grid: HalfSpaceGrid) -> Solution:
     symmetry of the full-space problem); the top row is free, which is
     harmless once the grid is tall enough for the slowest mode to die out.
 
-    The decomposition of the problem's form preconditions scipy's conjugate
-    gradient (`cg`: one operator and one preconditioner application per
-    iteration) and gives the fractional energy of the trace.  The reported
-    residual is the true ||b - A x|| / ||b|| of the scaled system, rechecked
-    after the loop: IterationBudgetExceeded when it is above _CG_REL_TOL.
+    The decomposition of the problem's form preconditions the conjugate
+    gradient (Hestenes-Stiefel from x = 0, one operator and one
+    preconditioner application per iteration, updated in the order of
+    scipy's `cg`, whose iterates it reproduces bit for bit) and gives the
+    fractional energy of the trace.  The reported residual is the true
+    ||b - A x|| / ||b|| of the scaled system, rechecked after the loop:
+    IterationBudgetExceeded when it is above _CG_REL_TOL.
     """
-    # imported on first use: scipy.sparse.linalg costs every import of the
-    # package about 2 MiB, and only this route's conjugate gradient needs it
-    from scipy.sparse.linalg import LinearOperator, cg
-
     grid.check_theta_matches(problem.theta)
     op = _ProductGridOperator(problem.space, grid, problem.omega)
     b = op.rhs_scaled(problem.f)
-    shape = (len(b), len(b))
-    steps = []  # cg hands the callback its iterate once per iteration
-    x, _ = cg(
-        LinearOperator(shape, matvec=op.apply_scaled, dtype=float),
-        b,
-        rtol=_CG_REL_TOL,
-        atol=0.0,
-        maxiter=_CG_MAX_ITER,
-        M=LinearOperator(shape, matvec=_ModePreconditioner(op, problem.form.dec), dtype=float),
-        callback=steps.append,
-    )
-    iterations = len(steps)
-    # scipy returns info = maxiter once the budget is spent, even when the
-    # last iteration converged, so the budget is judged on the true residual
-    residual = float(np.linalg.norm(b - op.apply_scaled(x)) / (np.linalg.norm(b) or 1.0))
+    precondition = _ModePreconditioner(op, problem.form.dec)
+    bnorm = np.linalg.norm(b)
+    x, r, iterations = np.zeros_like(b), b, 0
+    # r is rebound, never updated in place, so a preconditioner may return it
+    while bnorm and iterations < _CG_MAX_ITER and not np.linalg.norm(r) < _CG_REL_TOL * bnorm:
+        z = precondition(r)
+        rz = r @ z
+        p = z if iterations == 0 else z + (rz / rz_prev) * p
+        ap = op.apply_scaled(p)
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r = r - alpha * ap
+        rz_prev = rz
+        iterations += 1
+    residual = float(np.linalg.norm(b - op.apply_scaled(x)) / (bnorm or 1.0))
     if residual > _CG_REL_TOL:
         raise IterationBudgetExceeded(
             f"conjugate gradient: {iterations} iterations, residual "

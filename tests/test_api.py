@@ -96,9 +96,9 @@ def test_cli_import_leaves_quadrature_and_optimize_unloaded():
 def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
     # both Dirichlet routes and the batched spectral solves on a grid
     # evaluate no special function, no quadrature and no Euclidean
-    # distance, and the grid's metric is certified by its hop table, so a
-    # run of them loads none of the modules for those (the extension
-    # route's conjugate gradient loads scipy.sparse.linalg)
+    # distance, the extension route's conjugate gradient is a numpy loop,
+    # and the grid's metric is certified by its hop table, so a run of them
+    # loads none of the modules for those
     config = {
         "space": {"fixture": {"kind": "grid2d", "params": {"nx": 4}}},
         "theta": [0.25, 0.75],
@@ -115,6 +115,7 @@ def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
         "scipy.integrate",
         "scipy.optimize",
         "scipy.sparse.csgraph",
+        "scipy.sparse.linalg",
         "scipy.spatial",
         "scipy.special",
     )
@@ -242,7 +243,7 @@ def test_config_parameter_count():
     # threshold is a param; a new param has to replace an old one
     from fraclap.cli import _KINDS
 
-    assert sum(len(kind.defaults) for kind in _KINDS.values()) == 11
+    assert sum(len(kind.defaults) for kind in _KINDS.values()) == 10
 
 
 def test_readme_scripts_list_matches_scripts():

@@ -216,16 +216,6 @@ def test_normalize_rejects_non_object():
         normalize_config({})
 
 
-def test_kernel_export_option(tmp_path):
-    cfg = base_config(
-        experiments=[{"kind": "heat_properties", "params": {"ts": [1.0], "export_kernels": True}}]
-    )
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
-    assert main(["run", "--config", path, "--out", str(out)]) == 0
-    assert (out / "00_heat_kernel_t1.0.csv").exists()
-
-
 def test_max_principle_batch_decomposes_once(tmp_path, monkeypatch):
     import fraclap.cli as cli
 
@@ -588,7 +578,7 @@ def test_bad_omega_mask_is_config_error(tmp_path, capsys, mask, message):
         ("codim_check", {"rs": [0.5, float("inf")]}),
         ("heat_properties", {"subordination_ts": []}),
         ("heat_properties", {"ts": []}),
-        ("heat_properties", {"export_kernels": 1}),
+        ("heat_properties", {"ts": [0.1, "1.0"]}),
         ("dtn_convergence", {"ms": []}),
         ("dtn_convergence", {"ms": [16]}),  # one point fits no slope
         ("dtn_convergence", {"ymax": 0}),
@@ -649,7 +639,7 @@ def test_experiment_params_fitting_the_defaults_accepted(tmp_path):
     experiments = [
         {"kind": "harnack_scan", "params": {"radius": 1}},
         {"kind": "dtn_convergence", "params": {"ms": [8, 10]}},
-        {"kind": "heat_properties", "params": {"export_kernels": True}},
+        {"kind": "heat_properties", "params": {"ts": [1, 10]}},
     ]
     experiments += [{"kind": kind, "params": spec.defaults} for kind, spec in _KINDS.items()]
     assert load_config(write_config(tmp_path, base_config(experiments=experiments)))

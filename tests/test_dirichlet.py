@@ -235,34 +235,35 @@ def test_extension_iteration_budget(p3_dec, monkeypatch):
         solve_extension(prob, grid)
 
 
-def test_extension_converging_on_the_last_budgeted_iteration_returns(
-    grid44, grid44_dec, monkeypatch
-):
-    # scipy's cg reports info = maxiter once the budget is spent, even when
-    # the last iteration converged, so the solve judges the true residual
-    f = np.random.default_rng(0).standard_normal(grid44.n)
-    prob = DirichletProblem(stiffness_matrix(grid44_dec, 0.25), omega=_interior(grid44), f=f)
-    grid = build_grid(0.25, default_ymax(grid44_dec), 32)
+def test_extension_converging_on_the_last_budgeted_iteration_returns(request, monkeypatch):
+    # the budget is judged on the true residual after the loop: with the
+    # solve's own iteration count as the budget it returns, with one fewer
+    # it raises
+    prob = _interior_problem("grid44", 0.25, request)
+    grid = build_grid(0.25, default_ymax(prob.form.dec), 32)
     iterations = solve_extension(prob, grid).iterations
     assert iterations >= 1
-    solved = []
+    iterates = []
 
-    def spy(*args, **kwargs):
-        x, info = cg(*args, **kwargs)
-        solved.append((x, info))
-        return x, info
+    class RecordingOperator(_ProductGridOperator):
+        def apply_scaled(self, x):
+            iterates.append(x.copy())  # the last call rechecks the solution
+            return super().apply_scaled(x)
 
-    # solve_extension imports cg on first use, from the scipy module
-    monkeypatch.setattr("scipy.sparse.linalg.cg", spy)
+    monkeypatch.setattr(dirichlet, "_ProductGridOperator", RecordingOperator)
     monkeypatch.setattr(dirichlet, "_CG_MAX_ITER", iterations)
     sol = solve_extension(prob, grid)
-    [(x, info)] = solved
-    assert info == iterations and sol.iterations == iterations
-    op = _ProductGridOperator(grid44, grid, prob.omega)
+    assert sol.iterations == iterations
+    op = _ProductGridOperator(prob.space, grid, prob.omega)
+    x = iterates[-1]
     b = op.rhs_scaled(prob.f)
     true_residual = np.linalg.norm(b - op.apply_scaled(x)) / np.linalg.norm(b)
-    assert sol.residual <= dirichlet._CG_REL_TOL
-    assert abs(sol.residual - true_residual) <= 1e-15
+    assert true_residual <= dirichlet._CG_REL_TOL
+    assert sol.residual == true_residual
+    assert np.array_equal(sol.u, op.unpack(x / op.scale, prob.f)[0])
+    monkeypatch.setattr(dirichlet, "_CG_MAX_ITER", iterations - 1)
+    with pytest.raises(IterationBudgetExceeded):
+        solve_extension(prob, grid)
 
 
 def test_extension_grid_mismatch(p3_dec):
@@ -277,17 +278,22 @@ def _interior(space):
     return counts == counts.max()
 
 
+def _interior_problem(name, theta, request):
+    """Seeded random data off the interior (`_interior`) of a fixture."""
+    space, dec = request.getfixturevalue(name), request.getfixturevalue(f"{name}_dec")
+    f = np.random.default_rng(0).standard_normal(space.n)
+    return DirichletProblem(stiffness_matrix(dec, theta), omega=_interior(space), f=f)
+
+
 @pytest.mark.parametrize("m", [32, 128])
 @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("name", ["path8", "grid44"])
 def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request):
     # plain CG (identity preconditioner) on the same scaled system reaches
     # the same trace, so the preconditioner changes only the path
-    space, dec = request.getfixturevalue(name), request.getfixturevalue(f"{name}_dec")
-    f = np.random.default_rng(0).standard_normal(space.n)
-    prob = DirichletProblem(stiffness_matrix(dec, theta), omega=_interior(space), f=f)
-    grid = build_grid(theta, default_ymax(dec), m)
-    op = _ProductGridOperator(space, grid, prob.omega)
+    prob = _interior_problem(name, theta, request)
+    grid = build_grid(theta, default_ymax(prob.form.dec), m)
+    op = _ProductGridOperator(prob.space, grid, prob.omega)
     b = op.rhs_scaled(prob.f)
     steps = []
     x, info = cg(
@@ -310,7 +316,6 @@ def test_mode_preconditioner_keeps_the_minimizer(name, theta, m, request):
 @pytest.mark.parametrize("name", ["path8", "grid44"])
 def test_extension_preconditions_once_per_iteration(name, theta, request, monkeypatch):
     # the residual that passes the stop test is never preconditioned
-    space, dec = request.getfixturevalue(name), request.getfixturevalue(f"{name}_dec")
     calls = []
 
     class CountingPreconditioner(dirichlet._ModePreconditioner):
@@ -319,11 +324,45 @@ def test_extension_preconditions_once_per_iteration(name, theta, request, monkey
             return super().__call__(r_scaled)
 
     monkeypatch.setattr(dirichlet, "_ModePreconditioner", CountingPreconditioner)
-    f = np.random.default_rng(0).standard_normal(space.n)
-    prob = DirichletProblem(stiffness_matrix(dec, theta), omega=_interior(space), f=f)
-    sol = solve_extension(prob, build_grid(theta, default_ymax(dec), 32))
+    prob = _interior_problem(name, theta, request)
+    sol = solve_extension(prob, build_grid(theta, default_ymax(prob.form.dec), 32))
     assert sol.iterations >= 1
     assert len(calls) == sol.iterations
+
+
+@pytest.mark.parametrize("preconditioner", ["modes", "identity"])
+@pytest.mark.parametrize("theta", [0.25, 0.75])
+@pytest.mark.parametrize("name", ["path8", "grid44"])
+def test_extension_loop_matches_scipy_cg(name, theta, preconditioner, request, monkeypatch):
+    # scipy's cg, given the same operator, preconditioner and tolerances,
+    # takes as many iterations and reaches the same trace bit for bit; the
+    # identity preconditioner (and a budget to match) takes enough
+    # iterations to check every update of the search direction
+    prob = _interior_problem(name, theta, request)
+    grid = build_grid(theta, default_ymax(prob.form.dec), 32)
+    op = _ProductGridOperator(prob.space, grid, prob.omega)
+    if preconditioner == "modes":
+        precondition = dirichlet._ModePreconditioner(op, prob.form.dec)
+    else:
+        precondition = lambda r: r  # noqa: E731
+        monkeypatch.setattr(dirichlet, "_ModePreconditioner", lambda op, dec: precondition)
+        monkeypatch.setattr(dirichlet, "_CG_MAX_ITER", 100_000)
+    b = op.rhs_scaled(prob.f)
+    shape = (len(b), len(b))
+    steps = []
+    x, info = cg(
+        LinearOperator(shape, matvec=op.apply_scaled, dtype=float),
+        b,
+        rtol=dirichlet._CG_REL_TOL,
+        atol=0.0,
+        maxiter=dirichlet._CG_MAX_ITER,
+        M=LinearOperator(shape, matvec=precondition, dtype=float),
+        callback=steps.append,
+    )
+    assert info == 0
+    sol = solve_extension(prob, grid)
+    assert sol.iterations == len(steps) >= (1 if preconditioner == "modes" else 10)
+    assert np.array_equal(sol.u, op.unpack(x / op.scale, prob.f)[0])
 
 
 @pytest.mark.parametrize(
@@ -359,6 +398,9 @@ def test_extension_constant_data(p3_dec):
     grid = build_grid(0.5, default_ymax(p3_dec), 16)
     sol = solve_extension(prob, grid)
     assert np.allclose(sol.u, 1.7, atol=1e-9)
+    # zero data makes the right-hand side 0, which the loop returns at once
+    zero = solve_extension(DirichletProblem(prob.form, omega=prob.omega, f=np.zeros(3)), grid)
+    assert zero.iterations == 0 and zero.residual == 0.0 and not zero.u.any()
 
 
 # -- residual check

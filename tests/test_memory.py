@@ -18,11 +18,10 @@ import numpy as np
 import pytest
 
 # the extension's profiles and constants import scipy.special on first use,
-# the extension solve scipy.sparse.linalg and the fallback metric checks
-# scipy.sparse.csgraph; they are loaded here, once, so no traced call
+# and the fallback metric checks scipy.sparse.csgraph, which loads
+# scipy.sparse.linalg; they are loaded here, once, so no traced call
 # measures those imports
 import scipy.sparse.csgraph  # noqa: F401
-import scipy.sparse.linalg  # noqa: F401
 import scipy.special  # noqa: F401
 from fraclap import (
     DirichletProblem,
