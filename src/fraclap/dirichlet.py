@@ -400,7 +400,8 @@ def solve_extension(problem: DirichletProblem, grid: HalfSpaceGrid) -> Solution:
     precondition = _ModePreconditioner(op, problem.form.dec)
     bnorm = np.linalg.norm(b)
     x, r, iterations = np.zeros_like(b), b, 0
-    # r is rebound, never updated in place, so a preconditioner may return it
+    # r starts as b and is rebound, never updated in place: b is read again
+    # for the true residual, and a preconditioner may return r itself
     while bnorm and iterations < _CG_MAX_ITER and not np.linalg.norm(r) < _CG_REL_TOL * bnorm:
         z = precondition(r)
         rz = r @ z
