@@ -28,7 +28,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .energy import FracEnergyForm
 from .errors import (
@@ -154,15 +153,77 @@ def _pinned_solver(dec: SpectralDecomposition, w: np.ndarray, omega: np.ndarray)
     (A x)_O = b_O, that is A_OO x_O = b_O - A_Oc b_c.
 
     w_0 belongs to the constant mode and must be 0, as lambda_0^theta and
-    sigma_0 are; every other w_k must be positive (SingularSystem
-    otherwise).  Only the smaller side is factored: the capacitance matrix
-    of the complement when |c| < |O| (`_ComplementSide`), else the domain
-    block (`_DomainSide`).
+    sigma_0 are; every other w_k must be positive and finite
+    (SingularSystem otherwise: numpy's Cholesky factorization does not
+    reject a NaN).  Only the smaller side is factored: the capacitance
+    matrix of the complement when |c| < |O| (`_ComplementSide`), else the
+    domain block (`_DomainSide`).
     """
-    if np.any(w[1:] <= 0):
-        raise SingularSystem(f"modal weight {w[1:].min():.3e} <= 0 off the constant mode")
+    bad = ~((w[1:] > 0) & (w[1:] < np.inf))
+    if np.any(bad):
+        raise SingularSystem(
+            f"modal weight {w[1:][bad][0]:.3e} off the constant mode is not positive and finite"
+        )
     side = _ComplementSide if np.count_nonzero(~omega) < np.count_nonzero(omega) else _DomainSide
     return side(dec, w, omega)
+
+
+def _cholesky_inverse(a: np.ndarray, name: str) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of the symmetric a = L L^T, written
+    over a (`_invert_cholesky`), so a must be a temporary; SingularSystem,
+    naming the matrix, unless a is positive definite.  numpy has no
+    triangular solve, so a solve with a is the two products L^-T (L^-1 b)
+    (`_cholesky_solve`), O(k^2) per column like the two triangular solves
+    they replace."""
+    try:
+        _invert_cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"{name} not positive definite: {exc}")
+    return a
+
+
+# blocks of up to this order are factored and inverted whole, by
+# np.linalg.cholesky and np.linalg.inv: at k = 800 on one BLAS thread,
+# leaves of 32 to 128 rows took the same time to within 10%
+_CHOLESKY_LEAF = 96
+
+
+def _invert_cholesky(a: np.ndarray) -> None:
+    """Overwrite a symmetric positive definite a, of which only the lower
+    triangle is read, with L^-1 for its Cholesky factor L, by halves.  For
+    a = [A B^T; B C] with A = L1 L1^T,
+
+        L^-1 = [X1 0; -X2 G X1  X2],   X1 = L1^-1,  G = B X1^T,
+        X2 = L2^-1 for the Schur complement C - G G^T = L2 L2^T,
+
+    so X1 and X2 are the same step on halves, each written in place, and
+    every other block is a BLAS-3 product: about 7 k^3 / 6 flops.  At
+    k = 800 on one BLAS thread that takes about twice as long as LAPACK's
+    potrf alone (scipy's cho_factor); np.linalg.cholesky of all of a, then
+    L inverted by halves, took 2.7 to 3.5 times.  A leaf's LU inverse may
+    leave rounding above the diagonal; every block above it is zeroed, so
+    the result is exactly lower triangular.  np.linalg.cholesky raises
+    LinAlgError on the first leaf that is not positive definite, which in
+    exact arithmetic happens exactly when a is not."""
+    k = len(a)
+    if k <= _CHOLESKY_LEAF:
+        a[...] = np.tril(np.linalg.inv(np.linalg.cholesky(a)))
+        return
+    h = k // 2
+    x1, b, c = a[:h, :h], a[h:, :h], a[h:, h:]
+    _invert_cholesky(x1)
+    g = b @ x1.T
+    c -= g @ g.T  # syrk, as in `_gram`
+    _invert_cholesky(c)
+    np.matmul(c @ g, x1, out=b)
+    np.negative(b, out=b)
+    a[:h, h:] = 0.0
+
+
+def _cholesky_solve(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for the Cholesky inverse L^-1 of a (`_cholesky_inverse`), for a
+    vector b or every column of b."""
+    return inverse.T @ (inverse @ b)
 
 
 class _ComplementSide:
@@ -175,10 +236,10 @@ class _ComplementSide:
 
     with the capacitance matrix C = Phi_c diag(w+^-1) Phi_c^T, positive
     definite whenever the domain is nonempty.  C = R R^T for the complement
-    rows R = Phi_c diag(w+^-1/2), scaled in place, is factored once in
-    O(|c|^2 n + |c|^3).  A batch of k takes one solve with C and O(n^2 k)
-    for the mode transforms, whose domain entries are read as rows of full
-    products.
+    rows R = Phi_c diag(w+^-1/2), scaled in place, is factored and its
+    factor inverted once (`_cholesky_inverse`), O(|c|^2 n + |c|^3).  A
+    batch of k takes one solve with C and O(n^2 k) for the mode transforms,
+    whose domain entries are read as rows of full products.
     """
 
     def __init__(self, dec: SpectralDecomposition, w: np.ndarray, omega: np.ndarray):
@@ -187,19 +248,15 @@ class _ComplementSide:
         self.scale[1:] = w[1:] ** -0.5
         self.root = dec.phis[~omega]
         self.root *= self.scale
-        try:
-            # numpy hands R R^T to syrk (`_gram`), so C is exactly symmetric
-            # and its transpose is C in the Fortran order LAPACK factors in place
-            self.factor = cho_factor((self.root @ self.root.T).T, overwrite_a=True)
-        except LinAlgError as exc:
-            raise SingularSystem(f"capacitance matrix not positive definite: {exc}")
-        self.ones_solved = cho_solve(self.factor, np.ones(len(self.root)))
+        # numpy hands R R^T to syrk (`_gram`), so C is exactly symmetric
+        self.inverse = _cholesky_inverse(self.root @ self.root.T, "capacitance matrix")
+        self.ones_solved = _cholesky_solve(self.inverse, np.ones(len(self.root)))
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         b2 = b.reshape(len(b), -1)
         source = np.where(self.omega[:, None], b2, 0.0)  # E_O b_O
         half = self.scale[:, None] * (self.phis.T @ source)  # H E_O b_O = Phi w+^-1/2 half
-        nu = cho_solve(self.factor, b2[~self.omega] - self.root @ half)
+        nu = _cholesky_solve(self.inverse, b2[~self.omega] - self.root @ half)
         alpha = (nu.sum(axis=0) + source.sum(axis=0)) / self.ones_solved.sum()
         nu -= np.outer(self.ones_solved, alpha)
         half += self.root.T @ nu
@@ -211,29 +268,25 @@ class _ComplementSide:
 
 class _DomainSide:
     """Direct solve on the domain: A_OO = B_O B_O^T for the domain rows B_O of
-    B = M Phi diag(w^1/2), formed by syrk (`_gram`) and factored in place,
-    O(|O|^2 n + |O|^3).  The data term A_Oc b_c is the domain rows of A b~,
-    with b~ = b on c and 0 on O, by the mode transforms: O(n^2 k) for k
-    columns."""
+    B = M Phi diag(w^1/2), formed by syrk (`_gram`), factored and its factor
+    inverted (`_cholesky_inverse`), O(|O|^2 n + |O|^3).  The data term
+    A_Oc b_c is the domain rows of A b~, with b~ = b on c and 0 on O, by the
+    mode transforms: O(n^2 k) for k columns."""
 
     def __init__(self, dec: SpectralDecomposition, w: np.ndarray, omega: np.ndarray):
         self.dec, self.w, self.omega = dec, w, omega
-        try:
-            # the domain rows of M Phi go in as a temporary that `_gram` frees
-            # once scaled; A_OO is exactly symmetric, so its transpose is the
-            # same matrix in the Fortran order LAPACK factors in place
-            self.factor = cho_factor(
-                _gram(dec.space.mu[omega, None] * dec.phis[omega], w).T, overwrite_a=True
-            )
-        except LinAlgError as exc:
-            raise SingularSystem(f"domain block not positive definite: {exc}")
+        # the domain rows of M Phi go in as a temporary that `_gram` frees
+        # once scaled, and A_OO as one that is inverted in place
+        self.inverse = _cholesky_inverse(
+            _gram(dec.space.mu[omega, None] * dec.phis[omega], w), "domain block"
+        )
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         b2 = b.reshape(len(b), -1)
         x = np.where(self.omega[:, None], 0.0, b2)  # b~
         weighted = self.w[:, None] * self.dec.coefficients(x)
         coupled = self.dec.space.mu[:, None] * (self.dec.phis @ weighted)  # A b~
-        x[self.omega] = cho_solve(self.factor, b2[self.omega] - coupled[self.omega])
+        x[self.omega] = _cholesky_solve(self.inverse, b2[self.omega] - coupled[self.omega])
         return x.reshape(b.shape)
 
 
@@ -350,7 +403,9 @@ class _ModePreconditioner:
         r = np.tril(np.ones((op.m, op.m)), -1) + np.diag(op.s)
         self.rw = r.T @ op.w
         self.cinv = 1.0 / np.sqrt(op.cv)
-        vartheta, self.q = eigh(self.cinv[:, None] * (r.T @ (op.w[:, None] * r)) * self.cinv)
+        vartheta, self.q = np.linalg.eigh(
+            self.cinv[:, None] * (r.T @ (op.w[:, None] * r)) * self.cinv
+        )
         self.denom = 1.0 + self.lam[:, None] * vartheta[None, :]
         # G_k^-1 g_k, and sigma_k = 2 lam_k sum(w) - g_k . G_k^-1 g_k (0 at lam = 0)
         self.g_solved = self.solve_modes(2.0 * self.lam[:, None] * self.rw[None, :])
@@ -546,5 +601,5 @@ def uniqueness_check(problem: DirichletProblem) -> dict:
     positive definite, so the energy is strictly convex on the domain."""
     idx = np.where(problem.omega)[0]
     koo = problem.form.stiffness[np.ix_(idx, idx)]
-    lam_min = float(eigh(koo, eigvals_only=True)[0])
+    lam_min = float(np.linalg.eigvalsh(koo)[0])
     return {"lambda_min": lam_min, "passed": lam_min > 0}

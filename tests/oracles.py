@@ -1,6 +1,6 @@
 """Reference routes that only the tests call: the graph Laplacian on one
-vector, the conductance Dirichlet form, and the extension profile by
-quadrature of its kernel integral."""
+vector, the conductance Dirichlet form, the closed-form eigenpairs of the
+unit path, and the extension profile by quadrature of its kernel integral."""
 
 from functools import lru_cache
 
@@ -21,6 +21,22 @@ def dirichlet_form(space, f, g) -> float:
     f = _check_vector(space, f)
     g = _check_vector(space, g)
     return float(f @ _stiffness_apply(space, g))
+
+
+def path_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues 2 - 2 cos(pi k / n) = 4 sin^2(pi k / (2 n)), k = 0..n-1
+    (the sine form has no cancellation at small k), and orthonormal
+    eigenvectors cos(pi k (x + 1/2) / n), normalized, of -Delta on the unit
+    path of n points (`fixture("path", n=n)`), with no eigensolver.  grid2d
+    nx x ny is the Kronecker product of the nx and ny paths: its eigenvalues
+    are the sums of theirs, and its heat kernel the Kronecker product of
+    theirs.  The cosine's argument is reduced in integers first, so it
+    carries no rounding of pi k (2 x + 1) / (2 n) at large k x."""
+    k = np.arange(n)
+    angle = np.outer(2 * k + 1, k) % (4 * n)  # pi k (2x + 1) / (2n) in units of pi / (2n)
+    basis = np.cos(np.pi / (2 * n) * angle) * np.sqrt(2.0 / n)
+    basis[:, 0] = np.sqrt(1.0 / n)
+    return 4.0 * np.sin(np.pi / (2 * n) * k) ** 2, basis
 
 
 @lru_cache(maxsize=None)

@@ -87,9 +87,10 @@ def _loaded_after(code, modules):
 
 
 def test_cli_import_leaves_quadrature_and_optimize_unloaded():
-    # scipy.integrate, which loads scipy.optimize, and scipy.special are
-    # imported on first use, so `import fraclap.cli` loads none of them
-    modules = ("scipy.integrate", "scipy.optimize", "scipy.special")
+    # scipy.integrate, which loads scipy.optimize and scipy.linalg, and
+    # scipy.special are imported on first use, and the dense linear algebra
+    # is numpy's, so `import fraclap.cli` loads none of them
+    modules = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.special")
     assert _loaded_after("import fraclap.cli", modules) == "[]"
 
 
@@ -97,8 +98,9 @@ def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
     # both Dirichlet routes and the batched spectral solves on a grid
     # evaluate no special function, no quadrature and no Euclidean
     # distance, the extension route's conjugate gradient is a numpy loop,
-    # and the grid's metric is certified by its hop table, so a run of them
-    # loads none of the modules for those
+    # the grid's metric is certified by its hop table, and the eigensolves
+    # and Cholesky factors are numpy's, so a run of them loads none of the
+    # modules for those
     config = {
         "space": {"fixture": {"kind": "grid2d", "params": {"nx": 4}}},
         "theta": [0.25, 0.75],
@@ -113,6 +115,7 @@ def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
     code = f"from fraclap.cli import main; assert main({argv!r}) == 0"
     modules = (
         "scipy.integrate",
+        "scipy.linalg",
         "scipy.optimize",
         "scipy.sparse.csgraph",
         "scipy.sparse.linalg",
@@ -125,10 +128,11 @@ def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
 def test_random_geometric_run_leaves_spatial_special_and_quadrature_unloaded(tmp_path):
     # the Euclidean distances are summed in numpy, the walk bound takes log j!
     # from math.lgamma, the subordination check integrates its family of
-    # eigenvalues with a numpy rule, the components are counted in numpy and
-    # the metric is certified by its planar embedding: a run of the kernel
-    # and energy kinds on a random_geometric space loads none of the modules
-    # for those, nor the sparse solvers that only the extension route uses
+    # eigenvalues with a numpy rule, the components are counted in numpy,
+    # the metric is certified by its planar embedding, and the eigensolves
+    # and Cholesky factors are numpy's: a run of the kernel and energy kinds
+    # on a random_geometric space loads none of the modules for those, nor
+    # the sparse solvers that only the fallback metric checks use
     config = {
         "space": {
             "fixture": {"kind": "random_geometric", "params": {"n": 40, "radius": 0.4, "seed": 0}}
@@ -146,6 +150,7 @@ def test_random_geometric_run_leaves_spatial_special_and_quadrature_unloaded(tmp
     code = f"from fraclap.cli import main; assert main({argv!r}) == 0"
     modules = (
         "scipy.integrate",
+        "scipy.linalg",
         "scipy.optimize",
         "scipy.sparse.csgraph",
         "scipy.sparse.linalg",
@@ -157,8 +162,9 @@ def test_random_geometric_run_leaves_spatial_special_and_quadrature_unloaded(tmp
 
 # the scipy modules the package imports at module level, which every
 # `import fraclap` loads; any other is imported on first use, in the
-# function that needs it
-_MODULE_LEVEL_SCIPY = ("scipy.linalg", "scipy.sparse")
+# function that needs it.  The dense eigensolves and Cholesky factors are
+# numpy's, so scipy.linalg is not among them
+_MODULE_LEVEL_SCIPY = ("scipy.sparse",)
 
 
 def _module_level_imports(tree):

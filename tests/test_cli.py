@@ -243,21 +243,23 @@ def test_pinned_solves_factor_the_smaller_side(tmp_path, monkeypatch):
     # factors one matrix, of order min(|Omega|, |c|): 76 for the interior of
     # grid2d nx=20 (324 points, 76 on the rim).  Per theta those are the
     # spectral solve and the extension preconditioner of dirichlet_routes,
-    # the batch of max_principle_batch and the solve of harnack_scan
-    import fraclap.dirichlet as dirichlet
+    # the batch of max_principle_batch and the solve of harnack_scan.  An
+    # order up to dirichlet._CHOLESKY_LEAF is factored by one call of
+    # np.linalg.cholesky; a larger one by halves, one call per leaf
     from fraclap.energy import FracEnergyForm
 
     def unread(form):
         raise AssertionError("a run read FracEnergyForm.stiffness")
 
     monkeypatch.setattr(FracEnergyForm, "stiffness", property(unread))
-    real, orders = dirichlet.cho_factor, []
+    # every numpy Cholesky factorization of the run is counted
+    real, orders = np.linalg.cholesky, []
 
-    def counting(a, **kwargs):
+    def counting(a, *args, **kwargs):
         orders.append(a.shape)
-        return real(a, **kwargs)
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(dirichlet, "cho_factor", counting)
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
     kinds = ("dirichlet_routes", "max_principle_batch", "harnack_scan")
     space = {"fixture": {"kind": "grid2d", "params": {"nx": 20}}}
     cfg = base_config(space=space, theta=[0.25, 0.75], experiments=[{"kind": k} for k in kinds])

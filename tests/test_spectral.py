@@ -30,7 +30,7 @@ from fraclap.space import _hop_counts
 from fraclap.spectral import _fix_signs, inverse_gaussian_density, spectral_power_apply
 
 from conftest import gemm_symmetrized, random_vector, rel_gap
-from oracles import dirichlet_form, laplacian_apply
+from oracles import dirichlet_form, laplacian_apply, path_modes
 
 
 # -- Laplacian
@@ -173,6 +173,30 @@ def test_decompose_matches_evr_on_degenerate_spectrum(nx, ny):
     for theta in (0.25, 0.75):
         got = stiffness_matrix(dec, theta).stiffness
         assert _max_rel_err(got, stiffness_matrix(oracle, theta).stiffness) <= 1e-12
+
+
+def _closed_form_heat(n, t):
+    """The unit path's heat kernel at time t from its cosine modes."""
+    lam, basis = path_modes(n)
+    return (basis * np.exp(-lam * t)) @ basis.T
+
+
+@pytest.mark.parametrize(
+    "kind, params, nx, ny", [("path", {"n": 400}, 400, 1), ("grid2d", {"nx": 20}, 20, 20)]
+)
+def test_decompose_matches_closed_form_cosine_modes(kind, params, nx, ny):
+    # an eigensolver-free second side at n=400: the path's cosines and, on
+    # the grid, their Kronecker sums.  Measured: eigenvalues within 6.7e-16
+    # (path) and 9.5e-16 (grid) of lambda_max, heat kernels at t=1 within
+    # 1.8e-15 and 3.2e-15 of max K; the bounds are about 4x those.  The heat
+    # kernel does not depend on the basis chosen in the grid's degenerate
+    # eigenspaces
+    dec = decompose(fixture(kind, **params))
+    lam_x, lam_y = path_modes(nx)[0], path_modes(ny)[0]
+    closed = np.sort(np.add.outer(lam_x, lam_y), axis=None)
+    assert np.max(np.abs(dec.lambdas - closed)) <= 4e-15 * closed[-1]
+    kernel = np.kron(_closed_form_heat(nx, 1.0), _closed_form_heat(ny, 1.0))
+    assert _max_rel_err(heat_kernel(dec, 1.0), kernel) <= 1.5e-14
 
 
 def _fix_signs_reference(phis):
