@@ -447,7 +447,7 @@ def solve_extension(problem: DirichletProblem, grid: HalfSpaceGrid) -> Solution:
     scipy's `cg`, whose iterates it reproduces bit for bit) and gives the
     fractional energy of the trace.  The reported residual is the true
     ||b - A x|| / ||b|| of the scaled system, rechecked after the loop:
-    IterationBudgetExceeded when it is above _CG_REL_TOL.
+    IterationBudgetExceeded unless it is at most _CG_REL_TOL.
     """
     grid.check_theta_matches(problem.theta)
     op = _ProductGridOperator(problem.space, grid, problem.omega)
@@ -468,10 +468,10 @@ def solve_extension(problem: DirichletProblem, grid: HalfSpaceGrid) -> Solution:
         rz_prev = rz
         iterations += 1
     residual = float(np.linalg.norm(b - op.apply_scaled(x)) / (bnorm or 1.0))
-    if residual > _CG_REL_TOL:
+    if not residual <= _CG_REL_TOL:  # a NaN residual fails too
         raise IterationBudgetExceeded(
             f"conjugate gradient: {iterations} iterations, residual "
-            f"{residual:.3e} > {_CG_REL_TOL:.1e}"
+            f"{residual:.3e}, budget {_CG_REL_TOL:.1e}"
         )
     t, _ = op.unpack(x / op.scale, problem.f)
     return Solution(

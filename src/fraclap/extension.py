@@ -14,6 +14,7 @@ ones plus boundary terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +27,7 @@ from .errors import (
     InvalidParams,
     RadiusExceedsGrid,
 )
-from .quadrature import integrate_halfline
+from .quadrature import EXPSINH_FLOOR, integrate_expsinh
 from .space import Space, ball_measure
 from .spectral import SpectralDecomposition, _check_vector, check_theta
 
@@ -286,18 +287,32 @@ def dtn_apply(u: ExtensionField) -> np.ndarray:
 # extension energy
 
 
-def mode_energy_quadrature(lam: float, theta: float) -> float:
-    """Independent high-resolution quadrature of the per-mode energy
-    integral_0^inf y^a (g'(y)^2 + lam g(y)^2) dy over the half line."""
+def mode_energy_quadrature(lam, theta: float) -> float | np.ndarray:
+    """Quadrature of the per-mode energy integral_0^inf y^a (g'^2 + lam g^2)
+    dy: a float for a scalar lam, a vector for a vector, from one call of
+    the exp-sinh rule over y > y0 = EXPSINH_FLOOR.  Below y0 the leading
+    terms g = 1 - C y^(2 theta) + O(y^2), C = Gamma(1-theta) / Gamma(1+theta)
+    (lam/4)^theta, give 2 theta C^2 y0^(2 theta) + lam y0^(2-2 theta) /
+    (2-2 theta).  At theta <= 1e-3 or >= 0.999 that part carries at least
+    78.6% of the value, so there the check mostly compares the expansion
+    with d_theta.  The rule's budget is in the max norm over lam: lam = 1e-3
+    beside 1e3 in one call read 1.4e-6 relative at theta = 0.95 and 2.9e-7
+    at 0.99, against 2.1e-14 and 5.3e-15 alone.
+    """
     check_theta(theta)
     a = 1.0 - 2.0 * theta
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
 
     def integrand(y):
-        g = mode_profile(lam, theta, y)
-        dg = mode_profile_derivative(lam, theta, y)
-        return y**a * (dg * dg + lam * g * g)
+        g = mode_profile(lams, theta, y)
+        dg = mode_profile_derivative(lams, theta, y)
+        return y**a * (dg * dg + lams * g * g)
 
-    return integrate_halfline(integrand)
+    y0 = EXPSINH_FLOOR
+    c = math.gamma(1.0 - theta) / math.gamma(1.0 + theta) * (lams / 4.0) ** theta
+    below = 2.0 * theta * c * c * y0 ** (2.0 * theta) + lams * y0 ** (1.0 + a) / (1.0 + a)
+    energy = integrate_expsinh(integrand) + below
+    return float(energy[0]) if np.ndim(lam) == 0 else energy
 
 
 # ---------------------------------------------------------------------------

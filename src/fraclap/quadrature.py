@@ -1,107 +1,93 @@
-"""Adaptive quadrature over the half line (0, inf).
+"""Adaptive quadrature of families of integrals over the half line (0, inf).
 
-All half-line integrals in this package go through `integrate_halfline`,
-which applies the compactifying substitution s = u^2/(1-u)^2 mapping
-(0, 1) -> (0, inf) and integrates the transformed integrand over u in
-[0, 1] adaptively.  The substitution tames both power-law endpoint behavior
-at s -> 0 and algebraic tails at s -> inf.
+A substitution maps [0, 1] onto the half line, and one composite
+Gauss-Legendre rule in numpy integrates the result.  `integrate_halfline`
+takes s = u^2/(1-u)^2, which tames power laws at s -> 0 and algebraic tails
+while the transformed integrand stays bounded, as the subordination
+family's does; on an integrable singularity it stops at the panel cap.
+`integrate_expsinh` takes y = exp(pi/2 sinh tau) (Takahasi and Mori, Publ.
+RIMS 9, 1974) on a fixed tau range: a term y^p, p > -1, at y -> 0 and
+exponential decay at y -> inf both fall off double exponentially in tau.
+Its range starts at EXPSINH_FLOOR; the caller adds the part below.
 
-The rule depends on what the integrand returns:
-
-- A scalar integrand goes to QUADPACK's qags (`scipy.integrate.quad`, imported
-  on first use), whose epsilon-algorithm extrapolation handles the integrable
-  endpoint singularities of the profile and mode-energy integrands.  A plain
-  adaptive rule does not: `quad_vec` on the theta = 1/4 profile
-  normalization, with its (1-u)^(-1/2) singularity, missed the closed form by
-  8.5e-9 relative while reporting success with an error estimate of 6.3e-10.
-- A vector-valued integrand (a family of integrals, e.g. one per eigenvalue)
-  goes to a composite Gauss-Legendre rule in numpy alone.  The rule starts
-  from `_INITIAL_PANELS` equal panels of [0, 1] with `_NODES` nodes each.
-  Each panel's error is estimated as the gap between its value and the sum
-  of its two halves', in the max norm over the components.  A panel within
-  its share of the budget (in proportion to its width) is closed with the
-  halves' sum; only the panels over their share are bisected, until none
-  is left.  Use it for families without endpoint singularities.
-
-  The family's integrand must broadcast over a column of nodes: called with
-  s of shape (m, 1), it returns the (m, k) array whose row i is the family
-  at s[i].  Called with a scalar s it returns the k-vector.  Each call gets
-  the nodes of one panel, so a call's arrays stay m x k.
+The rule starts from `_INITIAL_PANELS` equal panels of [0, 1] with `_NODES`
+nodes each.  Each panel's error is estimated as the gap between its value
+and the sum of its two halves', in the max norm over the components.  A
+panel within its share of the budget (in proportion to its width) is closed
+with the halves' sum; only the panels over their share are bisected, until
+none is left.  The integrand is a family: called with points of shape
+(m, 1), it returns the (m, k) array whose row i is the family at point i.
+Each call gets the nodes of one panel, so a call's arrays stay m x k.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureNoConvergence
 
-__all__ = ["integrate_halfline"]
+__all__ = ["EXPSINH_FLOOR", "integrate_expsinh", "integrate_halfline"]
 
-# the error budget of every call, read when the call is made; for a family
-# the cap counts the panels of its partition of [0, 1]
+# the error budget of every call, read when the call is made; the cap counts
+# the panels of the partition of [0, 1]
 _ABS_TOL = 1e-9
 _REL_TOL = 1e-9
 _MAX_SUBDIVISIONS = 200
 
-# the family rule: Gauss-Legendre nodes per panel, and the first partition
+# Gauss-Legendre nodes per panel, and the first partition
 _NODES = 12
 _INITIAL_PANELS = 4
 
+# the exp-sinh range of tau, chosen by measurement (README, Numerical notes):
+# y runs from EXPSINH_FLOOR = 2.3e-51 to 1.9e11
+_TAU_LO, _TAU_HI = -5.0, 3.5
+EXPSINH_FLOOR = math.exp(math.pi / 2.0 * math.sinh(_TAU_LO))
 
-def _compactified(f):
-    """The integrand f(s) ds over (0, inf) as a function of u in [0, 1],
-    with non-finite values (integrable singularities at the rims) set to 0
-    per component.  u is a scalar or, for a family, a column of nodes."""
 
-    def transformed(u):
-        # numpy values, so u = 1 gives inf instead of ZeroDivisionError
-        u = np.asarray(u, dtype=np.float64)
-        om = 1.0 - u
-        s = (u * u) / (om * om)
-        ds = 2.0 * u / (om * om * om)
-        val = f(s) * ds
-        if np.ndim(val) == 0:
-            return val if np.isfinite(val) else 0.0
+def _compactified(u):
+    """s = u^2/(1-u)^2 and ds/du (numpy values: u = 1 gives inf)."""
+    om = 1.0 - u
+    return (u * u) / (om * om), 2.0 * u / (om * om * om)
+
+
+def _expsinh(u):
+    """y = exp(pi/2 sinh tau), tau = _TAU_LO + (_TAU_HI - _TAU_LO) u, and dy/du."""
+    tau = _TAU_LO + (_TAU_HI - _TAU_LO) * u
+    y = np.exp(np.pi / 2.0 * np.sinh(tau))
+    return y, (_TAU_HI - _TAU_LO) * np.pi / 2.0 * np.cosh(tau) * y
+
+
+def integrate_halfline(f) -> np.ndarray:
+    """Integrate the family f over (0, inf) via s = u^2/(1-u)^2; raises
+    QuadratureNoConvergence if the rule gives up over ten times its budget."""
+    return _integrate(f, _compactified)
+
+
+def integrate_expsinh(f) -> np.ndarray:
+    """Integrate the family f over (EXPSINH_FLOOR, 1.9e11) via the exp-sinh
+    map, like `integrate_halfline`; the caller adds the part below."""
+    return _integrate(f, _expsinh)
+
+
+def _integrate(f, substitution) -> np.ndarray:
+    """The rule on f(x(u)) x'(u) over u in [0, 1], substitution(u) = (x(u),
+    x'(u)), with non-finite values (integrable singularities at the rims)
+    set to 0 per component."""
+
+    def g(u):
+        x, dx = substitution(np.asarray(u, dtype=np.float64))
+        val = f(x) * dx
         return np.where(np.isfinite(val), val, 0.0)
 
-    return transformed
-
-
-def integrate_halfline(f) -> float | np.ndarray:
-    """Integrate f over (0, inf) via the substitution s = u^2/(1-u)^2.
-
-    A scalar-valued f gives a float (QUADPACK qags); a vector-valued f gives
-    a vector of the same length (the composite Gauss-Legendre rule, see the
-    module docstring for how f must broadcast).  Raises
-    QuadratureNoConvergence when the rule gives up with an error estimate
-    more than ten times over budget.
-    """
-    transformed = _compactified(f)
     # the rims evaluate to inf/nan by design; those values are zeroed
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if np.ndim(transformed(0.5)) == 0:
-            value, abserr, failure = _qags(transformed)
-        else:
-            value, abserr, failure = _gauss_legendre(transformed)
+        value, abserr, failure = _gauss_legendre(g)
     if failure and abserr > 10.0 * max(_ABS_TOL, _REL_TOL * np.max(np.abs(value))):
         raise QuadratureNoConvergence(f"estimated error {abserr:.3e} exceeds budget ({failure})")
     return value
-
-
-def _qags(g):
-    """(value, error estimate, failure message or None) of QUADPACK's qags
-    on g over [0, 1]."""
-    # imported on first use: scipy.integrate loads scipy.optimize and
-    # scipy.spatial with it, about 16 MiB that runs without a scalar
-    # quadrature never need
-    from scipy.integrate import quad
-
-    value, abserr, _, *message = quad(
-        g, 0.0, 1.0, epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS, full_output=1
-    )
-    return value, abserr, message[0].strip() if message else None
 
 
 @lru_cache(maxsize=None)

@@ -87,11 +87,41 @@ def _loaded_after(code, modules):
 
 
 def test_cli_import_leaves_quadrature_and_optimize_unloaded():
-    # scipy.integrate, which loads scipy.optimize and scipy.linalg, and
-    # scipy.special are imported on first use, and the dense linear algebra
-    # is numpy's, so `import fraclap.cli` loads none of them
+    # scipy.special is imported on first use, the quadratures and the dense
+    # linear algebra are numpy's, so `import fraclap.cli` loads none of these
     modules = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.special")
     assert _loaded_after("import fraclap.cli", modules) == "[]"
+
+
+def test_default_config_run_leaves_integrate_and_optimize_unloaded(tmp_path):
+    # every kind of configs/default.json runs, energy_identity's mode energy
+    # on the exp-sinh rule in numpy, so the run loads no scipy quadrature
+    config = Path(fraclap.__file__).resolve().parents[2] / "configs" / "default.json"
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    code = f"from fraclap.cli import main; assert main({argv!r}) == 0"
+    assert _loaded_after(code, ("scipy.integrate", "scipy.optimize")) == "[]"
+
+
+def _imported_modules(tree):
+    """Every absolute module `tree` imports, at module level or in a
+    function; `from scipy import integrate` counts as scipy.integrate."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return found
+
+
+def test_no_module_imports_scipy_integrate():
+    found = [
+        (path.name, module)
+        for path in sorted(Path(fraclap.__file__).parent.glob("*.py"))
+        for module in _imported_modules(ast.parse(path.read_text()))
+        if module == "scipy.integrate" or module.startswith("scipy.integrate.")
+    ]
+    assert found == []
 
 
 def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):

@@ -495,6 +495,18 @@ def test_dirichlet_routes_reports_cg_iterations(tmp_path):
         assert 1 <= rec["metrics"]["cg_iterations"] <= 5
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dirichlet_routes_nan_residual_exits_2(tmp_path, capsys):
+    # at m = 1000 the geometric grid's first cells are so thin that dy^2
+    # underflows, the cell stiffnesses w / dy^2 are infinite and the
+    # conjugate gradient runs on NaN: the NaN residual fails the recheck, so
+    # the run stops with exit 2 instead of reporting a NaN gap
+    cfg = base_config(experiments=[{"kind": "dirichlet_routes", "params": {"m": 1000}}])
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "residual nan" in capsys.readouterr().err
+
+
 def test_empty_theta_list_is_config_error(tmp_path, capsys):
     cfg = base_config(theta=[], experiments=[{"kind": "energy_comparability", "params": {}}])
     path = write_config(tmp_path, cfg)

@@ -22,8 +22,8 @@ from fraclap.errors import (
     InvalidParams,
     RadiusExceedsGrid,
 )
-from fraclap import quadrature
 
+import oracles
 from oracles import mode_profile_quadrature, profile_normalization_quadrature
 
 
@@ -93,9 +93,9 @@ def test_profile_quadrature_oracle(theta, lam, monkeypatch):
     coarse = [mode_profile_quadrature(lam, theta, y) for y in ys]
     profile_normalization_quadrature.cache_clear()
     with monkeypatch.context() as m:
-        m.setattr(quadrature, "_ABS_TOL", quadrature._ABS_TOL / 10.0)
-        m.setattr(quadrature, "_REL_TOL", quadrature._REL_TOL / 10.0)
-        m.setattr(quadrature, "_MAX_SUBDIVISIONS", 2 * quadrature._MAX_SUBDIVISIONS)
+        m.setattr(oracles, "QUAD_ABS_TOL", oracles.QUAD_ABS_TOL / 10.0)
+        m.setattr(oracles, "QUAD_REL_TOL", oracles.QUAD_REL_TOL / 10.0)
+        m.setattr(oracles, "QUAD_LIMIT", 2 * oracles.QUAD_LIMIT)
         try:
             fine = [mode_profile_quadrature(lam, theta, y) for y in ys]
         finally:
@@ -238,7 +238,31 @@ def test_dtn_rejects_unresolvable_first_cell(k2_dec):
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_per_mode_energy_identity(theta, lam):
     got = mode_energy_quadrature(lam, theta)
-    assert got == pytest.approx(extension_energy_constant(theta) * lam**theta, abs=1e-4)
+    assert isinstance(got, float)
+    assert got == pytest.approx(extension_energy_constant(theta) * lam**theta, abs=1e-13)
+
+
+ENERGY_THETAS = [1e-6, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 0.9999999]
+
+
+@pytest.mark.parametrize("theta", ENERGY_THETAS)
+def test_per_mode_energy_relative_error_across_theta(theta):
+    # one lam per call; measured worst 2.9e-11 (theta = 1e-6, lam = 1e-3)
+    # over the whole grid, and 1.7e-13 for theta in [0.05, 0.999]
+    bound = 1e-12 if 0.05 <= theta <= 0.999 else 1e-10
+    for lam in (1e-3, 0.5, 1.0, 2.0, 1e3):
+        exact = extension_energy_constant(theta) * lam**theta
+        assert abs(mode_energy_quadrature(lam, theta) - exact) <= bound * exact
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+def test_per_mode_energy_vector_call(theta):
+    # energy_identity's three lam in one call; measured 8.3e-15, 1.5e-14 and
+    # 2.6e-14 at theta = 1/4, 1/2, 3/4
+    lams = np.array([0.5, 1.0, 2.0])
+    got = mode_energy_quadrature(lams, theta)
+    assert got.shape == lams.shape
+    assert np.max(np.abs(got - extension_energy_constant(theta) * lams**theta)) <= 1e-13
 
 
 def test_per_mode_energy_exact_case():

@@ -30,7 +30,7 @@ from fraclap.space import _hop_counts
 from fraclap.spectral import _fix_signs, inverse_gaussian_density, spectral_power_apply
 
 from conftest import gemm_symmetrized, random_vector, rel_gap
-from oracles import dirichlet_form, laplacian_apply, path_modes
+from oracles import dirichlet_form, laplacian_apply, path_modes, quadpack_halfline
 
 
 # -- Laplacian
@@ -632,7 +632,7 @@ def test_frac_apply_theta_range(k2_dec):
 
 def test_subordinator_density_normalizes():
     for t in (0.1, 1.0):
-        total = integrate_halfline(lambda s: inverse_gaussian_density(t, s))
+        total = quadpack_halfline(lambda s: inverse_gaussian_density(t, s))
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -659,10 +659,10 @@ def test_subordination_check_one_quadrature_per_time(monkeypatch, grid44_dec, du
             calls.clear()
             got = subordination_check(dec, t)
             assert len(calls) == 1
-            # the same check as one scalar quadrature per distinct eigenvalue
+            # the same check as one QUADPACK quadrature per distinct eigenvalue
             want = max(
                 abs(
-                    integrate_halfline(
+                    quadpack_halfline(
                         lambda s, lam=lam: inverse_gaussian_density(t, s) * np.exp(-lam * s)
                     )
                     - np.exp(-t * np.sqrt(lam))
