@@ -4,7 +4,7 @@
 Solves the same nonlocal Dirichlet problem by direct energy minimization
 (`solve_spectral`: the pinned solve of the Euler-Lagrange system through the
 eigenpairs, factoring only the smaller of the domain and its complement) and
-by conjugate gradient on the weighted product-grid extension problem, then
+by defect correction on the weighted product-grid extension problem, then
 reports the sup-norm gap between the traces under product-grid refinement.
 Emits a plot-ready CSV (theta, level, h_max, gap, gap_over_osc).
 """

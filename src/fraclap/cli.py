@@ -367,7 +367,7 @@ def _exp_dirichlet_routes(ctx, params):
         "gap_over_osc": gap_over_osc,
         "energy_spectral": spectral.energy,
         "energy_extension": ext.energy,
-        "cg_iterations": ext.iterations,
+        "correction_passes": ext.iterations,
         "m": m,
     }
     return metrics, bool(passed), {"dirichlet_routes.csv": rows}

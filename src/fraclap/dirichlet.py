@@ -11,12 +11,12 @@ Two independent routes produce the solution:
     product grid X x {y_0..y_m} with the data pinned on the boundary row
     over the complement and a natural (zero-flux) condition over Omega,
     then read off the boundary row.  The operator walks the conductance
-    edges (O(|E| m) per application, no n x n matrix) and the preconditioned
-    conjugate gradient stops on its own residual, which the solve then
-    rechecks against the operator, so the operator and the stop tests
-    share no linear algebra with the spectral route; the preconditioner
-    reads the eigenpairs only to choose the search directions, which moves
-    the path to the minimizer, not the minimizer.
+    edges (O(|E| m) per application, no n x n matrix), and defect
+    correction stops on the residual of that operator, so the operator and
+    the stop test share no linear algebra with the spectral route; the
+    exact modal inverse of the Hessian reads the eigenpairs only to choose
+    the corrections, which moves the path to the minimizer, not the
+    minimizer.
 
 Agreement of the two traces under grid refinement is the computable face of
 the equivalence between energy minimizers and harmonic-extension traces.
@@ -32,6 +32,7 @@ import numpy as np
 from .energy import FracEnergyForm
 from .errors import (
     BallNotCompactlyInside,
+    DegenerateFirstCell,
     InsufficientScales,
     InvalidParams,
     IterationBudgetExceeded,
@@ -56,11 +57,11 @@ __all__ = [
     "uniqueness_check",
 ]
 
-# the extension solve's CG budget, read on each solve: its loop stops once
-# ||r|| < _CG_REL_TOL ||b|| or after _CG_MAX_ITER iterations, and the solve
-# raises unless the true residual is then at most _CG_REL_TOL ||b||
-_CG_REL_TOL = 1e-11
-_CG_MAX_ITER = 100
+# the extension solve's budget, read on each solve: defect correction stops
+# once ||b - A x|| <= _CORRECTION_REL_TOL ||b|| and raises if that takes
+# more than _CORRECTION_MAX_PASSES passes
+_CORRECTION_REL_TOL = 1e-11
+_CORRECTION_MAX_PASSES = 100
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ class Solution:
     u: np.ndarray
     residual: float
     energy: float
-    iterations: int  # conjugate-gradient iterations; 0 for a direct solve
+    iterations: int  # defect-correction passes; 0 for a direct solve
 
 
 def solve_spectral(problem: DirichletProblem) -> Solution:
@@ -321,7 +322,13 @@ class _ProductGridOperator:
         ys, w = grid.ys, grid.cellweights
         dy = np.diff(ys)
         self.w = w
-        self.cv = w / dy**2
+        with np.errstate(divide="ignore", over="ignore"):
+            self.cv = w / dy**2
+        if not np.all(np.isfinite(self.cv)):  # dy^2 underflowed: every residual would be NaN
+            j = int(np.argmin(np.isfinite(self.cv)))
+            raise DegenerateFirstCell(
+                f"grid cell {j} [{ys[j]:.3e}, {ys[j + 1]:.3e}] is too thin: w/dy^2 = {self.cv[j]}"
+            )
         self.s = (grid.cell_centroids() - ys[:-1]) / dy
         gdiag = space.degrees  # the diagonal of S
         wsuffix = np.concatenate([np.cumsum(w[::-1])[::-1][1:], [0.0]])
@@ -394,8 +401,8 @@ class _ModePreconditioner:
     smaller of Omega and the complement (`_pinned_solver`, set up once).
     M Phi is never stored: an application multiplies by Phi and scales by
     mu, O(n^2 m) for the mode transforms of the m vertical rows.  The
-    eigenpairs only steer the search directions: the operator and the stop
-    test never read them.
+    eigenpairs only choose the corrections: the operator and the stop test
+    never read them.
     """
 
     def __init__(self, op: _ProductGridOperator, dec: SpectralDecomposition):
@@ -441,44 +448,34 @@ def solve_extension(problem: DirichletProblem, grid: HalfSpaceGrid) -> Solution:
     symmetry of the full-space problem); the top row is free, which is
     harmless once the grid is tall enough for the slowest mode to die out.
 
-    The decomposition of the problem's form preconditions the conjugate
-    gradient (Hestenes-Stiefel from x = 0, one operator and one
-    preconditioner application per iteration, updated in the order of
-    scipy's `cg`, whose iterates it reproduces bit for bit) and gives the
-    fractional energy of the trace.  The reported residual is the true
-    ||b - A x|| / ||b|| of the scaled system, rechecked after the loop:
-    IterationBudgetExceeded unless it is at most _CG_REL_TOL.
+    The scaled system A x = b is solved by defect correction on the exact
+    modal inverse P of A (`_ModePreconditioner`): from x = 0, each pass
+    sets x <- x + P (b - A x), one application of P and one of A, until
+    ||b - A x|| / ||b|| <= _CORRECTION_REL_TOL, the reported residual;
+    IterationBudgetExceeded after _CORRECTION_MAX_PASSES passes, or on NaN.
+    The problem's form gives the fractional energy of the trace.
     """
     grid.check_theta_matches(problem.theta)
     op = _ProductGridOperator(problem.space, grid, problem.omega)
     b = op.rhs_scaled(problem.f)
-    precondition = _ModePreconditioner(op, problem.form.dec)
-    bnorm = np.linalg.norm(b)
-    x, r, iterations = np.zeros_like(b), b, 0
-    # r starts as b and is rebound, never updated in place: b is read again
-    # for the true residual, and a preconditioner may return r itself
-    while bnorm and iterations < _CG_MAX_ITER and not np.linalg.norm(r) < _CG_REL_TOL * bnorm:
-        z = precondition(r)
-        rz = r @ z
-        p = z if iterations == 0 else z + (rz / rz_prev) * p
-        ap = op.apply_scaled(p)
-        alpha = rz / (p @ ap)
-        x += alpha * p
-        r = r - alpha * ap
-        rz_prev = rz
-        iterations += 1
-    residual = float(np.linalg.norm(b - op.apply_scaled(x)) / (bnorm or 1.0))
-    if not residual <= _CG_REL_TOL:  # a NaN residual fails too
-        raise IterationBudgetExceeded(
-            f"conjugate gradient: {iterations} iterations, residual "
-            f"{residual:.3e}, budget {_CG_REL_TOL:.1e}"
-        )
+    correct = _ModePreconditioner(op, problem.form.dec)
+    bnorm = np.linalg.norm(b) or 1.0
+    x, r, passes = np.zeros_like(b), b, 0  # r starts as b: rebound, never updated in place
+    while not (residual := np.linalg.norm(r) / bnorm) <= _CORRECTION_REL_TOL:  # NaN too
+        if passes == _CORRECTION_MAX_PASSES:
+            raise IterationBudgetExceeded(
+                f"defect correction: {passes} passes, residual {residual:.3e}, "
+                f"budget {_CORRECTION_REL_TOL:.1e}"
+            )
+        x += correct(r)
+        r = b - op.apply_scaled(x)
+        passes += 1
     t, _ = op.unpack(x / op.scale, problem.f)
     return Solution(
         u=t,
-        residual=residual,
+        residual=float(residual),
         energy=problem.form.energy(t),
-        iterations=iterations,
+        iterations=passes,
     )
 
 

@@ -1,14 +1,20 @@
 """Reference routes that only the tests call: the graph Laplacian on one
 vector, the conductance Dirichlet form, the closed-form eigenpairs of the
-unit path, QUADPACK over the half line, and the extension profile by
-quadrature of its kernel integral."""
+unit path and grid, QUADPACK over the half line, and the extension profile
+by quadrature of its kernel integral."""
 
 from functools import lru_cache
 
 import numpy as np
 
 from fraclap.errors import InvalidParams, QuadratureNoConvergence
-from fraclap.spectral import _check_vector, _laplacian, _stiffness_apply, check_theta
+from fraclap.spectral import (
+    SpectralDecomposition,
+    _check_vector,
+    _laplacian,
+    _stiffness_apply,
+    check_theta,
+)
 
 
 def laplacian_apply(space, f) -> np.ndarray:
@@ -37,6 +43,19 @@ def path_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
     basis = np.cos(np.pi / (2 * n) * angle) * np.sqrt(2.0 / n)
     basis[:, 0] = np.sqrt(1.0 / n)
     return 4.0 * np.sin(np.pi / (2 * n) * k) ** 2, basis
+
+
+def cosine_decomposition(space, nx: int, ny: int = 1) -> SpectralDecomposition:
+    """The decomposition of the unit path of nx points (ny = 1) or of grid2d
+    nx x ny, whose unit measure makes `path_modes` mu-orthonormal: the
+    Kronecker sums of the paths' eigenvalues, ascending, and the Kronecker
+    products of their cosines, with no eigensolver."""
+    (lam_x, phi_x), (lam_y, phi_y) = path_modes(nx), path_modes(ny)
+    lambdas = np.add.outer(lam_x, lam_y).ravel()
+    order = np.argsort(lambdas, kind="stable")
+    phis = np.kron(phi_x, phi_y)[:, order]
+    defect = np.linalg.norm(phis.T @ (space.mu[:, None] * phis) - np.eye(space.n))
+    return SpectralDecomposition(space, lambdas[order], phis, float(defect))
 
 
 # QUADPACK's budget, the library rule's, read when a call is made

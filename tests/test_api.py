@@ -114,12 +114,16 @@ def _imported_modules(tree):
     return found
 
 
-def test_no_module_imports_scipy_integrate():
+@pytest.mark.parametrize("oracle_only", ["scipy.integrate", "scipy.sparse.linalg"])
+def test_no_module_imports_an_oracle_only_scipy_module(oracle_only):
+    # QUADPACK and scipy's cg are the tests' oracles (tests/oracles.py, the
+    # plain-CG trace in tests/test_dirichlet.py); the library runs its own
+    # quadrature and defect correction
     found = [
         (path.name, module)
         for path in sorted(Path(fraclap.__file__).parent.glob("*.py"))
         for module in _imported_modules(ast.parse(path.read_text()))
-        if module == "scipy.integrate" or module.startswith("scipy.integrate.")
+        if module == oracle_only or module.startswith(oracle_only + ".")
     ]
     assert found == []
 
@@ -127,7 +131,7 @@ def test_no_module_imports_scipy_integrate():
 def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
     # both Dirichlet routes and the batched spectral solves on a grid
     # evaluate no special function, no quadrature and no Euclidean
-    # distance, the extension route's conjugate gradient is a numpy loop,
+    # distance, the extension route's defect correction is a numpy loop,
     # the grid's metric is certified by its hop table, and the eigensolves
     # and Cholesky factors are numpy's, so a run of them loads none of the
     # modules for those
@@ -268,7 +272,7 @@ def test_public_name_count():
 
 
 def test_settable_parameter_count():
-    # the error budgets of the quadrature and of the conjugate gradient are
+    # the error budgets of the quadrature and of the defect correction are
     # module constants, not options; a new knob has to replace an old one
     found = _settable_parameters()
     assert len(found) <= 7, found

@@ -265,6 +265,21 @@ def test_per_mode_energy_vector_call(theta):
     assert np.max(np.abs(got - extension_energy_constant(theta) * lams**theta)) <= 1e-13
 
 
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.75, 0.95])
+def test_per_mode_energy_relative_error_near_zero(theta):
+    # the integrand of each lam is scaled by lam^theta, so its budget is
+    # relative: measured at most 2.3e-14 alone and 6.7e-15 in the mixed
+    # call, where an absolute budget read 4.3e-5 at theta = 3/4, lam = 1e-10
+    # and 1.4e-6 in the mixed call at theta = 0.95
+    const = extension_energy_constant(theta)
+    for lam in (1e-14, 1e-10, 1e-6):
+        exact = const * lam**theta
+        assert abs(mode_energy_quadrature(lam, theta) - exact) <= 1e-12 * exact
+    lams = np.logspace(-3, 3, 7)
+    exact = const * lams**theta
+    assert np.max(np.abs(mode_energy_quadrature(lams, theta) - exact) / exact) <= 1e-12
+
+
 def test_per_mode_energy_exact_case():
     # theta = 1/2, lam = 1: g = e^-y and the integral is exactly 1
     assert mode_energy_quadrature(1.0, 0.5) == pytest.approx(1.0, abs=1e-8)
