@@ -45,7 +45,9 @@ from .dirichlet import (
 from .energy import comparability_report, stiffness_matrix
 from .errors import ConfigParseError, FraclapError, InvalidParams
 from .extension import (
+    DEFAULT_RATIO,
     MIN_GRID_NODES,
+    _first_node_vanishes,
     build_grid,
     codim_ball_check,
     default_ymax,
@@ -160,6 +162,13 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
                 raise ConfigParseError(
                     f"{where}: {key!r} grid sizes must be at least {MIN_GRID_NODES}, got {value!r}"
                 )
+            if key in _GRID_SIZE_PARAMS and kind in _GEOMETRIC_GRID_KINDS:
+                vanishing = [m for m in np.atleast_1d(value).tolist() if _first_node_vanishes(m)]
+                if vanishing:
+                    raise ConfigParseError(
+                        f"{where}: {key!r} grid size {vanishing[0]} puts the first node "
+                        f"Ymax * {DEFAULT_RATIO}^{vanishing[0] - 1} at 0 for every finite Ymax"
+                    )
         if kind == "dtn_convergence" and len(params.get("ms", allowed["ms"])) < 2:
             raise ConfigParseError(f"{where}: 'ms' needs at least 2 grid sizes to fit a slope")
         normalized_experiments.append({"kind": kind, "params": params})
@@ -183,8 +192,11 @@ def _check_seed(seed, where):
     return seed
 
 
-# params that count nodes of an extension grid (`build_grid`'s m)
+# params that count nodes of an extension grid (`build_grid`'s m), and the
+# kinds that lay those grids out geometrically from Ymax (the others are
+# uniform), whose first node underflows for large m (`_first_node_vanishes`)
 _GRID_SIZE_PARAMS = ("m", "ms")
+_GEOMETRIC_GRID_KINDS = ("dtn_convergence", "dirichlet_routes")
 
 
 def _check_param(value, default, where):

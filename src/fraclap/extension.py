@@ -155,6 +155,17 @@ def build_grid(
     return HalfSpaceGrid(theta=theta, ys=ys)
 
 
+def _first_node_vanishes(m: int) -> bool:
+    """Whether the geometric layout of `build_grid` with m cells puts its
+    first node y_1 = Ymax * DEFAULT_RATIO^(m - 1) at 0 for every finite Ymax.
+    build_grid forms the power first, by the same numpy power on an integer
+    exponent as here.  Once the power underflows to 0 no Ymax lifts the
+    product; while it is positive (at least 2^-1074), the largest finite
+    Ymax (about 2^1024) keeps y_1 positive.  At ratio 1/2 the power
+    2^-1075 rounds to 0, so this holds from m = 1076 on."""
+    return bool(DEFAULT_RATIO ** np.arange(m - 1, m)[0] == 0.0)
+
+
 def default_ymax(dec: SpectralDecomposition) -> float:
     """Height at which the slowest nonzero mode has decayed below 1e-8, so
     truncating the energy tail is negligible."""

@@ -17,9 +17,9 @@ from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_array, issparse
 
 from .errors import (
+    DimensionMismatch,
     DisconnectedGraph,
     InvalidParams,
     MetricViolation,
@@ -61,16 +61,182 @@ def _min_off_diagonal(dist: np.ndarray) -> float:
     return float(np.ravel(dist, order="K")[1:].reshape(n - 1, n + 1)[:, :-1].min())
 
 
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """Conductances of n points in compressed sparse row (CSR) form: row x
+    stores c(x, indices[k]) = data[k] for indptr[x] <= k < indptr[x + 1].
+    `_csr_graph` makes the records, canonical (each row's columns
+    ascending, no duplicate, no zero) with read-only int32 index and
+    float64 data arrays.  Only numpy arrays: scipy's sparse arrays wrap
+    them where a scipy routine needs one."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def toarray(self) -> np.ndarray:
+        """The conductances as a new dense n x n array."""
+        dense = np.zeros(self.shape)
+        for rows, entries, local in _entry_blocks(self):
+            dense[rows][local, self.indices[entries]] = self.data[entries]
+        return dense
+
+    def dot(self, f: np.ndarray) -> np.ndarray:
+        """C f for a float vector f, or for every column of an n x k float
+        array f, as a new array.  Each row adds its stored entries' products
+        in stored order, starting from 0, as scipy's CSR product does
+        (csr_matvec and csr_matvecs), so the two agree bit for bit.
+
+        The rows are taken in falling order of degree (`_degree_order`),
+        where those with a k-th entry are a prefix: slot k is one gather of
+        f, one product and one add over that prefix (the row-slot, or
+        ELLPACK, layout), and the rows go back to point order at the end.
+        O(|E| k) work in numpy calls per slot; unit conductances, as the
+        fixtures have, skip the product (1 x = x exactly)."""
+        if len(f) != self.n:  # `take` below clips its indices unchecked
+            raise DimensionMismatch(f"expected {self.n} rows, got shape {f.shape}")
+        rank, slots = self._slots
+        acc = np.zeros((self.n,) + f.shape[1:])
+        part = np.empty_like(acc)
+        for cols, vals in slots:
+            head = part[: len(cols)]
+            np.take(f, cols, axis=0, out=head, mode="clip")
+            if vals is not None:
+                columns = head.T  # a view, so the product scales head's rows
+                columns *= vals
+            acc[: len(cols)] += head
+        return np.take(acc, rank, axis=0, out=part)
+
+    @cached_property
+    def asymmetry(self) -> float:
+        """max |c(x, y) - c(y, x)| over the stored entries, reading a missing
+        mirror (y, x) as 0: 0 exactly when the graph equals its transpose.
+        Found once per record: the mirrors are read through the transpose
+        permutation (`_transpose_positions`) one block of rows
+        (`_entry_blocks`) at a time, with no float copy of the data; with a
+        one-way edge, c - c^T is summed over both structures
+        (`_with_mirrors`)."""
+        mirrors = _transpose_positions(self)
+        if mirrors is None:
+            gaps = _with_mirrors(self, self.data, -self.data).data
+            return float(np.max(np.abs(gaps), initial=0.0))
+        worst = 0.0
+        for _, entries, _ in _entry_blocks(self):
+            gap = self.data[mirrors[entries]]
+            gap -= self.data[entries]
+            worst = max(worst, float(np.max(np.abs(gap, out=gap), initial=0.0)))
+        return worst
+
+    @cached_property
+    def _slots(self):
+        """The rank of each row in degree order, and per slot k the columns
+        (intp, as `take` wants them) and conductances of the k-th entries of
+        the rows that have one, in that order; None for unit conductances."""
+        order, rank = _degree_order(self.indptr)
+        unit = bool(np.all(self.data == 1.0))
+        slots = [
+            (self.indices[pos].astype(np.intp), None if unit else self.data[pos])
+            for pos in _slot_positions(self.indptr, order)
+        ]
+        return rank, slots
+
+
+def _key_type(n: int):
+    """The integer type of the entry keys x n + y of n points (`_csr_graph`):
+    32 bits whenever they fit, as they do for any n whose n^2 doubles fit in
+    memory."""
+    return np.int32 if (n + 1) * n < 2**31 else np.int64
+
+
+def _csr_graph(n: int, keys: np.ndarray, vals: np.ndarray) -> Graph:
+    """The canonical, read-only record of the n x n conductances that put
+    vals[k] at row x, column y for keys[k] = x n + y: entries sorted by row,
+    then column, duplicates summed in their given order, zeros dropped.  The
+    one canonicalization, for every form `build_space` takes and for the
+    fixtures' edge lists; keys already ascending (a dense input's, read row
+    by row, or a fixture's sorted in place) are not sorted again.  The
+    arrays are the caller's to hand over: the record may hold and freeze
+    them."""
+    keys = np.asarray(keys, dtype=_key_type(n))
+    vals = np.asarray(vals, dtype=float)
+    if not np.all(keys[1:] > keys[:-1]):
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], vals[order]
+        del order
+        first = np.ones(len(keys), bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        vals, keys = np.add.reduceat(vals, starts), keys[starts]
+    keep = vals != 0
+    if not keep.all():
+        keys, vals = keys[keep], vals[keep]
+    del keep
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n).astype(np.int32)
+    indices = (keys % n).astype(np.int32, copy=False)
+    for arr in (indptr, indices, vals):
+        arr.setflags(write=False)
+    return Graph(indptr, indices, vals)
+
+
+def _entry_blocks(graph: Graph):
+    """Blocks of consecutive rows that store at most _ROW_BLOCK n / 4
+    entries between them (a longer row is a block of its own), so the
+    per-entry work arrays of a block take O(_ROW_BLOCK n), a quarter of a
+    block of full rows, and a sparse graph is one or a few blocks.  Per
+    block: its rows, the slice of their stored entries, and each entry's
+    row counted from the block's first."""
+    indptr, n = graph.indptr, graph.n
+    budget = _ROW_BLOCK * n // 4
+    start = 0
+    while start < n:
+        stop = int(np.searchsorted(indptr, indptr[start] + budget, side="right")) - 1
+        stop = max(stop, start + 1)
+        counts = np.diff(indptr[start : stop + 1])
+        local = np.repeat(np.arange(stop - start, dtype=np.int32), counts)
+        yield slice(start, stop), slice(indptr[start], indptr[stop]), local
+        start = stop
+
+
+def _degree_order(indptr: np.ndarray):
+    """The rows in falling order of their count of stored entries (stable),
+    and each row's place in that order."""
+    order = np.argsort(-np.diff(indptr), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return order, rank
+
+
+def _slot_positions(indptr: np.ndarray, order: np.ndarray):
+    """Per slot k, the positions of the k-th stored entries of the rows that
+    have one, in the degree order `order` (`_degree_order`), where they are
+    a prefix."""
+    counts = np.diff(indptr)[order]
+    starts = indptr[:-1][order]
+    for k in range(int(counts[0]) if len(counts) else 0):
+        yield starts[: np.count_nonzero(counts > k)] + k
+
+
 @dataclass(frozen=True)
 class Space:
     """Validated finite metric measure space; immutable after construction.
-    `graph`, its one copy of the conductances, is a read-only CSR array in
-    canonical form (sorted indices, no duplicate entries, no explicit zeros),
-    with one stored entry per edge (a one-way edge one way)."""
+    `graph`, its one copy of the conductances, is a `Graph` record with one
+    stored entry per edge (a one-way edge one way)."""
 
     dist: np.ndarray
     mu: np.ndarray
-    graph: csr_array
+    graph: Graph
 
     @property
     def n(self) -> int:
@@ -89,8 +255,12 @@ class Space:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Read-only weighted degrees sum_y c(., y), the stiffness diagonal."""
-        degrees = self.graph.sum(axis=1)
+        """Read-only weighted degrees sum_y c(., y), the stiffness diagonal,
+        each a reduction of its row's stored entries (scipy's row sum)."""
+        indptr = self.graph.indptr
+        linked = np.flatnonzero(indptr[:-1] != indptr[1:])
+        degrees = np.zeros(self.n)
+        degrees[linked] = np.add.reduceat(self.graph.data, indptr[linked])
         degrees.setflags(write=False)
         return degrees
 
@@ -131,20 +301,21 @@ def build_space(dist, mu, cond) -> Space:
     `dist` and `mu` are held read-only: a writeable one is copied, so later
     edits of the caller's array do not reach the space, and a read-only
     float64 one (as the fixtures hand over) is held uncopied.  `cond` is a
-    scipy sparse array or matrix, or a dense array (as inline specs give);
-    it is held as the CSR `Space.graph`, by the same rule (`_read_only_graph`),
-    and every conductance check reads that graph's stored entries.
+    dense array (as inline specs give), a scipy sparse array or matrix (read
+    through its own `tocoo()`), or a `Graph` record, which is held as it is;
+    the others become the `Graph` of `Space.graph` (`_as_graph`), and every
+    conductance check reads that graph's stored entries.
     """
     try:
         dist, mu = (_read_only_input(arr) for arr in (dist, mu))
-        if not issparse(cond):
+        if not isinstance(cond, Graph) and not hasattr(cond, "tocoo"):
             cond = np.asarray(cond, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
         raise InvalidParams(f"dist, mu and cond must be arrays of numbers: {exc}") from None
 
     if mu.ndim != 1 or dist.shape != (len(mu), len(mu)) or cond.shape != dist.shape:
         raise InvalidParams(f"shape mismatch: dist {dist.shape}, cond {cond.shape}, mu {mu.shape}")
-    graph = _read_only_graph(cond)
+    graph = _as_graph(cond)
     del cond  # a dense array made from nested lists is freed here
     for name, arr in (("dist", dist), ("mu", mu), ("cond", graph.data)):
         if not np.all(np.isfinite(arr)):
@@ -159,10 +330,11 @@ def build_space(dist, mu, cond) -> Space:
     ncomp = _component_count(graph)
     _check_metric(dist, graph, ncomp == 1)
 
-    if np.any(graph.data < 0) or not _is_symmetric(graph):
+    if np.any(graph.data < 0) or graph.asymmetry > _METRIC_TOL:
         raise InvalidParams("cond must be symmetric and nonnegative")
-    if np.any(graph.diagonal() != 0):
-        raise InvalidParams("cond must have zero diagonal")
+    for rows, entries, local in _entry_blocks(graph):
+        if np.any(graph.indices[entries] == local + rows.start):
+            raise InvalidParams("cond must have zero diagonal")
     if ncomp != 1:
         raise DisconnectedGraph(f"conductance graph has {ncomp} components")
 
@@ -179,35 +351,81 @@ def _read_only_input(arr) -> np.ndarray:
     return np.array(arr, dtype=float)
 
 
-def _read_only_graph(cond) -> csr_array:
-    """`cond` itself if it is a read-only canonical float64 CSR array (as the
-    fixtures hand over), else a canonical CSR copy of the sparse or dense
-    `cond` (sorted indices, duplicates summed, zeros dropped), frozen."""
-    if (
-        isinstance(cond, csr_array)
-        and cond.dtype == np.float64
-        and not any(arr.flags.writeable for arr in (cond.data, cond.indices, cond.indptr))
-        and cond.has_canonical_format
-        and np.all(cond.data != 0)
-    ):
+def _as_graph(cond) -> Graph:
+    """`cond` itself if it is a `Graph` (as the fixtures hand over), else the
+    `Graph` of the n x n conductances `cond`: a scipy sparse array or matrix,
+    read through its own `tocoo()` (so fraclap imports no scipy module for
+    it), or a dense float array, read one row block at a time into keys and
+    values allocated once."""
+    if isinstance(cond, Graph):
         return cond
-    graph = csr_array(cond, dtype=float, copy=True)
-    graph.sum_duplicates()
-    graph.eliminate_zeros()
-    for arr in (graph.data, graph.indices, graph.indptr):
-        arr.setflags(write=False)
-    return graph
+    n = cond.shape[0]
+    if hasattr(cond, "tocoo"):
+        coo = cond.tocoo()
+        keys = np.multiply(coo.row, n, dtype=_key_type(n))
+        keys += coo.col
+        # the COO data may be cond's own array, which the record would freeze
+        return _csr_graph(n, keys, np.array(coo.data, dtype=float))
+    keys = np.empty(np.count_nonzero(cond), _key_type(n))
+    vals = np.empty(len(keys))
+    done = 0
+    for block in _row_blocks(n):
+        flat = np.flatnonzero(cond[block])
+        stop = done + len(flat)
+        vals[done:stop] = np.ravel(cond[block])[flat]
+        np.add(flat, block.start * n, out=keys[done:stop])
+        done = stop
+    return _csr_graph(n, keys, vals)
 
 
-def _is_symmetric(graph) -> bool:
-    """Whether the CSR `graph` equals its transpose within _METRIC_TOL,
-    entry by entry.  An exactly symmetric graph is recognised from the
-    canonical arrays of its transpose, without the 2 |E| entries that the
-    difference's CSR sum allocates."""
-    reverse = graph.T.tocsr()
-    arrays = (graph.indptr, graph.indices, graph.data)
-    exact = all(map(np.array_equal, arrays, (reverse.indptr, reverse.indices, reverse.data)))
-    return exact or not np.any(np.abs((graph - reverse).data) > _METRIC_TOL)
+def _transpose_positions(graph: Graph):
+    """The transpose permutation of the stored entries, or None when the
+    transpose stores other entries than the graph (a one-way edge).
+
+    A counting sort by column places each entry (x, y) in the transpose's
+    canonical order: after the entries of the columns before y, and after
+    those of column y in the rows above x.  The rows above are counted one
+    block of rows (`_entry_blocks`) at a time: those in earlier blocks by a
+    running count per column, those in the block by a stable sort of its
+    columns (a radix sort on 16-bit columns), so beside the int32 positions
+    the work takes O(_ROW_BLOCK n).  When every column stores as many
+    entries as its row and each position holds row y's entry of column x,
+    the transpose stores the same entries, and the position of (x, y) in
+    its order is that of the mirror (y, x) in the graph's."""
+    n, indptr, indices = graph.n, graph.indptr, graph.indices
+    if not np.array_equal(np.bincount(indices, minlength=n), np.diff(indptr)):
+        return None
+    positions = np.empty(graph.nnz, np.int32)
+    before = indptr[:-1].astype(np.intp)  # column y's place, past its earlier blocks
+    sort_type = np.uint16 if n <= 2**16 else indices.dtype
+    for rows, entries, local in _entry_blocks(graph):
+        cols = indices[entries]
+        order = np.argsort(cols.astype(sort_type), kind="stable")
+        by_col = cols[order]
+        # the first sorted place of each column's run, so place - first is
+        # the count of the block's entries of that column above
+        first = np.zeros(len(order), np.intp)
+        changes = np.flatnonzero(by_col[1:] != by_col[:-1]) + 1
+        first[changes] = changes
+        np.maximum.accumulate(first, out=first)
+        here = np.empty(len(order), np.intp)
+        here[order] = before[by_col] + np.arange(len(order)) - first
+        if np.any(indices[here] != local + rows.start):
+            return None
+        positions[entries] = here
+        before += np.bincount(cols, minlength=n)
+    return positions
+
+
+def _with_mirrors(graph: Graph, vals: np.ndarray, mirror_vals: np.ndarray) -> Graph:
+    """The `Graph` of the stored entries (x, y), valued `vals`, and of their
+    mirrors (y, x), valued `mirror_vals`, summed where both are stored: the
+    union of the graph and its transpose, for a graph with a one-way edge."""
+    n = graph.n
+    rows = np.repeat(np.arange(n, dtype=_key_type(n)), np.diff(graph.indptr))
+    cols = graph.indices.astype(rows.dtype)
+    keys = np.concatenate((rows * n + cols, cols * n + rows))
+    return _csr_graph(n, keys, np.concatenate((vals, mirror_vals)))
 
 
 def _check_metric(dist, graph, connected):
@@ -228,14 +446,13 @@ def _check_metric(dist, graph, connected):
     # The certificates, cheapest first: the hop table when every edge has one
     # length, an embedding in R^r, then Dijkstra over weighted edges.  Each
     # is sound, so the first that accepts decides.
-    lengths = _edge_lengths(dist, graph) if connected else None
-    if lengths is not None and lengths.size and np.all(lengths == lengths[0]):
-        unit, lengths = lengths[0], None  # freed before the hop table is built
-        if _is_hop_metric(dist, graph, unit):
-            return
+    unit = _unit_edge_length(dist, graph) if connected else None
+    if unit is not None and _is_hop_metric(dist, graph, unit):
+        return
     if _is_euclidean_metric(dist):
         return
-    if lengths is not None and _is_edge_path_metric(dist, graph, lengths):
+    # with one edge length the edge-path metric is the hop metric just tried
+    if connected and unit is None and _is_edge_path_metric(dist, graph):
         return
     # Otherwise the dense triangle check.  Floyd-Warshall's shortest paths
     # are never longer than any two-hop detour d(i,j) + d(j,k) (rounding is
@@ -261,11 +478,24 @@ def _check_metric(dist, graph, connected):
             )
 
 
-def _edge_lengths(dist, graph) -> np.ndarray:
-    """`dist` on the stored entries of the CSR `graph`, in their order."""
-    counts = np.diff(graph.indptr)
-    rows = np.repeat(np.arange(len(counts), dtype=graph.indices.dtype), counts)
-    return dist[rows, graph.indices]
+def _edge_lengths(dist, graph):
+    """`dist` on the stored entries of `graph`, one block of rows
+    (`_entry_blocks`) at a time, in their order."""
+    for rows, entries, local in _entry_blocks(graph):
+        yield dist[rows][local, graph.indices[entries]]
+
+
+def _unit_edge_length(dist, graph):
+    """The one length `dist` gives every stored entry of `graph`, or None
+    when the lengths differ or there is no entry.  One block of rows of
+    `dist` is read at a time, so no |E|-long array is made."""
+    unit = None
+    for lengths in _edge_lengths(dist, graph):
+        if lengths.size:
+            unit = lengths[0] if unit is None else unit
+            if np.any(lengths != unit):
+                return None
+    return unit
 
 
 def _is_hop_metric(dist, graph, unit) -> bool:
@@ -277,16 +507,19 @@ def _is_hop_metric(dist, graph, unit) -> bool:
     return _within_certificate_tol(dist, lambda block: unit * hops[block])
 
 
-def _is_edge_path_metric(dist, graph, lengths) -> bool:
+def _is_edge_path_metric(dist, graph) -> bool:
     """Certificate for the triangle inequality: True when `dist` equals,
     within _METRIC_TOL/4, the shortest-path metric D of the connected
-    `graph` with edge lengths `lengths` (`_edge_lengths`), each edge walked
-    both ways.  n sparse Dijkstra searches, O(n |E| log n), run from one row
-    block of sources at a time, so D is never held whole."""
-    # imported on first use, as in `_check_metric`
+    `graph` with edge lengths `dist` on its edges (`_edge_lengths`), each
+    edge walked both ways.  n sparse Dijkstra searches, O(n |E| log n), run
+    from one row block of sources at a time, so D is never held whole."""
+    # imported on first use, as in `_check_metric`; the CSR array wraps the
+    # graph's index arrays
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import shortest_path
 
     n = dist.shape[0]
+    lengths = np.concatenate(list(_edge_lengths(dist, graph)))
     weighted = csr_array((lengths, graph.indices, graph.indptr), shape=(n, n))
     return _within_certificate_tol(
         dist,
@@ -396,7 +629,7 @@ def _component_count(graph) -> int:
 
 def _hop_counts(graph) -> np.ndarray:
     """Hop distances of the connected graph whose edges are the stored
-    entries of the n x n sparse `graph` or of its transpose, as an n x n
+    entries of the `Graph` `graph` or of its transpose, as an n x n
     table of the least unsigned type that holds n - 1.
 
     One breadth-first sweep runs from every source at once (multi-source BFS,
@@ -418,30 +651,25 @@ def _hop_counts(graph) -> np.ndarray:
     times faster, and the sweep takes about half of one dense eigensolve
     (one thread each).
     """
-    n = graph.shape[0]
+    n = graph.n
     if n == 1:
         return np.zeros((1, 1), np.uint8)
-    # an edge can be one way, as conductances are symmetric only to 1e-12, so the
-    # reversed edges join in unless they are the same (sorted) structure
-    edges = csr_array((np.ones(graph.nnz, bool), graph.indices, graph.indptr), shape=(n, n))
-    reverse = edges.T.tocsr()
-    if not (
-        np.array_equal(reverse.indptr, edges.indptr)
-        and np.array_equal(reverse.indices, edges.indices)
-    ):
-        edges = edges + reverse
-    del reverse
-    starts, cols = edges.indptr, edges.indices
-    del edges
-    # rows are held in falling order of degree, so the rows with a k-th
-    # neighbour are a prefix and slot k is one gather and one OR; every
-    # point has a neighbour on a connected space, so slot 0 writes every row
-    deg = np.diff(starts)
-    order = np.argsort(-deg)
+    # an edge can be one way, as conductances are symmetric only to 1e-12, so
+    # the reverse of each entry joins in unless the graph is its transpose
+    if graph.asymmetry != 0:
+        ones = np.ones(graph.nnz)
+        union = _with_mirrors(graph, ones, ones)
+        starts, cols = union.indptr, union.indices
+        del ones, union
+    else:
+        starts, cols = graph.indptr, graph.indices
+    # rows are held in falling order of degree (`_degree_order`), so the
+    # rows with a k-th neighbour are a prefix and slot k is one gather and
+    # one OR; every point has a neighbour on a connected space, so slot 0
+    # writes every row
+    order, rank = _degree_order(starts)
     src = np.arange(n)
-    rank = np.empty(n, np.intp)
-    rank[order] = src
-    slots = [rank[cols[starts[order[: np.count_nonzero(deg > k)]] + k]] for k in range(deg.max())]
+    slots = [rank[cols[pos]] for pos in _slot_positions(starts, order)]
     del cols
     frontier = np.zeros((n, -(-n // 64)), "<u8")
     frontier[rank, src // 64] = np.left_shift(np.uint64(1), (src % 64).astype(np.uint64))
@@ -561,22 +789,22 @@ def _fixture_args(kind, params) -> dict:
     return bound.arguments
 
 
-def _unit_graph(n: int, edges) -> csr_array:
+def _unit_graph(n: int, edges) -> Graph:
     """Unit conductances on `edges`, a list of pairs (a, b) of index arrays
-    that put an edge between a[k] and b[k], each edge listed once: a frozen
-    canonical CSR array (the COO conversion sorts each row), made with no
-    n x n array."""
-    # a fixture's dist holds n^2 doubles, so point indices fit in 32 bits,
-    # the index type a CSR conversion of a dense array picks
+    that put an edge between a[k] and b[k], each edge listed once: a `Graph`
+    made from the edge list both ways, with no n x n array.  The values are
+    all 1, so the keys alone are sorted, in place."""
     a, b = (np.concatenate([np.ravel(end) for end in ends]) for ends in zip(*edges))
-    rows, cols = np.concatenate([a, b]).astype(np.int32), np.concatenate([b, a]).astype(np.int32)
-    graph = csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    for arr in (graph.data, graph.indices, graph.indptr):
-        arr.setflags(write=False)
-    return graph
+    keys = np.concatenate((a, b), dtype=_key_type(n))
+    keys *= n
+    keys[: len(a)] += b
+    keys[len(a) :] += a
+    del a, b
+    keys.sort()
+    return _csr_graph(n, keys, np.ones(len(keys)))
 
 
-def _unit_mass_space(dist: np.ndarray, graph: csr_array) -> Space:
+def _unit_mass_space(dist: np.ndarray, graph: Graph) -> Space:
     """`build_space` on a fixture's own `dist` and frozen `graph`
     (`_unit_graph`) with unit masses.  `dist` and the masses are frozen
     first, so `build_space` holds every array rather than copying it."""

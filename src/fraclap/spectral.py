@@ -25,7 +25,7 @@ from .errors import (
     ThetaOutOfRange,
 )
 from .quadrature import integrate_halfline
-from .space import Space, _hop_counts, _row_blocks
+from .space import Space, _entry_blocks, _hop_counts, _row_blocks
 
 __all__ = [
     "SpectralDecomposition",
@@ -100,12 +100,17 @@ def _laplacian(space: Space, f: np.ndarray) -> np.ndarray:
 def _stiffness_apply(space: Space, f: np.ndarray) -> np.ndarray:
     """S f = deg f - c f for the graph stiffness S (`graph_stiffness`), for a
     vector f or every column of an n x k array f: one product over the
-    conductance edges (`Space.graph`) and the cached degrees deg =
-    `Space.degrees`, O(|E| k) with no n x n array."""
-    out = space.graph @ f
-    rows = out.T  # a view, so the subtraction writes into out
+    conductance edges (`Graph.dot` of `Space.graph`) and the cached degrees
+    deg = `Space.degrees`, O(|E| k) with no n x n array."""
+    return _stiffness_from(space, f, space.graph.dot(f))
+
+
+def _stiffness_from(space: Space, f: np.ndarray, cf: np.ndarray) -> np.ndarray:
+    """S f = deg f - C f, given cf = C f from either conductance product,
+    written over cf."""
+    rows = cf.T  # a view, so the subtraction writes into cf
     np.subtract(space.degrees * f.T, rows, out=rows)
-    return out
+    return cf
 
 
 def graph_stiffness(space: Space) -> np.ndarray:
@@ -130,7 +135,6 @@ def decompose(space: Space) -> SpectralDecomposition:
     A connected space has exactly one zero eigenvalue, and anything else
     raises EigensolverNoConvergence.
     """
-    # n x n work arrays are updated in place and freed before validation.
     # numpy's eigh runs LAPACK's divide-and-conquer driver (syevd), not
     # MRRR: lattice spectra are clustered, where it is about twice as fast
     # and more accurately orthogonal.  It works on its own copy of sym, so
@@ -138,10 +142,7 @@ def decompose(space: Space) -> SpectralDecomposition:
     # (exactly symmetric) in Fortran order, which numpy copies into LAPACK's
     # buffer a contiguous column at a time (about 0.4 ms less at n=400)
     sqrt_mu = np.sqrt(space.mu)
-    sym = graph_stiffness(space)
-    sym /= np.outer(sqrt_mu, sqrt_mu)
-    sym += sym.T
-    sym *= 0.5
+    sym = _scaled_stiffness(space, sqrt_mu)
     lambdas, vecs = np.linalg.eigh(sym.T)
     del sym
 
@@ -163,6 +164,30 @@ def decompose(space: Space) -> SpectralDecomposition:
     lambdas.setflags(write=False)
     phis.setflags(write=False)
     return SpectralDecomposition(space, lambdas, phis, ortho_defect)
+
+
+def _scaled_stiffness(space: Space, sqrt_mu: np.ndarray) -> np.ndarray:
+    """M^(-1/2) S M^(-1/2), exactly symmetric, from the edge list: each
+    stored entry's -c(x, y) / (sqrt(mu_x) sqrt(mu_y)) scattered into a zeroed
+    n x n array (one row block at a time), deg / (sqrt(mu) sqrt(mu)) on the
+    diagonal, and the mean with the mirror only where the graph is not
+    exactly symmetric (a one-way or rounded conductance).  Entry for entry
+    the dense construction (`graph_stiffness` divided by the outer product
+    of sqrt(mu) and averaged with its transpose), with no n x n pass but
+    the zeroing: -c is 0 - c for the positive c stored, and for an exactly
+    symmetric matrix the mean (s + s) / 2 is s."""
+    graph = space.graph
+    sym = np.zeros(graph.shape)
+    for rows, entries, local in _entry_blocks(graph):
+        cols = graph.indices[entries]
+        scaled = np.negative(graph.data[entries])
+        scaled /= sqrt_mu[rows][local] * sqrt_mu[cols]
+        sym[rows][local, cols] = scaled
+    sym[np.diag_indices(space.n)] = space.degrees / (sqrt_mu * sqrt_mu)
+    if graph.asymmetry != 0:
+        sym += sym.T
+        sym *= 0.5
+    return sym
 
 
 def _fix_signs(phis: np.ndarray) -> np.ndarray:
@@ -193,24 +218,50 @@ def _validate_decomposition(space, lam, phi) -> float:
     ortho_err = np.max(np.abs(gram))
     ortho_defect = float(np.linalg.norm(gram))
     del gram
-    # eigen-residual |Delta phi_k + lambda_k phi_k| relative to max |phi|,
-    # which scales like mu^(-1/2).  Each block of Phi's columns is copied
-    # into C order once, as the sparse product reads it, and its residual is
-    # formed in that order
-    worst = largest = 0.0
-    for cols in _row_blocks(space.n):
-        block = np.ascontiguousarray(phi[:, cols])
-        resid = _laplacian(space, block)
-        resid += block * lam[cols]
-        worst = max(worst, np.max(np.abs(resid)))
-        largest = max(largest, np.max(np.abs(block)))
-    resid = worst / largest
+    resid = _eigen_residual(space, lam, phi, _residual_is_dense(space))
     scale = float(lam.max())
     if ortho_err > 100 * _EIGENTOL or resid > 100 * _EIGENTOL * scale:
         raise EigensolverNoConvergence(
             f"orthonormality error {ortho_err:.3e}, residual {resid:.3e} exceed tolerance"
         )
     return ortho_defect
+
+
+# the eigen-residual forms C Phi as one dense product once the stored
+# entries per row, |E| / n, pass this share of n (`_residual_is_dense`)
+_DENSE_RESIDUAL_SHARE = 1 / 15
+
+
+def _residual_is_dense(space: Space) -> bool:
+    """Whether `_eigen_residual` multiplies by the densified conductances:
+    when |E| / n > n / 15.  Over all n columns the graph product
+    (`Graph.dot`) gathers and adds |E| n doubles, the dense product does
+    2 n^3 flops in BLAS, so the crossover is a share of n.  Measured on
+    random_geometric spaces (one BLAS thread) it lies near |E| / n = n / 15
+    for n = 400 to 1600 (n / 21 to n / 9 at n = 400, where the two differ
+    by less than the run-to-run spread); grids (|E| / n < 4) take the graph
+    product, cliques the dense one (CHANGES.md has the table)."""
+    return space.graph.nnz > _DENSE_RESIDUAL_SHARE * space.n * space.n
+
+
+def _eigen_residual(space: Space, lam, phi, dense: bool) -> float:
+    """max |Delta phi_k + lambda_k phi_k| over every eigenpair, relative to
+    max |phi| (which scales like mu^(-1/2)), with C Phi formed by the dense
+    product of the densified conductances when `dense`, else by the graph
+    product (`Graph.dot`).  Each block of Phi's columns is copied into C
+    order once, as both products read it, and its residual is formed in
+    that order."""
+    conductances = space.graph.toarray() if dense else None
+    worst = largest = 0.0
+    for cols in _row_blocks(space.n):
+        block = np.ascontiguousarray(phi[:, cols])
+        cf = conductances @ block if dense else space.graph.dot(block)
+        resid = _stiffness_from(space, block, cf)
+        resid /= -space.mu[:, None]  # Delta phi, as `_laplacian` forms it
+        resid += block * lam[cols]
+        worst = max(worst, np.max(np.abs(resid)))
+        largest = max(largest, np.max(np.abs(block)))
+    return worst / largest
 
 
 def heat_kernel(dec: SpectralDecomposition, t: float) -> np.ndarray:

@@ -649,6 +649,32 @@ def test_grid_size_below_minimum_is_config_error(tmp_path, capsys, kind, params)
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, sizes, run_error",
+    [
+        ("dtn_convergence", lambda m: {"ms": [m - 1, m]}, "unresolvable"),
+        ("dirichlet_routes", lambda m: {"m": m}, "too thin"),
+    ],
+)
+def test_grid_whose_first_node_vanishes_is_config_error(tmp_path, capsys, kind, sizes, run_error):
+    # build_grid's first geometric node is Ymax * 2^-(m-1), the power formed
+    # first: 2^-1075 rounds to 0, so from m = 1076 the node is 0 for every
+    # finite Ymax, and validate rejects the config.  At m = 1075 the node
+    # depends on Ymax, which only the run knows: validate passes, and the
+    # run rejects the thin first cell
+    at = write_config(tmp_path, base_config(experiments=[{"kind": kind, "params": sizes(1076)}]))
+    with pytest.raises(ConfigParseError, match="grid size 1076 puts the first node"):
+        load_config(at)
+    assert main(["validate", "--config", at]) == 2
+    assert "for every finite Ymax" in capsys.readouterr().err
+    cfg = base_config(experiments=[{"kind": kind, "params": sizes(1075)}])
+    below = write_config(tmp_path, cfg, name="below.json")
+    assert main(["validate", "--config", below]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", below, "--out", str(tmp_path / "out")]) == 2
+    assert run_error in capsys.readouterr().err
+
+
 def test_experiment_params_fitting_the_defaults_accepted(tmp_path):
     # ints where a default is a float, and every default itself
     experiments = [

@@ -45,7 +45,13 @@ from fraclap import (
 )
 from fraclap.cli import _KINDS, _exp_heat_properties
 from fraclap.dirichlet import _ModePreconditioner, _ProductGridOperator
-from fraclap.space import _component_count, _hop_counts, _neighbour_counts
+from fraclap.space import (
+    Graph,
+    _component_count,
+    _hop_counts,
+    _neighbour_counts,
+    _unit_edge_length,
+)
 
 N = 300
 BOUND_BYTES = 32 * N * N * 8
@@ -84,8 +90,7 @@ def grid_interior(sp):
 
 def test_space_retains_one_dense_array():
     # a space holds dist, mu and the CSR conductances: about 1.03 n^2
-    # doubles (1.07 on the process's first build, which fills some of
-    # scipy's caches), where a second, dense copy of the conductances took 2.03
+    # doubles, where a second, dense copy of the conductances took 2.03
     assert retained_bytes(grid300) <= 1.1 * N * N * 8
 
 
@@ -105,10 +110,11 @@ def test_fixture_hands_its_arrays_over_uncopied():
         # 2.02 n^2 doubles (2.05 first), where the np.eye pair of a dense
         # cond and an integer dist with its cast took 3.03
         ("path", {"n": N}, 2.25),
-        # dist, the cliques' 38920 CSR entries (0.65 n^2) and the metric
-        # check over them: about 2.50 n^2, where a screen from point 0 with
-        # |E|-long sums took 3.09, and a dense cond, the n x n masks of the
-        # metric, and the CSR sum of the symmetry check 5.13
+        # dist, the cliques' 38962 CSR entries (0.65 n^2) and the metric
+        # check over them: about 2.37 n^2, where scipy's CSR conversion and
+        # the symmetry check's transposed copy took 2.50, a screen from
+        # point 0 with |E|-long sums 3.09, and a dense cond, the n x n masks
+        # of the metric, and the CSR sum of the symmetry check 5.13
         ("dumbbell", {"clique": 140, "bridge": 20}, 2.75),
     ],
 )
@@ -181,6 +187,24 @@ def test_hop_counts_peak_allocation():
     assert peak_bytes(_hop_counts, sp.graph) <= 4 * 400 * 400
     sp = fixture("dumbbell", clique=190, bridge=20)
     assert peak_bytes(_hop_counts, sp.graph) <= 8 * 400 * 400
+
+
+def test_dumbbell_build_space_peak_is_the_hop_table():
+    # the clique=190 dumbbell, its graph handed over: the hop table's sweep
+    # peaks at about 0.64 n^2 doubles, and the other checks stay below it:
+    # the symmetry check's transpose permutation (its int32 positions and
+    # one row block of the counting sort) at about 0.51, and the one-length
+    # scan of the edges, one row block of dist at a time, at 0.18.  The
+    # |E|-long edge lengths took 0.78, and the float64 transposed copy of
+    # the symmetry check 0.73
+    sp = fixture("dumbbell", clique=190, bridge=20)
+    hops = peak_bytes(_hop_counts, sp.graph)
+    # a fresh record, so its asymmetry is found inside the traced call
+    fresh = Graph(sp.graph.indptr, sp.graph.indices, sp.graph.data)
+    assert peak_bytes(lambda: fresh.asymmetry) < hops
+    assert peak_bytes(_unit_edge_length, sp.dist, sp.graph) < hops
+    fresh = Graph(sp.graph.indptr, sp.graph.indices, sp.graph.data)
+    assert peak_bytes(build_space, sp.dist, sp.mu, fresh) <= 0.66 * 400 * 400 * 8
 
 
 def test_component_count_peak_allocation():

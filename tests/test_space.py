@@ -27,16 +27,19 @@ from fraclap.space import (
     _METRIC_TOL,
     _FIXTURES,
     _ROW_BLOCK,
+    Graph,
+    _as_graph,
     _check_metric,
     _component_count,
-    _edge_lengths,
     _euclidean_rows,
     _neighbour_counts,
     _row_blocks,
+    _transpose_positions,
     _is_edge_path_metric,
     _is_euclidean_metric,
     _is_hop_metric,
     _min_off_diagonal,
+    _unit_edge_length,
     interior_mask,
 )
 
@@ -193,10 +196,10 @@ _CERTIFICATE_BASES = {
 
 
 def _graph(cond):
-    """The CSR copy of `cond` and its connectivity, as `build_space` hands
+    """The `Graph` of `cond` and its connectivity, as `build_space` hands
     them to the metric checks."""
-    graph = csr_array(np.asarray(cond, dtype=float))
-    return graph, connected_components(graph, directed=False)[0] == 1
+    cond = np.asarray(cond, dtype=float)
+    return _as_graph(cond), connected_components(csr_array(cond), directed=False)[0] == 1
 
 
 def _edge_path_certified(dist, cond):
@@ -205,10 +208,10 @@ def _edge_path_certified(dist, cond):
     graph, connected = _graph(cond)
     if not connected:
         return False
-    lengths = _edge_lengths(dist, graph)
-    if lengths.size and np.all(lengths == lengths[0]):
-        return _is_hop_metric(dist, graph, lengths[0])
-    return _is_edge_path_metric(dist, graph, lengths)
+    unit = _unit_edge_length(dist, graph)
+    if unit is not None:
+        return _is_hop_metric(dist, graph, unit)
+    return _is_edge_path_metric(dist, graph)
 
 
 def _metric_verdict(dist, cond):
@@ -622,7 +625,7 @@ def test_fixture_graph_is_csr_of_its_dense_conductances(kind, params):
     # dense conductances' CSR conversion, index types included
     sp = fixture(kind, **params)
     dense = csr_array(_dense_conductances(kind, params, sp.dist))
-    assert sp.graph.has_canonical_format
+    assert type(sp.graph) is Graph  # numpy arrays, no scipy object
     for built, converted in (
         (sp.graph.indptr, dense.indptr),
         (sp.graph.indices, dense.indices),
@@ -715,7 +718,7 @@ def test_build_space_copies_writeable_input():
     dist[0, 3] = dist[3, 0] = 9.0
     mu[0] = 7.0
     cond[0, 1] = cond[1, 0] = 5.0
-    assert sp.dist[0, 3] == 3.0 and sp.mu[0] == 1.0 and sp.graph[0, 1] == 1.0
+    assert sp.dist[0, 3] == 3.0 and sp.mu[0] == 1.0 and sp.graph.toarray()[0, 1] == 1.0
     assert not sp.dist.flags.writeable and not sp.mu.flags.writeable
 
 
@@ -735,18 +738,22 @@ def _path4():
 def test_build_space_canonicalizes_sparse_conductances():
     # row 0 splits its edge into two duplicates around an explicit zero, and
     # rows 1 and 2 list their neighbours in falling order; in CSR, COO and
-    # matrix form, each is held as the canonical CSR array of the path
+    # matrix form, and as the dense path, each is held as the canonical CSR
+    # record of the path, with int32 indices as scipy's conversion picks
     dist, mu, path = _path4()
     indices = np.array([1, 3, 1, 2, 0, 3, 1, 2])
     data = np.array([0.25, 0.0, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0])
     unsorted = csr_array((data, indices, np.array([0, 3, 5, 7, 8])), shape=(4, 4))
     assert not unsorted.has_canonical_format
-    for cond in (unsorted, coo_array(unsorted), csr_matrix(unsorted)):
+    for cond in (unsorted, coo_array(unsorted), csr_matrix(unsorted), path.toarray()):
         graph = build_space(dist, mu, cond).graph
-        assert isinstance(graph, csr_array) and graph.has_canonical_format
-        assert np.array_equal(graph.indptr, path.indptr)
-        assert np.array_equal(graph.indices, path.indices)
-        assert np.array_equal(graph.data, path.data)
+        assert type(graph) is Graph
+        for held, canonical in (
+            (graph.indptr, path.indptr),
+            (graph.indices, path.indices),
+            (graph.data, path.data),
+        ):
+            assert held.dtype == canonical.dtype and np.array_equal(held, canonical)
         assert not any(arr.flags.writeable for arr in (graph.data, graph.indices, graph.indptr))
 
 
@@ -772,6 +779,31 @@ def test_build_space_checks_sparse_conductances():
         build_space(dist, mu, one_way)
     with pytest.raises(DisconnectedGraph):
         build_space(dist, mu, csr_array((4, 4)))
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("random_geometric", {"n": 300, "radius": 0.2, "seed": 4}),
+        ("dumbbell", {"clique": 60, "bridge": 3}),
+        ("grid2d", {"nx": 9, "ny": 7}),
+    ],
+)
+def test_transpose_permutation_and_asymmetry_match_scipy(kind, params):
+    # a fixture's structure with conductances drawn one way and the other,
+    # so no entry equals its mirror; scipy's CSR transpose is the oracle
+    base = fixture(kind, **params).graph.toarray() > 0
+    cond = np.where(base, np.random.default_rng(8).uniform(0.5, 2.0, base.shape), 0.0)
+    graph = _as_graph(cond)
+    positions = _transpose_positions(graph)
+    assert np.array_equal(graph.data[positions], csr_array(cond).T.tocsr().data)
+    assert graph.asymmetry == np.max(np.abs(cond - cond.T))
+    # one entry stored one way: no permutation, and its missing mirror reads 0
+    i, j = np.argwhere(~base & ~np.eye(len(base), dtype=bool))[0]
+    cond[i, j] = 3.0
+    graph = _as_graph(cond)
+    assert _transpose_positions(graph) is None
+    assert graph.asymmetry == 3.0
 
 
 def _csgraph_count(graph):

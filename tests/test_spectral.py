@@ -26,7 +26,7 @@ from fraclap.errors import (
     ThetaOutOfRange,
 )
 from fraclap.quadrature import integrate_halfline
-from fraclap.space import _hop_counts
+from fraclap.space import _as_graph, _hop_counts
 from fraclap.spectral import _fix_signs, inverse_gaussian_density, spectral_power_apply
 
 from conftest import gemm_symmetrized, random_vector, rel_gap
@@ -74,6 +74,100 @@ def test_stiffness_apply_matches_dense_stiffness(name, request):
     rows = np.random.default_rng(0).standard_normal((space.n, 7))
     assert rel_gap(spectral._stiffness_apply(space, rows), dense @ rows) <= 1e-14
     assert rel_gap(spectral._stiffness_apply(space, rows[:, 0]), dense @ rows[:, 0]) <= 1e-14
+
+
+def _one_way_path():
+    """path8 with a 1e-13 chord 0 -> 5 stored one way, symmetric within 1e-12."""
+    path = fixture("path", n=8)
+    cond = path.graph.toarray()
+    cond[0, 5] = 1e-13
+    return build_space(path.dist, path.mu, cond)
+
+
+_GRAPH_SPACES = {
+    "path": lambda: fixture("path", n=9),
+    "grid2d": lambda: fixture("grid2d", nx=5, ny=7),
+    "dumbbell": lambda: fixture("dumbbell", clique=6, bridge=3),
+    "random_geometric": lambda: fixture("random_geometric", n=60, radius=0.3, seed=2),
+    "weighted_grid": _weighted_inline_space,
+    "one_way": _one_way_path,
+    "one_point": lambda: build_space([[0.0]], [1.0], [[0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPH_SPACES))
+def test_graph_product_equals_scipy_csr_product_bit_for_bit(name):
+    # scipy's CSR product of the dense conductances is the oracle: each row
+    # adds its stored entries in stored order from 0, and so does Graph.dot
+    space = _GRAPH_SPACES[name]()
+    oracle = csr_array(space.graph.toarray())
+    rng = np.random.default_rng(7)
+    for shape in ((space.n,), (space.n, 1), (space.n, 5), (space.n, 64)):
+        f = rng.standard_normal(shape)
+        assert np.array_equal(space.graph.dot(f), oracle @ f)
+    # a Fortran-ordered block, as a column slice of Phi is
+    f = np.asfortranarray(rng.standard_normal((space.n, 3)))
+    assert np.array_equal(space.graph.dot(f), oracle @ f)
+    with pytest.raises(DimensionMismatch):
+        space.graph.dot(np.ones((space.n + 1, 2)))
+
+
+def _dense_scaled_stiffness(space):
+    """M^(-1/2) S M^(-1/2) as `decompose` formed it from the dense stiffness:
+    divided by the outer product of sqrt(mu), then averaged with its
+    transpose."""
+    sqrt_mu = np.sqrt(space.mu)
+    sym = spectral.graph_stiffness(space)
+    sym /= np.outer(sqrt_mu, sqrt_mu)
+    sym += sym.T
+    sym *= 0.5
+    return sym
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPH_SPACES))
+def test_scaled_stiffness_from_edges_equals_the_dense_construction(name):
+    space = _GRAPH_SPACES[name]()
+    for mu_spread in (0.0, 3.0):
+        if mu_spread:  # masses over 1e-3..1e3, so every scaled entry rounds
+            mu = 10.0 ** np.random.default_rng(5).uniform(-mu_spread, mu_spread, space.n)
+            space = build_space(space.dist, mu, space.graph)
+        sym = spectral._scaled_stiffness(space, np.sqrt(space.mu))
+        assert np.array_equal(sym, _dense_scaled_stiffness(space))
+    assert np.array_equal(sym, sym.T)
+
+
+def test_residual_kernel_follows_the_stored_entries_per_row():
+    # grids store about 4 entries a row, cliques about n
+    assert not spectral._residual_is_dense(fixture("grid2d", nx=20))
+    assert not spectral._residual_is_dense(fixture("random_geometric", n=400, radius=0.1, seed=3))
+    assert spectral._residual_is_dense(fixture("dumbbell", clique=40))
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("name", ["random_geometric", "weighted_grid", "one_way"])
+def test_each_residual_kernel_rejects_a_corrupted_column_and_a_wrong_eigenvalue(
+    monkeypatch, name, dense
+):
+    space = _GRAPH_SPACES[name]()
+    dec = decompose(space)
+    monkeypatch.setattr(spectral, "_residual_is_dense", lambda space: dense)
+    lam, phi = dec.lambdas.copy(), dec.phis.copy()
+    assert spectral._validate_decomposition(space, lam, phi) == dec.ortho_defect
+    bound = 100 * spectral._EIGENTOL * lam.max()
+    # the two products agree to rounding on the true pairs
+    both = [spectral._eigen_residual(space, lam, phi, kind) for kind in (False, True)]
+    assert max(both) <= 1e-3 * bound
+    # a rotation within a pair of distinct modes keeps Phi orthonormal but
+    # mixes eigenvalues 3 and 5 into both columns
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    mixed = phi.copy()
+    mixed[:, 3], mixed[:, 5] = c * phi[:, 3] + s * phi[:, 5], c * phi[:, 5] - s * phi[:, 3]
+    wrong = lam.copy()
+    wrong[-2] *= 1 + 1e-6
+    for bad_lam, bad_phi in ((lam, mixed), (wrong, phi)):
+        assert spectral._eigen_residual(space, bad_lam, bad_phi, dense) > bound
+        with pytest.raises(EigensolverNoConvergence, match="residual"):
+            spectral._validate_decomposition(space, bad_lam, bad_phi)
 
 
 def test_laplacian_dimension_mismatch(p3):
@@ -556,7 +650,7 @@ def test_hop_counts_equal_undirected_shortest_path(n, span, n_chords, seed):
     edges[parent[both], child[both]] = True
     a, b = rng.integers(0, n, size=(2, n_chords))
     edges[a[a != b], b[a != b]] = True
-    hops = _hop_counts(csr_array(edges))
+    hops = _hop_counts(_as_graph(edges.astype(float)))
     assert hops.dtype == np.min_scalar_type(n)
     assert np.array_equal(hops, shortest_path(edges, unweighted=True, directed=False))
 
