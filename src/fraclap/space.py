@@ -65,10 +65,11 @@ def _min_off_diagonal(dist: np.ndarray) -> float:
 class Graph:
     """Conductances of n points in compressed sparse row (CSR) form: row x
     stores c(x, indices[k]) = data[k] for indptr[x] <= k < indptr[x + 1].
-    `_csr_graph` makes the records, canonical (each row's columns
-    ascending, no duplicate, no zero) with read-only int32 index and
-    float64 data arrays.  Only numpy arrays: scipy's sparse arrays wrap
-    them where a scipy routine needs one."""
+    `_csr_graph` makes the canonical records (each row's columns
+    ascending, no duplicate, no zero), with read-only int32 index and
+    float64 data arrays; `build_space` checks any other record and copies
+    it into one.  Only numpy arrays: scipy's sparse arrays wrap them where
+    a scipy routine needs one."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -231,8 +232,11 @@ def _slot_positions(indptr: np.ndarray, order: np.ndarray):
 @dataclass(frozen=True)
 class Space:
     """Validated finite metric measure space; immutable after construction.
-    `graph`, its one copy of the conductances, is a `Graph` record with one
-    stored entry per edge (a one-way edge one way)."""
+    `graph` holds the conductances as a canonical `Graph` record with one
+    stored entry per edge (a one-way edge one way).  Its first product
+    caches the row-slot layout on it (`Graph._slots`): an intp column index
+    per stored entry and, unless every conductance is 1, a float copy of
+    them, so 8 or 16 bytes per entry beside the record's own 12."""
 
     dist: np.ndarray
     mu: np.ndarray
@@ -302,20 +306,25 @@ def build_space(dist, mu, cond) -> Space:
     edits of the caller's array do not reach the space, and a read-only
     float64 one (as the fixtures hand over) is held uncopied.  `cond` is a
     dense array (as inline specs give), a scipy sparse array or matrix (read
-    through its own `tocoo()`), or a `Graph` record, which is held as it is;
-    the others become the `Graph` of `Space.graph` (`_as_graph`), and every
-    conductance check reads that graph's stored entries.
+    through its own `tocoo()`), or a `Graph` record; each becomes the
+    canonical `Graph` of `Space.graph` (`_as_graph`), and every conductance
+    check reads that graph's stored entries.  A canonical record with
+    read-only arrays (as the fixtures hand over) is held as it is; any
+    other is checked and copied, so later edits of its arrays do not reach
+    the space.
     """
     try:
         dist, mu = (_read_only_input(arr) for arr in (dist, mu))
-        if not isinstance(cond, Graph) and not hasattr(cond, "tocoo"):
+        if isinstance(cond, Graph):  # its data may not be numbers
+            cond = _as_graph(cond)
+        elif not hasattr(cond, "tocoo"):
             cond = np.asarray(cond, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
         raise InvalidParams(f"dist, mu and cond must be arrays of numbers: {exc}") from None
 
     if mu.ndim != 1 or dist.shape != (len(mu), len(mu)) or cond.shape != dist.shape:
         raise InvalidParams(f"shape mismatch: dist {dist.shape}, cond {cond.shape}, mu {mu.shape}")
-    graph = _as_graph(cond)
+    graph = cond if isinstance(cond, Graph) else _as_graph(cond)
     del cond  # a dense array made from nested lists is freed here
     for name, arr in (("dist", dist), ("mu", mu), ("cond", graph.data)):
         if not np.all(np.isfinite(arr)):
@@ -352,14 +361,25 @@ def _read_only_input(arr) -> np.ndarray:
 
 
 def _as_graph(cond) -> Graph:
-    """`cond` itself if it is a `Graph` (as the fixtures hand over), else the
-    `Graph` of the n x n conductances `cond`: a scipy sparse array or matrix,
-    read through its own `tocoo()` (so fraclap imports no scipy module for
-    it), or a dense float array, read one row block at a time into keys and
-    values allocated once."""
-    if isinstance(cond, Graph):
-        return cond
+    """The canonical `Graph` of the n x n conductances `cond`: a `Graph`
+    itself if it is canonical with read-only arrays, as `_csr_graph` makes
+    them, else made from a copy of the entries of a `Graph`
+    (`_record_keys`), of a scipy sparse array or matrix, read through its
+    own `tocoo()` (so fraclap imports no scipy module for it), or of a
+    dense float array, read one row block at a time into keys and values
+    allocated once."""
     n = cond.shape[0]
+    if isinstance(cond, Graph):
+        keys = _record_keys(cond)
+        arrays = [np.asarray(arr) for arr in (cond.indptr, cond.indices, cond.data)]
+        if (
+            [arr.dtype for arr in arrays] == [np.int32, np.int32, np.float64]
+            and not any(arr.flags.writeable for arr in arrays)
+            and np.all(keys[1:] > keys[:-1])
+            and np.all(arrays[2] != 0)
+        ):
+            return cond
+        return _csr_graph(n, keys, np.array(cond.data, dtype=float))
     if hasattr(cond, "tocoo"):
         coo = cond.tocoo()
         keys = np.multiply(coo.row, n, dtype=_key_type(n))
@@ -376,6 +396,31 @@ def _as_graph(cond) -> Graph:
         np.add(flat, block.start * n, out=keys[done:stop])
         done = stop
     return _csr_graph(n, keys, vals)
+
+
+def _record_keys(graph: Graph) -> np.ndarray:
+    """The keys x n + y (`_csr_graph`) of the entries a `Graph` stores, in
+    its order; InvalidParams unless its `indptr` rises from 0 to the count
+    of its `indices` and `data`, and every index is a column in [0, n)."""
+    n = graph.n
+    indptr, indices = np.asarray(graph.indptr), np.asarray(graph.indices)
+    counts = np.diff(indptr)
+    if not (
+        indptr.ndim == indices.ndim == 1
+        and n >= 0
+        and np.issubdtype(indptr.dtype, np.integer)
+        and np.issubdtype(indices.dtype, np.integer)
+        and indptr[0] == 0
+        and indptr[-1] == len(indices) == len(graph.data)
+        and np.all(counts >= 0)
+        and np.all((indices >= 0) & (indices < n))
+    ):
+        raise InvalidParams(
+            "a Graph's indptr must rise from 0 to its entry count, and its indices lie in [0, n)"
+        )
+    keys = np.repeat(np.arange(n, dtype=_key_type(n)) * n, counts)
+    keys += indices.astype(keys.dtype, copy=False)
+    return keys
 
 
 def _transpose_positions(graph: Graph):

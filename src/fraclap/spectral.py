@@ -102,15 +102,10 @@ def _stiffness_apply(space: Space, f: np.ndarray) -> np.ndarray:
     vector f or every column of an n x k array f: one product over the
     conductance edges (`Graph.dot` of `Space.graph`) and the cached degrees
     deg = `Space.degrees`, O(|E| k) with no n x n array."""
-    return _stiffness_from(space, f, space.graph.dot(f))
-
-
-def _stiffness_from(space: Space, f: np.ndarray, cf: np.ndarray) -> np.ndarray:
-    """S f = deg f - C f, given cf = C f from either conductance product,
-    written over cf."""
-    rows = cf.T  # a view, so the subtraction writes into cf
+    out = space.graph.dot(f)
+    rows = out.T  # a view, so the subtraction writes into out
     np.subtract(space.degrees * f.T, rows, out=rows)
-    return cf
+    return out
 
 
 def graph_stiffness(space: Space) -> np.ndarray:
@@ -218,7 +213,7 @@ def _validate_decomposition(space, lam, phi) -> float:
     ortho_err = np.max(np.abs(gram))
     ortho_defect = float(np.linalg.norm(gram))
     del gram
-    resid = _eigen_residual(space, lam, phi, _residual_is_dense(space))
+    resid = _eigen_residual(space, lam, phi)
     scale = float(lam.max())
     if ortho_err > 100 * _EIGENTOL or resid > 100 * _EIGENTOL * scale:
         raise EigensolverNoConvergence(
@@ -227,37 +222,16 @@ def _validate_decomposition(space, lam, phi) -> float:
     return ortho_defect
 
 
-# the eigen-residual forms C Phi as one dense product once the stored
-# entries per row, |E| / n, pass this share of n (`_residual_is_dense`)
-_DENSE_RESIDUAL_SHARE = 1 / 15
-
-
-def _residual_is_dense(space: Space) -> bool:
-    """Whether `_eigen_residual` multiplies by the densified conductances:
-    when |E| / n > n / 15.  Over all n columns the graph product
-    (`Graph.dot`) gathers and adds |E| n doubles, the dense product does
-    2 n^3 flops in BLAS, so the crossover is a share of n.  Measured on
-    random_geometric spaces (one BLAS thread) it lies near |E| / n = n / 15
-    for n = 400 to 1600 (n / 21 to n / 9 at n = 400, where the two differ
-    by less than the run-to-run spread); grids (|E| / n < 4) take the graph
-    product, cliques the dense one (CHANGES.md has the table)."""
-    return space.graph.nnz > _DENSE_RESIDUAL_SHARE * space.n * space.n
-
-
-def _eigen_residual(space: Space, lam, phi, dense: bool) -> float:
+def _eigen_residual(space: Space, lam, phi) -> float:
     """max |Delta phi_k + lambda_k phi_k| over every eigenpair, relative to
-    max |phi| (which scales like mu^(-1/2)), with C Phi formed by the dense
-    product of the densified conductances when `dense`, else by the graph
-    product (`Graph.dot`).  Each block of Phi's columns is copied into C
-    order once, as both products read it, and its residual is formed in
-    that order."""
-    conductances = space.graph.toarray() if dense else None
+    max |phi| (which scales like mu^(-1/2)), by the graph product
+    (`_laplacian`).  Each block of Phi's columns is copied into C order
+    once, as the product reads it, and its residual is formed in that
+    order."""
     worst = largest = 0.0
     for cols in _row_blocks(space.n):
         block = np.ascontiguousarray(phi[:, cols])
-        cf = conductances @ block if dense else space.graph.dot(block)
-        resid = _stiffness_from(space, block, cf)
-        resid /= -space.mu[:, None]  # Delta phi, as `_laplacian` forms it
+        resid = _laplacian(space, block)
         resid += block * lam[cols]
         worst = max(worst, np.max(np.abs(resid)))
         largest = max(largest, np.max(np.abs(block)))

@@ -47,11 +47,13 @@ from fraclap.cli import _KINDS, _exp_heat_properties
 from fraclap.dirichlet import _ModePreconditioner, _ProductGridOperator
 from fraclap.space import (
     Graph,
+    _as_graph,
     _component_count,
     _hop_counts,
     _neighbour_counts,
     _unit_edge_length,
 )
+from fraclap.spectral import _stiffness_apply
 
 N = 300
 BOUND_BYTES = 32 * N * N * 8
@@ -203,8 +205,22 @@ def test_dumbbell_build_space_peak_is_the_hop_table():
     fresh = Graph(sp.graph.indptr, sp.graph.indices, sp.graph.data)
     assert peak_bytes(lambda: fresh.asymmetry) < hops
     assert peak_bytes(_unit_edge_length, sp.dist, sp.graph) < hops
-    fresh = Graph(sp.graph.indptr, sp.graph.indices, sp.graph.data)
+    # a fresh canonical record, which build_space holds uncopied
+    fresh = _as_graph(Graph(sp.graph.indptr, sp.graph.indices, sp.graph.data))
     assert peak_bytes(build_space, sp.dist, sp.mu, fresh) <= 0.66 * 400 * 400 * 8
+
+
+def test_graph_product_caches_its_row_slot_layout():
+    # the first product leaves the row-slot layout on the record: an intp
+    # column per stored entry, and a float copy of the conductances unless
+    # all are 1.  On the dumbbell's 71862 entries, with the 8-column product
+    # kept alive, about 8.8 bytes per entry (0.49 n^2 doubles) with unit
+    # conductances and 17.1 with weighted ones, beside the record's 12
+    sp = fixture("dumbbell", clique=190, bridge=20)
+    weighted = build_space(sp.dist, sp.mu, 2.0 * sp.graph.toarray())
+    for space, per_entry in ((sp, 9.0), (weighted, 17.5)):
+        kept = retained_bytes(_stiffness_apply, space, np.ones((space.n, 8)))
+        assert kept <= per_entry * space.graph.nnz
 
 
 def test_component_count_peak_allocation():

@@ -735,17 +735,34 @@ def _path4():
     return dist, np.ones(4), csr_array(np.eye(4, k=1) + np.eye(4, k=-1))
 
 
+def _frozen_record(indptr, indices, data) -> Graph:
+    """A `Graph` of read-only int32, int32 and float64 copies of the lists."""
+    arrays = [np.array(indptr, np.int32), np.array(indices, np.int32), np.array(data, float)]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return Graph(*arrays)
+
+
 def test_build_space_canonicalizes_sparse_conductances():
     # row 0 splits its edge into two duplicates around an explicit zero, and
     # rows 1 and 2 list their neighbours in falling order; in CSR, COO and
-    # matrix form, and as the dense path, each is held as the canonical CSR
-    # record of the path, with int32 indices as scipy's conversion picks
+    # matrix form, as hand-built records, and as the dense path, each is
+    # held as the canonical CSR record of the path, with int32 indices as
+    # scipy's conversion picks
     dist, mu, path = _path4()
+    indptr = np.array([0, 3, 5, 7, 8])
     indices = np.array([1, 3, 1, 2, 0, 3, 1, 2])
     data = np.array([0.25, 0.0, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0])
-    unsorted = csr_array((data, indices, np.array([0, 3, 5, 7, 8])), shape=(4, 4))
+    unsorted = csr_array((data, indices, indptr), shape=(4, 4))
     assert not unsorted.has_canonical_format
-    for cond in (unsorted, coo_array(unsorted), csr_matrix(unsorted), path.toarray()):
+    # hand-built records with the canonical types, read-only: the unsorted
+    # one without its zero, and the path with an explicit zero at (0, 2),
+    # in sorted order
+    records = [
+        _frozen_record([0, 2, 4, 6, 7], [1, 1, 2, 0, 3, 1, 2], [0.25, 0.75, 1, 1, 1, 1, 1]),
+        _frozen_record([0, 2, 4, 6, 7], [1, 2, 0, 2, 1, 3, 2], [1, 0, 1, 1, 1, 1, 1]),
+    ]
+    for cond in (unsorted, coo_array(unsorted), csr_matrix(unsorted), *records, path.toarray()):
         graph = build_space(dist, mu, cond).graph
         assert type(graph) is Graph
         for held, canonical in (
@@ -763,6 +780,33 @@ def test_build_space_copies_a_writeable_sparse_graph():
     assert sp.graph is not path and not np.shares_memory(sp.graph.data, path.data)
     path.data[:] = 5.0
     assert np.all(sp.graph.data == 1.0)
+
+
+def test_build_space_copies_and_checks_a_hand_built_graph():
+    # a record made outside the canonicalization is copied into a new one,
+    # so edits of its writeable arrays do not reach the space; one that
+    # breaks the CSR structure is rejected before any product reads it
+    dist, mu, path = _path4()
+    record = Graph(path.indptr.copy(), path.indices.copy(), path.data.copy())
+    sp = build_space(dist, mu, record)
+    assert sp.graph is not record and not np.shares_memory(sp.graph.data, record.data)
+    record.data[:] = 5.0
+    record.indices[0] = 3
+    assert np.all(sp.graph.data == 1.0) and sp.graph.indices[0] == 1
+    fixed = fixture("path", n=4).graph
+    assert build_space(dist, mu, fixed).graph is fixed  # canonical: held as it is
+    for indptr, indices in (
+        (path.indptr, np.where(path.indices == 3, 4, path.indices)),  # column 4 of 4
+        (path.indptr, np.where(path.indices == 0, -1, path.indices)),
+        (np.array([0, 1, 3, 2, 6]), path.indices),  # a row with -1 entries
+        (path.indptr + 1, path.indices),  # not from 0
+        (path.indptr, path.indices[:-1]),  # fewer indices than indptr counts
+        (path.indptr.astype(float), path.indices),
+    ):
+        with pytest.raises(InvalidParams, match="indptr"):
+            build_space(dist, mu, Graph(indptr, indices, np.ones(len(indices))))
+    with pytest.raises(InvalidParams, match="arrays of numbers"):
+        build_space(dist, mu, Graph(path.indptr, path.indices, np.array(["x"] * path.nnz)))
 
 
 def test_build_space_checks_sparse_conductances():

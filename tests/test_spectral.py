@@ -136,27 +136,14 @@ def test_scaled_stiffness_from_edges_equals_the_dense_construction(name):
     assert np.array_equal(sym, sym.T)
 
 
-def test_residual_kernel_follows_the_stored_entries_per_row():
-    # grids store about 4 entries a row, cliques about n
-    assert not spectral._residual_is_dense(fixture("grid2d", nx=20))
-    assert not spectral._residual_is_dense(fixture("random_geometric", n=400, radius=0.1, seed=3))
-    assert spectral._residual_is_dense(fixture("dumbbell", clique=40))
-
-
-@pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("name", ["random_geometric", "weighted_grid", "one_way"])
-def test_each_residual_kernel_rejects_a_corrupted_column_and_a_wrong_eigenvalue(
-    monkeypatch, name, dense
-):
+def test_eigen_residual_rejects_a_corrupted_column_and_a_wrong_eigenvalue(name):
     space = _GRAPH_SPACES[name]()
     dec = decompose(space)
-    monkeypatch.setattr(spectral, "_residual_is_dense", lambda space: dense)
     lam, phi = dec.lambdas.copy(), dec.phis.copy()
     assert spectral._validate_decomposition(space, lam, phi) == dec.ortho_defect
     bound = 100 * spectral._EIGENTOL * lam.max()
-    # the two products agree to rounding on the true pairs
-    both = [spectral._eigen_residual(space, lam, phi, kind) for kind in (False, True)]
-    assert max(both) <= 1e-3 * bound
+    assert spectral._eigen_residual(space, lam, phi) <= 1e-3 * bound
     # a rotation within a pair of distinct modes keeps Phi orthonormal but
     # mixes eigenvalues 3 and 5 into both columns
     c, s = np.cos(1e-3), np.sin(1e-3)
@@ -165,7 +152,7 @@ def test_each_residual_kernel_rejects_a_corrupted_column_and_a_wrong_eigenvalue(
     wrong = lam.copy()
     wrong[-2] *= 1 + 1e-6
     for bad_lam, bad_phi in ((lam, mixed), (wrong, phi)):
-        assert spectral._eigen_residual(space, bad_lam, bad_phi, dense) > bound
+        assert spectral._eigen_residual(space, bad_lam, bad_phi) > bound
         with pytest.raises(EigensolverNoConvergence, match="residual"):
             spectral._validate_decomposition(space, bad_lam, bad_phi)
 
