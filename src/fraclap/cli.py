@@ -26,7 +26,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,6 +46,7 @@ from .errors import ConfigParseError, FraclapError, InvalidParams
 from .extension import (
     DEFAULT_RATIO,
     MIN_GRID_NODES,
+    _check_first_cell,
     _first_node_vanishes,
     build_grid,
     codim_ball_check,
@@ -329,6 +329,9 @@ def _exp_dtn_convergence(ctx, params):
     y1s, errs = [], []
     for m in ms:
         grid = build_grid(theta, ymax, m)
+        # a first cell too thin for dtn_apply ends the run before the
+        # extension, whose rows on such a grid are not all finite
+        _check_first_cell(grid)
         u = poisson_extend(dec, f, grid)
         err = float(np.max(np.abs(dtn_apply(u) - target)))
         y1s.append(grid.ys[1])
@@ -535,6 +538,10 @@ def run(config: dict, out_dir: str, threads: int = 1) -> dict:
         return idx, kind, ctx["theta"], params, metrics, passed, tables, wall
 
     if threads > 1:
+        # imported on first use: concurrent.futures loads logging, about
+        # 0.4 MiB that a run on one thread does not need
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(execute, jobs))
     else:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .quadrature import EXPSINH_FLOOR, integrate_expsinh
 from .space import Space, ball_measure
-from .spectral import SpectralDecomposition, _check_vector, check_theta
+from .spectral import SpectralDecomposition, _check_vector, _distinct_values, check_theta
 
 __all__ = [
     "HalfSpaceGrid",
@@ -57,8 +57,10 @@ def dtn_constant(theta: float) -> float:
     relating the weighted normal derivative to the fractional Laplacian:
     -d_theta * y^a du/dy -> (-Delta)^theta f as y -> 0."""
     check_theta(theta)
-    # imported on first use: scipy.special costs every import of the package
-    # about 3.6 MiB, and only the special functions of this module need it
+    # imported on first use: scipy.special costs a process about 23 MiB of
+    # resident memory (17 of it scipy._lib._array_api, which loads
+    # numpy.testing, unittest and numpy.f2py), and only the special
+    # functions of this module need it
     from scipy.special import gamma
 
     return 2.0 ** (2.0 * theta - 1.0) * gamma(theta) / gamma(1.0 - theta)
@@ -260,10 +262,26 @@ def poisson_extend(dec: SpectralDecomposition, f, grid: HalfSpaceGrid) -> Extens
 
 
 def _profile_table(lambdas, theta, ys):
-    """g_{lambda_k}(y_j) for all modes and ordinates, deduplicating repeated
-    eigenvalues (the profile depends on lambda only)."""
-    uniq, inverse = np.unique(lambdas, return_inverse=True)
+    """g_{lambda_k}(y_j) for all modes and ordinates of the ascending
+    `lambdas`, deduplicating repeated eigenvalues (the profile depends on
+    lambda only)."""
+    uniq, inverse = _distinct_values(lambdas)
     return mode_profile(uniq[:, None], theta, ys[None, :])[inverse]
+
+
+def _check_first_cell(grid: HalfSpaceGrid) -> None:
+    """Raise DegenerateFirstCell unless `dtn_apply` can resolve the grid's
+    first two rows: 0 < y_1 < y_2 and y_1^(2 theta) >= 1e-13.  Below that
+    scale the boundary-layer variation B y^(2 theta) drowns in
+    double-precision roundoff of the stored rows and the quotient is noise."""
+    y1, y2 = grid.ys[1], grid.ys[2]
+    if y1 <= 0 or y2 <= y1:
+        raise DegenerateFirstCell(f"need 0 < y_1 < y_2, got {y1}, {y2}")
+    if y1 ** (2.0 * grid.theta) < 1e-13:
+        raise DegenerateFirstCell(
+            f"first cell y_1={y1:.3e} unresolvable at theta={grid.theta}; "
+            "use a coarser ratio or smaller m"
+        )
 
 
 def dtn_apply(u: ExtensionField) -> np.ndarray:
@@ -276,16 +294,9 @@ def dtn_apply(u: ExtensionField) -> np.ndarray:
     one-sided three-point derivative.
     """
     grid, theta = u.grid, u.grid.theta
+    _check_first_cell(grid)
     y1, y2 = grid.ys[1], grid.ys[2]
-    if y1 <= 0 or y2 <= y1:
-        raise DegenerateFirstCell(f"need 0 < y_1 < y_2, got {y1}, {y2}")
     tt = 2.0 * theta
-    # below this scale the boundary-layer variation B y^(2 theta) drowns in
-    # double-precision roundoff of the stored rows and the quotient is noise
-    if y1**tt < 1e-13:
-        raise DegenerateFirstCell(
-            f"first cell y_1={y1:.3e} unresolvable at theta={theta}; use a coarser ratio or smaller m"
-        )
     det = y1**tt * y2**2 - y2**tt * y1**2
     if det == 0:
         raise DegenerateFirstCell("singular two-node extraction")

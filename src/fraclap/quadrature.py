@@ -10,20 +10,20 @@ RIMS 9, 1974) on a fixed tau range: a term y^p, p > -1, at y -> 0 and
 exponential decay at y -> inf both fall off double exponentially in tau.
 Its range starts at EXPSINH_FLOOR; the caller adds the part below.
 
-The rule starts from `_INITIAL_PANELS` equal panels of [0, 1] with `_NODES`
-nodes each.  Each panel's error is estimated as the gap between its value
-and the sum of its two halves', in the max norm over the components.  A
-panel within its share of the budget (in proportion to its width) is closed
-with the halves' sum; only the panels over their share are bisected, until
-none is left.  The integrand is a family: called with points of shape
-(m, 1), it returns the (m, k) array whose row i is the family at point i.
-Each call gets the nodes of one panel, so a call's arrays stay m x k.
+The rule starts from `_INITIAL_PANELS` equal panels of [0, 1] with the 12
+nodes of `_UNIT_NODES` each.  Each panel's error is estimated as the gap
+between its value and the sum of its two halves', in the max norm over the
+components.  A panel within its share of the budget (in proportion to its
+width) is closed with the halves' sum; only the panels over their share
+are bisected, until none is left.  The integrand is a family: called with
+points of shape (m, 1), it returns the (m, k) array whose row i is the
+family at point i.  Each call gets the nodes of one panel, so a call's
+arrays stay m x k.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,9 +37,24 @@ _ABS_TOL = 1e-9
 _REL_TOL = 1e-9
 _MAX_SUBDIVISIONS = 200
 
-# Gauss-Legendre nodes per panel, and the first partition
-_NODES = 12
+# the first partition, and the 12-node Gauss-Legendre rule on [0, 1]: the
+# floats of numpy's `leggauss(12)` mapped by (x + 1) / 2 and w / 2, written
+# out so that no run loads numpy.polynomial (about 0.65 MiB) for one table
 _INITIAL_PANELS = 4
+_UNIT_NODES = np.array([
+    0.009219682876640378, 0.0479413718147626, 0.11504866290284765,
+    0.20634102285669126, 0.31608425050090994, 0.43738329574426554,
+    0.5626167042557344, 0.6839157494990901, 0.7936589771433087,
+    0.8849513370971523, 0.9520586281852375, 0.9907803171233596,
+])
+_UNIT_WEIGHTS = np.array([
+    0.023587668193255706, 0.05346966299765953, 0.08003916427167321,
+    0.10158371336153287, 0.1167462682691773, 0.12457352290670134,
+    0.12457352290670134, 0.1167462682691773, 0.10158371336153287,
+    0.08003916427167321, 0.05346966299765953, 0.023587668193255706,
+])
+_UNIT_NODES.setflags(write=False)  # shared by every call
+_UNIT_WEIGHTS.setflags(write=False)
 
 # the exp-sinh range of tau, chosen by measurement (README, Numerical notes):
 # y runs from EXPSINH_FLOOR = 2.3e-51 to 1.9e11
@@ -90,21 +105,10 @@ def _integrate(f, substitution) -> np.ndarray:
     return value
 
 
-@lru_cache(maxsize=None)
-def _unit_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes and weights of the Gauss-Legendre rule on [0, 1]; numpy's
-    `leggauss` takes about 0.3 ms, several times one panel's evaluation."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    rule = (x + 1.0) / 2.0, w / 2.0
-    for a in rule:
-        a.setflags(write=False)  # shared by every later call
-    return rule
-
-
 def _gauss_legendre(g):
     """(values, error estimate, failure message or None) of the adaptive
     composite Gauss-Legendre rule on the family g over [0, 1]."""
-    x, w = _unit_rule(_NODES)
+    x, w = _UNIT_NODES, _UNIT_WEIGHTS
 
     def panel(a, b):
         return (w * (b - a)) @ g((a + (b - a) * x)[:, None])

@@ -75,22 +75,33 @@ def test_cli_builds_fixtures_through_fixture(tmp_path, monkeypatch):
     assert calls == ["path"]
 
 
-def _loaded_after(code, modules):
-    """The modules of `modules` that a fresh interpreter running `code` has
-    loaded at its end, with this checkout's package on its path."""
+def _modules_loaded(code, setup=""):
+    """The modules a fresh interpreter loads running `code` after `setup`,
+    with this checkout's package on its path."""
     src = str(Path(fraclap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code += f"; import sys; print(sorted(m for m in {modules!r} if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    script = (
+        f"import json, sys\n{setup}\nbefore = set(sys.modules)\n{code}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    return out.stdout.strip().splitlines()[-1]
+    return set(json.loads(out.stdout.strip().splitlines()[-1]))
+
+
+def _loaded_after(code, modules):
+    """The modules of `modules` that a fresh interpreter running `code` loads."""
+    return sorted(set(modules) & _modules_loaded(code))
 
 
 def test_cli_import_leaves_quadrature_and_optimize_unloaded():
     # scipy.special is imported on first use, the quadratures and the dense
-    # linear algebra are numpy's, so `import fraclap.cli` loads none of these
+    # linear algebra are numpy's, and the job pool is imported in the one
+    # branch that starts it, so `import fraclap.cli` loads none of these,
+    # nor the logging that concurrent.futures imports
     modules = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.special")
-    assert _loaded_after("import fraclap.cli", modules) == "[]"
+    modules += ("concurrent.futures", "logging")
+    assert _loaded_after("import fraclap.cli", modules) == []
 
 
 def test_default_config_run_leaves_integrate_and_optimize_unloaded(tmp_path):
@@ -99,7 +110,28 @@ def test_default_config_run_leaves_integrate_and_optimize_unloaded(tmp_path):
     config = Path(fraclap.__file__).resolve().parents[2] / "configs" / "default.json"
     argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
     code = f"from fraclap.cli import main; assert main({argv!r}) == 0"
-    assert _loaded_after(code, ("scipy.integrate", "scipy.optimize")) == "[]"
+    assert _loaded_after(code, ("scipy.integrate", "scipy.optimize")) == []
+
+
+# what a run may load after `import fraclap.cli`: the modules numpy's random
+# generators and the command line's parser load on first use (numpy.random
+# with its bit generators and hashlib; locale, through argparse's gettext).
+# Any other module is one the run pays for and, on the runs checked here,
+# does not need: scipy (`scipy.sparse` alone is about 12.5 MiB), numpy.ma
+# (np.unique without an inverse asks it whether its input is masked),
+# numpy.polynomial or the job pool
+_RUN_MAY_LOAD = "import argparse, numpy.random; argparse.ArgumentParser()"
+
+
+def _unexpected_run_loads(config, tmp_path):
+    """The modules a run of `config` loads after `import fraclap.cli` that
+    `_RUN_MAY_LOAD` does not load in a fresh interpreter."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    code = f"from fraclap.cli import main; assert main({argv!r}) == 0"
+    loaded = _modules_loaded(code, setup="import fraclap.cli")
+    return sorted(loaded - _modules_loaded(_RUN_MAY_LOAD))
 
 
 def _imported_modules(tree):
@@ -132,9 +164,10 @@ def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
     # both Dirichlet routes and the batched spectral solves on a grid
     # evaluate no special function, no quadrature and no Euclidean
     # distance, the extension route's defect correction is a numpy loop,
-    # the grid's metric is certified by its hop table, and the eigensolves
-    # and Cholesky factors are numpy's, so a run of them loads none of the
-    # modules for those
+    # the grid's metric is certified by its hop table, the eigensolves and
+    # Cholesky factors are numpy's, and the profile table finds the distinct
+    # eigenvalues by a comparison of neighbours, so a run of them loads no
+    # scipy module, numpy.ma or numpy.polynomial, and on one thread no pool
     config = {
         "space": {"fixture": {"kind": "grid2d", "params": {"nx": 4}}},
         "theta": [0.25, 0.75],
@@ -143,32 +176,18 @@ def test_routes_run_leaves_special_quadrature_and_spatial_unloaded(tmp_path):
             {"kind": "max_principle_batch", "params": {}},
         ],
     }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
-    code = f"from fraclap.cli import main; assert main({argv!r}) == 0"
-    modules = (
-        "scipy._lib._util",
-        "scipy.integrate",
-        "scipy.linalg",
-        "scipy.optimize",
-        "scipy.sparse",
-        "scipy.sparse.csgraph",
-        "scipy.sparse.linalg",
-        "scipy.spatial",
-        "scipy.special",
-    )
-    assert _loaded_after(code, modules) == "[]"
+    assert _unexpected_run_loads(config, tmp_path) == []
 
 
 def test_random_geometric_run_leaves_spatial_special_and_quadrature_unloaded(tmp_path):
     # the Euclidean distances are summed in numpy, the walk bound takes log j!
-    # from math.lgamma, the subordination check integrates its family of
-    # eigenvalues with a numpy rule, the components are counted in numpy,
-    # the metric is certified by its planar embedding, and the eigensolves
-    # and Cholesky factors are numpy's: a run of the kernel and energy kinds
-    # on a random_geometric space loads none of the modules for those, nor
-    # the sparse solvers that only the fallback metric checks use
+    # from math.lgamma, the subordination check integrates its distinct
+    # eigenvalues with a numpy rule whose nodes are constants, the
+    # components are counted in numpy, the metric is certified by its planar
+    # embedding, and the eigensolves and Cholesky factors are numpy's: a run
+    # of the kernel and energy kinds on a random_geometric space loads no
+    # scipy module (not even the sparse solvers that only the fallback
+    # metric checks use), numpy.ma or numpy.polynomial
     config = {
         "space": {
             "fixture": {"kind": "random_geometric", "params": {"n": 40, "radius": 0.4, "seed": 0}}
@@ -180,22 +199,7 @@ def test_random_geometric_run_leaves_spatial_special_and_quadrature_unloaded(tmp
             {"kind": "max_principle_batch", "params": {"n_seeds": 3}},
         ],
     }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
-    code = f"from fraclap.cli import main; assert main({argv!r}) == 0"
-    modules = (
-        "scipy._lib._util",
-        "scipy.integrate",
-        "scipy.linalg",
-        "scipy.optimize",
-        "scipy.sparse",
-        "scipy.sparse.csgraph",
-        "scipy.sparse.linalg",
-        "scipy.spatial",
-        "scipy.special",
-    )
-    assert _loaded_after(code, modules) == "[]"
+    assert _unexpected_run_loads(config, tmp_path) == []
 
 
 # the scipy modules the package imports at module level, which every

@@ -656,12 +656,14 @@ def test_grid_size_below_minimum_is_config_error(tmp_path, capsys, kind, params)
         ("dirichlet_routes", lambda m: {"m": m}, "too thin"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_grid_whose_first_node_vanishes_is_config_error(tmp_path, capsys, kind, sizes, run_error):
     # build_grid's first geometric node is Ymax * 2^-(m-1), the power formed
     # first: 2^-1075 rounds to 0, so from m = 1076 the node is 0 for every
     # finite Ymax, and validate rejects the config.  At m = 1075 the node
     # depends on Ymax, which only the run knows: validate passes, and the
-    # run rejects the thin first cell
+    # run rejects the thin first cell with no warning: it stops before the
+    # extension, whose profiles overflow on that grid
     at = write_config(tmp_path, base_config(experiments=[{"kind": kind, "params": sizes(1076)}]))
     with pytest.raises(ConfigParseError, match="grid size 1076 puts the first node"):
         load_config(at)

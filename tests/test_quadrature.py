@@ -49,14 +49,14 @@ def _call_shapes(integrate):
 
 def test_array_path_evaluates_one_panel_per_call():
     # every call gets one panel's nodes as a column, and its result is the
-    # family at each node, one row per node: no probe call
+    # family at each node, one row per node (12 nodes a panel): no probe call
     shapes = _call_shapes(integrate_halfline)
-    assert shapes and set(shapes) == {(quadrature._NODES, 1)}
+    assert shapes and set(shapes) == {(12, 1)}
 
 
 def test_expsinh_evaluates_one_panel_per_call():
     shapes = _call_shapes(integrate_expsinh)
-    assert shapes and set(shapes) == {(quadrature._NODES, 1)}
+    assert shapes and set(shapes) == {(12, 1)}
 
 
 @pytest.mark.parametrize("t", [0.01, 1.0])
@@ -113,3 +113,13 @@ def test_expsinh_integrates_endpoint_powers(p, rate):
     exact = math.gamma(p + 1.0) / rate ** (p + 1.0) - below
     assert got.shape == (1,)
     assert abs(got[0] - exact) <= 1e-12 * max(exact, 1.0)
+
+
+def test_unit_rule_is_numpys_leggauss_on_the_unit_interval():
+    # the written-out table is numpy's 12-node rule mapped to [0, 1], bit
+    # for bit, so no run needs numpy.polynomial
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(quadrature._UNIT_NODES, (x + 1.0) / 2.0)
+    assert np.array_equal(quadrature._UNIT_WEIGHTS, w / 2.0)
+    assert not quadrature._UNIT_NODES.flags.writeable
+    assert not quadrature._UNIT_WEIGHTS.flags.writeable

@@ -754,6 +754,25 @@ def test_subordination_check_one_quadrature_per_time(monkeypatch, grid44_dec, du
             assert got == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["grid44", "dumbbell55", "path8", "one_point", "repeats"])
+def test_distinct_values_match_numpy_unique(name, request):
+    # grid 4x4 and the 5+5 dumbbell have degenerate eigenvalues (whether
+    # their floats repeat exactly depends on the eigensolver's roundoff),
+    # path8 and the one-point space simple spectra; "repeats" is a sorted
+    # array whose values do repeat exactly, first and last included
+    if name == "repeats":
+        lams = np.array([0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0])
+    elif name == "one_point":
+        lams = decompose(_GRAPH_SPACES["one_point"]()).lambdas
+    else:
+        lams = request.getfixturevalue(f"{name}_dec").lambdas
+    values, inverse = spectral._distinct_values(lams)
+    want_values, want_inverse = np.unique(lams, return_inverse=True)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(inverse, want_inverse)
+    assert inverse.dtype == want_inverse.dtype
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_subordination_check_roundoff_on_benchmark_space(seed):
     # the space of the kernels-rgg400 benchmark: the family rule meets the
