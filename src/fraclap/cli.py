@@ -1,20 +1,20 @@
 """Configuration-driven experiment runner.
 
 Usage:
-    fraclap run --config cfg.json --out outdir [--threads N] [--seed S]
+    fraclap run --config cfg.json --out outdir [--seed S]
     fraclap validate --config cfg.json
 
 A config names a space (inline matrices or a fixture descriptor), one or more
 exponent values, and a list of experiments.  Running writes `report.json`
-plus per-experiment CSV tables under the output directory.  It exits 0 iff
-every assertive experiment passed, 1 if one failed, and 2 on a bad config,
-on a `--seed` that is not a nonnegative integer, or on a `--threads` count
-(default 1) that is not a positive integer.  A config key the runner does
-not read, at any level, is a bad config.
+plus per-experiment CSV tables under the output directory.  The jobs (one
+per experiment, and per theta for the kinds that take one) run one at a
+time in config order on one shared decomposition.  It exits 0 iff every
+assertive experiment passed, 1 if one failed, and 2 on a bad config or on a
+`--seed` that is not a nonnegative integer.  A config key the runner does
+not read, at any level, is a bad config.  `--threads` is accepted only as
+`--threads 1`.
 Reports are reproducible byte-for-byte for a fixed config and seed once the
-`metadata` field (timestamps and wall times) is dropped; all numeric work is
-single-threaded per experiment, so `--threads` only changes scheduling,
-never results.
+`metadata` field (timestamps and wall times) is dropped.
 """
 
 from __future__ import annotations
@@ -169,8 +169,8 @@ def normalize_config(raw: dict, origin: str = "<config>") -> dict:
                         f"{where}: {key!r} grid size {vanishing[0]} puts the first node "
                         f"Ymax * {DEFAULT_RATIO}^{vanishing[0] - 1} at 0 for every finite Ymax"
                     )
-        if kind == "dtn_convergence" and len(params.get("ms", allowed["ms"])) < 2:
-            raise ConfigParseError(f"{where}: 'ms' needs at least 2 grid sizes to fit a slope")
+        if kind == "dtn_convergence" and len(set(params.get("ms", allowed["ms"]))) < 2:
+            raise ConfigParseError(f"{where}: 'ms' needs 2 distinct grid sizes to fit a slope")
         normalized_experiments.append({"kind": kind, "params": params})
 
     seed = _check_seed(raw.get("seed", 0), f"{origin}: 'seed'")
@@ -330,7 +330,7 @@ def _exp_dtn_convergence(ctx, params):
     for m in ms:
         grid = build_grid(theta, ymax, m)
         # a first cell too thin for dtn_apply ends the run before the
-        # extension, whose rows on such a grid are not all finite
+        # extension, whose rows it could not read
         _check_first_cell(grid)
         u = poisson_extend(dec, f, grid)
         err = float(np.max(np.abs(dtn_apply(u) - target)))
@@ -505,62 +505,39 @@ _KINDS = {
 # runner
 
 
-def run(config: dict, out_dir: str, threads: int = 1) -> dict:
+def run(config: dict, out_dir: str) -> dict:
     space = _set_up(config)
     os.makedirs(out_dir, exist_ok=True)
     dec = decompose(space)
     interior = interior_mask(space, config["space"])
 
-    jobs = []
-    index = 0
+    # jobs run in config order; their tables are written with the report,
+    # after the last one, so a run that fails writes none
+    records, wall_times, csvs = [], {}, []
     for exp in config["experiments"]:
-        thetas = [None] if _KINDS[exp["kind"]].theta_free else config["theta"]
-        for theta in thetas:
+        kind, params = exp["kind"], exp["params"]
+        runner, theta_free, defaults = _KINDS[kind]
+        for theta in [None] if theta_free else config["theta"]:
+            index = len(records)
             ctx = {
                 "space": space,
                 "dec": dec,
                 # each job builds its own form, O(n): it holds no matrix
-                "form": lambda theta=theta: stiffness_matrix(dec, theta),
+                "form": lambda: stiffness_matrix(dec, theta),
                 "theta": theta,
                 "seed": config["seed"],
                 "index": index,
                 "interior": interior,
             }
-            jobs.append((index, exp["kind"], exp["params"], ctx))
-            index += 1
-
-    def execute(job):
-        idx, kind, params, ctx = job
-        start = time.perf_counter()
-        runner, _, defaults = _KINDS[kind]
-        metrics, passed, tables = runner(ctx, {**defaults, **params})
-        wall = time.perf_counter() - start
-        return idx, kind, ctx["theta"], params, metrics, passed, tables, wall
-
-    if threads > 1:
-        # imported on first use: concurrent.futures loads logging, about
-        # 0.4 MiB that a run on one thread does not need
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(execute, jobs))
-    else:
-        outcomes = [execute(job) for job in jobs]
-
-    records, wall_times = [], {}
-    for idx, kind, theta, params, metrics, passed, tables, wall in outcomes:
-        records.append(
-            {
-                "kind": kind,
-                "theta": theta,
-                "params": params,
-                "metrics": metrics,
-                "passed": passed,
-            }
-        )
-        wall_times[f"{idx:02d}_{kind}"] = round(wall, 6)
-        for name, rows in tables.items():
-            _write_csv(os.path.join(out_dir, f"{idx:02d}_{name}"), rows)
+            start = time.perf_counter()
+            metrics, passed, tables = runner(ctx, {**defaults, **params})
+            wall_times[f"{index:02d}_{kind}"] = round(time.perf_counter() - start, 6)
+            records.append(
+                dict(kind=kind, theta=theta, params=params, metrics=metrics, passed=passed)
+            )
+            csvs += [(f"{index:02d}_{name}", rows) for name, rows in tables.items()]
+    for name, rows in csvs:
+        _write_csv(os.path.join(out_dir, name), rows)
 
     assertive = [r for r in records if r["passed"] is not None]
     failed = [r for r in records if r["passed"] is False]
@@ -604,6 +581,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute the experiments in a config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
+    # accepted at its one value, 1, for callers that still pass it
     p_run.add_argument("--threads", default="1")
     p_run.add_argument("--seed", type=int, default=None)
 
@@ -626,17 +604,13 @@ def main(argv=None) -> int:
         print(json.dumps(config, indent=2, sort_keys=True))
         return 0
 
-    try:
-        threads = int(args.threads)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        message = f"--threads must be a positive integer, got {args.threads!r}"
+    if args.threads != "1":
+        message = f"--threads must be 1, got {args.threads!r}: jobs run one at a time"
         print(f"run failed: {message}", file=sys.stderr)
         return 2
 
     try:
-        report = run(config, args.out, threads=threads)
+        report = run(config, args.out)
     except FraclapError as exc:
         stage = "config error" if isinstance(exc, ConfigParseError) else "run failed"
         print(f"{stage}: {exc}", file=sys.stderr)

@@ -190,10 +190,21 @@ def default_ymax(dec: SpectralDecomposition) -> float:
 #
 #     g_lam(y) = 2^(1-theta)/Gamma(theta) * z^theta K_theta(z),  z = sqrt(lam) y,
 #
-# which is the production evaluation (stable from z ~ 1e-100 up to the decay
-# floor).  The test suite keeps the quadrature route as the independent
-# oracle (tests/oracles.py), and verifies the consistency of the two
+# which is the production evaluation from z = _KVE_FLOOR, where scipy's kve
+# (AMOS) stops giving inf, up to the decay floor.  Below it the profile is
+# its expansion g = 1 - C y^(2 theta) + lam y^2 / (4 - 4 theta) at y = 0,
+# exact to roundoff there (the terms dropped are z^2 < 1e-609 smaller); the
+# regular term counts only in the slope, a third of it at theta = 0.999.
+# The test suite keeps the quadrature route as the independent oracle
+# (tests/oracles.py), and verifies the consistency of the two
 # normalizations (so that g(0) = 1) numerically rather than assuming it.
+
+_KVE_FLOOR = 1e3 * np.finfo(float).tiny
+
+
+def _boundary_coefficient(lam, theta: float):
+    """C = Gamma(1-theta) / Gamma(1+theta) (lam/4)^theta of g = 1 - C y^(2 theta) + ..."""
+    return math.gamma(1.0 - theta) / math.gamma(1.0 + theta) * (lam / 4.0) ** theta
 
 
 def mode_profile(lam, theta: float, y):
@@ -210,15 +221,19 @@ def mode_profile(lam, theta: float, y):
 
     g = np.ones(lam.shape)
     pos = (y != 0.0) & (lam != 0.0)
+    small = pos & (np.sqrt(lam) * y < _KVE_FLOOR)
+    pos &= ~small
     z = np.sqrt(lam[pos]) * y[pos]
     scaled = z**theta * kve(theta, z)  # e^z z^theta K_theta(z)
     g[pos] = 2.0 ** (1.0 - theta) / gamma(theta) * scaled * np.exp(-z)
+    g[small] = 1.0 - _boundary_coefficient(lam[small], theta) * y[small] ** (2.0 * theta)
     return float(g) if g.ndim == 0 else g
 
 
 def mode_profile_derivative(lam, theta: float, y):
     """dg_lam/dy; uses d/dz [z^nu K_nu(z)] = -z^nu K_(nu-1)(z).  Broadcasts
-    like `mode_profile`."""
+    like `mode_profile`.  A slope beyond the largest double (at theta = 0.01,
+    below y ~ 1e-316 for lam = 1) is -inf."""
     check_theta(theta)
     lam, y = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(y, dtype=float))
     pos = lam != 0.0
@@ -228,10 +243,16 @@ def mode_profile_derivative(lam, theta: float, y):
     from scipy.special import gamma, kve
 
     dg = np.zeros(lam.shape)
+    small = pos & (np.sqrt(lam) * y < _KVE_FLOOR)
+    pos &= ~small
     root = np.sqrt(lam[pos])
     z = root * y[pos]
     scaled = z**theta * kve(1.0 - theta, z)
     dg[pos] = -(2.0 ** (1.0 - theta)) / gamma(theta) * root * scaled * np.exp(-z)
+    lam, y = lam[small], y[small]
+    with np.errstate(over="ignore"):
+        singular = 2.0 * theta * _boundary_coefficient(lam, theta) * y ** (2.0 * theta - 1.0)
+    dg[small] = lam * y / (2.0 - 2.0 * theta) - singular
     return float(dg) if dg.ndim == 0 else dg
 
 
@@ -332,7 +353,7 @@ def mode_energy_quadrature(lam, theta: float) -> float | np.ndarray:
         return y**a * (dg * dg + lams * g * g) / size
 
     y0 = EXPSINH_FLOOR
-    c = math.gamma(1.0 - theta) / math.gamma(1.0 + theta) * (lams / 4.0) ** theta
+    c = _boundary_coefficient(lams, theta)
     below = 2.0 * theta * c * c * y0 ** (2.0 * theta) + lams * y0 ** (1.0 + a) / (1.0 + a)
     energy = integrate_expsinh(integrand) * size + below
     return float(energy[0]) if np.ndim(lam) == 0 else energy

@@ -96,9 +96,8 @@ def _loaded_after(code, modules):
 
 def test_cli_import_leaves_quadrature_and_optimize_unloaded():
     # scipy.special is imported on first use, the quadratures and the dense
-    # linear algebra are numpy's, and the job pool is imported in the one
-    # branch that starts it, so `import fraclap.cli` loads none of these,
-    # nor the logging that concurrent.futures imports
+    # linear algebra are numpy's, and the runner has no job pool, so
+    # `import fraclap.cli` loads none of these, nor logging
     modules = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.special")
     modules += ("concurrent.futures", "logging")
     assert _loaded_after("import fraclap.cli", modules) == []
@@ -156,6 +155,18 @@ def test_no_module_imports_an_oracle_only_scipy_module(oracle_only):
         for path in sorted(Path(fraclap.__file__).parent.glob("*.py"))
         for module in _imported_modules(ast.parse(path.read_text()))
         if module == oracle_only or module.startswith(oracle_only + ".")
+    ]
+    assert found == []
+
+
+def test_no_module_imports_a_job_pool():
+    # the runner runs its jobs one at a time, in config order: no module
+    # imports concurrent.futures, at module level or in a function
+    found = [
+        (path.name, module)
+        for path in sorted(Path(fraclap.__file__).parent.glob("*.py"))
+        for module in _imported_modules(ast.parse(path.read_text()))
+        if module.split(".")[0] == "concurrent"
     ]
     assert found == []
 
@@ -290,7 +301,7 @@ def test_settable_parameter_count():
     # the error budgets of the quadrature and of the defect correction are
     # module constants, not options; a new knob has to replace an old one
     found = _settable_parameters()
-    assert len(found) <= 7, found
+    assert len(found) <= 6, found
 
 
 def test_config_parameter_count():

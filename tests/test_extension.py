@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import gamma
+from scipy.special import gamma, kve
 
 from fraclap import (
     build_grid,
@@ -22,6 +24,7 @@ from fraclap.errors import (
     InvalidParams,
     RadiusExceedsGrid,
 )
+from fraclap.extension import _KVE_FLOOR
 
 import oracles
 from oracles import mode_profile_quadrature, profile_normalization_quadrature
@@ -131,6 +134,38 @@ def test_profile_monotone_and_bounded():
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("y", [1e-300, 1e-308, 1e-320])
+@pytest.mark.parametrize("theta", [0.01, 0.25, 0.5, 0.75, 0.99])
+def test_profile_at_tiny_y_is_its_expansion(theta, y):
+    # g = 1 - C y^(2 theta) and dg = lam y / (2 - 2 theta) - 2 theta C
+    # y^(2 theta - 1) at y -> 0, finite where scipy's kve is not
+    lam = 1.0
+    c = math.gamma(1 - theta) / math.gamma(1 + theta) * (lam / 4) ** theta
+    g = mode_profile(lam, theta, y)
+    assert math.isfinite(g) and g == pytest.approx(1 - c * y ** (2 * theta), rel=1e-13)
+    dg = mode_profile_derivative(lam, theta, y)
+    try:
+        slope = lam * y / (2 - 2 * theta) - 2 * theta * c * y ** (2 * theta - 1)
+    except OverflowError:
+        # about -8e311 at theta = 0.01, y = 1e-320: no double holds it
+        assert (theta, y) == (0.01, 1e-320) and dg == -math.inf
+        return
+    assert math.isfinite(dg) and dg == pytest.approx(slope, rel=1e-13)
+
+
+@pytest.mark.parametrize("theta", [0.001, 0.01, 0.25, 0.5, 0.75, 0.99, 0.999])
+def test_profile_expansion_meets_bessel_route_at_the_floor(theta):
+    # at _KVE_FLOOR kve is finite, one double below it is inf; the Bessel
+    # route above and the expansion below agree to roundoff, the slope's
+    # regular term lam y / (2 - 2 theta) included (a third of it at 0.999)
+    above, below = _KVE_FLOOR, np.nextafter(_KVE_FLOOR, 0.0)
+    assert np.isfinite(kve(theta, above)) and np.isinf(kve(theta, below))
+    for lam in (1.0, 1e-4):
+        y_above, y_below = above / math.sqrt(lam), below / math.sqrt(lam)
+        for f in (mode_profile, mode_profile_derivative):
+            assert f(lam, theta, y_below) == pytest.approx(f(lam, theta, y_above), rel=1e-13)
+
+
 # -- poisson extension
 
 
@@ -154,6 +189,18 @@ def test_extend_boundary_row_exact(path8, path8_dec):
     grid = build_grid(0.3, 20.0, 16)
     u = poisson_extend(path8_dec, f, grid)
     assert np.array_equal(u.values[:, 0], f)
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+def test_extend_finite_on_a_subnormal_first_node(path8_dec, theta):
+    # at m = 1074 the first geometric node is about 5e-322, far below the z
+    # where kve overflows: the rows near the boundary are the data
+    f = np.random.default_rng(2).standard_normal(8)
+    grid = build_grid(theta, default_ymax(path8_dec), 1074)
+    assert 0 < grid.ys[1] < 1e-320
+    u = poisson_extend(path8_dec, f, grid)
+    assert np.isfinite(u.values).all()
+    assert np.allclose(u.values[:, 1], f, rtol=0, atol=1e-12)
 
 
 def test_extend_reads_theta_from_grid(path8_dec):
